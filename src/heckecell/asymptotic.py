@@ -22,6 +22,7 @@ from fractions import Fraction
 from .errors import ComputationError, VerificationError
 from .hecke import HeckeAlgebra
 from .matrices import f_mat_mul
+from .scalars import scalar_inverse
 
 
 @dataclass
@@ -94,7 +95,7 @@ class AsymptoticRing:
 
     def _build_gamma(self):
         inverse = self.alg.table.inverse
-        finv = [_inv(t.f) for t in self.tensors]
+        finv = [scalar_inverse(t.f) for t in self.tensors]
         gamma: dict = {}
         for bi, block in enumerate(self.blocks):
             tens = [(t, fi) for t, fi in zip(self.tensors, finv)
@@ -303,16 +304,3 @@ class AsymptoticRing:
 def _sample_pairs(block, seed, count):
     rng = random.Random(seed)
     return [(rng.choice(block), rng.choice(block)) for _ in range(count)]
-
-
-def _inv(c):
-    if isinstance(c, int):
-        return Fraction(1, c)
-    if isinstance(c, Fraction):
-        return 1 / c
-    return c.field.inverse(c)
-
-
-def l_blocks(ring: AsymptoticRing):
-    """(blocks, block_of_element, block_of_label)."""
-    return ring.blocks, ring.block_of, ring.block_of_label

@@ -23,7 +23,7 @@ from .coxeter import WeightFunction
 from .errors import ComputationError, InputError, VerificationError
 from .hecke import HeckeAlgebra
 from .matrices import KMatrix, f_det, f_inverse, f_mat_mul
-from .scalars import LaurentFraction, LaurentPoly
+from .scalars import LaurentPoly
 
 def b_matrix(rep_gram: KMatrix, ring: AsymptoticRing, label: str):
     """Constant-term matrix of a normalized balanced Gram form.
@@ -85,9 +85,6 @@ class CellDatum:
     def keys(self):
         return [(lab, s, t) for lab in self.labels
                 for s in range(self.msize[lab]) for t in range(self.msize[lab])]
-
-    def strictly_below(self, lab: str) -> list:
-        return [mu for mu in self.labels if mu != lab and self.leq[(mu, lab)]]
 
 
 def lambda_order(alg: HeckeAlgebra, ring: AsymptoticRing) -> dict:
@@ -195,28 +192,37 @@ def verify_cell_datum(datum: CellDatum) -> Report:
 
 
 def _verify_c3(datum: CellDatum, transition, keys) -> list:
-    """Left multiplication by each T_s modulo lower layers: the coefficient
-    matrix r(s', s) must not depend on the right tableau index."""
-    alg = datum.alg
-    size = alg.table.size
-    bad = []
     # transition is keys x w; its inverse is w x keys, so coordinates of a
     # C-basis vector p are x[ki] = sum_w inv[w][ki] p[w]
     tinv_t = f_inverse(transition)
-    rank = alg.rank
-    for lab in datum.labels:
-        d = datum.msize[lab]
-        allowed_below = set(datum.strictly_below(lab))
+
+    def coords(s_gen, key):
+        prod = _ts_times_element(datum.alg, s_gen, datum.elements[key])
+        return _to_cell_coords(tinv_t, prod, keys, LaurentPoly.scale)
+
+    return _c3_violations(datum, coords)
+
+
+def _c3_violations(basis, coords) -> list:
+    """Left multiplication by each T_s modulo lower layers: T_s C^lam_{s,t}
+    may reach only C^lam_{s',t} and layers strictly below lam, and the
+    coefficient matrix r(s', s) must not depend on the right tableau index t.
+
+    `basis` is a CellDatum or a SpecializedBasis; coords(s_gen, key) gives the
+    cellular coordinates of T_s times the element `key` as Laurent
+    polynomials, all over one common denominator."""
+    alg = basis.alg
+    bad = []
+    for lab in basis.labels:
+        d = basis.msize[lab]
+        allowed_below = {mu for mu in basis.labels if mu != lab and basis.leq[(mu, lab)]}
         for s_gen in range(alg.table.system.ngens):
             r_mats = []
             for t in range(d):
-                r_mat = [[None] * d for _ in range(d)]
+                r_mat = [[LaurentPoly.zero(alg.rank)] * d for _ in range(d)]
                 coords_ok = True
                 for s in range(d):
-                    prod = _ts_times_element(alg, s_gen, datum.elements[(lab, s, t)])
-                    coords = _to_cell_coords(tinv_t, prod, size, rank, keys)
-                    for key, poly in coords.items():
-                        mu, s2, t2 = key
+                    for (mu, s2, t2), poly in coords(s_gen, (lab, s, t)).items():
                         if mu == lab:
                             if t2 != t:
                                 bad.append(f"C3 support fails for {lab},{s_gen}: "
@@ -228,10 +234,6 @@ def _verify_c3(datum: CellDatum, transition, keys) -> list:
                             bad.append(f"C3 filtration fails for {lab},{s_gen}: hits {mu}")
                             coords_ok = False
                 if coords_ok:
-                    for row in r_mat:
-                        for i, v in enumerate(row):
-                            if v is None:
-                                row[i] = LaurentPoly.zero(rank)
                     r_mats.append(r_mat)
             for other in r_mats[1:]:
                 if other != r_mats[0]:
@@ -255,14 +257,17 @@ def _ts_times_element(alg: HeckeAlgebra, s: int, coeffs: dict) -> dict:
     return {w: p for w, p in out.items() if p}
 
 
-def _to_cell_coords(tinv_t, prod: dict, size: int, rank: int, keys) -> dict:
-    """Express C-basis coordinates (Laurent polynomials) in the cellular basis."""
+def _to_cell_coords(inv_rows, prod: dict, keys, mul) -> dict:
+    """Express coordinates prod (w -> LaurentPoly) in the cellular basis, given
+    the rows of the inverse transition matrix and how to multiply a
+    polynomial by one of their entries."""
     out = {}
     for w, poly in prod.items():
+        row = inv_rows[w]
         for ki, key in enumerate(keys):
-            c = tinv_t[w][ki]
+            c = row[ki]
             if c:
-                add = poly.scale(c)
+                add = mul(poly, c)
                 cur = out.get(key)
                 out[key] = add if cur is None else cur + add
     return {k: v for k, v in out.items() if v}
@@ -503,9 +508,10 @@ def verify_specialized(spec: SpecializedBasis) -> Report:
     keys = [(lab, s, t) for lab in spec.labels
             for s in range(spec.msize[lab]) for t in range(spec.msize[lab])]
     zero = LaurentPoly.zero(alg.rank)
-    mat = [[spec.elements[key].get(w, zero) for w in range(size)] for key in keys]
+    transition = KMatrix.from_polys(
+        [[spec.elements[key].get(w, zero) for w in range(size)] for key in keys], alg.order)
     bad = []
-    det = KMatrix.from_polys(mat, alg.order).det()
+    det = transition.det()
     if not det:
         bad.append("specialized transition matrix is singular")
     else:
@@ -527,69 +533,12 @@ def verify_specialized(spec: SpecializedBasis) -> Report:
                     bad.append(f"star axiom fails for {lab} at ({s},{t})")
     report.record("C2 star (specialized)", bad)
 
-    bad = []
-    frac_rows = [[LaurentFraction.from_poly(p, alg.order) for p in row] for row in mat]
-    inv_t = _fraction_inverse(frac_rows, alg.order)
-    for lab in spec.labels:
-        d = spec.msize[lab]
-        allowed = {mu for mu in spec.labels if mu != lab and spec.leq[(mu, lab)]}
-        for s_gen in range(alg.table.system.ngens):
-            r_mats = []
-            for t in range(d):
-                r_mat = [[LaurentFraction.zero(alg.rank, alg.order)] * d for _ in range(d)]
-                ok = True
-                for s in range(d):
-                    prod = alg.gen_left(s_gen, spec.elements[(lab, s, t)])
-                    coords = _fraction_coords(inv_t, prod, keys, alg)
-                    for key, val in coords.items():
-                        mu, s2, t2 = key
-                        if mu == lab:
-                            if t2 != t:
-                                bad.append(f"C3 support fails for {lab} gen {s_gen}")
-                                ok = False
-                            else:
-                                r_mat[s2][s] = val
-                        elif mu not in allowed:
-                            bad.append(f"C3 filtration fails for {lab} gen {s_gen}: {mu}")
-                            ok = False
-                if ok:
-                    r_mats.append(r_mat)
-            for other in r_mats[1:]:
-                if any(other[i][j] != r_mats[0][i][j] for i in range(d) for j in range(d)):
-                    bad.append(f"C3 t-independence fails for {lab}, generator {s_gen}")
-                    break
-    report.record("C3 (specialized)", bad)
+    # every coordinate has the denominator inv.den, so numerators are compared
+    inv = transition.inverse()
+
+    def coords(s_gen, key):
+        prod = alg.gen_left(s_gen, spec.elements[key])
+        return _to_cell_coords(inv.num, prod, keys, LaurentPoly.__mul__)
+
+    report.record("C3 (specialized)", _c3_violations(spec, coords))
     return report
-
-
-def _fraction_inverse(rows, order):
-    n = len(rows)
-    one = LaurentFraction.from_poly(LaurentPoly.one(rows[0][0].rank), order)
-    zero = LaurentFraction.zero(rows[0][0].rank, order)
-    aug = [[rows[i][j] for j in range(n)] + [one if i == j else zero for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ComputationError("singular specialized transition matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pinv = aug[col][col].inverse()
-        aug[col] = [x * pinv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _fraction_coords(inv_t, prod: dict, keys, alg) -> dict:
-    out = {}
-    for w, poly in prod.items():
-        pf = LaurentFraction.from_poly(poly, alg.order)
-        for ki, key in enumerate(keys):
-            c = inv_t[w][ki]
-            if c:
-                add = pf * c
-                cur = out.get(key)
-                out[key] = add if cur is None else cur + add
-    return {k: v for k, v in out.items() if v}

@@ -82,6 +82,7 @@ class Session:
         self._family = None
         self._schurs = None
         self._balanced = None
+        self._certificates = {}
         self._ring = None
         self._grams = None
         self._datum = None
@@ -126,7 +127,9 @@ class Session:
 
     @property
     def balanced(self) -> dict:
-        """label -> balanced representation with its normalized Gram attached."""
+        """label -> balanced representation with its normalized Gram attached.
+
+        The balance certificate of each one is kept for the reps artifact."""
         if self._balanced is None:
             out = {}
             for r in self.family:
@@ -138,11 +141,12 @@ class Session:
                     rb.gram = omega
                 else:
                     rb = reps.balance(r)
-                    cert2 = reps.is_balanced(rb, rb.gram, sd)
-                    if not cert2.balanced:
+                    cert = reps.is_balanced(rb, rb.gram, sd)
+                    if not cert.balanced:
                         raise VerificationError(
                             f"balancing failed for {r.label}")
                 out[r.label] = rb
+                self._certificates[r.label] = cert
             self._balanced = out
         return self._balanced
 
@@ -234,17 +238,16 @@ class Session:
     def artifact_reps(self) -> dict:
         out = self.header("reps")
         items = []
+        self.balanced  # noqa: B018 - balancing records the certificates
         for r in self.family:
             sd = self.schurs[r.label]
-            rb = self.balanced[r.label]
-            cert = reps.is_balanced(rb, rb.gram, sd, cross_check=False)
             items.append({
                 "label": r.label,
                 "dim": r.dim,
                 "a": list(sd.a),
                 "f": self.scalar_str(sd.f),
                 "schur_element": self.poly_str(sd.c),
-                "balanced": cert.balanced,
+                "balanced": self._certificates[r.label].balanced,
             })
         out["representations"] = items
         out["dimension_check"] = sum(r.dim * r.dim for r in self.family) == self.table.size

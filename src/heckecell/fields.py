@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ComputationError, InputError
+from .matrices import f_det
 
 # 50 verified decimal digits; only used to seed the initial isolating interval
 # for delta, after which refinement is purely algebraic.
@@ -325,7 +326,7 @@ class RealCyclotomicField:
             cols.append(self.coords(cur * basis))  # coords of x * delta^i
             basis = basis * delta
         mat = [[cols[j][i] for j in range(self.degree)] for i in range(self.degree)]
-        return _fraction_det(mat)
+        return f_det(mat)
 
     # -- special values --------------------------------------------------------
 
@@ -540,24 +541,3 @@ def _cos_bounds(x_lo, x_hi, terms: int = 25):
     lo1, _ = point(x_hi)
     _, hi1 = point(x_lo)
     return lo1, hi1
-
-
-def _fraction_det(mat) -> Fraction:
-    n = len(mat)
-    mat = [row[:] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    mat[r][c] -= f * mat[col][c]
-    return det

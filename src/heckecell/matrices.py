@@ -1,10 +1,17 @@
-"""Small exact matrix helpers.
+"""Exact matrices and the one elimination kernel behind every det and inverse.
 
 Two kinds of matrices appear in this package: matrices over a field of plain
 scalars (Fraction or CycloNumber), handled by the f_* functions on lists of
 lists, and matrices over the fraction field of the Laurent ring, handled by
 KMatrix, which keeps one common polynomial denominator per matrix so that
 products only ever multiply polynomials.
+
+Determinants and inverses of both kinds come from `eliminate`, a single
+Gauss-Jordan pass over an augmented matrix [A | B]. Over a field it scales
+each pivot row by one field inverse. Over the Laurent ring it stays
+fraction-free (Bareiss, Math. Comp. 22, 1968): each update is divided
+exactly by the previous pivot, so every entry is a minor of [A | B] and a
+KMatrix inverse is a polynomial matrix over one denominator.
 """
 
 from __future__ import annotations
@@ -12,7 +19,62 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ComputationError
-from .scalars import LaurentFraction, LaurentPoly, MonomialOrder
+from .scalars import LaurentFraction, LaurentPoly, MonomialOrder, scalar_inverse
+
+
+def eliminate(m, n: int, one, order: MonomialOrder | None = None):
+    """Gauss-Jordan on the augmented rows m = [A | B] in place; return det A.
+
+    A is the leading n x n block and `one` the unit of the entries' ring.
+    When det A != 0 the B block ends as q A^-1 B:
+    - over a field (order None) each pivot row is scaled by its pivot's
+      inverse, and q = 1;
+    - over the Laurent ring (order given) the elimination is fraction-free,
+      and q is the last pivot m[n-1][n-1], which is det A up to the sign of
+      the row swaps.
+    Without a B block only the rows below each pivot are cleared, which is
+    all the determinant needs. Columns up to the current pivot are not kept
+    up to date.
+    """
+    width = len(m[0]) if m else n
+    sign = 1
+    det = prev = one
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return one - one
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        row, p = m[k], m[k][k]
+        rows = [i for i in range(0 if width > n else k + 1, n) if i != k]
+        if order is None:
+            det = det * p
+            inv = scalar_inverse(p)
+            for j in range(k + 1, width):
+                if row[j]:
+                    row[j] = row[j] * inv
+            for i in rows:
+                f = m[i][k]
+                if f:
+                    ri = m[i]
+                    for j in range(k + 1, width):
+                        if row[j]:
+                            ri[j] = ri[j] - f * row[j]
+        else:
+            for i in rows:
+                f, ri = m[i][k], m[i]
+                for j in range(k + 1, width):
+                    x = ri[j] * p
+                    if f and row[j]:
+                        x = x - f * row[j]
+                    if k and x:
+                        x = x.exact_divide(prev, order)
+                        if x is None:
+                            raise ComputationError("Bareiss division failed")
+                    ri[j] = x
+            det = prev = p
+    return det if sign > 0 else -det
 
 
 # -- plain field matrices (lists of lists of Fraction/CycloNumber) -------------
@@ -26,63 +88,17 @@ def f_mat_mul(a, b):
     ]
 
 
-def f_mat_transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def f_identity(n, one=Fraction(1), zero=Fraction(0)):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def f_det(a):
-    n = len(a)
-    m = [row[:] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = _inv(m[col][col])
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] = m[r][c] - f * m[col][c]
-    return det
+    return eliminate([row[:] for row in a], len(a), Fraction(1))
 
 
 def f_inverse(a):
     n = len(a)
     m = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
          for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise ComputationError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = _inv(m[col][col])
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    if not eliminate(m, n, Fraction(1)):
+        raise ComputationError("singular matrix")
     return [row[n:] for row in m]
-
-
-def f_solve(a, rhs_cols):
-    """Solve a X = rhs for possibly many right-hand columns."""
-    inv = f_inverse(a)
-    return f_mat_mul(inv, rhs_cols)
-
-
-def _inv(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1, 1) / x
-    return x.field.inverse(x)
 
 
 # -- matrices over the Laurent fraction field ----------------------------------
@@ -111,7 +127,7 @@ class KMatrix:
 
     @classmethod
     def from_fractions(cls, rows, order: MonomialOrder) -> "KMatrix":
-        """Combine a matrix of LaurentFractions over their product denominator."""
+        """Combine a matrix of LaurentFractions over the product of their distinct denominators."""
         dens = []
         for row in rows:
             for x in row:
@@ -120,7 +136,7 @@ class KMatrix:
         den = LaurentPoly.one(rank)
         seen = []
         for d in dens:
-            if not d.is_constant() or d.constant_coefficient() != 1:
+            if (not d.is_constant() or d.constant_coefficient() != 1) and d not in seen:
                 seen.append(d)
         for d in seen:
             den = den * d
@@ -216,49 +232,18 @@ class KMatrix:
         return out
 
     def det(self) -> LaurentFraction:
-        """Fraction-free (Bareiss) determinant of num, divided by den^dim."""
-        n = self.dim
-        m = [row[:] for row in self.num]
-        sign = 1
-        prev = LaurentPoly.one(self.rank)
-        for k in range(n - 1):
-            if not m[k][k]:
-                piv = next((r for r in range(k + 1, n) if m[r][k]), None)
-                if piv is None:
-                    return LaurentFraction.zero(self.rank, self.order)
-                m[k], m[piv] = m[piv], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    val = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                    q = val.exact_divide(prev, self.order)
-                    if q is None:
-                        raise ComputationError("Bareiss division failed")
-                    m[i][j] = q
-            prev = m[k][k]
-        det_num = m[n - 1][n - 1] if n else LaurentPoly.one(self.rank)
-        if sign < 0:
-            det_num = -det_num
-        den = LaurentPoly.one(self.rank)
-        for _ in range(n):
-            den = den * self.den
-        return LaurentFraction(det_num, den, self.order)
+        """Fraction-free determinant of num, divided by den^dim."""
+        one = LaurentPoly.one(self.rank)
+        det = eliminate([row[:] for row in self.num], self.dim, one, self.order)
+        return LaurentFraction(det, self.den ** self.dim, self.order)
 
     def inverse(self) -> "KMatrix":
+        """den * q num^-1 over the last Bareiss pivot q: a single denominator."""
         n = self.dim
-        fr = self.fractions()
-        aug = [row + [LaurentFraction.from_poly(
-            LaurentPoly.one(self.rank) if i == j else LaurentPoly.zero(self.rank), self.order)
-            for j in range(n)] for i, row in enumerate(fr)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col]), None)
-            if piv is None:
-                raise ComputationError("singular matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pinv = aug[col][col].inverse()
-            aug[col] = [x * pinv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return KMatrix.from_fractions([row[n:] for row in aug], self.order)
+        one, zero = LaurentPoly.one(self.rank), LaurentPoly.zero(self.rank)
+        m = [row[:] + [one if i == j else zero for j in range(n)]
+             for i, row in enumerate(self.num)]
+        if not eliminate(m, n, one, self.order):
+            raise ComputationError("singular matrix")
+        q = m[n - 1][n - 1] if n else one
+        return KMatrix([[self.den * x for x in row[n:]] for row in m], q, self.order)

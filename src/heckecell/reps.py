@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import ComputationError, InputError, VerificationError
 from .hecke import HeckeAlgebra
 from .matrices import KMatrix
-from .scalars import LaurentFraction, LaurentPoly, exp_neg, exp_sub
+from .scalars import LaurentFraction, LaurentPoly, exp_neg, exp_sub, scalar_inverse
 
 DIRECT_CHECK_MAX = 48
 
@@ -199,8 +199,8 @@ class BalanceCertificate:
     det_leading: object
 
 
-def is_balanced(rep: MatrixRep, omega: KMatrix, schur: SchurData | None = None,
-                cross_check: bool = True) -> BalanceCertificate:
+def is_balanced(rep: MatrixRep, omega: KMatrix,
+                schur: SchurData | None = None) -> BalanceCertificate:
     """Balancedness criterion: det of the normalized form is a unit of O.
 
     The form must be normalized (entries in O, not all in the maximal ideal).
@@ -215,7 +215,7 @@ def is_balanced(rep: MatrixRep, omega: KMatrix, schur: SchurData | None = None,
                 raise VerificationError("Gram matrix not normalized into O")
     g, r = omega.det().valuation()
     flag = g is not None and not alg.order.is_positive(g) and not alg.order.is_negative(g)
-    if cross_check and schur is not None and alg.table.size <= DIRECT_CHECK_MAX:
+    if schur is not None and alg.table.size <= DIRECT_CHECK_MAX:
         direct = _directly_balanced(rep, schur.a)
         if direct != flag:
             raise ComputationError(
@@ -368,7 +368,7 @@ def leading_tensor(rep: MatrixRep, schur: SchurData) -> LeadingTensor:
                     row.append(Fraction(0))
                     continue
                 if den_inv is None:
-                    den_inv = _scalar_inv(den_lead)
+                    den_inv = scalar_inverse(den_lead)
                 c = num.terms[gn] * den_inv
                 if sign < 0:
                     c = -c
@@ -381,14 +381,6 @@ def leading_tensor(rep: MatrixRep, schur: SchurData) -> LeadingTensor:
         else:
             mats.append(None)
     return LeadingTensor(rep.label, rep.dim, a, schur.f, mats, frozenset(support))
-
-
-def _scalar_inv(c):
-    if isinstance(c, int):
-        return Fraction(1, c)
-    if isinstance(c, Fraction):
-        return 1 / c
-    return c.field.inverse(c)
 
 
 def verify_schur_relations(alg: HeckeAlgebra, tensors: list) -> list:
@@ -424,7 +416,7 @@ def verify_schur_relations(alg: HeckeAlgebra, tensors: list) -> list:
                                 violations.append(
                                     f"first family fails at ({t1.label},{t2.label},"
                                     f"i={i},j={j},k={k},l={l})")
-    finv = [_scalar_inv(t.f) for t in tensors]
+    finv = [scalar_inverse(t.f) for t in tensors]
     for x in range(size):
         for y in range(size):
             yinv = inverse[y]

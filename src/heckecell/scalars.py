@@ -278,7 +278,7 @@ class LaurentPoly:
         if not self:
             return LaurentPoly.zero(self.rank)
         dmin = den.min_exponent(order)
-        dlead = den.terms[dmin]
+        dinv = scalar_inverse(den.terms[dmin])
         bound = order.key(exp_sub(self.max_exponent(order), den.max_exponent(order)))
         rem = self
         quot = {}
@@ -287,7 +287,7 @@ class LaurentPoly:
             qexp = exp_sub(rmin, dmin)
             if order.key(qexp) > bound:
                 return None
-            qc = rem.terms[rmin] * _invert(dlead)
+            qc = rem.terms[rmin] * dinv
             quot[qexp] = qc
             rem = rem - den.shift(qexp).scale(qc)
         return LaurentPoly(self.rank, quot, _trusted=True)
@@ -331,7 +331,8 @@ class LaurentPoly:
         return cls(rank, terms, _trusted=True)
 
 
-def _invert(c):
+def scalar_inverse(c):
+    """Inverse of a nonzero int, Fraction or CycloNumber coefficient."""
     if isinstance(c, int):
         return Fraction(1, c)
     if isinstance(c, Fraction):
@@ -364,7 +365,7 @@ class LaurentFraction:
             g = den.min_exponent(order)
             r = den.terms[g]
             if any(g) or r != 1:
-                rinv = _invert(r)
+                rinv = scalar_inverse(r)
                 den = den.shift(exp_neg(g)).scale(rinv)
                 num = num.shift(exp_neg(g)).scale(rinv)
         self.num = num
@@ -414,11 +415,6 @@ class LaurentFraction:
         if not other.num:
             raise ZeroDivisionError("division by zero fraction")
         return LaurentFraction(self.num * other.den, self.den * other.num, self.order)
-
-    def inverse(self):
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero fraction")
-        return LaurentFraction(self.den, self.num, self.order)
 
     def _coerce(self, other):
         if isinstance(other, LaurentFraction):

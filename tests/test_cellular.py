@@ -154,6 +154,15 @@ def test_specialize_b2_to_equal_parameters():
     assert report.ok, report.summary()
 
 
+def test_specialized_c3_detects_swapped_elements():
+    session = get_session("B2", "universal", "b-first")
+    spec = specialize_datum(session.datum, get_session("B2").algebra)
+    a, b = ("B:((2,), ())", 0, 0), ("B:((1, 1), ())", 0, 0)
+    spec.elements[a], spec.elements[b] = spec.elements[b], spec.elements[a]
+    report = verify_specialized(spec)
+    assert report.checks["C3 (specialized)"], report.summary()
+
+
 def test_specialize_accepts_nonpositive_targets():
     """The target weight function need not be positive; only the source order
     matters. Sending b to -a still yields a basis with the cellular axioms."""
