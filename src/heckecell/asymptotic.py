@@ -144,29 +144,46 @@ class AsymptoticRing:
     def gamma_at(self, x: int, y: int, z: int):
         return self.gamma.get((x, y, z), Fraction(0))
 
-    def multiply(self, a: dict, b: dict) -> dict:
-        """Product of two elements given as {w: coefficient} in the t-basis."""
+    def gamma_rows(self) -> dict:
+        """The nonzero gamma by their first two indices: (x, y) -> [(z, gamma_{x,y,z})].
+
+        Derived from `gamma` on every call, so it cannot go stale when the
+        table is replaced or edited; callers that multiply many times derive
+        it once and pass it on."""
+        rows: dict = {}
+        for (x, y, z), g in self.gamma.items():
+            if g:
+                rows.setdefault((x, y), []).append((z, g))
+        return rows
+
+    def multiply(self, a: dict, b: dict, rows: dict | None = None) -> dict:
+        """Product of two elements given as {w: coefficient} in the t-basis;
+        `rows` is a gamma_rows() result to reuse."""
+        if rows is None:
+            rows = self.gamma_rows()
         inverse = self.alg.table.inverse
         out: dict = {}
         for x, cx in a.items():
-            bx = self.block_of[x]
             for y, cy in b.items():
-                if self.block_of[y] != bx:
+                row = rows.get((x, y))
+                if not row:
                     continue
                 c = cx * cy
-                for z in self.blocks[bx]:
-                    g = self.gamma.get((x, y, inverse[z]))
-                    if g:
-                        cur = out.get(z)
-                        cur = c * g if cur is None else cur + c * g
-                        if cur:
-                            out[z] = cur
-                        elif z in out:
-                            del out[z]
+                for z, g in row:
+                    z = inverse[z]
+                    cur = out.get(z)
+                    cur = c * g if cur is None else cur + c * g
+                    if cur:
+                        out[z] = cur
+                    elif z in out:
+                        del out[z]
         return {z: c for z, c in out.items() if c}
 
-    def basis_product(self, x: int, y: int) -> dict:
-        return self.multiply({x: Fraction(1)}, {y: Fraction(1)})
+    def basis_product(self, x: int, y: int, rows: dict | None = None) -> dict:
+        if rows is None:
+            rows = self.gamma_rows()
+        inverse = self.alg.table.inverse
+        return {inverse[z]: g for z, g in rows.get((x, y), ())}
 
     def identity_element(self) -> dict:
         return {w: self.n_vec[w] for w in self.d_set}
@@ -195,6 +212,7 @@ class AsymptoticRing:
                random_triples: int = 10000) -> Report:
         """Ring axioms and symmetries; any violation is build-breaking."""
         inverse = self.alg.table.inverse
+        rows = self.gamma_rows()
         report = Report()
 
         bad = []
@@ -211,12 +229,10 @@ class AsymptoticRing:
         for x in range(self.size):
             for y in range(self.size):
                 acc = Fraction(0)
-                for w in self.blocks[self.block_of[x]]:
-                    g = self.gamma.get((inverse[x], y, w))
-                    if g:
-                        nw = self.n_vec[w]
-                        if nw:
-                            acc = acc + g * nw
+                for w, g in rows.get((inverse[x], y), ()):
+                    nw = self.n_vec[w]
+                    if nw:
+                        acc = acc + g * nw
                 want = Fraction(1) if x == y else Fraction(0)
                 if acc != want:
                     bad.append(f"dual-pairing identity fails at ({x},{y})")
@@ -226,7 +242,7 @@ class AsymptoticRing:
         bad = []
         for x in range(self.size):
             tx = {x: Fraction(1)}
-            if self.multiply(one, tx) != tx or self.multiply(tx, one) != tx:
+            if self.multiply(one, tx, rows) != tx or self.multiply(tx, one, rows) != tx:
                 bad.append(f"identity fails at {x}")
         report.record("two-sided identity", bad)
 
@@ -234,7 +250,7 @@ class AsymptoticRing:
         for x in range(self.size):
             for y in range(self.size):
                 want = Fraction(1) if x == y else Fraction(0)
-                if self.trace(self.basis_product(x, inverse[y])) != want:
+                if self.trace(self.basis_product(x, inverse[y], rows)) != want:
                     bad.append(f"trace dual-basis fails at ({x},{y})")
         report.record("trace dual bases", bad)
 
@@ -247,8 +263,8 @@ class AsymptoticRing:
             triples = ((rng.randrange(self.size), rng.randrange(self.size),
                         rng.randrange(self.size)) for _ in range(random_triples))
         for x, y, z in triples:
-            lhs = self.multiply(self.basis_product(x, y), {z: Fraction(1)})
-            rhs = self.multiply({x: Fraction(1)}, self.basis_product(y, z))
+            lhs = self.multiply(self.basis_product(x, y, rows), {z: Fraction(1)}, rows)
+            rhs = self.multiply({x: Fraction(1)}, self.basis_product(y, z, rows), rows)
             if lhs != rhs:
                 bad.append(f"associativity fails at ({x},{y},{z})")
         report.record("associativity", bad)
@@ -261,7 +277,7 @@ class AsymptoticRing:
                      if len(block) <= limit else
                      _sample_pairs(block, seed, 400))
             for x, y in pairs:
-                prod = self.basis_product(x, y)
+                prod = self.basis_product(x, y, rows)
                 acc = [[Fraction(0)] * t.dim for _ in range(t.dim)]
                 for z, c in prod.items():
                     mz = t.mats[z]

@@ -303,22 +303,25 @@ def phi_element(alg: HeckeAlgebra, ring: AsymptoticRing, coeffs_c: dict) -> dict
     return {z: p for z, p in out.items() if p}
 
 
-def asym_poly_multiply(ring: AsymptoticRing, a: dict, b: dict) -> dict:
-    """Product in the asymptotic ring with Laurent-polynomial coefficients."""
+def asym_poly_multiply(ring: AsymptoticRing, a: dict, b: dict,
+                       rows: dict | None = None) -> dict:
+    """Product in the asymptotic ring with Laurent-polynomial coefficients;
+    `rows` is a ring.gamma_rows() result to reuse."""
+    if rows is None:
+        rows = ring.gamma_rows()
     inverse = ring.alg.table.inverse
     out = {}
     for x, px in a.items():
-        bx = ring.block_of[x]
         for y, py in b.items():
-            if ring.block_of[y] != bx:
+            row = rows.get((x, y))
+            if not row:
                 continue
             pxy = px * py
-            for z in ring.blocks[bx]:
-                g = ring.gamma.get((x, y, inverse[z]))
-                if g:
-                    add = pxy.scale(g)
-                    cur = out.get(z)
-                    out[z] = add if cur is None else cur + add
+            for z, g in row:
+                z = inverse[z]
+                add = pxy.scale(g)
+                cur = out.get(z)
+                out[z] = add if cur is None else cur + add
     return {z: p for z, p in out.items() if p}
 
 
@@ -355,8 +358,9 @@ def verify_phi(alg: HeckeAlgebra, ring: AsymptoticRing,
         pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(samples)]
     rows = alg.h_rows()
     images = [hecke_to_asym(alg, ring, w) for w in range(size)]
+    grows = ring.gamma_rows()
     for x, y in pairs:
-        lhs = asym_poly_multiply(ring, images[x], images[y])
+        lhs = asym_poly_multiply(ring, images[x], images[y], grows)
         rhs = {}
         for z, h in rows[x][y].items():
             for u, p in images[z].items():
@@ -375,7 +379,7 @@ def verify_phi(alg: HeckeAlgebra, ring: AsymptoticRing,
             for w in range(size):
                 diff = _sub_dict(
                     asym_poly_multiply(ring, images[x],
-                                       {w: LaurentPoly.one(rank)}),
+                                       {w: LaurentPoly.one(rank)}, grows),
                     module_action(alg, x, {w: LaurentPoly.one(rank)}))
                 for y in diff:
                     if not (alg.leq_lr(y, w) and not alg.sim_lr(y, w)):
@@ -406,24 +410,27 @@ def verify_bimodule_identity(alg: HeckeAlgebra, ring: AsymptoticRing,
     rows = alg.h_rows()
     inverse = alg.table.inverse
     _, cells, cell_of = alg.lr_cells()
+    gamma, grows = ring.gamma, ring.gamma_rows()
     bad = []
 
     def check(x, xp, y, w):
-        cell = cells[cell_of[w]] if restrict_cell else range(size)
+        # with restrict_cell, u runs over the cell of w only
+        cw = cell_of[w]
         lhs = LaurentPoly.zero(alg.rank)
-        for u in cell:
-            g = ring.gamma.get((w, xp, inverse[u]))
-            if g:
-                h = rows[x][u].get(y)
-                if h:
-                    lhs = lhs + h.scale(g)
-        rhs = LaurentPoly.zero(alg.rank)
-        for u in cell:
-            h = rows[x][w].get(u)
+        for z, g in grows.get((w, xp), ()):
+            u = inverse[z]
+            if restrict_cell and cell_of[u] != cw:
+                continue
+            h = rows[x][u].get(y)
             if h:
-                g = ring.gamma.get((u, xp, inverse[y]))
-                if g:
-                    rhs = rhs + h.scale(g)
+                lhs = lhs + h.scale(g)
+        rhs = LaurentPoly.zero(alg.rank)
+        for u, h in rows[x][w].items():
+            if restrict_cell and cell_of[u] != cw:
+                continue
+            g = gamma.get((u, xp, inverse[y]))
+            if g:
+                rhs = rhs + h.scale(g)
         return lhs == rhs
 
     if size <= exhaustive_max:

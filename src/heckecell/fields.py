@@ -9,6 +9,11 @@ p_{j+1} = y*p_j - p_{j-1}.
 
 For conductors whose field is Q itself (N in {1,2,3,4,6} after reduction) the
 field hands out plain Fractions; otherwise elements are CycloNumber instances.
+delta is an algebraic integer, so its minimal polynomial is monic in Z[y]. A
+CycloNumber therefore stores integer power-basis coordinates over one positive
+integer denominator, in lowest terms: multiplication convolves and reduces in
+int, and one gcd per result (none when the denominator is 1) keeps the form
+canonical, so equality is a tuple comparison.
 Sign determination is exact: delta is enclosed in a certified rational interval
 (initially from Taylor bounds on cos, then refined by bisection against the
 minimal polynomial), widened-precision evaluation terminates because a nonzero
@@ -18,7 +23,7 @@ algebraic number has nonzero magnitude.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ComputationError, InputError
 from .matrices import f_det
@@ -114,80 +119,115 @@ def reduced_conductor(orders) -> int:
     return n
 
 
+def _canonical(field, num: tuple, den: int) -> "CycloNumber":
+    """num/den, for a positive den, in lowest terms: gcd(den, *num) == 1."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple(c // g for c in num)
+        den //= g
+    return CycloNumber(field, num, den)
+
+
 class CycloNumber:
-    """Element of Q(delta): coordinate vector in the power basis of delta."""
+    """Element of Q(delta): sum(num[k] * delta**k) / den.
 
-    __slots__ = ("field", "coeffs")
+    `num` holds integer power-basis coordinates and `den` is one positive
+    integer denominator, always in lowest terms (gcd(den, *num) == 1), so
+    zero is (0, ..., 0)/1 and equal elements have equal (num, den). Integer
+    and Fraction operands combine on either side without being converted.
+    """
 
-    def __init__(self, field: "RealCyclotomicField", coeffs: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: "RealCyclotomicField", num: tuple, den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
 
     def __repr__(self):
         return f"CycloNumber({self.field.conductor}, {self.field.format(self)!r})"
 
-    def _coerce(self, other):
+    def _check_field(self, other: "CycloNumber"):
+        if other.field is not self.field and other.field.conductor != self.field.conductor:
+            raise ComputationError("mixed cyclotomic fields")
+
+    def _combine(self, other, s: int):
+        """self + s * other for s = 1 or -1."""
+        field, a, ad = self.field, self.num, self.den
         if isinstance(other, CycloNumber):
-            if other.field is not self.field and other.field.conductor != self.field.conductor:
-                raise ComputationError("mixed cyclotomic fields")
-            return other
+            self._check_field(other)
+            b, bd = other.num, other.den
+            if ad == bd:
+                num = tuple(x + s * y for x, y in zip(a, b))
+                return CycloNumber(field, num, 1) if ad == 1 else _canonical(field, num, ad)
+            return _canonical(field, tuple(x * bd + s * y * ad for x, y in zip(a, b)), ad * bd)
         if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return None
+            p, q = other.numerator, other.denominator
+            if q == 1:
+                # gcd(ad, a[0] + k*ad, a[1:]) == gcd(ad, *a) == 1: still canonical
+                return CycloNumber(field, (a[0] + s * p * ad,) + a[1:], ad)
+            return _canonical(field, (a[0] * q + s * p * ad,) + tuple(x * q for x in a[1:]),
+                              ad * q)
+        return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloNumber(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CycloNumber(self.field, tuple(-a for a in self.coeffs))
-
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloNumber(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return (-self)._combine(other, 1)
+
+    def __neg__(self):
+        return CycloNumber(self.field, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        field = self.field
+        if isinstance(other, CycloNumber):
+            self._check_field(other)
+            num = field._mul_reduce(self.num, other.num)
+            den = self.den * other.den
+            return CycloNumber(field, num, 1) if den == 1 else _canonical(field, num, den)
         if isinstance(other, (int, Fraction)):
-            return CycloNumber(self.field, tuple(a * other for a in self.coeffs))
-        return CycloNumber(self.field, self.field._mul_reduce(self.coeffs, o.coeffs))
+            p, q = other.numerator, other.denominator
+            return _canonical(field, tuple(c * p for c in self.num), self.den * q)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * self.field.inverse(o)
+        if isinstance(other, (CycloNumber, int, Fraction)):
+            return self * self.field.inverse(other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o * self.field.inverse(self)
+        if isinstance(other, (int, Fraction)):
+            return self.field.inverse(self) * other
+        return NotImplemented
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        if isinstance(other, CycloNumber):
+            self._check_field(other)
+            return self.den == other.den and self.num == other.num
+        if isinstance(other, (int, Fraction)):
+            num = self.num
+            return (self.den == other.denominator and num[0] == other.numerator
+                    and not any(num[1:]))
+        return NotImplemented
 
     def __hash__(self):
-        if all(c == 0 for c in self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash(self.coeffs)
+        # equal to hash(Fraction) for rational values, and to the hash of the
+        # Fraction coordinate tuple otherwise
+        num, den = self.num, self.den
+        if not any(num[1:]):
+            return hash(Fraction(num[0], den))
+        return hash(num) if den == 1 else hash(self.field.coords(self))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
 
 class RealCyclotomicField:
@@ -207,6 +247,9 @@ class RealCyclotomicField:
         self.conductor = conductor
         self.min_poly = real_minimal_polynomial(conductor)
         self.degree = len(self.min_poly) - 1
+        # delta is an algebraic integer, so its monic minimal polynomial is in Z[y]
+        assert all(c.denominator == 1 for c in self.min_poly)
+        self._min_poly_int = tuple(c.numerator for c in self.min_poly)
         self._interval = None
         self._cheb_cache = {}
 
@@ -220,17 +263,21 @@ class RealCyclotomicField:
         r = Fraction(r)
         if self.is_rational:
             return r
-        return CycloNumber(self, (r,) + (Fraction(0),) * (self.degree - 1))
+        return CycloNumber(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
 
     def element(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) > self.degree:
-            coeffs = tuple(self._reduce(list(coeffs)))
-        else:
-            coeffs = coeffs + (Fraction(0),) * (self.degree - len(coeffs))
+        coeffs = self._reduce([Fraction(c) for c in coeffs])
         if self.is_rational:
             return coeffs[0]
-        return CycloNumber(self, coeffs)
+        return self._from_coords(coeffs)
+
+    def _from_coords(self, coeffs) -> CycloNumber:
+        """The element with these rational power-basis coordinates (degree many)."""
+        den = lcm(*(c.denominator for c in coeffs))
+        # already in lowest terms: a prime dividing den misses the numerator
+        # of a coordinate whose denominator has the largest power of it
+        return CycloNumber(self, tuple(c.numerator * (den // c.denominator) for c in coeffs),
+                           den)
 
     @property
     def zero(self):
@@ -249,14 +296,16 @@ class RealCyclotomicField:
     def coords(self, x) -> tuple:
         """Coordinates in the power basis of delta (constant term first)."""
         if isinstance(x, CycloNumber):
-            return x.coeffs
+            return tuple(Fraction(c, x.den) for c in x.num)
         return (Fraction(x),) + (Fraction(0),) * (self.degree - 1)
 
     # -- arithmetic kernels ---------------------------------------------------
 
     def _reduce(self, coeffs: list) -> list:
+        """Reduce a coordinate list (int or Fraction) modulo the minimal
+        polynomial, in place, padding it to `degree` entries."""
         d = self.degree
-        mp = self.min_poly
+        mp = self._min_poly_int
         for i in range(len(coeffs) - 1, d - 1, -1):
             c = coeffs[i]
             if c:
@@ -268,24 +317,30 @@ class RealCyclotomicField:
         return coeffs
 
     def _mul_reduce(self, a: tuple, b: tuple) -> tuple:
+        """Product of two integer coordinate tuples, reduced, in pure int."""
         d = self.degree
-        out = [Fraction(0)] * (2 * d - 1)
+        out = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return tuple(self._reduce(out))
+                for k, bj in enumerate(b, i):
+                    out[k] += ai * bj
+        mp = self._min_poly_int
+        for i in range(2 * d - 2, d - 1, -1):
+            c = out[i]
+            if c:
+                for j in range(d):
+                    out[i - d + j] -= c * mp[j]
+        return tuple(out[:d])
 
     def inverse(self, x):
         if isinstance(x, (int, Fraction)):
             if x == 0:
                 raise ZeroDivisionError("field inverse of zero")
             return Fraction(1, 1) / Fraction(x)
-        if not any(x.coeffs):
+        if not x:
             raise ZeroDivisionError("field inverse of zero")
         # extended Euclid in Q[y] against the minimal polynomial
-        r0, r1 = list(self.min_poly), list(x.coeffs)
+        r0, r1 = list(self.min_poly), list(self.coords(x))
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while any(c != 0 for c in r1):
             q, rem = _poly_divmod(r0, r1)
@@ -293,26 +348,27 @@ class RealCyclotomicField:
             s0, s1 = s1, _poly_add(s0, [-c for c in _poly_mul(q, s1)])
         lead = r0[_poly_deg(r0)]
         assert _poly_deg(r0) == 0, "minimal polynomial not coprime to element"
-        inv = [c / lead for c in s0]
-        return CycloNumber(self, tuple(self._reduce(inv)))
+        return self._from_coords(self._reduce([c / lead for c in s0]))
 
     # -- rationality, integrality, norms --------------------------------------
 
     def rational_part_only(self, x) -> bool:
         if isinstance(x, (int, Fraction)):
             return True
-        return all(c == 0 for c in x.coeffs[1:])
+        return not any(x.num[1:])
 
     def as_fraction(self, x) -> Fraction:
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         if not self.rational_part_only(x):
             raise ComputationError("element is irrational")
-        return x.coeffs[0]
+        return Fraction(x.num[0], x.den)
 
     def is_ring_integer(self, x) -> bool:
         """Membership in Z[delta]: integer coordinates in the power basis."""
-        return all(c.denominator == 1 for c in self.coords(x))
+        if isinstance(x, CycloNumber):
+            return x.den == 1
+        return Fraction(x).denominator == 1
 
     def norm(self, x) -> Fraction:
         """Field norm to Q: determinant of multiplication by x."""
@@ -381,14 +437,13 @@ class RealCyclotomicField:
         """Exact sign of a field element under the embedding delta = 2cos(2pi/N)."""
         if isinstance(x, (int, Fraction)):
             return (x > 0) - (x < 0)
-        if not any(x.coeffs):
-            return 0
+        # den > 0, so x has the sign of its numerator polynomial
         if self.rational_part_only(x):
-            c = x.coeffs[0]
+            c = x.num[0]
             return (c > 0) - (c < 0)
         lo, hi = self._delta_enclosure()
         for _ in range(400):
-            vlo, vhi = _interval_horner(x.coeffs, lo, hi)
+            vlo, vhi = _interval_horner(x.num, lo, hi)
             if vlo > 0:
                 return 1
             if vhi < 0:

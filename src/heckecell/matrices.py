@@ -206,6 +206,8 @@ class KMatrix:
     def __eq__(self, other):
         if not isinstance(other, KMatrix):
             return NotImplemented
+        if self.den == other.den:
+            return all(r1 == r2 for r1, r2 in zip(self.num, other.num))
         for r1, r2 in zip(self.num, other.num):
             for x, y in zip(r1, r2):
                 if x * other.den != y * self.den:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import get_session
+from conftest import corrupted_ring, get_session
 from heckecell.asymptotic import AsymptoticRing
 
 
@@ -88,6 +88,14 @@ def test_corrupted_table_detected():
     ring.gamma[key] = ring.gamma[key] + 1
     report = ring.verify(seed=0)
     assert not report.ok
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+@pytest.mark.parametrize("check", ["associativity", "two-sided identity", "gamma/n duality"])
+def test_row_indexed_checks_detect_a_corrupted_entry(name, check):
+    report = corrupted_ring(get_session(name)).verify(seed=0)
+    assert report.checks["gamma symmetries"] == []
+    assert report.checks[check]
 
 
 @pytest.mark.parametrize("name,weights,order", [

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import get_session
+from conftest import corrupted_ring, get_session
 from heckecell.cellular import (b_matrix, hecke_to_asym,
                                 lambda_order, phi_element, specialize_datum,
                                 verify_bimodule_identity, verify_cell_datum,
@@ -119,6 +119,22 @@ def test_bimodule_sums_may_run_over_the_whole_group():
     full = verify_bimodule_identity(session.algebra, session.ring,
                                     restrict_cell=False)
     assert restricted.ok and full.ok
+
+
+@pytest.mark.parametrize("exhaustive_max,samples", [(16, 100000), (0, 2000)],
+                         ids=["exhaustive", "sampled"])
+def test_bimodule_identity_detects_a_corrupted_gamma(exhaustive_max, samples):
+    session = get_session("B2")
+    report = verify_bimodule_identity(session.algebra, corrupted_ring(session),
+                                      exhaustive_max=exhaustive_max, samples=samples)
+    assert not report.ok
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+def test_phi_multiplicative_detects_a_corrupted_gamma(name):
+    session = get_session(name)
+    report = verify_phi(session.algebra, corrupted_ring(session), seed=1)
+    assert report.checks["phi multiplicative"]
 
 
 def test_invertible_primes_i2():

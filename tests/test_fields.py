@@ -3,11 +3,12 @@
 import math
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from heckecell.errors import InputError
-from heckecell.fields import (RealCyclotomicField, real_minimal_polynomial,
+from heckecell.fields import (CycloNumber, RealCyclotomicField, real_minimal_polynomial,
                               reduced_conductor)
 
 KNOWN_MIN_POLYS = {
@@ -134,3 +135,148 @@ def test_reduced_conductor():
     assert reduced_conductor([10]) == 5               # 2 mod 4 reduction
     assert reduced_conductor([12, 3]) == 12
     assert reduced_conductor([5, 8]) == 40
+
+
+# -- the integer kernel against the Fraction-coordinate kernel it replaced ------
+
+
+def ref_reduce(min_poly, coeffs: list) -> list:
+    """Reduction modulo the minimal polynomial over Fraction coordinates."""
+    d = len(min_poly) - 1
+    for i in range(len(coeffs) - 1, d - 1, -1):
+        c = coeffs[i]
+        if c:
+            for j in range(d):
+                coeffs[i - d + j] -= c * min_poly[j]
+        coeffs.pop()
+    while len(coeffs) < d:
+        coeffs.append(Fraction(0))
+    return coeffs
+
+
+def ref_mul_reduce(min_poly, a: tuple, b: tuple) -> tuple:
+    """Product of two Fraction coordinate tuples, reduced."""
+    d = len(min_poly) - 1
+    out = [Fraction(0)] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return tuple(ref_reduce(min_poly, out))
+
+
+def assert_canonical(x):
+    assert isinstance(x, CycloNumber)
+    assert all(isinstance(c, int) for c in x.num) and isinstance(x.den, int)
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+def random_element(F, rng):
+    """Coordinates with denominators other than 1, and sometimes zero or rational."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return F.zero
+    coeffs = [Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 3, 4, 6, 9]))
+              for _ in range(F.degree)]
+    if kind == 1:
+        coeffs[1:] = [0] * (F.degree - 1)
+    return F.element(coeffs)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+def test_integer_kernel_matches_fraction_reference(n):
+    F = RealCyclotomicField(n)
+    mp = F.min_poly
+    rng = random.Random(n)
+    for _ in range(150):
+        a, b = random_element(F, rng), random_element(F, rng)
+        ca, cb = F.coords(a), F.coords(b)
+        results = {
+            "+": (a + b, tuple(x + y for x, y in zip(ca, cb))),
+            "-": (a - b, tuple(x - y for x, y in zip(ca, cb))),
+            "*": (a * b, ref_mul_reduce(mp, ca, cb)),
+            "neg": (-a, tuple(-x for x in ca)),
+        }
+        for op, (got, want) in results.items():
+            assert_canonical(got)
+            assert F.coords(got) == want, op
+        if b:
+            q = a / b
+            assert_canonical(q)
+            assert ref_mul_reduce(mp, F.coords(q), cb) == ca
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        assert F.is_ring_integer(a) == all(c.denominator == 1 for c in ca)
+        assert (a == b) == (ca == cb)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+def test_integer_kernel_mixed_rational_operands(n):
+    F = RealCyclotomicField(n)
+    mp = F.min_poly
+    rng = random.Random(100 + n)
+    for _ in range(100):
+        x = random_element(F, rng)
+        cx = F.coords(x)
+        r = rng.choice([rng.randrange(-5, 6),
+                        Fraction(rng.randrange(-7, 8), rng.randrange(1, 6))])
+        cr = (Fraction(r),) + (Fraction(0),) * (F.degree - 1)
+        cases = [
+            (x + r, tuple(a + b for a, b in zip(cx, cr))),
+            (r + x, tuple(a + b for a, b in zip(cx, cr))),
+            (x - r, tuple(a - b for a, b in zip(cx, cr))),
+            (r - x, tuple(b - a for a, b in zip(cx, cr))),
+            (x * r, ref_mul_reduce(mp, cx, cr)),
+            (r * x, ref_mul_reduce(mp, cx, cr)),
+        ]
+        if r:
+            cases.append((x / r, tuple(a / Fraction(r) for a in cx)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / r
+        for got, want in cases:
+            assert_canonical(got)
+            assert F.coords(got) == want
+        if x:
+            got = r / x
+            assert_canonical(got)
+            assert ref_mul_reduce(mp, F.coords(got), cx) == cr
+        else:
+            with pytest.raises(ZeroDivisionError):
+                r / x
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+def test_rational_values_compare_and_hash_like_fractions(n):
+    F = RealCyclotomicField(n)
+    rng = random.Random(200 + n)
+    for _ in range(60):
+        x = random_element(F, rng)
+        r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+        # an arithmetic route to the rational value r, through irrational terms
+        y = (x + r) - x
+        for val in (y, F.from_rational(r), F.element([r])):
+            assert_canonical(val)
+            assert val == r and r == val
+            assert hash(val) == hash(r)
+            assert F.is_ring_integer(val) == (r.denominator == 1)
+            if r.denominator == 1:
+                assert val == int(r) and int(r) == val
+                assert hash(val) == hash(int(r))
+            assert val != r + 1 and r + 1 != val
+        assert_canonical(x - x)
+        assert (x - x).num == (0,) * F.degree and (x - x).den == 1
+        assert x - x == 0 and hash(x - x) == hash(0)
+
+
+def test_inverting_zero_raises():
+    for n in (5, 7, 9, 11):
+        F = RealCyclotomicField(n)
+        with pytest.raises(ZeroDivisionError):
+            F.inverse(F.zero)
+        with pytest.raises(ZeroDivisionError):
+            1 / F.zero
+        with pytest.raises(ZeroDivisionError):
+            F.delta() / F.zero

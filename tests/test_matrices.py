@@ -114,3 +114,18 @@ def test_from_fractions_uses_each_denominator_once():
     mat = KMatrix.from_fractions(rows, order)
     assert mat.den == den
     assert mat.fractions() == rows
+
+
+def test_kmatrix_equality_over_equal_and_different_denominators():
+    order = natural_order(1)
+    den = LaurentPoly(1, {(0,): 1, (1,): -1})
+    num = [[LaurentPoly.monomial((1,), 2), LaurentPoly.zero(1)],
+           [LaurentPoly.one(1), LaurentPoly.monomial((-1,), -3)]]
+    a = KMatrix(num, den, order)
+    assert a == KMatrix([row[:] for row in num], den, order)
+    eps = LaurentPoly.monomial((1,), 1)
+    assert a == KMatrix([[x * eps for x in row] for row in num], den * eps, order)
+    changed = [row[:] for row in num]
+    changed[1][0] = LaurentPoly.constant(1, 2)
+    assert a != KMatrix(changed, den, order)
+    assert a != KMatrix([[x * eps for x in row] for row in changed], den * eps, order)
