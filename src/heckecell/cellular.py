@@ -410,28 +410,36 @@ def verify_bimodule_identity(alg: HeckeAlgebra, ring: AsymptoticRing,
     rows = alg.h_rows()
     inverse = alg.table.inverse
     _, cells, cell_of = alg.lr_cells()
-    gamma, grows = ring.gamma, ring.gamma_rows()
+    gamma = ring.gamma
+
+    def keep(u, w):
+        # with restrict_cell, u runs over the cell of w only
+        return not restrict_cell or cell_of[u] == cell_of[w]
+
+    # left: (w, x') -> [(u, gamma_{w,x',u^-1})]; right: (x, w) -> [(u, h_{x,w,u})]
+    left = {(w, xp): [(inverse[z], g) for z, g in row if keep(inverse[z], w)]
+            for (w, xp), row in ring.gamma_rows().items()}
+    right = [[[(u, h.terms) for u, h in rows[x][w].items() if keep(u, w)]
+              for w in range(size)] for x in range(size)]
     bad = []
 
     def check(x, xp, y, w):
-        # with restrict_cell, u runs over the cell of w only
-        cw = cell_of[w]
-        lhs = LaurentPoly.zero(alg.rank)
-        for z, g in grows.get((w, xp), ()):
-            u = inverse[z]
-            if restrict_cell and cell_of[u] != cw:
-                continue
-            h = rows[x][u].get(y)
+        # LHS - RHS, accumulated coefficientwise by exponent
+        diff = {}
+        get = diff.get
+        row = rows[x]
+        for u, g in left.get((w, xp), ()):
+            h = row[u].get(y)
             if h:
-                lhs = lhs + h.scale(g)
-        rhs = LaurentPoly.zero(alg.rank)
-        for u, h in rows[x][w].items():
-            if restrict_cell and cell_of[u] != cw:
-                continue
-            g = gamma.get((u, xp, inverse[y]))
+                for e, c in h.terms.items():
+                    diff[e] = get(e, 0) + g * c
+        yinv = inverse[y]
+        for u, terms in right[x][w]:
+            g = gamma.get((u, xp, yinv))
             if g:
-                rhs = rhs + h.scale(g)
-        return lhs == rhs
+                for e, c in terms.items():
+                    diff[e] = get(e, 0) - g * c
+        return not any(diff.values())
 
     if size <= exhaustive_max:
         for w in range(size):
@@ -443,17 +451,34 @@ def verify_bimodule_identity(alg: HeckeAlgebra, ring: AsymptoticRing,
                             bad.append(f"identity fails at (x={x},x'={xp},y={y},w={w})")
         report.record("bimodule identity (exhaustive)", bad)
     else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            w = rng.randrange(size)
-            peers = cells[cell_of[w]]
-            y = peers[rng.randrange(len(peers))]
-            x = rng.randrange(size)
-            xp = rng.randrange(size)
+        for w, y, x, xp in sampled_quadruples(size, cells, cell_of, samples, seed):
             if not check(x, xp, y, w):
                 bad.append(f"identity fails at (x={x},x'={xp},y={y},w={w})")
         report.record(f"bimodule identity ({samples} samples)", bad)
     return report
+
+
+def sampled_quadruples(size: int, cells, cell_of, samples: int, seed: int):
+    """The (w, y, x, x') cases of the sampled bimodule check, y in the cell of w.
+
+    The stream is the one random.Random(seed).randrange gives: each draw is
+    the rejection loop randrange(n) runs on getrandbits(n.bit_length()),
+    without randrange's own call overhead.
+    """
+    getrandbits = random.Random(seed).getrandbits
+
+    def below(n):
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    for _ in range(samples):
+        w = below(size)
+        peers = cells[cell_of[w]]
+        y = peers[below(len(peers))]
+        yield w, y, below(size), below(size)
 
 
 # -- weight specialization ----------------------------------------------------------

@@ -15,15 +15,15 @@ integer denominator, in lowest terms: multiplication convolves and reduces in
 int, and one gcd per result (none when the denominator is 1) keeps the form
 canonical, so equality is a tuple comparison.
 Sign determination is exact: delta is enclosed in a certified rational interval
-(initially from Taylor bounds on cos, then refined by bisection against the
-minimal polynomial), widened-precision evaluation terminates because a nonzero
-algebraic number has nonzero magnitude.
+(initially from Taylor bounds on cos, rounded outward to dyadic endpoints, then
+refined by bisection against the minimal polynomial), widened-precision
+evaluation terminates because a nonzero algebraic number has nonzero magnitude.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 from .errors import ComputationError, InputError
 from .matrices import f_det
@@ -32,6 +32,10 @@ from .matrices import f_det
 # for delta, after which refinement is purely algebraic.
 _PI_LO = Fraction("3.14159265358979323846264338327950288419716939937510")
 _PI_HI = _PI_LO + Fraction(1, 10**50)
+# The initial enclosure of delta is rounded outward to multiples of 2^-256.
+# Its width is about 10^-50 (2^-166), so rounding keeps it as tight while the
+# exact Taylor endpoints would carry denominators of thousands of bits.
+_ENCLOSURE_BITS = 256
 
 _RATIONAL_TWO_COS = {
     (0, 1): Fraction(2),
@@ -456,7 +460,9 @@ class RealCyclotomicField:
             n = self.conductor
             x_lo, x_hi = 2 * _PI_LO / n, 2 * _PI_HI / n
             c_lo, c_hi = _cos_bounds(x_lo, x_hi)
-            lo, hi = 2 * c_lo, 2 * c_hi
+            scale = 1 << _ENCLOSURE_BITS
+            lo = Fraction(floor(2 * c_lo * scale), scale)
+            hi = Fraction(ceil(2 * c_hi * scale), scale)
             if _poly_eval(self.min_poly, lo) * _poly_eval(self.min_poly, hi) >= 0:
                 raise ComputationError("initial enclosure failed to isolate delta")
             self._interval = (lo, hi)

@@ -206,6 +206,8 @@ class KMatrix:
     def __eq__(self, other):
         if not isinstance(other, KMatrix):
             return NotImplemented
+        if [len(r) for r in self.num] != [len(r) for r in other.num]:
+            return False
         if self.den == other.den:
             return all(r1 == r2 for r1, r2 in zip(self.num, other.num))
         for r1, r2 in zip(self.num, other.num):

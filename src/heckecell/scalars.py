@@ -10,12 +10,22 @@ canonical shape (the denominator's minimal exponent is zero with leading
 coefficient one) but never reduced by polynomial gcd: equality is decided by
 cross-multiplication, and the data anyone downstream actually consumes is the
 valuation pair (g_x, r_x) of the normal form x = r_x eps^{g_x} (1+p)/(1+q).
+
+Coefficients are int, Fraction or CycloNumber. A rational coefficient may be
+stored as an int or a Fraction, and an integer-valued one as either: the
+product of two polynomials with rational coefficients, neither a monomial and
+not both all-int, convolves integer numerators over the lcm of each side's
+denominators and stores each result as an int when it is integer-valued. Both
+forms compare equal and hash alike (hash(3) == hash(Fraction(3))), so values,
+equality and hashes of polynomials do not depend on the form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .errors import ComputationError, InputError
 
@@ -76,7 +86,8 @@ class LaurentPoly:
     """Sparse Laurent polynomial: finite map exponent tuple -> coefficient.
 
     Coefficients may be int, Fraction or CycloNumber; mixed arithmetic is fine
-    because all three interoperate. Zero coefficients are never stored.
+    because all three interoperate. Zero coefficients are never stored, and an
+    integer-valued rational may be stored as either int or Fraction.
     """
 
     __slots__ = ("rank", "terms")
@@ -149,10 +160,15 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) > 1:
+            ra = _rational_denominator(a)
+            rb = _rational_denominator(b) if ra else None
+            if rb and (ra[1] or rb[1]):
+                return LaurentPoly(self.rank, _int_convolve(a, ra[0], b, rb[0]), _trusted=True)
         out = {}
         for g, c in a.items():
             for h, d in b.items():
-                k = tuple(x + y for x, y in zip(g, h))
+                k = tuple(map(add, g, h))
                 s = out.get(k)
                 if s is None:
                     out[k] = c * d
@@ -338,6 +354,40 @@ def scalar_inverse(c):
     if isinstance(c, Fraction):
         return 1 / c
     return c.field.inverse(c)
+
+
+def _rational_denominator(terms: dict):
+    """(lcm of the denominators, whether any coefficient is a Fraction), or
+    None when some coefficient is neither an int nor a Fraction."""
+    den, has_fraction = 1, False
+    for c in terms.values():
+        if type(c) is Fraction:
+            has_fraction = True
+            den = lcm(den, c.denominator)
+        elif type(c) is not int:
+            return None
+    return den, has_fraction
+
+
+def _int_convolve(a: dict, da: int, b: dict, db: int) -> dict:
+    """Product of two rational term maps over the lcm denominators da and db:
+    the convolution runs on int numerators, and each output coefficient is
+    built once, as an int when da * db divides it and as a Fraction otherwise."""
+    nb = [(h, d.numerator * (db // d.denominator)) for h, d in b.items()]
+    acc = {}
+    get = acc.get
+    for g, c in a.items():
+        c = c.numerator * (da // c.denominator)
+        for h, d in nb:
+            k = tuple(map(add, g, h))
+            acc[k] = get(k, 0) + c * d
+    den = da * db
+    out = {}
+    for k, v in acc.items():
+        if v:
+            q, r = divmod(v, den)
+            out[k] = Fraction(v, den) if r else q
+    return out
 
 
 def _frac_str(c) -> str:

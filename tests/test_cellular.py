@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import corrupted_ring, get_session
+from heckecell.asymptotic import AsymptoticRing
 from heckecell.cellular import (b_matrix, hecke_to_asym,
-                                lambda_order, phi_element, specialize_datum,
+                                lambda_order, phi_element, sampled_quadruples,
+                                specialize_datum,
                                 verify_bimodule_identity, verify_cell_datum,
                                 verify_phi, verify_specialized)
 from heckecell.hecke import HeckeAlgebra
@@ -217,3 +219,119 @@ def test_specialize_i26_collapses_to_one_variable():
         direct = {u: LaurentPoly(1, terms) for u, terms in direct.items()}
         direct = {u: p for u, p in direct.items() if p}
         assert spec.elements[key] == direct
+
+
+# -- the bimodule check against its LaurentPoly form -----------------------------
+
+
+def reference_bimodule(alg, ring, exhaustive_max=16, samples=100000, seed=0,
+                       restrict_cell=True):
+    """The bimodule identity summed as LaurentPolys, with cases drawn by
+    Random.randrange: the oracle for the coefficient-level check."""
+    size = alg.table.size
+    rows, inverse = alg.h_rows(), alg.table.inverse
+    _, cells, cell_of = alg.lr_cells()
+    gamma = ring.gamma
+
+    def check(x, xp, y, w):
+        cw = cell_of[w]
+        lhs = rhs = LaurentPoly.zero(alg.rank)
+        for u in range(size):
+            if restrict_cell and cell_of[u] != cw:
+                continue
+            g = gamma.get((w, xp, inverse[u]))
+            h = rows[x][u].get(y)
+            if g and h:
+                lhs = lhs + h.scale(g)
+            g = gamma.get((u, xp, inverse[y]))
+            h = rows[x][w].get(u)
+            if g and h:
+                rhs = rhs + h.scale(g)
+        return lhs == rhs
+
+    if size <= exhaustive_max:
+        cases = [(w, y, x, xp) for w in range(size) for y in cells[cell_of[w]]
+                 for x in range(size) for xp in range(size)]
+        name = "bimodule identity (exhaustive)"
+    else:
+        cases = reference_quadruples(size, cells, cell_of, samples, seed)
+        name = f"bimodule identity ({samples} samples)"
+    bad = [f"identity fails at (x={x},x'={xp},y={y},w={w})"
+           for w, y, x, xp in cases if not check(x, xp, y, w)]
+    return {name: bad}
+
+
+def reference_quadruples(size, cells, cell_of, samples, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        w = rng.randrange(size)
+        peers = cells[cell_of[w]]
+        y = peers[rng.randrange(len(peers))]
+        out.append((w, y, rng.randrange(size), rng.randrange(size)))
+    return out
+
+
+class _AlteredRows:
+    """An algebra whose h_rows() is a replaced table; all else is delegated."""
+
+    def __init__(self, alg, rows):
+        self._alg, self._rows = alg, rows
+
+    def h_rows(self):
+        return self._rows
+
+    def __getattr__(self, name):
+        return getattr(self._alg, name)
+
+
+def corrupted_h_rows(alg, x, w, u):
+    """alg with h_{x,w,u} raised by 1; the cached table is not touched."""
+    rows = [list(r) for r in alg.h_rows()]
+    rows[x][w] = dict(rows[x][w])
+    rows[x][w][u] = rows[x][w].get(u, LaurentPoly.zero(alg.rank)) + LaurentPoly.one(alg.rank)
+    return _AlteredRows(alg, rows)
+
+
+def ring_with_gamma(session, key, value):
+    """A fresh ring with gamma[key] set, even outside the blocks."""
+    ring = AsymptoticRing(session.algebra, session.tensors)
+    ring.gamma = dict(ring.gamma)
+    ring.gamma[key] = value
+    return ring
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "B3", "I2:7"])
+def test_sampled_quadruples_follow_the_randrange_stream(name):
+    alg = get_session(name).algebra
+    size = alg.table.size
+    _, cells, cell_of = alg.lr_cells()
+    for seed in (0, 5, 12345):
+        got = list(sampled_quadruples(size, cells, cell_of, 3000, seed))
+        assert got == reference_quadruples(size, cells, cell_of, 3000, seed)
+
+
+@pytest.mark.parametrize("restrict_cell", [True, False])
+@pytest.mark.parametrize("exhaustive_max,samples", [(16, 100000), (0, 3000)],
+                         ids=["exhaustive", "sampled"])
+def test_bimodule_identity_agrees_with_the_reference(restrict_cell, exhaustive_max, samples):
+    session = get_session("B2")
+    alg, ring = session.algebra, session.ring
+    _, _, cell_of = alg.lr_cells()
+    assert cell_of[0] != cell_of[1]
+    cases = [
+        (alg, ring, True),
+        # h_{s,s,s} = v + v^-1 for the generator s = 1, read on both sides
+        (corrupted_h_rows(alg, 1, 1, 1), ring, False),
+        (alg, corrupted_ring(session), False),
+        # gamma_{s,s,1} with 1 outside the cell of s: read only by the unrestricted sums
+        (alg, ring_with_gamma(session, (1, 1, 0), 1), restrict_cell),
+    ]
+    for a, r, ok in cases:
+        report = verify_bimodule_identity(a, r, exhaustive_max=exhaustive_max,
+                                          samples=samples, seed=3,
+                                          restrict_cell=restrict_cell)
+        assert report.checks == reference_bimodule(a, r, exhaustive_max, samples, 3,
+                                                   restrict_cell)
+        assert report.ok == ok
+

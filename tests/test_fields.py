@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from heckecell import fields as fields_mod
 from heckecell.errors import InputError
 from heckecell.fields import (CycloNumber, RealCyclotomicField, real_minimal_polynomial,
                               reduced_conductor)
@@ -280,3 +281,70 @@ def test_inverting_zero_raises():
             1 / F.zero
         with pytest.raises(ZeroDivisionError):
             F.delta() / F.zero
+
+
+# -- the isolating interval for delta ------------------------------------------
+
+IRRATIONAL_CONDUCTORS = [n for n in range(5, 14) if n != 6]
+
+
+def _taylor_enclosure(n):
+    """The exact Taylor-bound endpoints the enclosure is rounded from."""
+    c_lo, c_hi = fields_mod._cos_bounds(2 * fields_mod._PI_LO / n, 2 * fields_mod._PI_HI / n)
+    return 2 * c_lo, 2 * c_hi
+
+
+def _reference_sign(F, x, interval):
+    """Sign by interval Horner on the unrounded enclosure, bisected against the
+    minimal polynomial; interval is a one-element list that carries the
+    refined enclosure from call to call."""
+    if F.rational_part_only(x):
+        return (x.num[0] > 0) - (x.num[0] < 0)
+    while True:
+        lo, hi = interval[0]
+        vlo, vhi = fields_mod._interval_horner(x.num, lo, hi)
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        mid = (lo + hi) / 2
+        if fields_mod._poly_eval(F.min_poly, mid) * fields_mod._poly_eval(F.min_poly, lo) < 0:
+            interval[0] = (lo, mid)
+        else:
+            interval[0] = (mid, hi)
+
+
+@pytest.mark.parametrize("n", IRRATIONAL_CONDUCTORS)
+def test_delta_enclosure_is_dyadic_and_contains_the_taylor_bounds(n):
+    F = RealCyclotomicField(n)
+    F._interval = None  # earlier sign calls may have refined it
+    lo, hi = F._delta_enclosure()
+    t_lo, t_hi = _taylor_enclosure(n)
+    assert lo <= t_lo < t_hi <= hi
+    assert hi - lo < Fraction(1, 10 ** 50)
+    for end in (lo, hi):
+        den = end.denominator
+        assert den & (den - 1) == 0 and den.bit_length() <= 257
+        assert end.numerator.bit_length() <= 260
+
+
+@pytest.mark.parametrize("n", IRRATIONAL_CONDUCTORS)
+def test_sign_agrees_with_the_unrounded_enclosure(n):
+    F = RealCyclotomicField(n)
+    F._interval = None
+    lo0, hi0 = F._delta_enclosure()
+    rng = random.Random(n)
+    delta = F.delta()
+    interval = [_taylor_enclosure(n)]
+    cases = [F.element([Fraction(rng.randrange(-30, 31), rng.randrange(1, 7))
+                        for _ in range(F.degree)]) for _ in range(6)]
+    # delta minus a close rational: the sign needs a tight enclosure
+    approx = Fraction(2 * math.cos(2 * math.pi / n)).limit_denominator(10 ** 12)
+    cases += [delta - approx, approx - delta, delta * delta - approx * approx]
+    for x in cases:
+        assert F.sign(x) == _reference_sign(F, x, interval)
+    lo, hi = F._interval
+    # each bisection halves the width and adds at most one bit to the endpoints
+    halvings = ((hi0 - lo0) / (hi - lo)).numerator.bit_length() - 1
+    assert (hi0 - lo0) == (hi - lo) * 2 ** halvings
+    assert max(lo.denominator, hi.denominator).bit_length() <= 257 + halvings

@@ -129,3 +129,20 @@ def test_kmatrix_equality_over_equal_and_different_denominators():
     changed[1][0] = LaurentPoly.constant(1, 2)
     assert a != KMatrix(changed, den, order)
     assert a != KMatrix([[x * eps for x in row] for row in changed], den * eps, order)
+
+
+def test_kmatrix_equality_checks_shapes():
+    """A prefix of equal entries is not equality: zip must not truncate."""
+    order = natural_order(1)
+    one, eps = LaurentPoly.one(1), LaurentPoly.monomial((1,), 1)
+    inv_eps = LaurentPoly.monomial((-1,), 1)
+    small = KMatrix([[one]], eps, order)
+    # [[eps^-1, 1], [1, 1]] / 1 has top-left entry eps^-1 = 1 / eps
+    big = KMatrix([[inv_eps, one], [one, one]], one, order)
+    assert small != big and big != small
+    # equal denominators: a matrix against the same rows plus an extra column or row
+    a = KMatrix([[one, eps]], one, order)
+    assert a != KMatrix([[one, eps, one]], one, order)
+    assert a != KMatrix([[one, eps], [one, one]], one, order)
+    assert KMatrix([[one, eps], [one, one]], one, order) != a
+    assert KMatrix([[eps, eps * eps]], eps, order) == a

@@ -175,3 +175,108 @@ def test_text_roundtrip_rational_and_cyclotomic():
             p = LaurentPoly(rank, terms)
             assert LaurentPoly.from_str(p.to_str(field), rank, field) == p
     assert LaurentPoly.from_str("0", 1, F1) == LaurentPoly.zero(1)
+
+
+# -- the integer-numerator product kernel ---------------------------------------
+
+
+def reference_mul(p, q):
+    """The coefficient-by-coefficient product loop, kept as the oracle."""
+    a, b = p.terms, q.terms
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for g, c in a.items():
+        for h, d in b.items():
+            k = tuple(x + y for x, y in zip(g, h))
+            s = out.get(k)
+            if s is None:
+                out[k] = c * d
+            else:
+                s = s + c * d
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return LaurentPoly(p.rank, out, _trusted=True)
+
+
+COEFFICIENT_KINDS = {
+    "int": lambda rng: rng.choice([-1, 1]) * rng.randrange(1, 12),
+    "fraction": lambda rng: Fraction(rng.choice([-1, 1]) * rng.randrange(1, 12),
+                                     rng.randrange(1, 7)),
+    "integer-valued fraction": lambda rng: Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), 1),
+}
+COEFFICIENT_KINDS["mixed"] = lambda rng: rng.choice(
+    [COEFFICIENT_KINDS["int"], COEFFICIENT_KINDS["fraction"],
+     COEFFICIENT_KINDS["integer-valued fraction"]])(rng)
+
+
+def kind_poly(rng, rank, kind, nterms):
+    terms = {}
+    for _ in range(nterms):
+        g = tuple(rng.randrange(-3, 4) for _ in range(rank))
+        terms[g] = COEFFICIENT_KINDS[kind](rng)
+    return LaurentPoly(rank, terms)
+
+
+def assert_same_product(p, q):
+    got, want = p * q, reference_mul(p, q)
+    assert got == want and q * p == want
+    assert hash(got) == hash(want)
+    assert all(got.terms.values())
+    assert all(type(c) in (int, Fraction) for c in got.terms.values())
+    return got
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENT_KINDS))
+def test_product_kernel_matches_the_reference_loop(kind):
+    rng = random.Random(kind)
+    for _ in range(300):
+        rank = rng.randrange(1, 4)
+        p = kind_poly(rng, rank, kind, rng.randrange(0, 6))
+        q = kind_poly(rng, rank, rng.choice(sorted(COEFFICIENT_KINDS)), rng.randrange(0, 6))
+        got = assert_same_product(p, q)
+        if min(len(p.terms), len(q.terms)) > 1 and any(
+                type(c) is Fraction for c in list(p.terms.values()) + list(q.terms.values())):
+            # the kernel builds each coefficient once, and integer values as int
+            assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+
+def test_product_kernel_cancellation_stores_no_zero():
+    half = Fraction(1, 2)
+    p = poly({0: half, 1: half})
+    q = poly({0: 1, 1: -1})
+    got = assert_same_product(p, q)
+    assert got.terms == {(0,): half, (2,): -half}
+    # (x + y)(x - y) over Fraction(k, 1) coefficients: the cross terms cancel
+    x = LaurentPoly(2, {(1, 0): Fraction(3), (0, 1): Fraction(2)})
+    y = LaurentPoly(2, {(1, 0): Fraction(3), (0, 1): Fraction(-2)})
+    got = assert_same_product(x, y)
+    assert got.terms == {(2, 0): 9, (0, 2): -4}
+    assert all(type(c) is int for c in got.terms.values())
+
+
+def test_product_kernel_empty_and_monomial_operands():
+    zero = LaurentPoly.zero(2)
+    p = LaurentPoly(2, {(0, 0): Fraction(1, 3), (1, -1): Fraction(5, 2), (2, 2): 4})
+    assert assert_same_product(zero, p) == zero
+    mono = LaurentPoly.monomial((1, 2), Fraction(-2, 3))
+    got = assert_same_product(mono, p)
+    assert got.terms == {(1, 2): Fraction(-2, 9), (2, 1): Fraction(-5, 3),
+                         (3, 4): Fraction(-8, 3)}
+
+
+def test_product_kernel_leaves_cyclotomic_coefficients_to_the_loop():
+    F = RealCyclotomicField(5)
+    d = F.delta()
+    rng = random.Random(3)
+    for _ in range(50):
+        p = kind_poly(rng, 2, "mixed", rng.randrange(1, 5))
+        terms = dict(p.terms)
+        terms[(rng.randrange(-2, 3), 0)] = d * rng.randrange(1, 5) + Fraction(1, 3)
+        cyclo = LaurentPoly(2, terms)
+        q = kind_poly(rng, 2, "fraction", rng.randrange(1, 5))
+        got, want = cyclo * q, reference_mul(cyclo, q)
+        assert got == want and hash(got) == hash(want)
+        assert all(got.terms.values())
