@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import ComputationError, VerificationError
 from .hecke import HeckeAlgebra
 from .matrices import f_mat_mul
-from .scalars import scalar_inverse
+from .scalars import accumulate, scalar_inverse
 
 
 @dataclass
@@ -141,9 +141,6 @@ class AsymptoticRing:
 
     # -- ring operations ---------------------------------------------------------------
 
-    def gamma_at(self, x: int, y: int, z: int):
-        return self.gamma.get((x, y, z), Fraction(0))
-
     def gamma_rows(self) -> dict:
         """The nonzero gamma by their first two indices: (x, y) -> [(z, gamma_{x,y,z})].
 
@@ -170,14 +167,8 @@ class AsymptoticRing:
                     continue
                 c = cx * cy
                 for z, g in row:
-                    z = inverse[z]
-                    cur = out.get(z)
-                    cur = c * g if cur is None else cur + c * g
-                    if cur:
-                        out[z] = cur
-                    elif z in out:
-                        del out[z]
-        return {z: c for z, c in out.items() if c}
+                    accumulate(out, inverse[z], c * g)
+        return out
 
     def basis_product(self, x: int, y: int, rows: dict | None = None) -> dict:
         if rows is None:

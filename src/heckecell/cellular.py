@@ -23,7 +23,7 @@ from .coxeter import WeightFunction
 from .errors import ComputationError, InputError, VerificationError
 from .hecke import HeckeAlgebra
 from .matrices import KMatrix, f_det, f_inverse, f_mat_mul
-from .scalars import LaurentPoly
+from .scalars import LaurentPoly, accumulate
 
 def b_matrix(rep_gram: KMatrix, ring: AsymptoticRing, label: str):
     """Constant-term matrix of a normalized balanced Gram form.
@@ -81,10 +81,6 @@ class CellDatum:
     bmatrices: dict      # label -> constant symmetric matrix over F
     elements: dict       # (label, s, t) -> {w: F-scalar}, coordinates in the C-basis
     invertible_primes: set = dc_field(default_factory=set)
-
-    def keys(self):
-        return [(lab, s, t) for lab in self.labels
-                for s in range(self.msize[lab]) for t in range(self.msize[lab])]
 
 
 def lambda_order(alg: HeckeAlgebra, ring: AsymptoticRing) -> dict:
@@ -164,7 +160,7 @@ def verify_cell_datum(datum: CellDatum) -> Report:
     report = Report()
     alg = datum.alg
     size = alg.table.size
-    keys = datum.keys()
+    keys = _cell_keys(datum)
 
     bad = []
     if len(keys) != size:
@@ -173,20 +169,7 @@ def verify_cell_datum(datum: CellDatum) -> Report:
     if f_det(mat) == 0:
         bad.append("transition matrix to the canonical basis is singular")
     report.record("C1 basis", bad)
-
-    bad = []
-    inverse = alg.table.inverse
-    for lab in datum.labels:
-        d = datum.msize[lab]
-        for s in range(d):
-            for t in range(d):
-                starred = {}
-                for w, c in datum.elements[(lab, s, t)].items():
-                    starred[inverse[w]] = c
-                if starred != datum.elements[(lab, t, s)]:
-                    bad.append(f"star axiom fails for {lab} at ({s},{t})")
-    report.record("C2 star", bad)
-
+    report.record("C2 star", _star_violations(datum))
     report.record("C3 left action", _verify_c3(datum, mat, keys))
     return report
 
@@ -201,6 +184,24 @@ def _verify_c3(datum: CellDatum, transition, keys) -> list:
         return _to_cell_coords(tinv_t, prod, keys, LaurentPoly.scale)
 
     return _c3_violations(datum, coords)
+
+
+def _cell_keys(basis) -> list:
+    """(label, s, t) for every element of a CellDatum or SpecializedBasis."""
+    return [(lab, s, t) for lab in basis.labels
+            for s in range(basis.msize[lab]) for t in range(basis.msize[lab])]
+
+
+def _star_violations(basis) -> list:
+    """The star axiom: w -> w^{-1} carries the coordinates of C^lam_{s,t} to
+    those of C^lam_{t,s}. `basis` is a CellDatum or a SpecializedBasis."""
+    inverse = basis.alg.table.inverse
+    bad = []
+    for lab, s, t in _cell_keys(basis):
+        starred = {inverse[w]: c for w, c in basis.elements[(lab, s, t)].items()}
+        if starred != basis.elements[(lab, t, s)]:
+            bad.append(f"star axiom fails for {lab} at ({s},{t})")
+    return bad
 
 
 def _c3_violations(basis, coords) -> list:
@@ -247,14 +248,10 @@ def _ts_times_element(alg: HeckeAlgebra, s: int, coeffs: dict) -> dict:
     out = {}
     vs = alg.v[s]
     for w, c in coeffs.items():
-        cur = out.get(w)
-        add = vs.scale(c)
-        out[w] = add if cur is None else cur + add
+        accumulate(out, w, vs.scale(c))
         for z, h in alg.gen_row(s, w).items():
-            cur = out.get(z)
-            add = h.scale(-c)
-            out[z] = add if cur is None else cur + add
-    return {w: p for w, p in out.items() if p}
+            accumulate(out, z, h.scale(-c))
+    return out
 
 
 def _to_cell_coords(inv_rows, prod: dict, keys, mul) -> dict:
@@ -267,10 +264,8 @@ def _to_cell_coords(inv_rows, prod: dict, keys, mul) -> dict:
         for ki, key in enumerate(keys):
             c = row[ki]
             if c:
-                add = mul(poly, c)
-                cur = out.get(key)
-                out[key] = add if cur is None else cur + add
-    return {k: v for k, v in out.items() if v}
+                accumulate(out, key, mul(poly, c))
+    return out
 
 
 # -- the homomorphism into the Laurent-extended asymptotic ring -----------------------
@@ -284,12 +279,9 @@ def hecke_to_asym(alg: HeckeAlgebra, ring: AsymptoticRing, w: int) -> dict:
     for d in ring.d_set:
         nd = ring.n_vec[d]
         for z, h in rows[w][d].items():
-            if not alg.sim_lr(z, d):
-                continue
-            add = h.scale(nd)
-            cur = out.get(z)
-            out[z] = add if cur is None else cur + add
-    return {z: p for z, p in out.items() if p}
+            if alg.sim_lr(z, d):
+                accumulate(out, z, h.scale(nd))
+    return out
 
 
 def phi_element(alg: HeckeAlgebra, ring: AsymptoticRing, coeffs_c: dict) -> dict:
@@ -297,10 +289,8 @@ def phi_element(alg: HeckeAlgebra, ring: AsymptoticRing, coeffs_c: dict) -> dict
     out = {}
     for w, poly in coeffs_c.items():
         for z, p in hecke_to_asym(alg, ring, w).items():
-            add = p * poly
-            cur = out.get(z)
-            out[z] = add if cur is None else cur + add
-    return {z: p for z, p in out.items() if p}
+            accumulate(out, z, p * poly)
+    return out
 
 
 def asym_poly_multiply(ring: AsymptoticRing, a: dict, b: dict,
@@ -318,23 +308,8 @@ def asym_poly_multiply(ring: AsymptoticRing, a: dict, b: dict,
                 continue
             pxy = px * py
             for z, g in row:
-                z = inverse[z]
-                add = pxy.scale(g)
-                cur = out.get(z)
-                out[z] = add if cur is None else cur + add
-    return {z: p for z, p in out.items() if p}
-
-
-def module_action(alg: HeckeAlgebra, x: int, t_elem: dict) -> dict:
-    """C_x . (sum n_y t_y) = sum h_{x,y,z} n_y t_z: the regular-module transport."""
-    rows = alg.h_rows()
-    out = {}
-    for y, coeff in t_elem.items():
-        for z, h in rows[x][y].items():
-            add = h * coeff if isinstance(coeff, LaurentPoly) else h.scale(coeff)
-            cur = out.get(z)
-            out[z] = add if cur is None else cur + add
-    return {z: p for z, p in out.items() if p}
+                accumulate(out, inverse[z], pxy.scale(g))
+    return out
 
 
 def verify_phi(alg: HeckeAlgebra, ring: AsymptoticRing,
@@ -364,10 +339,7 @@ def verify_phi(alg: HeckeAlgebra, ring: AsymptoticRing,
         rhs = {}
         for z, h in rows[x][y].items():
             for u, p in images[z].items():
-                add = p * h
-                cur = rhs.get(u)
-                rhs[u] = add if cur is None else cur + add
-        rhs = {u: p for u, p in rhs.items() if p}
+                accumulate(rhs, u, p * h)
         if lhs != rhs:
             bad.append(f"multiplicativity fails at ({x},{y})")
     report.record("phi multiplicative", bad)
@@ -377,27 +349,16 @@ def verify_phi(alg: HeckeAlgebra, ring: AsymptoticRing,
         gens = [alg.table.gen(s) for s in range(alg.table.system.ngens)]
         for x in gens:
             for w in range(size):
-                diff = _sub_dict(
-                    asym_poly_multiply(ring, images[x],
-                                       {w: LaurentPoly.one(rank)}, grows),
-                    module_action(alg, x, {w: LaurentPoly.one(rank)}))
+                # phi(C_x) t_w minus the regular-module transport
+                # C_x . t_w = sum_z h_{x,w,z} t_z
+                diff = asym_poly_multiply(ring, images[x], {w: LaurentPoly.one(rank)}, grows)
+                for z, h in rows[x][w].items():
+                    accumulate(diff, z, -h)
                 for y in diff:
                     if not (alg.leq_lr(y, w) and not alg.sim_lr(y, w)):
                         bad.append(f"filtration fails: C_{x} on t_{w} hits t_{y}")
     report.record("phi filtration", bad)
     return report
-
-
-def _sub_dict(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        nv = -v if cur is None else cur - v
-        if nv:
-            out[k] = nv
-        elif k in out:
-            del out[k]
-    return out
 
 
 def verify_bimodule_identity(alg: HeckeAlgebra, ring: AsymptoticRing,
@@ -426,20 +387,19 @@ def verify_bimodule_identity(alg: HeckeAlgebra, ring: AsymptoticRing,
     def check(x, xp, y, w):
         # LHS - RHS, accumulated coefficientwise by exponent
         diff = {}
-        get = diff.get
         row = rows[x]
         for u, g in left.get((w, xp), ()):
             h = row[u].get(y)
             if h:
                 for e, c in h.terms.items():
-                    diff[e] = get(e, 0) + g * c
+                    accumulate(diff, e, g * c)
         yinv = inverse[y]
         for u, terms in right[x][w]:
             g = gamma.get((u, xp, yinv))
             if g:
                 for e, c in terms.items():
-                    diff[e] = get(e, 0) - g * c
-        return not any(diff.values())
+                    accumulate(diff, e, -(g * c))
+        return not diff
 
     if size <= exhaustive_max:
         for w in range(size):
@@ -519,14 +479,10 @@ def specialize_datum(datum: CellDatum, target_alg: HeckeAlgebra) -> SpecializedB
         tcoeffs = {}
         for w, c in coeffs.items():
             for u, p in src.c_basis(w).items():
-                add = p.scale(c)
-                cur = tcoeffs.get(u)
-                tcoeffs[u] = add if cur is None else cur + add
-        elements[key] = {
-            u: p.specialize_exponents(images, rank2)
-            for u, p in tcoeffs.items() if p
-        }
-        elements[key] = {u: p for u, p in elements[key].items() if p}
+                accumulate(tcoeffs, u, p.scale(c))
+        # specializing the exponents can cancel terms
+        elements[key] = {u: q for u, p in tcoeffs.items()
+                         if (q := p.specialize_exponents(images, rank2))}
     return SpecializedBasis(target_alg, list(datum.labels), dict(datum.leq),
                             dict(datum.msize), elements)
 
@@ -537,8 +493,7 @@ def verify_specialized(spec: SpecializedBasis) -> Report:
     report = Report()
     alg = spec.alg
     size = alg.table.size
-    keys = [(lab, s, t) for lab in spec.labels
-            for s in range(spec.msize[lab]) for t in range(spec.msize[lab])]
+    keys = _cell_keys(spec)
     zero = LaurentPoly.zero(alg.rank)
     transition = KMatrix.from_polys(
         [[spec.elements[key].get(w, zero) for w in range(size)] for key in keys], alg.order)
@@ -551,19 +506,7 @@ def verify_specialized(spec: SpecializedBasis) -> Report:
         if len(q.terms) != 1:
             bad.append("specialized determinant is not a unit of the Laurent ring")
     report.record("A'-basis", bad)
-
-    bad = []
-    inverse = alg.table.inverse
-    for lab in spec.labels:
-        d = spec.msize[lab]
-        for s in range(d):
-            for t in range(d):
-                starred = {}
-                for w, p in spec.elements[(lab, s, t)].items():
-                    starred[inverse[w]] = p
-                if starred != spec.elements[(lab, t, s)]:
-                    bad.append(f"star axiom fails for {lab} at ({s},{t})")
-    report.record("C2 star (specialized)", bad)
+    report.record("C2 star (specialized)", _star_violations(spec))
 
     # every coordinate has the denominator inv.den, so numerators are compared
     inv = transition.inverse()

@@ -338,6 +338,13 @@ def _hasse_edges(datum) -> list:
 # -- command implementations ---------------------------------------------------------
 
 
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _emit(data: dict, out, name: str):
     text = json.dumps(data, indent=1, sort_keys=True)
     if out is None:
@@ -352,7 +359,10 @@ def _emit(data: dict, out, name: str):
 def _session_from_args(args) -> Session:
     config = {}
     if getattr(args, "config", None):
-        config.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        loaded = _read_json(Path(args.config), "config file")
+        if not isinstance(loaded, dict):
+            raise InputError(f"config file {args.config} does not hold a JSON object")
+        config.update(loaded)
     for key in ("system", "weights", "order", "seed", "jobs", "out"):
         val = getattr(args, key, None)
         if val is not None:
@@ -533,7 +543,7 @@ def cmd_report(args) -> int:
     print(f"artifact report for {path}")
     reps_file = path / "reps.json"
     if reps_file.exists():
-        data = json.loads(reps_file.read_text(encoding="utf-8"))
+        data = _read_json(reps_file, "artifact")
         print(f"system {data['system']}, conductor {data['conductor']}")
         avals = sorted({tuple(r["a"]) for r in data["representations"]})
         fvals = sorted(r["f"] for r in data["representations"])
@@ -541,16 +551,16 @@ def cmd_report(args) -> int:
         print(f"f-values: {fvals}")
     jring_file = path / "jring.json"
     if jring_file.exists():
-        data = json.loads(jring_file.read_text(encoding="utf-8"))
+        data = _read_json(jring_file, "artifact")
         print(f"|D| = {len(data['distinguished'])}, "
               f"blocks: {[len(b) for b in data['blocks']]}")
     cell_file = path / "cell-datum.json"
     if cell_file.exists():
-        data = json.loads(cell_file.read_text(encoding="utf-8"))
+        data = _read_json(cell_file, "artifact")
         print(f"invertible primes required: {data['invertible_primes']}")
     ver_file = path / "verification.json"
     if ver_file.exists():
-        data = json.loads(ver_file.read_text(encoding="utf-8"))
+        data = _read_json(ver_file, "artifact")
         print("verification suites:")
         for suite, checks in sorted(data["results"].items()):
             for check, violations in sorted(checks.items()):
@@ -562,8 +572,17 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input (exit 3): argparse's own exit
+    status 2 is the verification-failure code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heckecell",
         description="Exact canonical bases, leading coefficients, the asymptotic "
                     "ring and cellular structures of finite Coxeter Hecke algebras.")
@@ -616,9 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

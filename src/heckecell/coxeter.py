@@ -87,9 +87,6 @@ class CoxeterSystem:
     def conductor(self) -> int:
         return reduced_conductor(self.bond_orders)
 
-    # spec name for the field-fixing invariant of the system
-    N = conductor
-
     def coefficient_field(self) -> RealCyclotomicField:
         return RealCyclotomicField(self.conductor)
 

@@ -14,6 +14,9 @@ CycloNumber therefore stores integer power-basis coordinates over one positive
 integer denominator, in lowest terms: multiplication convolves and reduces in
 int, and one gcd per result (none when the denominator is 1) keeps the form
 canonical, so equality is a tuple comparison.
+The norm and the inverse of x both come from M_x, the matrix of
+multiplication by x in the power basis: the norm is det M_x, and the
+coordinates of x^-1 solve M_x y = e_0, both through `matrices.eliminate`.
 Sign determination is exact: delta is enclosed in a certified rational interval
 (initially from Taylor bounds on cos, rounded outward to dyadic endpoints, then
 refined by bisection against the minimal polynomial), widened-precision
@@ -26,7 +29,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .errors import ComputationError, InputError
-from .matrices import f_det
+from .matrices import eliminate, f_det
 
 # 50 verified decimal digits; only used to seed the initial isolating interval
 # for delta, after which refinement is purely algebraic.
@@ -343,16 +346,23 @@ class RealCyclotomicField:
             return Fraction(1, 1) / Fraction(x)
         if not x:
             raise ZeroDivisionError("field inverse of zero")
-        # extended Euclid in Q[y] against the minimal polynomial
-        r0, r1 = list(self.min_poly), list(self.coords(x))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_add(s0, [-c for c in _poly_mul(q, s1)])
-        lead = r0[_poly_deg(r0)]
-        assert _poly_deg(r0) == 0, "minimal polynomial not coprime to element"
-        return self._from_coords(self._reduce([c / lead for c in s0]))
+        # the coordinates y of x^-1 solve M_x y = e_0; M_x is invertible
+        # because x is a nonzero element of a field
+        d = self.degree
+        m = [row + [Fraction(i == 0)] for i, row in enumerate(self._mult_matrix(x))]
+        eliminate(m, d, Fraction(1))
+        return self._from_coords([row[d] for row in m])
+
+    def _mult_matrix(self, x) -> list:
+        """Matrix M_x of multiplication by x in the power basis: column i
+        holds the coordinates of x * delta^i, as Fractions."""
+        cur = x if isinstance(x, CycloNumber) else self.from_rational(x)
+        delta = self.delta()
+        cols = []
+        for _ in range(self.degree):
+            cols.append(self.coords(cur))
+            cur = cur * delta
+        return [list(row) for row in zip(*cols)]
 
     # -- rationality, integrality, norms --------------------------------------
 
@@ -360,13 +370,6 @@ class RealCyclotomicField:
         if isinstance(x, (int, Fraction)):
             return True
         return not any(x.num[1:])
-
-    def as_fraction(self, x) -> Fraction:
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        if not self.rational_part_only(x):
-            raise ComputationError("element is irrational")
-        return Fraction(x.num[0], x.den)
 
     def is_ring_integer(self, x) -> bool:
         """Membership in Z[delta]: integer coordinates in the power basis."""
@@ -378,15 +381,7 @@ class RealCyclotomicField:
         """Field norm to Q: determinant of multiplication by x."""
         if self.is_rational:
             return Fraction(x)
-        cols = []
-        cur = x if isinstance(x, CycloNumber) else self.from_rational(x)
-        basis = self.from_rational(1)
-        delta = self.delta()
-        for _ in range(self.degree):
-            cols.append(self.coords(cur * basis))  # coords of x * delta^i
-            basis = basis * delta
-        mat = [[cols[j][i] for j in range(self.degree)] for i in range(self.degree)]
-        return f_det(mat)
+        return f_det(self._mult_matrix(x))
 
     # -- special values --------------------------------------------------------
 
@@ -540,36 +535,6 @@ class RealCyclotomicField:
 
 
 # -- small exact-polynomial helpers over Fraction lists ----------------------
-
-
-def _poly_deg(p):
-    d = len(p) - 1
-    while d > 0 and p[d] == 0:
-        d -= 1
-    return d
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db, lb = _poly_deg(b), b[_poly_deg(b)]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(_poly_deg(a) - db, -1, -1):
-        c = a[i + db] / lb
-        q[i] = c
-        if c:
-            for j in range(db + 1):
-                a[i + j] -= c * b[j]
-    return q, a[:db] if db else [Fraction(0)]
 
 
 def _poly_eval(p, x):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .coxeter import ElementTable, WeightFunction, validate_weights
 from .errors import ComputationError, InputError
-from .scalars import LaurentPoly, MonomialOrder, exp_neg
+from .scalars import LaurentPoly, MonomialOrder, accumulate, exp_neg
 
 MAX_FULL_TABLE = 48
 
@@ -88,9 +88,9 @@ class HeckeAlgebra:
         xi = self.xi[s]
         for w, c in h.items():
             sw = t.lmult[w][s]
-            _acc(out, sw, c)
+            accumulate(out, sw, c)
             if t.length[sw] < t.length[w]:
-                _acc(out, w, xi * c)
+                accumulate(out, w, xi * c)
         return out
 
     def gen_right(self, h: dict, s: int) -> dict:
@@ -99,9 +99,9 @@ class HeckeAlgebra:
         xi = self.xi[s]
         for w, c in h.items():
             ws = t.rmult[w][s]
-            _acc(out, ws, c)
+            accumulate(out, ws, c)
             if t.length[ws] < t.length[w]:
-                _acc(out, w, xi * c)
+                accumulate(out, w, xi * c)
         return out
 
     def t_multiply(self, h1: dict, h2: dict) -> dict:
@@ -122,8 +122,8 @@ class HeckeAlgebra:
         out = {}
         for w, c in h2.items():
             for u, d in left_times(w).items():
-                _acc(out, u, d * c)
-        return _clean(out)
+                accumulate(out, u, d * c)
+        return out
 
     def scale(self, h: dict, p: LaurentPoly) -> dict:
         return _clean({w: c * p for w, c in h.items()})
@@ -131,13 +131,13 @@ class HeckeAlgebra:
     def add(self, h1: dict, h2: dict) -> dict:
         out = dict(h1)
         for w, c in h2.items():
-            _acc(out, w, c)
+            accumulate(out, w, c)
         return _clean(out)
 
     def sub(self, h1: dict, h2: dict) -> dict:
         out = dict(h1)
         for w, c in h2.items():
-            _acc(out, w, -c)
+            accumulate(out, w, -c)
         return _clean(out)
 
     def t_inverse(self, w: int) -> dict:
@@ -157,8 +157,8 @@ class HeckeAlgebra:
         for w, c in h.items():
             cbar = c.bar()
             for u, d in self.t_inverse(self.table.inverse[w]).items():
-                _acc(out, u, cbar * d)
-        return _clean(out)
+                accumulate(out, u, cbar * d)
+        return out
 
     # -- canonical bases ------------------------------------------------------------
 
@@ -202,10 +202,6 @@ class HeckeAlgebra:
                 raise ComputationError("KL correction failed")
         return x
 
-    def kl_polynomial(self, y: int, w: int) -> LaurentPoly:
-        """p_{y,w}; zero unless y appears in Cp_w."""
-        return self.cprime(w).get(y, LaurentPoly.zero(self.rank))
-
     def c_basis(self, w: int) -> dict:
         """C_w = j(Cp_w) in the T-basis."""
         got = self._c_cache.get(w)
@@ -230,17 +226,17 @@ class HeckeAlgebra:
             coeff = c if t.length[y] % 2 == 0 else -c
             out[y] = coeff
             for u, d in self.c_basis(y).items():
-                _acc(rem, u, -(coeff * d))
+                accumulate(rem, u, -(coeff * d))
         if any(rem.values()):
             raise ComputationError("C-basis conversion left a remainder")
-        return _clean(out)
+        return out
 
     def c_to_t(self, coeffs: dict) -> dict:
         out = {}
         for w, c in coeffs.items():
             for u, d in self.c_basis(w).items():
-                _acc(out, u, c * d)
-        return _clean(out)
+                accumulate(out, u, c * d)
+        return out
 
     # -- structure constants, a-function, gamma ----------------------------------------
 
@@ -285,17 +281,14 @@ class HeckeAlgebra:
                     acc = {}
                     for w, hw in rows[xp][y].items():
                         for z, hz in self.gen_row(s, w).items():
-                            _acc(acc, z, hw * hz)
+                            accumulate(acc, z, hw * hz)
                     for u, cu in corr:
                         for z, hz in rows[u][y].items():
-                            _acc(acc, z, -(cu * hz))
-                    xrows.append(_clean(acc))
+                            accumulate(acc, z, -(cu * hz))
+                    xrows.append(acc)
                 rows[x] = xrows
         self._h_rows = rows
         return rows
-
-    def h_constant(self, x: int, y: int, z: int) -> LaurentPoly:
-        return self.h_rows()[x][y].get(z, LaurentPoly.zero(self.rank))
 
     def a_value(self, z: int):
         """Lusztig's a(z): the shift making every h_{x,y,z} nonnegative."""
@@ -392,25 +385,12 @@ class HeckeAlgebra:
         out = {}
         for w, c in e.coeffs.items():
             for u, d in self.cprime(w).items():
-                _acc(out, u, c * d)
-        return HeckeElement("T", _clean(out))
+                accumulate(out, u, c * d)
+        return HeckeElement("T", out)
 
     def multiply(self, e1: HeckeElement, e2: HeckeElement) -> HeckeElement:
         a, b = self.to_t(e1), self.to_t(e2)
         return HeckeElement("T", self.t_multiply(a.coeffs, b.coeffs))
-
-
-def _acc(out: dict, key, val):
-    cur = out.get(key)
-    if cur is None:
-        if val:
-            out[key] = val
-    else:
-        cur = cur + val
-        if cur:
-            out[key] = cur
-        else:
-            del out[key]
 
 
 def _clean(d: dict) -> dict:

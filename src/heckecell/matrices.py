@@ -7,7 +7,9 @@ KMatrix, which keeps one common polynomial denominator per matrix so that
 products only ever multiply polynomials.
 
 Determinants and inverses of both kinds come from `eliminate`, a single
-Gauss-Jordan pass over an augmented matrix [A | B]. Over a field it scales
+Gauss-Jordan pass over an augmented matrix [A | B]; so do the norm and the
+inverse of a real-cyclotomic field element, through its rational
+multiplication matrix (`fields`). Over a field it scales
 each pivot row by one field inverse. Over the Laurent ring it stays
 fraction-free (Bareiss, Math. Comp. 22, 1968): each update is divided
 exactly by the previous pivot, so every entry is a minor of [A | B] and a
@@ -195,10 +197,6 @@ class KMatrix:
 
     def scale_poly(self, p: LaurentPoly) -> "KMatrix":
         return KMatrix([[x * p for x in row] for row in self.num], self.den, self.order)
-
-    def scale_fraction(self, x: LaurentFraction) -> "KMatrix":
-        return KMatrix([[e * x.num for e in row] for row in self.num],
-                       self.den * x.den, self.order)
 
     def transpose(self) -> "KMatrix":
         return KMatrix([list(col) for col in zip(*self.num)], self.den, self.order)

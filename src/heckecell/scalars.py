@@ -67,12 +67,6 @@ class MonomialOrder:
     def is_negative(self, g: Exponent) -> bool:
         return self.key(g) < (0,) * self.rank
 
-    def min(self, exps):
-        return min(exps, key=self.key)
-
-    def max(self, exps):
-        return max(exps, key=self.key)
-
     @property
     def zero(self) -> Exponent:
         return (0,) * self.rank
@@ -124,6 +118,11 @@ class LaurentPoly:
         return cls.constant(rank, 1)
 
     # -- ring operations ---------------------------------------------------------
+
+    # __add__, __sub__, __mul__ and _int_convolve sum terms inline rather than
+    # through accumulate(): they are the hottest kernels of the package, and
+    # the extra call per term costs about 30% of an addition of small
+    # polynomials.
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
@@ -247,9 +246,6 @@ class LaurentPoly:
             raise ComputationError("undefined valuation: zero polynomial")
         return max(self.terms, key=order.key)
 
-    def leading_coefficient(self, order: MonomialOrder):
-        return self.terms[self.min_exponent(order)]
-
     def nonnegative_part(self, order: MonomialOrder) -> "LaurentPoly":
         """Terms with exponent >= 0 in the order."""
         zero = order.key((0,) * self.rank)
@@ -261,13 +257,6 @@ class LaurentPoly:
         zero = order.key((0,) * self.rank)
         return all(order.key(g) < zero for g in self.terms)
 
-    def supported_nonnegative(self, order: MonomialOrder) -> bool:
-        zero = order.key((0,) * self.rank)
-        return all(order.key(g) >= zero for g in self.terms)
-
-    def is_bar_invariant(self) -> bool:
-        return self == self.bar()
-
     def specialize_exponents(self, images: list[Exponent], rank2: int) -> "LaurentPoly":
         """Apply the group homomorphism sending coordinate i to images[i]."""
         out = {}
@@ -276,15 +265,7 @@ class LaurentPoly:
             for i, e in enumerate(g):
                 if e:
                     h = tuple(x + e * y for x, y in zip(h, images[i]))
-            s = out.get(h)
-            if s is None:
-                out[h] = c
-            else:
-                s = s + c
-                if s:
-                    out[h] = s
-                else:
-                    del out[h]
+            accumulate(out, h, c)
         return LaurentPoly(rank2, out, _trusted=True)
 
     def exact_divide(self, den: "LaurentPoly", order: MonomialOrder):
@@ -345,6 +326,21 @@ class LaurentPoly:
             if coeff:
                 terms[g] = coeff
         return cls(rank, terms, _trusted=True)
+
+
+def accumulate(out: dict, key, val):
+    """Add val into the sparse map out at key. A key whose sum cancels is
+    deleted, so out never stores a zero."""
+    cur = out.get(key)
+    if cur is None:
+        if val:
+            out[key] = val
+    else:
+        cur = cur + val
+        if cur:
+            out[key] = cur
+        else:
+            del out[key]
 
 
 def scalar_inverse(c):
@@ -498,10 +494,6 @@ class LaurentFraction:
         g_num = self.num.min_exponent(self.order)
         # den is normalized: min exponent 0, leading coefficient 1
         return g_num, self.num.terms[g_num]
-
-    def in_valuation_ring(self) -> bool:
-        g, _ = self.valuation()
-        return g is None or not self.order.is_negative(g)
 
     def constant_term(self, shift: Exponent | None = None):
         """Constant term of eps^shift * x, which must lie in the valuation ring."""

@@ -335,3 +335,50 @@ def test_bimodule_identity_agrees_with_the_reference(restrict_cell, exhaustive_m
                                                    restrict_cell)
         assert report.ok == ok
 
+
+
+# -- fault injection for the filtration and star checks -------------------------
+
+
+def test_phi_filtration_detects_an_edited_h_entry():
+    from heckecell.cli import Session
+    session = Session({"system": "A2"})
+    alg, ring = session.algebra, session.ring
+    assert verify_phi(alg, ring).ok
+    rows = alg.h_rows()
+    x = alg.table.gen(0)
+    # w outside the distinguished set, so no image phi(C_y) reads h_{x,w,.}
+    w = next(w for w in range(alg.table.size) if w not in ring.d_set)
+    rows[x][w] = dict(rows[x][w])
+    rows[x][w][w] = rows[x][w].get(w, LaurentPoly.zero(1)) + LaurentPoly.one(1)
+    report = verify_phi(alg, ring)
+    assert report.checks["phi filtration"] == [f"filtration fails: C_{x} on t_{w} hits t_{w}"]
+
+
+def _edited_off_diagonal(elements, labels, msize):
+    """A copy of elements with one coefficient of an off-diagonal element changed."""
+    lab = next(lab for lab in labels if msize[lab] > 1)
+    key = (lab, 0, 1)
+    edited = dict(elements)
+    edited[key] = dict(elements[key])
+    w = next(iter(edited[key]))
+    edited[key][w] = edited[key][w] + edited[key][w]
+    return lab, edited
+
+
+def test_c2_star_detects_an_edited_off_diagonal_element():
+    import dataclasses
+    datum = get_session("A2").datum
+    lab, edited = _edited_off_diagonal(datum.elements, datum.labels, datum.msize)
+    report = verify_cell_datum(dataclasses.replace(datum, elements=edited))
+    assert report.checks["C2 star"] == [f"star axiom fails for {lab} at (0,1)",
+                                        f"star axiom fails for {lab} at (1,0)"]
+
+
+def test_specialized_c2_star_detects_an_edited_off_diagonal_element():
+    session = get_session("B2", "universal", "b-first")
+    spec = specialize_datum(session.datum, get_session("B2").algebra)
+    lab, spec.elements = _edited_off_diagonal(spec.elements, spec.labels, spec.msize)
+    report = verify_specialized(spec)
+    assert report.checks["C2 star (specialized)"] == [
+        f"star axiom fails for {lab} at (0,1)", f"star axiom fails for {lab} at (1,0)"]

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from heckecell.cli import main
 from heckecell.fields import RealCyclotomicField
 from heckecell.scalars import LaurentPoly
@@ -160,3 +162,42 @@ def test_report_a2_invariants(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "a-invariants: [(0,), (1,), (3,)]" in text
     assert "f-values: ['1', '1', '1']" in text
+
+
+def assert_input_error(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "input error:" in err and "Traceback" not in err
+
+
+def test_missing_config_file_gives_input_exit(tmp_path, capsys):
+    assert_input_error(["run", "--config", str(tmp_path / "missing.json")], capsys)
+
+
+def test_invalid_json_config_gives_input_exit(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text("{", encoding="utf-8")
+    assert_input_error(["run", "--config", str(cfg)], capsys)
+
+
+def test_non_object_config_gives_input_exit(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text("[1, 2]", encoding="utf-8")
+    assert_input_error(["run", "--config", str(cfg)], capsys)
+
+
+def test_report_on_unparsable_artifact_gives_input_exit(tmp_path, capsys):
+    (tmp_path / "reps.json").write_text("not json", encoding="utf-8")
+    assert_input_error(["report", str(tmp_path)], capsys)
+
+
+def test_usage_error_gives_input_exit(capsys):
+    assert_input_error(["run", "--seed", "abc"], capsys)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-h"])
+    assert exc.value.code == 0
+    assert "--stages" in capsys.readouterr().out

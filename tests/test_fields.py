@@ -348,3 +348,89 @@ def test_sign_agrees_with_the_unrounded_enclosure(n):
     halvings = ((hi0 - lo0) / (hi - lo)).numerator.bit_length() - 1
     assert (hi0 - lo0) == (hi - lo) * 2 ** halvings
     assert max(lo.denominator, hi.denominator).bit_length() <= 257 + halvings
+
+
+# -- the field inverse against the extended-Euclid inverse it replaced ---------
+
+
+def ref_deg(p) -> int:
+    d = len(p) - 1
+    while d > 0 and p[d] == 0:
+        d -= 1
+    return d
+
+
+def ref_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ref_poly_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    return out
+
+
+def ref_divmod(a, b):
+    """Quotient and remainder of Fraction coefficient lists, ascending degree."""
+    a = list(a)
+    db = ref_deg(b)
+    q = [Fraction(0)] * max(len(a) - db, 1)
+    for i in range(ref_deg(a) - db, -1, -1):
+        c = a[i + db] / b[db]
+        q[i] = c
+        for j in range(db + 1):
+            a[i + j] -= c * b[j]
+    return q, a[:db] if db else [Fraction(0)]
+
+
+def ref_inverse(F, x) -> tuple:
+    """Coordinates of x^-1 by extended Euclid in Q[y] against the minimal polynomial."""
+    r0, r1 = list(F.min_poly), list(F.coords(x))
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while any(r1):
+        q, rem = ref_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, ref_poly_sub(s0, ref_poly_mul(q, s1))
+    assert ref_deg(r0) == 0
+    return tuple(ref_reduce(F.min_poly, [c / r0[0] for c in s0]))
+
+
+def ref_resultant(a, b):
+    """Res(a, b) by the Euclidean remainder sequence; b is nonzero."""
+    da, db = ref_deg(a), ref_deg(b)
+    if db == 0:
+        return b[0] ** da
+    _, r = ref_divmod(a, b)
+    if not any(r):
+        return Fraction(0)
+    return (-1) ** (da * db) * b[db] ** (da - ref_deg(r)) * ref_resultant(b, r)
+
+
+@pytest.mark.parametrize("n", IRRATIONAL_CONDUCTORS)
+def test_inverse_matches_the_extended_euclid_reference(n):
+    F = RealCyclotomicField(n)
+    rng = random.Random(300 + n)
+    elements = [random_element(F, rng) for _ in range(60)]
+    elements += [F.from_rational(Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)))
+                 for _ in range(10)]
+    elements += [F.delta(), F.one, -F.one]
+    for x in elements:
+        if not x:
+            with pytest.raises(ZeroDivisionError):
+                F.inverse(x)
+            continue
+        inv = F.inverse(x)
+        assert_canonical(inv)
+        assert F.coords(inv) == ref_inverse(F, x)
+        assert x * inv == 1
+        # the norm is the resultant of the minimal polynomial and x's coordinates
+        assert F.norm(x) == ref_resultant(list(F.min_poly), list(F.coords(x)))
+    with pytest.raises(ZeroDivisionError):
+        F.inverse(F.zero)

@@ -8,7 +8,7 @@ import pytest
 from heckecell.errors import ComputationError
 from heckecell.fields import RealCyclotomicField
 from heckecell.scalars import (LaurentFraction, LaurentPoly, MonomialOrder,
-                               natural_order)
+                               accumulate, natural_order)
 
 NAT = natural_order(1)
 LEX_BA = MonomialOrder(2, (1, 0))
@@ -280,3 +280,44 @@ def test_product_kernel_leaves_cyclotomic_coefficients_to_the_loop():
         got, want = cyclo * q, reference_mul(cyclo, q)
         assert got == want and hash(got) == hash(want)
         assert all(got.terms.values())
+
+
+# -- the sparse accumulator ------------------------------------------------------
+
+
+def _accumulate_values(kind, rng):
+    """Small values of one coefficient kind, zero included, so that sums cancel."""
+    if kind == "int":
+        return [rng.randrange(-2, 3) for _ in range(8)]
+    if kind == "fraction":
+        return [Fraction(rng.randrange(-2, 3), rng.randrange(1, 3)) for _ in range(8)]
+    if kind == "cyclo":
+        F = RealCyclotomicField(7)
+        return [F.element([rng.randrange(-1, 2), rng.randrange(-1, 2), 0]) for _ in range(8)]
+    return [poly({0: rng.randrange(-1, 2), 1: rng.randrange(-1, 2)}) for _ in range(8)]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "cyclo", "laurent"])
+def test_accumulate_never_stores_a_zero(kind):
+    rng = random.Random(7)
+    for _ in range(200):
+        out, want = {}, {}
+        for val in _accumulate_values(kind, rng):
+            key = rng.randrange(3)
+            accumulate(out, key, val)
+            want[key] = want[key] + val if key in want else val
+            assert all(out.values())
+            assert out == {k: v for k, v in want.items() if v}
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "cyclo", "laurent"])
+def test_accumulate_deletes_a_cancelled_key(kind):
+    rng = random.Random(8)
+    val = next(v for v in _accumulate_values(kind, rng) if v)
+    out = {}
+    accumulate(out, "k", val)
+    assert out == {"k": val}
+    accumulate(out, "k", -val)
+    assert out == {}
+    accumulate(out, "k", val - val)
+    assert out == {}
