@@ -18,8 +18,8 @@ from pathlib import Path
 from . import asymptotic, cellular, reps
 from .coxeter import (CoxeterSystem, ElementTable, WeightFunction, equal_weights,
                       universal_weights, validate_weights)
-from .errors import HeckecellError, InputError, VerificationError
-from .hecke import HeckeAlgebra
+from .errors import ComputationError, HeckecellError, InputError, VerificationError
+from .hecke import MAX_FULL_TABLE, HeckeAlgebra
 from .scalars import LaurentPoly, MonomialOrder, natural_order
 
 SCHEMA_PREFIX = "heckecell"
@@ -64,6 +64,19 @@ def parse_system(spec) -> CoxeterSystem:
         raise InputError(f"cannot parse system specification {spec!r}") from exc
 
 
+def _config_int(config: dict, key: str, default: int) -> int:
+    """An integer setting: an int, or a string of one, as in a --config file."""
+    val = config.get(key, default)
+    if type(val) is int:  # not bool
+        return val
+    if isinstance(val, str):
+        try:
+            return int(val)
+        except ValueError:
+            pass
+    raise InputError(f"{key} must be an integer, not {val!r}")
+
+
 class Session:
     """Lazily computed pipeline state for one job configuration."""
 
@@ -72,8 +85,9 @@ class Session:
         self.system = parse_system(config.get("system", "A1"))
         self.weights = parse_weights(config.get("weights"), self.system)
         self.order = parse_order(config.get("order"), self.weights.rank)
-        self.seed = int(config.get("seed", 0))
-        self.jobs = int(config.get("jobs", 1))
+        self.seed = _config_int(config, "seed", 0)
+        self.jobs = _config_int(config, "jobs", 1)
+        self.bound = _config_int(config, "bound", 20000)
         problems = validate_weights(self.system, self.weights, self.order)
         if problems:
             raise InputError("; ".join(problems))
@@ -82,7 +96,6 @@ class Session:
         self._family = None
         self._schurs = None
         self._balanced = None
-        self._certificates = {}
         self._ring = None
         self._grams = None
         self._datum = None
@@ -93,8 +106,7 @@ class Session:
     @property
     def table(self) -> ElementTable:
         if self._table is None:
-            bound = int(self.config.get("bound", 20000))
-            self._table = ElementTable(self.system, bound=bound)
+            self._table = ElementTable(self.system, bound=self.bound)
         return self._table
 
     @property
@@ -129,24 +141,21 @@ class Session:
     def balanced(self) -> dict:
         """label -> balanced representation with its normalized Gram attached.
 
-        The balance certificate of each one is kept for the reps artifact."""
+        Raises unless every representation ends balanced."""
         if self._balanced is None:
             out = {}
             for r in self.family:
                 sd = self.schurs[r.label]
                 omega = reps.invariant_gram(r)
-                cert = reps.is_balanced(r, omega, sd)
-                if cert.balanced:
+                if reps.is_balanced(r, omega, sd):
                     rb = r
                     rb.gram = omega
                 else:
                     rb = reps.balance(r)
-                    cert = reps.is_balanced(rb, rb.gram, sd)
-                    if not cert.balanced:
+                    if not reps.is_balanced(rb, rb.gram, sd):
                         raise VerificationError(
                             f"balancing failed for {r.label}")
                 out[r.label] = rb
-                self._certificates[r.label] = cert
             self._balanced = out
         return self._balanced
 
@@ -238,7 +247,7 @@ class Session:
     def artifact_reps(self) -> dict:
         out = self.header("reps")
         items = []
-        self.balanced  # noqa: B018 - balancing records the certificates
+        self.balanced  # noqa: B018 - raises unless every representation is balanced
         for r in self.family:
             sd = self.schurs[r.label]
             items.append({
@@ -247,7 +256,7 @@ class Session:
                 "a": list(sd.a),
                 "f": self.scalar_str(sd.f),
                 "schur_element": self.poly_str(sd.c),
-                "balanced": self._certificates[r.label].balanced,
+                "balanced": True,
             })
         out["representations"] = items
         out["dimension_check"] = sum(r.dim * r.dim for r in self.family) == self.table.size
@@ -312,7 +321,7 @@ class Session:
                                       "violations": violations[:20]})
         if "jring" in which:
             record("jring", self.ring.verify(seed=self.seed))
-        if "compare-kl" in which and size <= 48:
+        if "compare-kl" in which and size <= MAX_FULL_TABLE:
             record("compare_kl", self.ring.compare_with_kl())
         if "cell" in which:
             record("cell_datum", cellular.verify_cell_datum(self.datum))
@@ -389,7 +398,7 @@ def cmd_run(args) -> int:
         for st in closed:
             if st == "kl":
                 emitted["kl-table.json"] = session.artifact_kl()
-                if session.table.size <= 48:
+                if session.table.size <= MAX_FULL_TABLE:
                     emitted["h-table.json"] = session.artifact_h()
                 emitted["cells.json"] = session.artifact_cells()
             elif st == "reps":
@@ -403,7 +412,7 @@ def cmd_run(args) -> int:
         if verify != "none":
             if verify == "all":
                 which = [w for w in ("reps", "jring", "cell") if w in closed]
-                if "jring" in closed and "kl" in closed and session.table.size <= 48:
+                if "jring" in closed and "kl" in closed and session.table.size <= MAX_FULL_TABLE:
                     which.append("compare-kl")
             else:
                 which = verify.split(",")
@@ -449,11 +458,11 @@ def cmd_rep(args) -> int:
         data = session.header("balanced-reps")
         data["balanced"] = {}
         for label, rb in session.balanced.items():
-            gram = rb.gram
+            beta = rb.gram.residue()
+            if beta is None:
+                raise ComputationError("not in valuation ring")
             data["balanced"][label] = {
-                "gram_constant_matrix": [
-                    [session.scalar_str(gram.entry(i, j).constant_term())
-                     for j in range(gram.dim)] for i in range(gram.dim)],
+                "gram_constant_matrix": [[session.scalar_str(x) for x in row] for row in beta],
             }
         _emit(data, args.out, "balanced.json")
         return 0
@@ -541,35 +550,40 @@ def cmd_report(args) -> int:
     if not path.exists():
         raise InputError(f"artifact directory {path} does not exist")
     print(f"artifact report for {path}")
-    reps_file = path / "reps.json"
-    if reps_file.exists():
-        data = _read_json(reps_file, "artifact")
+    for name in ("reps.json", "jring.json", "cell-datum.json", "verification.json"):
+        file = path / name
+        if file.exists():
+            data = _read_json(file, "artifact")
+            try:
+                _summarize(name, data)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise InputError(
+                    f"artifact {file} lacks a field or has the wrong shape: {exc!r}") from exc
+        elif name == "verification.json":
+            print("no verification artifact present")
+    return 0
+
+
+def _summarize(name: str, data) -> None:
+    """Print the report lines of one artifact; a missing field raises."""
+    if name == "reps.json":
         print(f"system {data['system']}, conductor {data['conductor']}")
         avals = sorted({tuple(r["a"]) for r in data["representations"]})
         fvals = sorted(r["f"] for r in data["representations"])
         print(f"a-invariants: {avals}")
         print(f"f-values: {fvals}")
-    jring_file = path / "jring.json"
-    if jring_file.exists():
-        data = _read_json(jring_file, "artifact")
+    elif name == "jring.json":
         print(f"|D| = {len(data['distinguished'])}, "
               f"blocks: {[len(b) for b in data['blocks']]}")
-    cell_file = path / "cell-datum.json"
-    if cell_file.exists():
-        data = _read_json(cell_file, "artifact")
+    elif name == "cell-datum.json":
         print(f"invertible primes required: {data['invertible_primes']}")
-    ver_file = path / "verification.json"
-    if ver_file.exists():
-        data = _read_json(ver_file, "artifact")
+    else:
         print("verification suites:")
         for suite, checks in sorted(data["results"].items()):
             for check, violations in sorted(checks.items()):
                 status = "pass" if not violations else f"FAIL ({len(violations)})"
                 print(f"  {suite}/{check}: {status}")
         print(f"overall: {'ok' if data['ok'] else 'FAILED'}")
-    else:
-        print("no verification artifact present")
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):

@@ -71,7 +71,6 @@ class HeckeAlgebra:
         self._gen_rows = None
         self._h_rows = None
         self._a = None
-        self._gamma = None
         self._cells = None
 
     # -- T-basis arithmetic ------------------------------------------------------
@@ -256,7 +255,7 @@ class HeckeAlgebra:
     def h_rows(self) -> list:
         """Full table: h_rows()[x][y] is the dict z -> h_{x,y,z}.
 
-        Materialized only for |W| <= 48; the recursion on the first left
+        Materialized only for |W| <= MAX_FULL_TABLE; the recursion on the first left
         descent s of x uses C_x = C_s C_{x'} - sum_{u != x} h_{s,x',u} C_u.
         """
         if self._h_rows is not None:

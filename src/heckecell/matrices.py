@@ -14,6 +14,9 @@ each pivot row by one field inverse. Over the Laurent ring it stays
 fraction-free (Bareiss, Math. Comp. 22, 1968): each update is divided
 exactly by the previous pivot, so every entry is a minor of [A | B] and a
 KMatrix inverse is a polynomial matrix over one denominator.
+
+`KMatrix.residue` is the one residue map O -> F of the package, applied
+entrywise: the balance test, the leading tensors and the B-matrices read it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ComputationError
-from .scalars import LaurentFraction, LaurentPoly, MonomialOrder, scalar_inverse
+from .scalars import LaurentFraction, LaurentPoly, MonomialOrder, exp_sub, scalar_inverse
 
 
 def eliminate(m, n: int, one, order: MonomialOrder | None = None):
@@ -30,7 +33,8 @@ def eliminate(m, n: int, one, order: MonomialOrder | None = None):
     A is the leading n x n block and `one` the unit of the entries' ring.
     When det A != 0 the B block ends as q A^-1 B:
     - over a field (order None) each pivot row is scaled by its pivot's
-      inverse, and q = 1;
+      inverse, and q = 1; a row that is zero right of its pivot needs
+      neither the inverse nor any update;
     - over the Laurent ring (order given) the elimination is fraction-free,
       and q is the last pivot m[n-1][n-1], which is det A up to the sign of
       the row swaps.
@@ -52,6 +56,8 @@ def eliminate(m, n: int, one, order: MonomialOrder | None = None):
         rows = [i for i in range(0 if width > n else k + 1, n) if i != k]
         if order is None:
             det = det * p
+            if not any(row[k + 1:]):
+                continue
             inv = scalar_inverse(p)
             for j in range(k + 1, width):
                 if row[j]:
@@ -231,6 +237,37 @@ class KMatrix:
                     raise ComputationError("matrix entry is not polynomial")
                 orow.append(q)
             out.append(orow)
+        return out
+
+    def residue(self, shift=None):
+        """The residues in F of eps^shift times each entry, or None if one lies outside O.
+
+        O is the valuation ring of the monomial order and the residue map
+        O -> F = O/p keeps the constant term of the normal form. An entry x/den
+        has valuation g_x - g_den + shift; its residue is zero when that is
+        positive and lead(x)/lead(den) when it is zero. The denominator's lead
+        coefficient is inverted at most once, and only for a nonzero residue.
+        """
+        order = self.order
+        dmin = self.den.min_exponent(order)
+        base = order.key(dmin if shift is None else exp_sub(dmin, shift))
+        inv = None
+        out = []
+        for row in self.num:
+            res = []
+            for x in row:
+                c = Fraction(0)
+                if x:
+                    g = x.min_exponent(order)
+                    key = order.key(g)
+                    if key < base:
+                        return None
+                    if key == base:
+                        if inv is None:
+                            inv = scalar_inverse(self.den.terms[dmin])
+                        c = x.terms[g] * inv
+                res.append(c)
+            out.append(res)
         return out
 
     def det(self) -> LaurentFraction:

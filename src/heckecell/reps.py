@@ -10,6 +10,13 @@ invariants (a, f), an invariant symmetric bilinear form, the balancing change
 of basis that puts every entry of eps^a rho(T_w) inside the valuation ring,
 and the tensor of leading matrix coefficients: the constant terms of
 (-1)^{l(w)} eps^a rho_{ij}(T_w), the raw input of the asymptotic ring.
+
+Every constant term here is one residue map O -> F (`KMatrix.residue`):
+the leading tensors, the balance test and, in `cellular`, the B-matrices.
+A representation is balanced when its normalized form Omega has entries in O
+and det Omega is a unit of O. The residue map is a ring homomorphism, so
+det Omega is a unit of O if and only if det(Omega mod p) != 0, and the test
+is a determinant over the field F.
 """
 
 from __future__ import annotations
@@ -20,10 +27,8 @@ from fractions import Fraction
 
 from .errors import ComputationError, InputError, VerificationError
 from .hecke import HeckeAlgebra
-from .matrices import KMatrix
+from .matrices import KMatrix, f_det
 from .scalars import LaurentFraction, LaurentPoly, exp_neg, exp_sub, scalar_inverse
-
-DIRECT_CHECK_MAX = 48
 
 
 class MatrixRep:
@@ -192,47 +197,26 @@ def check_intertwining(rep: MatrixRep, omega: KMatrix) -> None:
                 f"Gram matrix for {rep.label} fails intertwining at generator {s}")
 
 
-@dataclass
-class BalanceCertificate:
-    balanced: bool
-    det_valuation: tuple | None
-    det_leading: object
+def is_balanced(rep: MatrixRep, omega: KMatrix, schur: SchurData | None = None) -> bool:
+    """Whether det Omega is a unit of O, for a normalized form Omega.
 
-
-def is_balanced(rep: MatrixRep, omega: KMatrix,
-                schur: SchurData | None = None) -> BalanceCertificate:
-    """Balancedness criterion: det of the normalized form is a unit of O.
-
-    The form must be normalized (entries in O, not all in the maximal ideal).
-    With Schur data on a small group the direct definition is cross-checked.
+    Omega must have entries in O. The residue map O -> F is a ring
+    homomorphism, so det Omega is a unit of O if and only if
+    det(Omega mod p) != 0, a determinant over the field. With Schur data the
+    direct definition is cross-checked: every eps^a rho(T_w) has entries in O.
     """
-    alg = rep.alg
     check_intertwining(rep, omega)
-    for i in range(omega.dim):
-        for j in range(omega.dim):
-            x = omega.entry(i, j)
-            if x and alg.order.is_negative(x.valuation()[0]):
-                raise VerificationError("Gram matrix not normalized into O")
-    g, r = omega.det().valuation()
-    flag = g is not None and not alg.order.is_positive(g) and not alg.order.is_negative(g)
-    if schur is not None and alg.table.size <= DIRECT_CHECK_MAX:
-        direct = _directly_balanced(rep, schur.a)
+    res = omega.residue()
+    if res is None:
+        raise VerificationError("Gram matrix not normalized into O")
+    flag = bool(f_det(res))
+    if schur is not None:
+        direct = all(rep.matrix(w).residue(schur.a) is not None
+                     for w in range(rep.alg.table.size))
         if direct != flag:
             raise ComputationError(
                 f"balancedness criterion disagrees with the direct definition for {rep.label}")
-    return BalanceCertificate(flag, g, r)
-
-
-def _directly_balanced(rep: MatrixRep, a: tuple) -> bool:
-    alg = rep.alg
-    for w in range(alg.table.size):
-        m = rep.matrix(w)
-        for i in range(rep.dim):
-            for j in range(rep.dim):
-                g, _ = m.entry(i, j).valuation()
-                if g is not None and alg.order.is_negative(tuple(x + y for x, y in zip(g, a))):
-                    return False
-    return True
+    return flag
 
 
 def balance(rep: MatrixRep) -> MatrixRep:
@@ -340,47 +324,20 @@ class LeadingTensor:
 
 def leading_tensor(rep: MatrixRep, schur: SchurData) -> LeadingTensor:
     alg = rep.alg
-    order = alg.order
-    a = schur.a
-    zero_key = order.key(order.zero)
     mats = []
     support = set()
     for w in range(alg.table.size):
-        m = rep.matrix(w)
-        den_min = m.den.min_exponent(order)
-        den_lead = m.den.terms[den_min]
-        den_inv = None
-        sign = -1 if alg.table.length[w] % 2 else 1
-        rows = []
-        any_nonzero = False
-        for i in range(rep.dim):
-            row = []
-            for j in range(rep.dim):
-                num = m.num[i][j]
-                if not num:
-                    row.append(Fraction(0))
-                    continue
-                gn = num.min_exponent(order)
-                val = order.key(tuple(x - y + z for x, y, z in zip(gn, den_min, a)))
-                if val < zero_key:
-                    raise VerificationError(f"representation not balanced: {rep.label}")
-                if val > zero_key:
-                    row.append(Fraction(0))
-                    continue
-                if den_inv is None:
-                    den_inv = scalar_inverse(den_lead)
-                c = num.terms[gn] * den_inv
-                if sign < 0:
-                    c = -c
-                row.append(c)
-                any_nonzero = True
-            rows.append(row)
-        if any_nonzero:
-            mats.append(rows)
-            support.add(w)
-        else:
+        rows = rep.matrix(w).residue(schur.a)
+        if rows is None:
+            raise VerificationError(f"representation not balanced: {rep.label}")
+        if not any(any(row) for row in rows):
             mats.append(None)
-    return LeadingTensor(rep.label, rep.dim, a, schur.f, mats, frozenset(support))
+            continue
+        if alg.table.length[w] % 2:
+            rows = [[-c for c in row] for row in rows]
+        mats.append(rows)
+        support.add(w)
+    return LeadingTensor(rep.label, rep.dim, schur.a, schur.f, mats, frozenset(support))
 
 
 def verify_schur_relations(alg: HeckeAlgebra, tensors: list) -> list:

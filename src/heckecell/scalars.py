@@ -32,10 +32,6 @@ from .errors import ComputationError, InputError
 Exponent = tuple
 
 
-def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def exp_sub(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -494,17 +490,6 @@ class LaurentFraction:
         g_num = self.num.min_exponent(self.order)
         # den is normalized: min exponent 0, leading coefficient 1
         return g_num, self.num.terms[g_num]
-
-    def constant_term(self, shift: Exponent | None = None):
-        """Constant term of eps^shift * x, which must lie in the valuation ring."""
-        g, r = self.valuation()
-        if g is None:
-            return Fraction(0)
-        if shift is not None:
-            g = exp_add(g, shift)
-        if self.order.is_negative(g):
-            raise ComputationError("not in valuation ring")
-        return r if not self.order.is_positive(g) else Fraction(0)
 
     def as_laurent(self) -> LaurentPoly:
         """Exact quotient num/den; raises if the denominator does not divide."""

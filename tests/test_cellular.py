@@ -340,9 +340,12 @@ def test_bimodule_identity_agrees_with_the_reference(restrict_cell, exhaustive_m
 # -- fault injection for the filtration and star checks -------------------------
 
 
-def test_phi_filtration_detects_an_edited_h_entry():
+@pytest.mark.parametrize("name", ["A2", "I2:9"])
+def test_phi_filtration_detects_an_edited_h_entry(name):
+    """I2:9 has 18 elements, above the default exhaustive_max of 16: the
+    filtration check runs at every size."""
     from heckecell.cli import Session
-    session = Session({"system": "A2"})
+    session = Session({"system": name})
     alg, ring = session.algebra, session.ring
     assert verify_phi(alg, ring).ok
     rows = alg.h_rows()

@@ -201,3 +201,33 @@ def test_help_still_exits_zero(capsys):
         main(["run", "-h"])
     assert exc.value.code == 0
     assert "--stages" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,data", [
+    ("reps.json", {}),
+    ("reps.json", {"system": "A1", "conductor": 1, "representations": [3]}),
+    ("jring.json", {"distinguished": 4, "blocks": []}),
+    ("cell-datum.json", []),
+    ("verification.json", {"results": [], "ok": True}),
+], ids=["reps-empty", "reps-shape", "jring-shape", "cell-list", "verification-shape"])
+def test_report_on_artifact_without_its_fields_gives_input_exit(tmp_path, capsys, name, data):
+    (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    assert_input_error(["report", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("key,value", [("seed", "abc"), ("jobs", "two"), ("bound", 2.5),
+                                       ("seed", None), ("jobs", True)])
+def test_non_integer_config_value_gives_input_exit(tmp_path, capsys, key, value):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"system": "A1", key: value}), encoding="utf-8")
+    assert_input_error(["run", "--config", str(cfg), "--stages", "kl", "--verify", "none",
+                        "--out", str(tmp_path / "out")], capsys)
+
+
+def test_integer_string_config_value_is_accepted(tmp_path):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"system": "A1", "seed": "7", "bound": "100"}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--stages", "reps", "--verify", "none",
+                 "--out", str(out)]) == 0
+    assert read(out / "reps.json")["seed"] == 7

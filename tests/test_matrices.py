@@ -146,3 +146,104 @@ def test_kmatrix_equality_checks_shapes():
     assert a != KMatrix([[one, eps], [one, one]], one, order)
     assert KMatrix([[one, eps], [one, one]], one, order) != a
     assert KMatrix([[eps, eps * eps]], eps, order) == a
+
+
+# -- the residue map O -> F -------------------------------------------------------
+
+
+def mono(g, c=1):
+    return LaurentPoly.monomial(g, c)
+
+
+def test_residue_is_none_when_an_entry_lies_outside_o():
+    order = natural_order(1)
+    zero = LaurentPoly.zero(1)
+    assert KMatrix([[mono((0,), 2), mono((-1,))]], LaurentPoly.one(1), order).residue() is None
+    assert KMatrix([[zero, mono((1,))]], mono((2,)), order).residue() is None
+    # b-first: the second coordinate decides before the first
+    assert KMatrix([[mono((5, -1))]], LaurentPoly.one(2), B_FIRST).residue() is None
+    assert KMatrix([[mono((-3, 0))]], LaurentPoly.one(2), B_FIRST).residue() is None
+    assert KMatrix([[mono((-3, 1)), mono((3, 0))]], LaurentPoly.one(2),
+                   B_FIRST).residue() == [[0, 0]]
+
+
+def test_residue_after_shift():
+    order = natural_order(1)
+    num = [[mono((-1,)) + LaurentPoly.constant(1, 3), mono((1,)), LaurentPoly.zero(1)]]
+    mat = KMatrix(num, LaurentPoly.one(1), order)
+    assert mat.residue() is None
+    assert mat.residue((1,)) == [[1, 0, 0]]
+    assert mat.residue((2,)) == [[0, 0, 0]]
+    assert mat.residue((-1,)) is None
+
+
+def test_residue_over_a_non_monic_denominator():
+    order = natural_order(1)
+    den = mono((1,), 2) + mono((2,), 3)                  # 2 eps + 3 eps^2
+    num = [[mono((1,), 4) + mono((3,)), mono((2,), 6)], [LaurentPoly.zero(1), mono((1,), -1)]]
+    assert KMatrix(num, den, order).residue() == [[2, 0], [0, Fraction(-1, 2)]]
+    assert KMatrix(num, den, order).residue((-1,)) is None
+    delta = I25_FIELD.element((0, 1))
+    den = mono((0,), delta) + mono((1,))
+    res = KMatrix([[mono((0,), 3), mono((0,), delta)]], den, order).residue()
+    assert res == [[3 * I25_FIELD.inverse(delta), 1]]
+
+
+def reference_residue(mat, shift):
+    """Entrywise, through the normal form of LaurentFraction: the valuation
+    g_x and lead coefficient r_x of each entry."""
+    out = []
+    for row in mat.fractions():
+        res = []
+        for x in row:
+            g, r = x.valuation()
+            if g is None:
+                res.append(0)
+                continue
+            g = tuple(a + b for a, b in zip(g, shift))
+            if mat.order.is_negative(g):
+                return None
+            res.append(0 if mat.order.is_positive(g) else r)
+        out.append(res)
+    return out
+
+
+def test_residue_matches_the_normal_form_entrywise():
+    rng = random.Random(7)
+    zero = LaurentPoly.zero(2)
+    dens = [LaurentPoly.one(2), LaurentPoly(2, {(0, 0): 1, (1, 0): -1}),
+            LaurentPoly(2, {(0, -1): 3, (2, 0): 1}), mono((1, 1), -2)]
+    outside = 0
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        mat = KMatrix(random_matrix(rng, n, laurent, zero), rng.choice(dens), B_FIRST)
+        shift = (rng.randint(-2, 2), rng.randint(-2, 2))
+        want = reference_residue(mat, shift)
+        assert mat.residue(shift) == want
+        outside += want is None
+    assert 0 < outside < 200
+
+
+def test_residue_inverts_the_denominator_lead_lazily(monkeypatch):
+    calls = []
+    inverse = I25_FIELD.inverse
+    monkeypatch.setattr(I25_FIELD, "inverse", lambda x: calls.append(x) or inverse(x))
+    order = natural_order(1)
+    delta = I25_FIELD.element((0, 1))
+    den = mono((0,), delta)
+    assert KMatrix([[mono((1,)), mono((2,), 5)]], den, order).residue() == [[0, 0]]
+    assert calls == []
+    assert KMatrix([[mono((0,)), mono((0,), 5)]], den, order).residue() == [
+        [inverse(delta), 5 * inverse(delta)]]
+    assert calls == [delta]
+
+
+def test_field_det_inverts_only_pivots_with_a_row_to_clear_with(monkeypatch):
+    calls = []
+    inverse = I25_FIELD.inverse
+    monkeypatch.setattr(I25_FIELD, "inverse", lambda x: calls.append(x) or inverse(x))
+    delta = I25_FIELD.element((0, 1))
+    assert f_det([[delta, Fraction(0)], [Fraction(0), delta]]) == delta * delta
+    assert calls == []
+    assert f_det([[delta, Fraction(1)], [Fraction(1), delta]]) == delta * delta - 1
+    assert calls == [delta]

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import get_session
-from heckecell.errors import InputError, VerificationError
+from heckecell.errors import ComputationError, InputError, VerificationError
 from heckecell.matrices import KMatrix
-from heckecell.reps import (balance, builtin_family, dihedral_rep, gram_average,
-                            index_rep, invariant_gram, is_balanced, leading_tensor,
-                            load_rep, one_dim_rep, rep_from_dict, schur_data,
-                            seminormal_rep, sign_rep, verify_schur_relations)
+from heckecell.reps import (MatrixRep, SchurData, balance, builtin_family, dihedral_rep,
+                            gram_average, index_rep, invariant_gram, is_balanced,
+                            leading_tensor, load_rep, one_dim_rep, rep_from_dict,
+                            schur_data, seminormal_rep, sign_rep, verify_schur_relations)
 from heckecell.scalars import LaurentPoly
 
 
@@ -63,9 +63,8 @@ def test_dihedral_construction_and_gram_equal_parameters(m):
     for j in range(1, jmax + 1):
         rep = dihedral_rep(alg, j)
         omega = invariant_gram(rep)
-        cert = is_balanced(rep, omega, schur_data(rep))
-        assert cert.balanced
-        consts = [[omega.entry(i, k).constant_term() for k in range(2)] for i in range(2)]
+        assert is_balanced(rep, omega, schur_data(rep)) is True
+        consts = omega.residue()
         zz = field.two_cos(j, m)
         assert consts[0][0] == zz + 2
         assert consts[1][1] == 1 and consts[0][1] == 0 and consts[1][0] == 0
@@ -78,7 +77,7 @@ def test_dihedral_gram_identity_when_first_weight_larger(m):
     for j in range(1, jmax + 1):
         rep = dihedral_rep(alg, j)
         omega = invariant_gram(rep)
-        consts = [[omega.entry(i, k).constant_term() for k in range(2)] for i in range(2)]
+        consts = omega.residue()
         assert consts == [[1, 0], [0, 1]]
 
 
@@ -149,28 +148,86 @@ def test_braid_validation_rejects_corrupt_matrices():
         MatrixRep(alg, "corrupt", bad_gens)
 
 
+def twisted_i24():
+    """rho_1 of I2:4 conjugated by diag(eps, 1), with the Schur data of rho_1."""
+    alg = get_session("I2:4").algebra
+    rep = dihedral_rep(alg, 1)
+    eps, inv_eps = LaurentPoly.monomial((1,)), LaurentPoly.monomial((-1,))
+    one, zero = LaurentPoly.one(1), LaurentPoly.zero(1)
+    d = KMatrix.from_polys([[eps, zero], [zero, one]], alg.order)
+    dinv = KMatrix.from_polys([[inv_eps, zero], [zero, one]], alg.order)
+    return MatrixRep(alg, "twisted", [dinv * g * d for g in rep.gens]), schur_data(rep)
+
+
 def test_unbalanced_after_monomial_conjugation():
     """Conjugating by diag(eps, 1) yields an equivalent representation whose
     own normalized invariant form acquires a singular constant matrix."""
-    alg = get_session("I2:4").algebra
-    rep = dihedral_rep(alg, 1)
-    sd = schur_data(rep)
-    d = KMatrix.from_polys(
-        [[LaurentPoly.monomial((1,)), LaurentPoly.zero(1)],
-         [LaurentPoly.zero(1), LaurentPoly.one(1)]], alg.order)
-    dinv = KMatrix.from_polys(
-        [[LaurentPoly.monomial((-1,)), LaurentPoly.zero(1)],
-         [LaurentPoly.zero(1), LaurentPoly.one(1)]], alg.order)
-    from heckecell.reps import MatrixRep
-    twisted = MatrixRep(alg, "twisted", [dinv * g * d for g in rep.gens])
+    twisted, sd = twisted_i24()
     omega = gram_average(twisted)
-    cert = is_balanced(twisted, omega, sd)
-    assert not cert.balanced
+    assert is_balanced(twisted, omega, sd) is False
 
     # balancing recovers an equivalent balanced model with the same invariants
     fixed = balance(twisted)
-    cert2 = is_balanced(fixed, fixed.gram, sd)
-    assert cert2.balanced
+    assert is_balanced(fixed, fixed.gram, sd) is True
+
+
+# B3 equal has two seminormal models that need balancing.
+BALANCE_SYSTEMS = [("A2", "equal", None), ("A3", "equal", None),
+                   ("B2", "universal", "b-first"), ("B3", "universal", "b-first"),
+                   ("B3", "equal", None)] + [(f"I2:{m}", "equal", None) for m in range(5, 13)]
+
+
+def reference_balanced(omega):
+    """The criterion before the residue map: det Omega, a Bareiss determinant
+    over the Laurent ring, has valuation zero."""
+    return omega.det().valuation()[0] == omega.order.zero
+
+
+@pytest.mark.parametrize("system,weights,order", BALANCE_SYSTEMS,
+                         ids=[f"{s}-{w}" for s, w, _ in BALANCE_SYSTEMS])
+def test_is_balanced_agrees_with_the_laurent_determinant(system, weights, order):
+    """Every built-in representation, before and after balancing."""
+    session = get_session(system, weights, order)
+    seen = set()
+    for rep in session.family:
+        sd = session.schurs[rep.label]
+        omega = invariant_gram(rep)
+        flag = is_balanced(rep, omega, sd)
+        assert flag is reference_balanced(omega)
+        seen.add(flag)
+        rb = session.balanced[rep.label]
+        assert is_balanced(rb, rb.gram, sd) is reference_balanced(rb.gram) is True
+    assert True in seen
+
+
+def test_is_balanced_agrees_with_the_laurent_determinant_on_a_twisted_model():
+    twisted, sd = twisted_i24()
+    omega = gram_average(twisted)
+    assert is_balanced(twisted, omega, sd) is reference_balanced(omega) is False
+    fixed = balance(twisted)
+    assert is_balanced(fixed, fixed.gram, sd) is reference_balanced(fixed.gram) is True
+
+
+def test_is_balanced_rejects_a_gram_outside_the_valuation_ring():
+    rep = dihedral_rep(get_session("I2:5").algebra, 1)
+    omega = invariant_gram(rep).scale_poly(LaurentPoly.monomial((-1,)))
+    with pytest.raises(VerificationError, match="Gram matrix not normalized into O"):
+        is_balanced(rep, omega)
+
+
+def test_wrong_a_invariant_fails_the_direct_check_and_the_tensor():
+    """With a one too small, eps^a rho(T_1) lies outside O: the direct
+    definition then disagrees with the (correct) determinant criterion, and
+    the leading tensor refuses the representation."""
+    rep = dihedral_rep(get_session("I2:5").algebra, 1)
+    sd = schur_data(rep)
+    wrong = SchurData(sd.c, tuple(x - 1 for x in sd.a), sd.f)
+    omega = invariant_gram(rep)
+    assert is_balanced(rep, omega, sd) is True
+    with pytest.raises(ComputationError, match="disagrees with the direct definition"):
+        is_balanced(rep, omega, wrong)
+    with pytest.raises(VerificationError, match="representation not balanced"):
+        leading_tensor(rep, wrong)
 
 
 def test_balance_restores_gamma_table():
