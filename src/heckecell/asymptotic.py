@@ -11,6 +11,15 @@ its trace t_w -> n_{w^{-1}} makes {t_w}, {t_{w^{-1}}} dual bases, and the
 matrices M^lam themselves are its irreducible representations. The nonzero
 gamma live inside blocks: connected components of the graph joining elements
 that share a representation with a nonzero leading matrix.
+
+The leading matrices are sparse, so the table is built from their nonzero
+entries (`LeadingTensor.nonzero`) rather than from every (x, y, z) of a
+block: each entry a = M_x[i][j] meets only the entries b = M_y[j][l] of row j
+and c = M_z[l][i] at position (l, i), found through one index by row and one
+by position per representation, and adds f^{-1} a b c to gamma_{x,y,z}; the
+table is filled block by block in (x, y, z) order. The representation check
+likewise compares sparse matrices, so every step costs in proportion to the
+nonzero entries, dense matrices included.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from fractions import Fraction
 
 from .errors import ComputationError, VerificationError
 from .hecke import HeckeAlgebra
-from .matrices import f_mat_mul
+from .matrices import f_sparse_mul
 from .scalars import accumulate, scalar_inverse
 
 
@@ -95,47 +104,41 @@ class AsymptoticRing:
 
     def _build_gamma(self):
         inverse = self.alg.table.inverse
-        finv = [scalar_inverse(t.f) for t in self.tensors]
+        n = [Fraction(0)] * self.size
         gamma: dict = {}
         for bi, block in enumerate(self.blocks):
-            tens = [(t, fi) for t, fi in zip(self.tensors, finv)
-                    if self.block_of_label[t.label] == bi]
+            # trace(M_x M_y M_z) is the sum of a*b*c over the entries
+            # a = M_x[i][j], b = M_y[j][l], c = M_z[l][i]: index each
+            # representation's entries by row and by position
+            tens = []
+            for t in self.tensors:
+                if self.block_of_label[t.label] != bi:
+                    continue
+                fi = scalar_inverse(t.f)
+                nz = t.nonzero()
+                by_row: dict = {}
+                by_pos: dict = {}
+                for w, ents in nz.items():
+                    tr = Fraction(0)
+                    for i, j, c in ents:
+                        by_row.setdefault(i, []).append((w, j, c))
+                        by_pos.setdefault((i, j), []).append((w, c))
+                        if i == j:
+                            tr = c + tr
+                    if tr:
+                        n[inverse[w]] = n[inverse[w]] + fi * tr
+                tens.append((fi, nz, by_row, by_pos))
             for x in block:
-                for y in block:
-                    prods = []
-                    for t, fi in tens:
-                        mx, my = t.mats[x], t.mats[y]
-                        if mx is not None and my is not None:
-                            prods.append((t, fi, f_mat_mul(mx, my)))
-                    if not prods:
-                        continue
-                    for z in block:
-                        acc = Fraction(0)
-                        for t, fi, pxy in prods:
-                            mz = t.mats[z]
-                            if mz is None:
-                                continue
-                            d = t.dim
-                            s = Fraction(0)
-                            for i in range(d):
-                                pi = pxy[i]
-                                for k in range(d):
-                                    if pi[k]:
-                                        s = pi[k] * mz[k][i] + s
-                            if s:
-                                acc = acc + fi * s
-                        if acc:
-                            gamma[(x, y, z)] = acc
+                row: dict = {}
+                for fi, nz, by_row, by_pos in tens:
+                    for i, j, a in nz.get(x, ()):
+                        for y, l, b in by_row.get(j, ()):
+                            fab = fi * a * b
+                            for z, c in by_pos.get((l, i), ()):
+                                accumulate(row, (y, z), fab * c)
+                for y, z in sorted(row):
+                    gamma[(x, y, z)] = row[(y, z)]
         self.gamma = gamma
-        n = [Fraction(0)] * self.size
-        for t, fi in zip(self.tensors, finv):
-            for w in t.support:
-                m = t.mats[w]
-                tr = Fraction(0)
-                for i in range(t.dim):
-                    tr = m[i][i] + tr
-                if tr:
-                    n[inverse[w]] = n[inverse[w]] + fi * tr
         self.n_vec = n
         self.d_set = [w for w in range(self.size) if n[w]]
 
@@ -187,15 +190,6 @@ class AsymptoticRing:
             if nw:
                 acc = acc + c * nw
         return acc
-
-    def rep_matrix(self, label: str, w: int):
-        """The irreducible representation t_w -> leading matrix, for one label."""
-        for t in self.tensors:
-            if t.label == label:
-                if t.mats[w] is not None:
-                    return t.mats[w]
-                return [[Fraction(0)] * t.dim for _ in range(t.dim)]
-        raise ComputationError(f"unknown representation label {label}")
 
     # -- verification ---------------------------------------------------------------------
 
@@ -263,24 +257,17 @@ class AsymptoticRing:
         bad = []
         limit = 20
         for t in self.tensors:
+            nz = t.nonzero()
             block = self.blocks[self.block_of_label[t.label]]
             pairs = ([(x, y) for x in block for y in block]
                      if len(block) <= limit else
                      _sample_pairs(block, seed, 400))
             for x, y in pairs:
-                prod = self.basis_product(x, y, rows)
-                acc = [[Fraction(0)] * t.dim for _ in range(t.dim)]
-                for z, c in prod.items():
-                    mz = t.mats[z]
-                    if mz is None:
-                        continue
-                    for i in range(t.dim):
-                        for jj in range(t.dim):
-                            if mz[i][jj]:
-                                acc[i][jj] = acc[i][jj] + c * mz[i][jj]
-                direct = f_mat_mul(self.rep_matrix(t.label, x), self.rep_matrix(t.label, y))
-                if any(acc[i][jj] != direct[i][jj]
-                       for i in range(t.dim) for jj in range(t.dim)):
+                acc: dict = {}
+                for z, c in self.basis_product(x, y, rows).items():
+                    for i, j, m in nz.get(z, ()):
+                        accumulate(acc, (i, j), c * m)
+                if acc != f_sparse_mul(nz.get(x, ()), nz.get(y, ())):
                     bad.append(f"representation property fails for {t.label} at ({x},{y})")
         report.record("irreducible representations", bad)
         return report

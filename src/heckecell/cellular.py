@@ -22,7 +22,7 @@ from .asymptotic import AsymptoticRing, Report
 from .coxeter import WeightFunction
 from .errors import ComputationError, InputError, VerificationError
 from .hecke import HeckeAlgebra
-from .matrices import KMatrix, f_det, f_inverse, f_mat_mul
+from .matrices import KMatrix, f_det, f_inverse, f_nonzero, f_sparse_mul
 from .scalars import LaurentPoly, accumulate
 
 def b_matrix(rep_gram: KMatrix, ring: AsymptoticRing, label: str):
@@ -46,11 +46,15 @@ def b_matrix(rep_gram: KMatrix, ring: AsymptoticRing, label: str):
         if field.sign(minor) <= 0:
             raise VerificationError(
                 f"constant form of {label} is not positive-definite (minor {k})")
+    tensor = next((t for t in ring.tensors if t.label == label), None)
+    if tensor is None:
+        raise ComputationError(f"unknown representation label {label}")
+    inverse = ring.alg.table.inverse
+    nz = tensor.nonzero()
+    ents = f_nonzero(beta)
     for w in range(ring.size):
-        m = ring.rep_matrix(label, ring.alg.table.inverse[w])
-        mt = ring.rep_matrix(label, w)
-        lhs = f_mat_mul(beta, m)
-        rhs = f_mat_mul([list(r) for r in zip(*mt)], beta)
+        lhs = f_sparse_mul(ents, nz.get(inverse[w], ()))
+        rhs = f_sparse_mul([(j, i, c) for i, j, c in nz.get(w, ())], ents)
         if lhs != rhs:
             raise VerificationError(f"constant form of {label} fails intertwining at {w}")
     return beta
@@ -132,24 +136,22 @@ def build_cell_datum(alg: HeckeAlgebra, ring: AsymptoticRing, grams: dict) -> Ce
         primes |= norm_primes(field, f_det(beta))
         primes |= norm_primes(field, t.f)
         block = set(ring.blocks[ring.block_of_label[t.label]])
+        # the coefficient of C_{w^{-1}} in C^lam_{s,tt} is (beta M_w)[tt][s]
+        columns: dict = {}
+        ents = f_nonzero(beta)
+        for w, mw in t.nonzero().items():
+            for (tt, s), acc in f_sparse_mul(ents, mw).items():
+                columns.setdefault((s, tt), {})[inverse[w]] = acc
         for s in range(t.dim):
             for tt in range(t.dim):
-                coeffs = {}
-                for w in t.support:
-                    winv = inverse[w]
-                    m = t.mats[w]
-                    acc = Fraction(0)
-                    for u in range(t.dim):
-                        if beta[tt][u] and m[u][s]:
-                            acc = acc + beta[tt][u] * m[u][s]
-                    if acc:
-                        if winv not in block:
-                            raise ComputationError(
-                                f"cellular element of {t.label} leaves its block")
-                        if not field.is_ring_integer(acc):
-                            raise VerificationError(
-                                f"integrality violation in cellular element of {t.label}")
-                        coeffs[winv] = acc
+                coeffs = columns.get((s, tt), {})
+                for winv, acc in coeffs.items():
+                    if winv not in block:
+                        raise ComputationError(
+                            f"cellular element of {t.label} leaves its block")
+                    if not field.is_ring_integer(acc):
+                        raise VerificationError(
+                            f"integrality violation in cellular element of {t.label}")
                 elements[(t.label, s, tt)] = coeffs
     primes.discard(1)
     return CellDatum(alg, ring, labels, leq, msize, bmats, elements, primes)

@@ -152,6 +152,8 @@ class Session:
                     rb.gram = omega
                 else:
                     rb = reps.balance(r)
+                    # the balance test filled r's word cache; rb replaces r
+                    r.clear_cache()
                     if not reps.is_balanced(rb, rb.gram, sd):
                         raise VerificationError(
                             f"balancing failed for {r.label}")

@@ -2,9 +2,10 @@
 
 Two kinds of matrices appear in this package: matrices over a field of plain
 scalars (Fraction or CycloNumber), handled by the f_* functions on lists of
-lists, and matrices over the fraction field of the Laurent ring, handled by
-KMatrix, which keeps one common polynomial denominator per matrix so that
-products only ever multiply polynomials.
+lists (`f_sparse_mul` multiplies their `f_nonzero` entry lists instead), and
+matrices over the fraction field of the Laurent ring, handled by KMatrix,
+which keeps one common polynomial denominator per matrix so that products
+only ever multiply polynomials.
 
 Determinants and inverses of both kinds come from `eliminate`, a single
 Gauss-Jordan pass over an augmented matrix [A | B]; so do the norm and the
@@ -24,7 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ComputationError
-from .scalars import LaurentFraction, LaurentPoly, MonomialOrder, exp_sub, scalar_inverse
+from .scalars import (LaurentFraction, LaurentPoly, MonomialOrder, accumulate, exp_sub,
+                      scalar_inverse)
 
 
 def eliminate(m, n: int, one, order: MonomialOrder | None = None):
@@ -94,6 +96,25 @@ def f_mat_mul(a, b):
         [sum((a[i][k] * b[k][j] for k in range(m) if a[i][k]), Fraction(0)) for j in range(p)]
         for i in range(n)
     ]
+
+
+def f_nonzero(a) -> list:
+    """The nonzero entries [(i, j, c)] of a field matrix, in row-major order."""
+    return [(i, j, c) for i, row in enumerate(a) for j, c in enumerate(row) if c]
+
+
+def f_sparse_mul(a, b) -> dict:
+    """Product of two field matrices given by their nonzero entries [(i, j, c)],
+    as the map {(i, k): c} of its nonzero entries. Costs one multiplication
+    per pair of entries that meet, whatever the dimension."""
+    rows: dict = {}
+    for j, k, c in b:
+        rows.setdefault(j, []).append((k, c))
+    out: dict = {}
+    for i, j, c in a:
+        for k, d in rows.get(j, ()):
+            accumulate(out, (i, k), c * d)
+    return out
 
 
 def f_det(a):

@@ -27,8 +27,9 @@ from fractions import Fraction
 
 from .errors import ComputationError, InputError, VerificationError
 from .hecke import HeckeAlgebra
-from .matrices import KMatrix, f_det
-from .scalars import LaurentFraction, LaurentPoly, exp_neg, exp_sub, scalar_inverse
+from .matrices import KMatrix, f_det, f_nonzero
+from .scalars import (LaurentFraction, LaurentPoly, accumulate, exp_neg, exp_sub,
+                      scalar_inverse)
 
 
 class MatrixRep:
@@ -308,7 +309,14 @@ def _swap_sym(m, basis, i, j):
 
 @dataclass
 class LeadingTensor:
-    """Constant terms of (-1)^{l(w)} eps^a rho_{ij}(T_w) for one representation."""
+    """Constant terms of (-1)^{l(w)} eps^a rho_{ij}(T_w) for one representation.
+
+    `mats` is the one stored form. The leading matrices are sparse (on the
+    built-in families every nonzero one has a single nonzero entry), so the
+    ring, Schur and cellular computations walk `nonzero()` instead of d x d
+    loops; any matrix, dense ones included, costs in proportion to its
+    nonzero entries.
+    """
 
     label: str
     dim: int
@@ -320,6 +328,17 @@ class LeadingTensor:
     def entry(self, w: int, i: int, j: int):
         m = self.mats[w]
         return m[i][j] if m is not None else Fraction(0)
+
+    def nonzero(self) -> dict:
+        """The nonzero entries by element, w -> [(i, j, c)] in row-major order.
+
+        Derived from `mats` on every call, so an edited entry, a zero made
+        nonzero included, is never missed."""
+        out = {}
+        for w, m in enumerate(self.mats):
+            if m is not None and (ents := f_nonzero(m)):
+                out[w] = ents
+        return out
 
 
 def leading_tensor(rep: MatrixRep, schur: SchurData) -> LeadingTensor:
@@ -357,39 +376,40 @@ def verify_schur_relations(alg: HeckeAlgebra, tensors: list) -> list:
         raise VerificationError(
             f"missing irreducibles: sum of squared dimensions {total} != group order {size}")
     inverse = alg.table.inverse
+    nzs = [t.nonzero() for t in tensors]
     violations = []
-    for li, t1 in enumerate(tensors):
-        for lj, t2 in enumerate(tensors):
-            pairs = [(w, inverse[w]) for w in t1.support if inverse[w] in t2.support]
-            for i in range(t1.dim):
-                for j in range(t1.dim):
-                    for k in range(t2.dim):
-                        for l in range(t2.dim):
-                            acc = Fraction(0)
-                            for w, winv in pairs:
-                                acc = t1.mats[w][i][j] * t2.mats[winv][k][l] + acc
-                            want = t1.f if (li == lj and i == l and j == k) else Fraction(0)
-                            if acc != want:
-                                violations.append(
-                                    f"first family fails at ({t1.label},{t2.label},"
-                                    f"i={i},j={j},k={k},l={l})")
-    finv = [scalar_inverse(t.f) for t in tensors]
-    for x in range(size):
-        for y in range(size):
-            yinv = inverse[y]
-            acc = Fraction(0)
-            for t, fi in zip(tensors, finv):
-                mx, my = t.mats[x], t.mats[yinv]
-                if mx is None or my is None:
-                    continue
-                s = Fraction(0)
-                for i in range(t.dim):
-                    for j in range(t.dim):
-                        s = mx[i][j] * my[j][i] + s
-                acc = acc + fi * s
-            want = Fraction(1) if x == y else Fraction(0)
-            if acc != want:
-                violations.append(f"second family fails at (x={x},y={y})")
+    for li, (t1, nz1) in enumerate(zip(tensors, nzs)):
+        for lj, (t2, nz2) in enumerate(zip(tensors, nzs)):
+            acc: dict = {}
+            for w, ents in nz1.items():
+                for k, l, b in nz2.get(inverse[w], ()):
+                    for i, j, a in ents:
+                        accumulate(acc, (i, j, k, l), a * b)
+            keys = set(acc)
+            if li == lj:
+                keys.update((i, j, j, i) for i in range(t1.dim) for j in range(t1.dim))
+            for i, j, k, l in sorted(keys):
+                want = t1.f if (li == lj and i == l and j == k) else Fraction(0)
+                if acc.get((i, j, k, l), Fraction(0)) != want:
+                    violations.append(
+                        f"first family fails at ({t1.label},{t2.label},"
+                        f"i={i},j={j},k={k},l={l})")
+    acc = {}
+    for t, nz in zip(tensors, nzs):
+        fi = scalar_inverse(t.f)
+        by_pos: dict = {}
+        for w, ents in nz.items():
+            for i, j, c in ents:
+                by_pos.setdefault((i, j), []).append((w, c))
+        for x, ents in nz.items():
+            for i, j, a in ents:
+                fa = fi * a
+                for z, c in by_pos.get((j, i), ()):
+                    accumulate(acc, (x, inverse[z]), fa * c)
+    for x, y in sorted(set(acc) | {(x, x) for x in range(size)}):
+        want = Fraction(1) if x == y else Fraction(0)
+        if acc.get((x, y), Fraction(0)) != want:
+            violations.append(f"second family fails at (x={x},y={y})")
     return violations
 
 

@@ -1,5 +1,7 @@
 """Shared pipeline cache so expensive stages are computed once per run, and
-a fault injector for structure-constant tables."""
+fault injectors for structure-constant tables and leading matrices."""
+
+from fractions import Fraction
 
 from heckecell.asymptotic import AsymptoticRing
 from heckecell.cli import Session
@@ -29,3 +31,25 @@ def corrupted_ring(session: Session, key=CORRUPT_KEY) -> AsymptoticRing:
     ring.gamma = dict(ring.gamma)
     ring.gamma[key] = ring.gamma[key] + 1
     return ring
+
+
+def edited_leading_session(edit: str) -> Session:
+    """A fresh I2:5 session whose ring is built before one leading matrix is
+    edited. The matrix of dihedral:1 at the simple reflection 1 is
+    [[1, 0], [0, 0]]: "zero" makes its entry (1, 0) equal to 1, "nonzero"
+    raises its entry (0, 0) to 2. "erased" makes the matrix of onedim:++ at
+    the identity, [[1]], zero, so the orthogonality sums it alone fed vanish."""
+    session = Session({"system": "I2:5"})
+    tensors = {t.label: t for t in session.ring.tensors}
+    if edit == "erased":
+        m = tensors["onedim:++"].mats[0]
+        assert m == [[1]]
+        m[0][0] = Fraction(0)
+        return session
+    m = tensors["dihedral:1"].mats[1]
+    assert m == [[1, 0], [0, 0]]
+    if edit == "zero":
+        m[1][0] = Fraction(1)
+    else:
+        m[0][0] = m[0][0] + 1
+    return session

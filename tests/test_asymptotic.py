@@ -1,12 +1,16 @@
 """Structure constants, ring axioms, blocks, and the canonical-basis cross-check."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import corrupted_ring, get_session
+from conftest import corrupted_ring, edited_leading_session, get_session
 from heckecell.asymptotic import AsymptoticRing
+from heckecell.matrices import f_inverse, f_mat_mul
+from heckecell.reps import verify_schur_relations
+from heckecell.scalars import scalar_inverse
 
 
 def test_a1_tables():
@@ -138,3 +142,88 @@ def test_gamma_denominators_powers_of_two_b2():
         for g in ring.gamma.values():
             den = Fraction(g).denominator
             assert den & (den - 1) == 0
+
+
+# Pairs (x, y) at which the representation property of dihedral:1 fails after
+# each edit of `edited_leading_session`.
+EDITED_REP_PAIRS = {
+    "zero": [(1, 3), (1, 5), (1, 7), (2, 1), (3, 1), (3, 4), (5, 5), (6, 1), (7, 1), (7, 8)],
+    "nonzero": [(1, 1), (1, 3), (1, 5), (1, 7), (3, 4), (4, 1), (5, 1), (5, 5), (7, 8), (8, 1)],
+}
+
+
+@pytest.mark.parametrize("edit", ["zero", "nonzero"])
+def test_irreducible_representations_detect_an_edited_leading_entry(edit):
+    report = edited_leading_session(edit).ring.verify(seed=0)
+    assert report.checks["irreducible representations"] == [
+        f"representation property fails for dihedral:1 at ({x},{y})"
+        for x, y in EDITED_REP_PAIRS[edit]]
+    # gamma was built before the edit, so the ring axioms still hold
+    assert report.checks["associativity"] == []
+
+
+def dense_gamma(ring) -> dict:
+    """gamma by the dense formula: every (x, y, z) of each block and every
+    matrix entry, emitted block by block in x, y, z order. The reference for
+    the nonzero walk of `AsymptoticRing._build_gamma`."""
+    gamma = {}
+    for bi, block in enumerate(ring.blocks):
+        tens = [(t, scalar_inverse(t.f)) for t in ring.tensors
+                if ring.block_of_label[t.label] == bi]
+        for x in block:
+            for y in block:
+                prods = [(t, fi, f_mat_mul(t.mats[x], t.mats[y])) for t, fi in tens
+                         if t.mats[x] is not None and t.mats[y] is not None]
+                for z in block:
+                    acc = Fraction(0)
+                    for t, fi, pxy in prods:
+                        mz = t.mats[z]
+                        if mz is not None:
+                            acc = acc + fi * sum((pxy[i][k] * mz[k][i] for i in range(t.dim)
+                                                  for k in range(t.dim) if pxy[i][k]),
+                                                 Fraction(0))
+                    if acc:
+                        gamma[(x, y, z)] = acc
+    return gamma
+
+
+def conjugated(t):
+    """t with every leading matrix M replaced by P M P^{-1}, P = I + (all ones).
+    Neither P nor P^{-1} has a zero entry, so a single-entry M becomes dense."""
+    p = [[Fraction(2 if i == j else 1) for j in range(t.dim)] for i in range(t.dim)]
+    pinv = f_inverse(p)
+    mats = [None if m is None else f_mat_mul(f_mat_mul(p, m), pinv) for m in t.mats]
+    return dataclasses.replace(t, mats=mats)
+
+
+@pytest.mark.parametrize("name,weights,order", [
+    ("I2:7", "equal", None),
+    ("B2", "universal", "b-first"),
+    ("A3", "equal", None),
+])
+def test_dense_leading_matrices_agree_with_the_dense_formula(name, weights, order):
+    session = get_session(name, weights, order)
+    tens = [conjugated(t) for t in session.tensors]
+    assert all(all(all(row) for row in m) for t in tens for m in t.mats if m is not None)
+    ring = AsymptoticRing(session.algebra, tens)
+    assert list(ring.gamma.items()) == list(dense_gamma(ring).items())
+    # the trace is invariant under conjugation
+    assert ring.gamma == session.ring.gamma
+    assert ring.n_vec == session.ring.n_vec
+    report = ring.verify(seed=0)
+    assert report.ok, report.summary()
+    assert verify_schur_relations(session.algebra, tens) == []
+
+
+@pytest.mark.parametrize("name,weights,order", [
+    ("I2:9", "equal", None),
+    ("I2:10", "equal", None),
+    ("I2:11", "equal", None),
+    ("I2:12", "equal", None),
+    ("I2:12", "universal", "b-first"),
+    ("B3", "universal", "b-first"),
+    ("A3", "equal", None),
+])
+def test_gamma_keeps_the_dense_key_order(name, weights, order):
+    ring = get_session(name, weights, order).ring
+    assert list(ring.gamma.items()) == list(dense_gamma(ring).items())

@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import corrupted_ring, get_session
+from conftest import corrupted_ring, edited_leading_session, get_session
 from heckecell.asymptotic import AsymptoticRing
 from heckecell.cellular import (b_matrix, hecke_to_asym,
                                 lambda_order, phi_element, sampled_quadruples,
                                 specialize_datum,
                                 verify_bimodule_identity, verify_cell_datum,
                                 verify_phi, verify_specialized)
+from heckecell.errors import ComputationError, VerificationError
 from heckecell.hecke import HeckeAlgebra
 from heckecell.scalars import LaurentPoly, natural_order
 
@@ -28,6 +29,19 @@ def test_b_matrices_i2_equal():
             beta = b_matrix(session.grams[label], ring, label)
             assert beta[0][0] == field.two_cos(j, m) + 2
             assert beta[1][1] == 1 and beta[0][1] == 0
+
+
+def test_b_matrix_detects_an_edited_leading_entry():
+    session = edited_leading_session("zero")
+    with pytest.raises(VerificationError,
+                       match=r"constant form of dihedral:1 fails intertwining at 1$"):
+        b_matrix(session.grams["dihedral:1"], session.ring, "dihedral:1")
+
+
+def test_b_matrix_rejects_an_unknown_label():
+    session = get_session("I2:5")
+    with pytest.raises(ComputationError, match="unknown representation label nope"):
+        b_matrix(session.grams["dihedral:1"], session.ring, "nope")
 
 
 def test_lambda_order_a2():

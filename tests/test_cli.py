@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from heckecell.cli import main
+from heckecell.cli import Session, main
 from heckecell.fields import RealCyclotomicField
 from heckecell.scalars import LaurentPoly
 
@@ -231,3 +231,14 @@ def test_integer_string_config_value_is_accepted(tmp_path):
     assert main(["run", "--config", str(cfg), "--stages", "reps", "--verify", "none",
                  "--out", str(out)]) == 0
     assert read(out / "reps.json")["seed"] == 7
+
+
+def test_balanced_clears_the_word_cache_of_a_replaced_model():
+    # B3 equal: the balance test fills the word cache of every model, and two
+    # models are replaced by balanced ones
+    session = Session({"system": "B3"})
+    balanced = session.balanced
+    replaced = [r for r in session.family if balanced[r.label] is not r]
+    assert [r.label for r in replaced] == ["B:((1, 1), (1,))", "B:((1,), (2,))"]
+    assert all(list(r._words) == [0] for r in replaced)
+    assert all(len(balanced[r.label]._words) == 48 for r in replaced)

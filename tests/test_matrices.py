@@ -10,7 +10,7 @@ import pytest
 
 from heckecell.errors import ComputationError
 from heckecell.fields import RealCyclotomicField
-from heckecell.matrices import KMatrix, f_det, f_inverse, f_mat_mul
+from heckecell.matrices import KMatrix, f_det, f_inverse, f_mat_mul, f_nonzero, f_sparse_mul
 from heckecell.scalars import LaurentFraction, LaurentPoly, MonomialOrder, natural_order
 
 B_FIRST = MonomialOrder(2, (1, 0))
@@ -79,6 +79,23 @@ def test_field_det_and_inverse_match_expansion(entry):
             else:
                 assert inv == []
     assert singular
+
+
+@pytest.mark.parametrize("entry", [rational, cyclotomic], ids=["Q", "I2:5 field"])
+def test_sparse_product_matches_the_dense_product(entry):
+    rng = random.Random(5)
+    zero = Fraction(0)
+    for n, m, p in ((1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 5)):
+        for _ in range(6):
+            a = [[entry(rng) if rng.random() < 0.4 else zero for _ in range(m)]
+                 for _ in range(n)]
+            b = [[entry(rng) if rng.random() < 0.4 else zero for _ in range(p)]
+                 for _ in range(m)]
+            dense = f_mat_mul(a, b)
+            assert f_sparse_mul(f_nonzero(a), f_nonzero(b)) == {
+                (i, k): c for i, k, c in f_nonzero(dense)}
+    # entries that cancel leave no zero behind
+    assert f_sparse_mul([(0, 0, 1), (0, 1, 1)], [(0, 0, 1), (1, 0, -1)]) == {}
 
 
 def test_laurent_det_and_inverse_match_expansion():

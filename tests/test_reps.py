@@ -1,11 +1,12 @@
 """Representation constructors, Schur data, balancing, leading coefficients."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from conftest import get_session
+from conftest import edited_leading_session, get_session
 from heckecell.errors import ComputationError, InputError, VerificationError
 from heckecell.matrices import KMatrix
 from heckecell.reps import (MatrixRep, SchurData, balance, builtin_family, dihedral_rep,
@@ -311,6 +312,50 @@ def test_schur_relations_and_duplicate_detection():
     # incomplete family: dimension count gate
     with pytest.raises(VerificationError, match="missing irreducibles"):
         verify_schur_relations(alg, tens[:2])
+
+
+# Violations of each orthogonality family after each edit of
+# `edited_leading_session`, as (label, label, i, j, k, l) or (x, y).
+D1, D2 = "dihedral:1", "dihedral:2"
+EDITED_SCHUR_VIOLATIONS = {
+    ("first", "zero"): [(D1, D1, 0, 0, 1, 0), (D1, D1, 1, 0, 0, 0), (D1, D1, 1, 0, 1, 0),
+                        (D1, D2, 1, 0, 0, 0), (D2, D1, 0, 0, 1, 0)],
+    ("first", "nonzero"): [(D1, D1, 0, 0, 0, 0), (D1, D2, 0, 0, 0, 0), (D2, D1, 0, 0, 0, 0)],
+    ("second", "zero"): [(1, 4), (1, 8), (3, 1), (7, 1)],
+    ("second", "nonzero"): [(1, 1), (1, 5), (5, 1)],
+    ("first", "erased"): [("onedim:++", "onedim:++", 0, 0, 0, 0)],
+    ("second", "erased"): [(0, 0)],
+}
+
+
+@pytest.mark.parametrize("edit", ["zero", "nonzero", "erased"])
+@pytest.mark.parametrize("family", ["first", "second"])
+def test_schur_relations_detect_an_edited_leading_entry(family, edit):
+    session = edited_leading_session(edit)
+    found = [v for v in verify_schur_relations(session.algebra, session.ring.tensors)
+             if v.startswith(f"{family} family")]
+    if family == "first":
+        want = [f"first family fails at ({a},{b},i={i},j={j},k={k},l={l})"
+                for a, b, i, j, k, l in EDITED_SCHUR_VIOLATIONS[(family, edit)]]
+    else:
+        want = [f"second family fails at (x={x},y={y})"
+                for x, y in EDITED_SCHUR_VIOLATIONS[(family, edit)]]
+    assert found == want
+
+
+def test_nonzero_entries_follow_edits_of_the_matrices():
+    t = next(t for t in get_session("I2:5").tensors if t.label == "dihedral:1")
+    t = dataclasses.replace(t, mats=[None if m is None else [row[:] for row in m]
+                                     for m in t.mats])
+    nz = t.nonzero()
+    assert sorted(nz) == sorted(t.support)
+    assert all(nz[w] == [(i, j, c) for i in range(2) for j in range(2)
+                         if (c := t.entry(w, i, j))] for w in nz)
+    assert nz[1] == [(0, 0, 1)]
+    t.mats[1][1][0] = Fraction(3)
+    t.mats[0] = [[Fraction(0), Fraction(5)], [Fraction(0), Fraction(0)]]
+    nz = t.nonzero()
+    assert nz[1] == [(0, 0, 1), (1, 0, 3)] and nz[0] == [(0, 1, 5)]
 
 
 def test_minimality_of_the_shift():
