@@ -19,7 +19,7 @@ from . import asymptotic, cellular, reps
 from .coxeter import (CoxeterSystem, ElementTable, WeightFunction, equal_weights,
                       universal_weights, validate_weights)
 from .errors import ComputationError, HeckecellError, InputError, VerificationError
-from .hecke import MAX_FULL_TABLE, HeckeAlgebra
+from .hecke import HeckeAlgebra
 from .scalars import LaurentPoly, MonomialOrder, natural_order
 
 SCHEMA_PREFIX = "heckecell"
@@ -36,6 +36,8 @@ def parse_weights(spec, system: CoxeterSystem) -> WeightFunction:
         values = [tuple(data[str(s)]) for s in range(system.ngens)]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot parse weight specification {spec!r}: {exc}") from exc
+    if any(type(g) is not int for v in values for g in v):  # not bool
+        raise InputError(f"weight vectors must hold integers, not {spec!r}")
     ranks = {len(v) for v in values}
     if len(ranks) != 1:
         raise InputError("weight vectors must share one rank")
@@ -174,6 +176,9 @@ class Session:
             for r in self.family:
                 rb = self.balanced[r.label]
                 tens.append(reps.leading_tensor(rb, self.schurs[r.label]))
+                # nothing reads a word matrix once its tensor is built; a
+                # model that `balance` replaced was cleared in `balanced`
+                rb.clear_cache()
             self._ring = asymptotic.AsymptoticRing(self.algebra, tens)
         return self._ring
 
@@ -307,7 +312,6 @@ class Session:
 
     def run_verifications(self, which) -> dict:
         results = {}
-        size = self.table.size
 
         def record(name, report):
             results[name] = {k: list(v) for k, v in report.checks.items()}
@@ -323,7 +327,7 @@ class Session:
                                       "violations": violations[:20]})
         if "jring" in which:
             record("jring", self.ring.verify(seed=self.seed))
-        if "compare-kl" in which and size <= MAX_FULL_TABLE:
+        if "compare-kl" in which:
             record("compare_kl", self.ring.compare_with_kl())
         if "cell" in which:
             record("cell_datum", cellular.verify_cell_datum(self.datum))
@@ -400,8 +404,7 @@ def cmd_run(args) -> int:
         for st in closed:
             if st == "kl":
                 emitted["kl-table.json"] = session.artifact_kl()
-                if session.table.size <= MAX_FULL_TABLE:
-                    emitted["h-table.json"] = session.artifact_h()
+                emitted["h-table.json"] = session.artifact_h()
                 emitted["cells.json"] = session.artifact_cells()
             elif st == "reps":
                 emitted["reps.json"] = session.artifact_reps()
@@ -414,7 +417,7 @@ def cmd_run(args) -> int:
         if verify != "none":
             if verify == "all":
                 which = [w for w in ("reps", "jring", "cell") if w in closed]
-                if "jring" in closed and "kl" in closed and session.table.size <= MAX_FULL_TABLE:
+                if "jring" in closed and "kl" in closed:
                     which.append("compare-kl")
             else:
                 which = verify.split(",")

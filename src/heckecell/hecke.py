@@ -14,8 +14,11 @@ with j(eps^g) = eps^{-g}, j(T_y) = (-1)^{l(y)} T_y.
 Structure constants h_{x,y,z} (C_x C_y = sum h_{x,y,z} C_z) are materialized
 by a length recursion on x that only ever multiplies by generator rows, the
 a-function is the smallest shift making a z-column nonnegative, and gamma
-constants are the resulting constant terms at z^{-1}. All coefficients here
-are Laurent polynomials with integer coefficients, for every Coxeter type.
+constants are the resulting constant terms at z^{-1}, kept as a map of the
+nonzero ones. The full table is built only for |W| <= MAX_FULL_TABLE, the one
+size limit of the package; past it `h_rows` rejects the input. All
+coefficients here are Laurent polynomials with integer coefficients, for
+every Coxeter type.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ from .coxeter import ElementTable, WeightFunction, validate_weights
 from .errors import ComputationError, InputError
 from .scalars import LaurentPoly, MonomialOrder, accumulate, exp_neg
 
-MAX_FULL_TABLE = 48
+# The full table is |W|^2 sparse rows. Time for `h_rows` plus the a-values,
+# and the peak resident memory of the process, on a 2-vCPU Xeon VM under
+# Python 3.11.7: A4 and H3 (|W| = 120) 0.8 + 0.3 s, 40 MB and 1.8 + 0.5 s,
+# 54 MB; D4 (192) 2.7-4.4 + 1.1 s, 95-99 MB; B4 (384) 26-28 + 7-8 s,
+# 534-548 MB. So the limit admits D4 and stops short of B4.
+MAX_FULL_TABLE = 192
 
 
 @dataclass
@@ -255,15 +263,18 @@ class HeckeAlgebra:
     def h_rows(self) -> list:
         """Full table: h_rows()[x][y] is the dict z -> h_{x,y,z}.
 
-        Materialized only for |W| <= MAX_FULL_TABLE; the recursion on the first left
-        descent s of x uses C_x = C_s C_{x'} - sum_{u != x} h_{s,x',u} C_u.
+        The only reader of MAX_FULL_TABLE: past it the input is rejected
+        (InputError), so every caller of the table, the a-values and the KL
+        gamma inherits the one limit. The recursion on the first left descent
+        s of x uses C_x = C_s C_{x'} - sum_{u != x} h_{s,x',u} C_u.
         """
         if self._h_rows is not None:
             return self._h_rows
         t = self.table
         if t.size > MAX_FULL_TABLE:
-            raise ComputationError(
-                f"full structure-constant table limited to |W| <= {MAX_FULL_TABLE}")
+            raise InputError(
+                f"full structure-constant table limited to |W| <= {MAX_FULL_TABLE}, "
+                f"this system has |W| = {t.size}")
         size = t.size
         rows = [None] * size
         rows[0] = [{y: LaurentPoly.one(self.rank)} for y in range(size)]
@@ -291,18 +302,32 @@ class HeckeAlgebra:
 
     def a_value(self, z: int):
         """Lusztig's a(z): the shift making every h_{x,y,z} nonnegative."""
-        self._compute_a_gamma()
+        self._compute_a()
         return self._a[z]
 
-    def gamma_constant(self, x: int, y: int, z: int):
-        """Constant term of eps^{a(z)} h_{x,y,z^{-1}} (an integer coefficient)."""
-        self._compute_a_gamma()
-        h = self.h_rows()[x][y].get(self.table.inverse[z])
-        if h is None:
-            return 0
-        return h.coefficient(exp_neg(self._a[z]))
+    def kl_gamma(self) -> dict:
+        """The nonzero gamma_{x,y,z}, the constant term of eps^{a(z)} h_{x,y,z^{-1}}
+        (an integer coefficient), keyed (x, y, z) like `AsymptoticRing.gamma`.
 
-    def _compute_a_gamma(self):
+        Derived from `h_rows()` and the a-values on every call, so it cannot
+        go stale; callers that read many entries derive it once."""
+        self._compute_a()
+        inverse, a = self.table.inverse, self._a
+        out = {}
+        for x, row in enumerate(self.h_rows()):
+            for y, hs in enumerate(row):
+                for u, h in hs.items():
+                    z = inverse[u]
+                    g = h.coefficient(exp_neg(a[z]))
+                    if g:
+                        out[(x, y, z)] = g
+        return out
+
+    def gamma_constant(self, x: int, y: int, z: int):
+        """gamma_{x,y,z}, read from `kl_gamma()` (0 off its keys)."""
+        return self.kl_gamma().get((x, y, z), 0)
+
+    def _compute_a(self):
         if self._a is not None:
             return
         rows = self.h_rows()

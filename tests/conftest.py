@@ -8,6 +8,10 @@ from heckecell.cli import Session
 
 _CACHE: dict = {}
 
+# B4 as an explicit Coxeter matrix: |W| = 384, above hecke.MAX_FULL_TABLE,
+# while its group table still enumerates in about a second.
+B4_MATRIX = "[[1,4,2,2],[4,1,3,2],[2,3,1,3],[2,2,3,1]]"
+
 
 def get_session(system: str, weights: str = "equal", order=None) -> Session:
     key = (system, weights, order)

@@ -8,9 +8,10 @@ import pytest
 
 from conftest import corrupted_ring, edited_leading_session, get_session
 from heckecell.asymptotic import AsymptoticRing
+from heckecell.cli import Session
 from heckecell.matrices import f_inverse, f_mat_mul
 from heckecell.reps import verify_schur_relations
-from heckecell.scalars import scalar_inverse
+from heckecell.scalars import exp_neg, scalar_inverse
 
 
 def test_a1_tables():
@@ -102,15 +103,76 @@ def test_row_indexed_checks_detect_a_corrupted_entry(name, check):
     assert report.checks[check]
 
 
+def dense_gamma_equality(ring) -> list:
+    """Reference for "gamma equality": the loop over every (x, y, z), with
+    gamma on the KL side read straight from the h-table and the a-values."""
+    alg = ring.alg
+    rows, inverse = alg.h_rows(), alg.table.inverse
+    bad = []
+    for x in range(ring.size):
+        for y in range(ring.size):
+            for z in range(ring.size):
+                h = rows[x][y].get(inverse[z])
+                kl = 0 if h is None else h.coefficient(exp_neg(alg.a_value(z)))
+                ours = ring.gamma.get((x, y, z), Fraction(0))
+                if ours != kl:
+                    bad.append(f"gamma mismatch at ({x},{y},{z}): reps {ours} vs kl {kl}")
+    return bad
+
+
 @pytest.mark.parametrize("name,weights,order", [
     ("A2", "equal", None),
     ("I2:6", "universal", "b-first"),
     ("B2", "universal", "b-first"),
+    ("A3", "equal", None),
+    ("I2:5", "equal", None),
 ])
 def test_gamma_equals_canonical_side(name, weights, order):
     session = get_session(name, weights, order)
     report = session.ring.compare_with_kl()
     assert report.ok, report.summary()
+    assert dense_gamma_equality(session.ring) == []
+
+
+@pytest.mark.parametrize("fault,expected", [
+    ("edited", ["gamma mismatch at (1,1,1): reps 2 vs kl 1"]),
+    ("deleted", ["gamma mismatch at (3,4,1): reps 0 vs kl 1"]),
+    ("ring-only", ["gamma mismatch at (0,0,1): reps 1 vs kl 0"]),
+    ("all three", ["gamma mismatch at (0,0,1): reps 1 vs kl 0",
+                   "gamma mismatch at (1,1,1): reps 2 vs kl 1",
+                   "gamma mismatch at (3,4,1): reps 0 vs kl 1"]),
+])
+def test_gamma_equality_lists_each_fault_like_the_dense_loop(fault, expected):
+    session = Session({"system": "A2"})
+    ring = AsymptoticRing(session.algebra, session.tensors)
+    # compared once before the edit, so a comparison that cached either
+    # side would miss it
+    ring.compare_with_kl()
+    ring.gamma = dict(ring.gamma)
+    if fault in ("edited", "all three"):
+        ring.gamma[(1, 1, 1)] += 1
+    if fault in ("deleted", "all three"):
+        del ring.gamma[(3, 4, 1)]
+    if fault in ("ring-only", "all three"):
+        assert (0, 0, 1) not in session.algebra.kl_gamma()
+        ring.gamma[(0, 0, 1)] = Fraction(1)
+    report = ring.compare_with_kl()
+    assert report.checks["gamma equality"] == expected
+    assert dense_gamma_equality(ring) == expected
+    assert report.checks["a-value link"] == []
+
+
+def test_a_value_link_lists_an_edited_a():
+    session = Session({"system": "A2"})
+    tensors = list(session.tensors)
+    k = next(i for i, t in enumerate(tensors) if t.label == "A:(2, 1)")
+    t = tensors[k]
+    tensors[k] = dataclasses.replace(t, a=(t.a[0] + 1,))
+    report = AsymptoticRing(session.algebra, tensors).compare_with_kl()
+    assert report.checks["gamma equality"] == []
+    assert sorted(report.checks["a-value link"]) == sorted(
+        f"a({w}) != a-invariant of A:(2, 1)" for w in t.support)
+    assert len(t.support) == 4
 
 
 def test_choice_independence_b2():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import B4_MATRIX
 from heckecell.cli import Session, main
 from heckecell.fields import RealCyclotomicField
 from heckecell.scalars import LaurentPoly
@@ -83,6 +84,19 @@ def test_unparsable_rep_file_gives_input_exit(tmp_path):
 
 def test_bad_system_gives_input_exit():
     assert main(["run", "--system", "Z9"]) == 3
+
+
+def test_run_writes_the_h_table_above_48_elements(tmp_path):
+    out = tmp_path / "a4"
+    assert main(["run", "--system", "A4", "--stages", "kl", "--verify", "none",
+                 "--out", str(out)]) == 0
+    data = read(out / "h-table.json")
+    assert len(data["a_values"]) == 120
+
+
+def test_h_table_past_the_size_limit_gives_input_exit(tmp_path, capsys):
+    assert_input_error(["h-table", "--system", B4_MATRIX, "--out", str(tmp_path)], capsys)
+    assert not list(tmp_path.iterdir())
 
 
 def test_jring_and_cells_commands(tmp_path):
@@ -224,6 +238,15 @@ def test_non_integer_config_value_gives_input_exit(tmp_path, capsys, key, value)
                         "--out", str(tmp_path / "out")], capsys)
 
 
+@pytest.mark.parametrize("spec", ['{"0":["a"],"1":["b"]}', '{"0":[1.5],"1":[1]}',
+                                  '{"0":[true],"1":[1]}'], ids=["string", "float", "bool"])
+@pytest.mark.parametrize("flag", ["--weights", "--target"])
+def test_non_integer_weights_give_input_exit(tmp_path, capsys, spec, flag):
+    command = ["kl-table"] if flag == "--weights" else ["cell", "specialize"]
+    assert_input_error([*command, "--system", "I2:4", flag, spec,
+                        "--out", str(tmp_path)], capsys)
+
+
 def test_integer_string_config_value_is_accepted(tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"system": "A1", "seed": "7", "bound": "100"}), encoding="utf-8")
@@ -242,3 +265,12 @@ def test_balanced_clears_the_word_cache_of_a_replaced_model():
     assert [r.label for r in replaced] == ["B:((1, 1), (1,))", "B:((1,), (2,))"]
     assert all(list(r._words) == [0] for r in replaced)
     assert all(len(balanced[r.label]._words) == 48 for r in replaced)
+
+
+def test_ring_clears_every_word_cache():
+    # B3 equal: two of the models are replaced by balanced ones
+    session = Session({"system": "B3"})
+    session.ring  # noqa: B018 - builds the tensors
+    models = [*session.family, *session.balanced.values()]
+    assert len({id(r) for r in models}) == len(session.family) + 2
+    assert all(list(r._words) == [0] for r in models)

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from conftest import get_session
-from heckecell.errors import ComputationError
+from conftest import B4_MATRIX, get_session
+from heckecell.cli import Session
+from heckecell.errors import InputError
 from heckecell.scalars import LaurentPoly
 
 NAT_ONE = LaurentPoly.one(1)
@@ -211,8 +212,8 @@ def test_lr_cells():
 
 
 def test_full_table_size_guard():
-    session = get_session("H3")
-    with pytest.raises(ComputationError, match="limited"):
+    session = Session({"system": B4_MATRIX})
+    with pytest.raises(InputError, match="limited"):
         session.algebra.h_rows()
 
 
