@@ -11,7 +11,7 @@ from .coxeter import (CoxeterSystem, ElementTable, WeightFunction, equal_weights
                       universal_weights, validate_weights)
 from .errors import ComputationError, HeckecellError, InputError, VerificationError
 from .fields import RealCyclotomicField
-from .hecke import HeckeAlgebra, HeckeElement
+from .hecke import HeckeAlgebra
 from .matrices import KMatrix
 from .reps import (LeadingTensor, MatrixRep, SchurData, balance, builtin_family,
                    dihedral_rep, gram_average, index_rep, invariant_gram,

@@ -157,8 +157,9 @@ class AsymptoticRing:
         return rows
 
     def multiply(self, a: dict, b: dict, rows: dict | None = None) -> dict:
-        """Product of two elements given as {w: coefficient} in the t-basis;
-        `rows` is a gamma_rows() result to reuse."""
+        """Product of two elements given as {w: coefficient} in the t-basis,
+        with scalar or Laurent-polynomial coefficients; `rows` is a
+        gamma_rows() result to reuse."""
         if rows is None:
             rows = self.gamma_rows()
         inverse = self.alg.table.inverse
@@ -170,7 +171,7 @@ class AsymptoticRing:
                     continue
                 c = cx * cy
                 for z, g in row:
-                    accumulate(out, inverse[z], c * g)
+                    accumulate(out, inverse[z], g * c)
         return out
 
     def basis_product(self, x: int, y: int, rows: dict | None = None) -> dict:

@@ -297,25 +297,6 @@ def phi_element(alg: HeckeAlgebra, ring: AsymptoticRing, coeffs_c: dict) -> dict
     return out
 
 
-def asym_poly_multiply(ring: AsymptoticRing, a: dict, b: dict,
-                       rows: dict | None = None) -> dict:
-    """Product in the asymptotic ring with Laurent-polynomial coefficients;
-    `rows` is a ring.gamma_rows() result to reuse."""
-    if rows is None:
-        rows = ring.gamma_rows()
-    inverse = ring.alg.table.inverse
-    out = {}
-    for x, px in a.items():
-        for y, py in b.items():
-            row = rows.get((x, y))
-            if not row:
-                continue
-            pxy = px * py
-            for z, g in row:
-                accumulate(out, inverse[z], pxy.scale(g))
-    return out
-
-
 def verify_phi(alg: HeckeAlgebra, ring: AsymptoticRing,
                exhaustive_max: int = 16, seed: int = 0, samples: int = 200) -> Report:
     """Unitality, multiplicativity and the filtration property of the map.
@@ -342,7 +323,7 @@ def verify_phi(alg: HeckeAlgebra, ring: AsymptoticRing,
     images = [hecke_to_asym(alg, ring, w) for w in range(size)]
     grows = ring.gamma_rows()
     for x, y in pairs:
-        lhs = asym_poly_multiply(ring, images[x], images[y], grows)
+        lhs = ring.multiply(images[x], images[y], grows)
         rhs = {}
         for z, h in rows[x][y].items():
             for u, p in images[z].items():
@@ -357,7 +338,7 @@ def verify_phi(alg: HeckeAlgebra, ring: AsymptoticRing,
         for w in range(size):
             # phi(C_x) t_w minus the regular-module transport
             # C_x . t_w = sum_z h_{x,w,z} t_z
-            diff = asym_poly_multiply(ring, images[x], {w: LaurentPoly.one(rank)}, grows)
+            diff = ring.multiply(images[x], {w: LaurentPoly.one(rank)}, grows)
             for z, h in rows[x][w].items():
                 accumulate(diff, z, -h)
             for y in diff:

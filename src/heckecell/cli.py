@@ -3,8 +3,19 @@
 A job fixes a Coxeter system, a weight function, a monomial order and a
 source of representations, then runs the requested stages in dependency
 order (kl -> reps -> jring -> cell), writing one self-describing JSON
-artifact per stage. Exit status: 0 on success, 2 when a verification suite
-reports violations, 3 on bad input.
+artifact per file stem. Four tables drive it, each declared once:
+
+- STAGES: what each `run` stage needs and which artifacts it writes;
+- ARTIFACTS: which `Session` method builds each artifact;
+- SUITES: what each `--verify` name needs and its ordered checks, which
+  `run`, `jring verify`, `jring compare-kl` and `cell verify` all run;
+- ACTIONS: what each `rep`, `jring` and `cell` action does.
+
+The tables name methods and module functions rather than hold them, so
+`perfbench/tracer.py`, which rebinds them after import, sees every call.
+
+Exit status: 0 on success, 2 when a verification suite reports violations,
+3 on bad input (an unknown stage or `--verify` name included).
 """
 
 from __future__ import annotations
@@ -13,9 +24,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from . import asymptotic, cellular, reps
+from .asymptotic import Report
 from .coxeter import (CoxeterSystem, ElementTable, WeightFunction, equal_weights,
                       universal_weights, validate_weights)
 from .errors import ComputationError, HeckecellError, InputError, VerificationError
@@ -23,7 +37,6 @@ from .hecke import HeckeAlgebra
 from .scalars import LaurentPoly, MonomialOrder, natural_order
 
 SCHEMA_PREFIX = "heckecell"
-STAGE_DEPS = {"kl": [], "reps": [], "jring": ["reps"], "cell": ["jring", "kl"]}
 
 
 def parse_weights(spec, system: CoxeterSystem) -> WeightFunction:
@@ -93,106 +106,75 @@ class Session:
         problems = validate_weights(self.system, self.weights, self.order)
         if problems:
             raise InputError("; ".join(problems))
-        self._table = None
-        self._alg = None
-        self._family = None
-        self._schurs = None
-        self._balanced = None
-        self._ring = None
-        self._grams = None
-        self._datum = None
         self.findings: list = []
 
     # -- lazy stages ------------------------------------------------------------
 
-    @property
+    @cached_property
     def table(self) -> ElementTable:
-        if self._table is None:
-            self._table = ElementTable(self.system, bound=self.bound)
-        return self._table
+        return ElementTable(self.system, bound=self.bound)
 
-    @property
+    @cached_property
     def algebra(self) -> HeckeAlgebra:
-        if self._alg is None:
-            self._alg = HeckeAlgebra(self.table, self.weights, self.order)
-        return self._alg
+        return HeckeAlgebra(self.table, self.weights, self.order)
 
-    @property
+    @cached_property
     def family(self) -> list:
-        if self._family is None:
-            sources = self.config.get("reps", "builtin")
-            if sources == "builtin":
-                self._family = reps.builtin_family(self.algebra)
-            else:
-                loaded = [reps.load_rep(self.algebra, path) for path in sources]
-                name = self.system.name
-                if name.startswith("H"):
-                    base = [reps.index_rep(self.algebra), reps.sign_rep(self.algebra)]
-                else:
-                    base = []
-                self._family = base + loaded
-        return self._family
+        sources = self.config.get("reps", "builtin")
+        if sources == "builtin":
+            return reps.builtin_family(self.algebra)
+        loaded = [reps.load_rep(self.algebra, path) for path in sources]
+        if self.system.name.startswith("H"):
+            return [reps.index_rep(self.algebra), reps.sign_rep(self.algebra)] + loaded
+        return loaded
 
-    @property
+    @cached_property
     def schurs(self) -> dict:
-        if self._schurs is None:
-            self._schurs = {r.label: reps.schur_data(r) for r in self.family}
-        return self._schurs
+        return {r.label: reps.schur_data(r) for r in self.family}
 
-    @property
+    @cached_property
     def balanced(self) -> dict:
         """label -> balanced representation with its normalized Gram attached.
 
         Raises unless every representation ends balanced."""
-        if self._balanced is None:
-            out = {}
-            for r in self.family:
-                sd = self.schurs[r.label]
-                omega = reps.invariant_gram(r)
-                if reps.is_balanced(r, omega, sd):
-                    rb = r
-                    rb.gram = omega
-                else:
-                    rb = reps.balance(r)
-                    # the balance test filled r's word cache; rb replaces r
-                    r.clear_cache()
-                    if not reps.is_balanced(rb, rb.gram, sd):
-                        raise VerificationError(
-                            f"balancing failed for {r.label}")
-                out[r.label] = rb
-            self._balanced = out
-        return self._balanced
+        out = {}
+        for r in self.family:
+            sd = self.schurs[r.label]
+            omega = reps.invariant_gram(r)
+            if reps.is_balanced(r, omega, sd):
+                rb = r
+                rb.gram = omega
+            else:
+                rb = reps.balance(r)
+                # the balance test filled r's word cache; rb replaces r
+                r.clear_cache()
+                if not reps.is_balanced(rb, rb.gram, sd):
+                    raise VerificationError(f"balancing failed for {r.label}")
+            out[r.label] = rb
+        return out
+
+    @cached_property
+    def ring(self) -> asymptotic.AsymptoticRing:
+        tens = []
+        for r in self.family:
+            rb = self.balanced[r.label]
+            tens.append(reps.leading_tensor(rb, self.schurs[r.label]))
+            # nothing reads a word matrix once its tensor is built; a
+            # model that `balance` replaced was cleared in `balanced`
+            rb.clear_cache()
+        return asymptotic.AsymptoticRing(self.algebra, tens)
 
     @property
     def tensors(self) -> list:
-        if self._ring is None:
-            self.ring  # noqa: B018 - building the ring builds the tensors
-        return self._ring.tensors
+        return self.ring.tensors
 
-    @property
-    def ring(self) -> asymptotic.AsymptoticRing:
-        if self._ring is None:
-            tens = []
-            for r in self.family:
-                rb = self.balanced[r.label]
-                tens.append(reps.leading_tensor(rb, self.schurs[r.label]))
-                # nothing reads a word matrix once its tensor is built; a
-                # model that `balance` replaced was cleared in `balanced`
-                rb.clear_cache()
-            self._ring = asymptotic.AsymptoticRing(self.algebra, tens)
-        return self._ring
-
-    @property
+    @cached_property
     def grams(self) -> dict:
-        if self._grams is None:
-            self._grams = {label: rb.gram for label, rb in self.balanced.items()}
-        return self._grams
+        return {label: rb.gram for label, rb in self.balanced.items()}
 
-    @property
+    @cached_property
     def datum(self) -> cellular.CellDatum:
-        if self._datum is None:
-            self._datum = cellular.build_cell_datum(self.algebra, self.ring, self.grams)
-        return self._datum
+        return cellular.build_cell_datum(self.algebra, self.ring, self.grams)
 
     # -- serialization helpers ---------------------------------------------------
 
@@ -204,6 +186,9 @@ class Session:
         if isinstance(c, (int, Fraction)):
             return str(Fraction(c))
         return field.format(c)
+
+    def matrix_strs(self, rows) -> list:
+        return [[self.scalar_str(x) for x in row] for row in rows]
 
     def header(self, kind: str) -> dict:
         return {
@@ -217,7 +202,7 @@ class Session:
             "jobs": self.jobs,
         }
 
-    # -- stage artifacts ------------------------------------------------------------
+    # -- artifacts (see ARTIFACTS) ---------------------------------------------------
 
     def artifact_kl(self) -> dict:
         alg = self.algebra
@@ -269,6 +254,28 @@ class Session:
         out["dimension_check"] = sum(r.dim * r.dim for r in self.family) == self.table.size
         return out
 
+    def artifact_balanced(self) -> dict:
+        out = self.header("balanced-reps")
+        out["balanced"] = {}
+        for label, rb in self.balanced.items():
+            beta = rb.gram.residue()
+            if beta is None:
+                raise ComputationError("not in valuation ring")
+            out["balanced"][label] = {"gram_constant_matrix": self.matrix_strs(beta)}
+        return out
+
+    def artifact_leading(self) -> dict:
+        out = self.header("leading-tensors")
+        out["tensors"] = {
+            t.label: {
+                "a": list(t.a),
+                "f": self.scalar_str(t.f),
+                "matrices": {str(w): self.matrix_strs(t.mats[w]) for w in sorted(t.support)},
+            }
+            for t in self.tensors
+        }
+        return out
+
     def artifact_jring(self) -> dict:
         out = self.header("jring")
         ring = self.ring
@@ -281,15 +288,19 @@ class Session:
         out["blocks"] = [list(b) for b in ring.blocks]
         return out
 
+    def artifact_blocks(self) -> dict:
+        out = self.header("blocks")
+        out["blocks"] = [list(b) for b in self.ring.blocks]
+        out["block_of_representation"] = dict(sorted(self.ring.block_of_label.items()))
+        return out
+
     def artifact_cell(self) -> dict:
         out = self.header("cell-datum")
         datum = self.datum
         out["labels"] = list(datum.labels)
         out["m_sizes"] = {lab: datum.msize[lab] for lab in datum.labels}
-        out["b_matrices"] = {
-            lab: [[self.scalar_str(x) for x in row] for row in datum.bmatrices[lab]]
-            for lab in datum.labels
-        }
+        out["b_matrices"] = {lab: self.matrix_strs(datum.bmatrices[lab])
+                             for lab in datum.labels}
         out["elements"] = {
             f"{lab}|{s}|{t}": {str(w): self.scalar_str(c) for w, c in sorted(coeffs.items())}
             for (lab, s, t), coeffs in sorted(datum.elements.items(), key=lambda kv: str(kv[0]))
@@ -308,32 +319,17 @@ class Session:
         }
         return out
 
-    # -- verification ------------------------------------------------------------------
+    # -- verification (see SUITES) ------------------------------------------------------
 
-    def run_verifications(self, which) -> dict:
+    def run_verifications(self, names) -> dict:
+        """Run the named suites in turn; each failing check becomes a finding."""
         results = {}
-
-        def record(name, report):
-            results[name] = {k: list(v) for k, v in report.checks.items()}
-            for k, v in report.checks.items():
-                if v:
-                    self.findings.append({"suite": name, "check": k, "violations": v[:20]})
-
-        if "reps" in which:
-            violations = reps.verify_schur_relations(self.algebra, self.tensors)
-            results["schur_relations"] = {"both families": violations}
-            if violations:
-                self.findings.append({"suite": "schur_relations", "check": "both families",
-                                      "violations": violations[:20]})
-        if "jring" in which:
-            record("jring", self.ring.verify(seed=self.seed))
-        if "compare-kl" in which:
-            record("compare_kl", self.ring.compare_with_kl())
-        if "cell" in which:
-            record("cell_datum", cellular.verify_cell_datum(self.datum))
-            record("phi", cellular.verify_phi(self.algebra, self.ring, seed=self.seed))
-            record("bimodule", cellular.verify_bimodule_identity(
-                self.algebra, self.ring, seed=self.seed))
+        for name in names:
+            for key, check in SUITES[name].checks:
+                report = check(self)
+                results[key] = {k: list(v) for k, v in report.checks.items()}
+                self.findings += [{"suite": key, "check": k, "violations": v[:20]}
+                                  for k, v in report.checks.items() if v]
         return results
 
 
@@ -350,6 +346,52 @@ def _hasse_edges(datum) -> list:
     return edges
 
 
+# -- the tables ------------------------------------------------------------------------
+
+
+class Stage(NamedTuple):
+    needs: tuple   # stages run before this one (one level, not transitively)
+    writes: tuple  # artifact file stems, in order
+
+
+class Suite(NamedTuple):
+    needs: tuple   # stages `--verify all` requires before it runs this suite
+    checks: tuple  # (result key, Session -> Report), in order
+
+
+STAGES = {
+    "kl": Stage((), ("kl-table", "h-table", "cells")),
+    "reps": Stage((), ("reps",)),
+    "jring": Stage(("reps",), ("jring",)),
+    "cell": Stage(("jring", "kl"), ("cell-datum", "phi")),
+}
+
+# artifact file stem -> name of the Session method that builds it
+ARTIFACTS = {
+    "kl-table": "artifact_kl", "h-table": "artifact_h", "cells": "artifact_cells",
+    "reps": "artifact_reps", "balanced": "artifact_balanced",
+    "leading": "artifact_leading", "jring": "artifact_jring",
+    "blocks": "artifact_blocks", "cell-datum": "artifact_cell", "phi": "artifact_phi",
+}
+
+# --verify name -> Suite; suites run in this order, which `--verify all` and
+# named lists share, and every check's failures become findings
+SUITES = {
+    "reps": Suite(("reps",), (
+        ("schur_relations", lambda s: Report(
+            {"both families": reps.verify_schur_relations(s.algebra, s.tensors)})),
+    )),
+    "jring": Suite(("jring",), (("jring", lambda s: s.ring.verify(seed=s.seed)),)),
+    "compare-kl": Suite(("jring", "kl"), (("compare_kl", lambda s: s.ring.compare_with_kl()),)),
+    "cell": Suite(("cell",), (
+        ("cell_datum", lambda s: cellular.verify_cell_datum(s.datum)),
+        ("phi", lambda s: cellular.verify_phi(s.algebra, s.ring, seed=s.seed)),
+        ("bimodule", lambda s: cellular.verify_bimodule_identity(
+            s.algebra, s.ring, seed=s.seed)),
+    )),
+}
+
+
 # -- command implementations ---------------------------------------------------------
 
 
@@ -360,8 +402,13 @@ def _read_json(path: Path, what: str):
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _emit(data: dict, out, name: str):
-    text = json.dumps(data, indent=1, sort_keys=True)
+def _json_text(data: dict) -> str:
+    return json.dumps(data, indent=1, sort_keys=True)
+
+
+def _emit(data, out, name: str):
+    """Print or write one artifact, given as a dict or as its JSON text."""
+    text = data if isinstance(data, str) else _json_text(data)
     if out is None:
         print(text)
     else:
@@ -387,167 +434,115 @@ def _session_from_args(args) -> Session:
     return Session(config)
 
 
+def _suite_names(verify: str, stages: list) -> list | None:
+    """The suites a `--verify` value selects, in table order; None for 'none'."""
+    names = [name.strip() for name in verify.split(",")]
+    if names == ["none"]:
+        return None
+    if names == ["all"]:
+        return [n for n, suite in SUITES.items() if all(st in stages for st in suite.needs)]
+    for name in names:
+        if name not in SUITES:
+            raise InputError(f"unknown verification suite {name!r}; "
+                             f"choose 'all', 'none' or from {', '.join(SUITES)}")
+    return [n for n in SUITES if n in names]
+
+
 def cmd_run(args) -> int:
     session = _session_from_args(args)
-    stages = (args.stages or "kl,reps,jring,cell").split(",")
-    closed: list = []
-    for st in stages:
+    stages: list = []
+    for st in (args.stages or ",".join(STAGES)).split(","):
         st = st.strip()
-        if st not in STAGE_DEPS:
+        if st not in STAGES:
             raise InputError(f"unknown stage {st!r}")
-        for dep in STAGE_DEPS[st] + [st]:
-            if dep not in closed:
-                closed.append(dep)
-    out = args.out
+        for dep in (*STAGES[st].needs, st):
+            if dep not in stages:
+                stages.append(dep)
+    suites = _suite_names(args.verify or "all", stages)
+    # written only once every stage and suite has run; held as JSON text,
+    # which takes a fraction of the memory of the dicts of strings
     emitted = {}
     try:
-        for st in closed:
-            if st == "kl":
-                emitted["kl-table.json"] = session.artifact_kl()
-                emitted["h-table.json"] = session.artifact_h()
-                emitted["cells.json"] = session.artifact_cells()
-            elif st == "reps":
-                emitted["reps.json"] = session.artifact_reps()
-            elif st == "jring":
-                emitted["jring.json"] = session.artifact_jring()
-            elif st == "cell":
-                emitted["cell-datum.json"] = session.artifact_cell()
-                emitted["phi.json"] = session.artifact_phi()
-        verify = args.verify or "all"
-        if verify != "none":
-            if verify == "all":
-                which = [w for w in ("reps", "jring", "cell") if w in closed]
-                if "jring" in closed and "kl" in closed:
-                    which.append("compare-kl")
-            else:
-                which = verify.split(",")
-            results = session.run_verifications(which)
+        for st in stages:
+            for stem in STAGES[st].writes:
+                emitted[f"{stem}.json"] = _json_text(getattr(session, ARTIFACTS[stem])())
+        if suites is not None:
             summary = session.header("verification")
-            summary["results"] = results
+            summary["results"] = session.run_verifications(suites)
             summary["ok"] = not session.findings
             emitted["verification.json"] = summary
     except VerificationError as exc:
         session.findings.append({"suite": "construction", "check": "invariants",
                                  "violations": [str(exc)]})
     for name, data in emitted.items():
-        _emit(data, out, name)
+        _emit(data, args.out, name)
     if session.findings:
         findings = session.header("findings")
         findings["findings"] = session.findings
-        _emit(findings, out, "findings.json")
+        _emit(findings, args.out, "findings.json")
         return 2
     return 0
 
 
-def cmd_table_dump(args, kind: str) -> int:
-    session = _session_from_args(args)
-    data = {"kl-table": session.artifact_kl,
-            "h-table": session.artifact_h,
-            "cells": session.artifact_cells}[kind]()
-    _emit(data, args.out, f"{kind}.json")
+def _write(stem: str):
+    """An action that writes the artifact `stem`."""
+    def action(session: Session, args) -> int:
+        _emit(getattr(session, ARTIFACTS[stem])(), args.out, f"{stem}.json")
+        return 0
+    return action
+
+
+def _check(name: str):
+    """An action that prints the reports of the suite `name`."""
+    def action(session: Session, args) -> int:
+        reports = [check(session) for _, check in SUITES[name].checks]
+        for report in reports:
+            print(report.summary())
+        return 0 if all(report.ok for report in reports) else 2
+    return action
+
+
+def _rep_validate(session: Session, args) -> int:
+    if not args.file:
+        raise InputError("rep validate needs a file")
+    rep = reps.load_rep(session.algebra, args.file)
+    print(f"ok: {rep.label} (dim {rep.dim}) satisfies the defining relations")
     return 0
 
 
-def cmd_rep(args) -> int:
-    session = _session_from_args(args)
-    if args.action == "validate":
-        if not args.file:
-            raise InputError("rep validate needs a file")
-        rep = reps.load_rep(session.algebra, args.file)
-        print(f"ok: {rep.label} (dim {rep.dim}) satisfies the defining relations")
-        return 0
-    if args.action == "schur":
-        _emit(session.artifact_reps(), args.out, "reps.json")
-        return 0
-    if args.action == "balance":
-        data = session.header("balanced-reps")
-        data["balanced"] = {}
-        for label, rb in session.balanced.items():
-            beta = rb.gram.residue()
-            if beta is None:
-                raise ComputationError("not in valuation ring")
-            data["balanced"][label] = {
-                "gram_constant_matrix": [[session.scalar_str(x) for x in row] for row in beta],
-            }
-        _emit(data, args.out, "balanced.json")
-        return 0
-    if args.action == "leading":
-        data = session.header("leading-tensors")
-        data["tensors"] = {}
-        for t in session.tensors:
-            data["tensors"][t.label] = {
-                "a": list(t.a),
-                "f": session.scalar_str(t.f),
-                "matrices": {
-                    str(w): [[session.scalar_str(x) for x in row] for row in t.mats[w]]
-                    for w in sorted(t.support)
-                },
-            }
-        _emit(data, args.out, "leading.json")
-        return 0
-    raise InputError(f"unknown rep action {args.action!r}")
+def _cell_specialize(session: Session, args) -> int:
+    if not args.target:
+        raise InputError("cell specialize needs --target weights")
+    target_w = parse_weights(args.target, session.system)
+    target_order = parse_order(args.target_order, target_w.rank)
+    target_alg = HeckeAlgebra(session.table, target_w, target_order, require_positive=False)
+    spec = cellular.specialize_datum(session.datum, target_alg)
+    report = cellular.verify_specialized(spec)
+    data = session.header("specialized-cell-datum")
+    data["target_weights"] = {str(s): list(target_w.of_gen(s))
+                              for s in range(session.system.ngens)}
+    data["elements"] = {
+        f"{lab}|{s}|{t}": {str(w): session.poly_str(p) for w, p in sorted(coeffs.items())}
+        for (lab, s, t), coeffs in sorted(spec.elements.items(), key=lambda kv: str(kv[0]))
+    }
+    data["verification"] = {k: list(v) for k, v in report.checks.items()}
+    _emit(data, args.out, "cell-specialized.json")
+    return 0 if report.ok else 2
 
 
-def cmd_jring(args) -> int:
-    session = _session_from_args(args)
-    if args.action == "build":
-        _emit(session.artifact_jring(), args.out, "jring.json")
-        return 0
-    if args.action == "blocks":
-        data = session.header("blocks")
-        data["blocks"] = [list(b) for b in session.ring.blocks]
-        data["block_of_representation"] = dict(sorted(session.ring.block_of_label.items()))
-        _emit(data, args.out, "blocks.json")
-        return 0
-    if args.action == "verify":
-        report = session.ring.verify(seed=session.seed)
-        print(report.summary())
-        return 0 if report.ok else 2
-    if args.action == "compare-kl":
-        report = session.ring.compare_with_kl()
-        print(report.summary())
-        return 0 if report.ok else 2
-    raise InputError(f"unknown jring action {args.action!r}")
+# subcommand -> action -> what it does with a Session and the parsed arguments
+ACTIONS = {
+    "rep": {"validate": _rep_validate, "schur": _write("reps"),
+            "balance": _write("balanced"), "leading": _write("leading")},
+    "jring": {"build": _write("jring"), "verify": _check("jring"),
+              "compare-kl": _check("compare-kl"), "blocks": _write("blocks")},
+    "cell": {"build": _write("cell-datum"), "verify": _check("cell"),
+             "phi": _write("phi"), "specialize": _cell_specialize},
+}
 
 
-def cmd_cell(args) -> int:
-    session = _session_from_args(args)
-    if args.action == "build":
-        _emit(session.artifact_cell(), args.out, "cell-datum.json")
-        return 0
-    if args.action == "verify":
-        rep1 = cellular.verify_cell_datum(session.datum)
-        rep2 = cellular.verify_phi(session.algebra, session.ring, seed=session.seed)
-        rep3 = cellular.verify_bimodule_identity(session.algebra, session.ring,
-                                                 seed=session.seed)
-        print(rep1.summary())
-        print(rep2.summary())
-        print(rep3.summary())
-        return 0 if rep1.ok and rep2.ok and rep3.ok else 2
-    if args.action == "phi":
-        _emit(session.artifact_phi(), args.out, "phi.json")
-        return 0
-    if args.action == "specialize":
-        if not args.target:
-            raise InputError("cell specialize needs --target weights")
-        target_w = parse_weights(args.target, session.system)
-        target_order = parse_order(args.target_order, target_w.rank)
-        target_alg = HeckeAlgebra(session.table, target_w, target_order,
-                                  require_positive=False)
-        spec = cellular.specialize_datum(session.datum, target_alg)
-        report = cellular.verify_specialized(spec)
-        data = session.header("specialized-cell-datum")
-        data["target_weights"] = {str(s): list(target_w.of_gen(s))
-                                  for s in range(session.system.ngens)}
-        data["elements"] = {
-            f"{lab}|{s}|{t}": {str(w): p.to_str(session.table.field)
-                               for w, p in sorted(coeffs.items())}
-            for (lab, s, t), coeffs in sorted(spec.elements.items(), key=lambda kv: str(kv[0]))
-        }
-        data["verification"] = {k: list(v) for k, v in report.checks.items()}
-        _emit(data, args.out, "cell-specialized.json")
-        return 0 if report.ok else 2
-    raise InputError(f"unknown cell action {args.action!r}")
+def cmd_action(args) -> int:
+    return ACTIONS[args.command][args.action](_session_from_args(args), args)
 
 
 def cmd_report(args) -> int:
@@ -623,29 +618,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--verify", help="'all', 'none', or comma list")
     p_run.set_defaults(func=cmd_run)
 
-    for kind in ("kl-table", "h-table", "cells"):
-        p = sub.add_parser(kind, help=f"emit the {kind} artifact")
+    for stem in ("kl-table", "h-table", "cells"):
+        p = sub.add_parser(stem, help=f"emit the {stem} artifact")
         add_common(p)
-        p.set_defaults(func=lambda a, k=kind: cmd_table_dump(a, k))
+        p.set_defaults(func=lambda a, stem=stem: _write(stem)(_session_from_args(a), a))
 
     p_rep = sub.add_parser("rep", help="representation operations")
-    p_rep.add_argument("action", choices=["validate", "schur", "balance", "leading"])
+    p_rep.add_argument("action", choices=list(ACTIONS["rep"]))
     p_rep.add_argument("--file", help="representation file for 'validate'")
     add_common(p_rep)
-    p_rep.set_defaults(func=cmd_rep)
+    p_rep.set_defaults(func=cmd_action)
 
     p_jring = sub.add_parser("jring", help="asymptotic ring operations")
-    p_jring.add_argument("action", choices=["build", "verify", "compare-kl", "blocks"])
+    p_jring.add_argument("action", choices=list(ACTIONS["jring"]))
     add_common(p_jring)
-    p_jring.set_defaults(func=cmd_jring)
+    p_jring.set_defaults(func=cmd_action)
 
     p_cell = sub.add_parser("cell", help="cellular basis operations")
-    p_cell.add_argument("action", choices=["build", "verify", "phi", "specialize"])
+    p_cell.add_argument("action", choices=list(ACTIONS["cell"]))
     p_cell.add_argument("--target", help="target weights for 'specialize'")
     p_cell.add_argument("--target-order", dest="target_order",
                         help="monomial order for the target weights")
     add_common(p_cell)
-    p_cell.set_defaults(func=cmd_cell)
+    p_cell.set_defaults(func=cmd_action)
 
     p_report = sub.add_parser("report", help="summarize an artifact directory")
     p_report.add_argument("artifacts")

@@ -23,8 +23,6 @@ every Coxeter type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coxeter import ElementTable, WeightFunction, validate_weights
 from .errors import ComputationError, InputError
 from .scalars import LaurentPoly, MonomialOrder, accumulate, exp_neg
@@ -35,22 +33,6 @@ from .scalars import LaurentPoly, MonomialOrder, accumulate, exp_neg
 # 54 MB; D4 (192) 2.7-4.4 + 1.1 s, 95-99 MB; B4 (384) 26-28 + 7-8 s,
 # 534-548 MB. So the limit admits D4 and stops short of B4.
 MAX_FULL_TABLE = 192
-
-
-@dataclass
-class HeckeElement:
-    """Element of H tagged with the basis its coefficients refer to."""
-
-    basis: str  # "T", "Cp" or "C"
-    coeffs: dict  # element id -> LaurentPoly
-
-    def __post_init__(self):
-        if self.basis not in ("T", "Cp", "C"):
-            raise InputError(f"unknown basis tag {self.basis!r}")
-        self.coeffs = {w: c for w, c in self.coeffs.items() if c}
-
-    def __eq__(self, other):
-        return self.basis == other.basis and self.coeffs == other.coeffs
 
 
 class HeckeAlgebra:
@@ -238,13 +220,6 @@ class HeckeAlgebra:
             raise ComputationError("C-basis conversion left a remainder")
         return out
 
-    def c_to_t(self, coeffs: dict) -> dict:
-        out = {}
-        for w, c in coeffs.items():
-            for u, d in self.c_basis(w).items():
-                accumulate(out, u, c * d)
-        return out
-
     # -- structure constants, a-function, gamma ----------------------------------------
 
     def gen_row(self, s: int, w: int) -> dict:
@@ -395,26 +370,6 @@ class HeckeAlgebra:
     def sim_lr(self, y: int, w: int) -> bool:
         _, _, cell_of = self.lr_cells()
         return cell_of[y] == cell_of[w]
-
-    # -- public wrappers -----------------------------------------------------------------
-
-    def element(self, basis: str, coeffs: dict) -> HeckeElement:
-        return HeckeElement(basis, coeffs)
-
-    def to_t(self, e: HeckeElement) -> HeckeElement:
-        if e.basis == "T":
-            return e
-        if e.basis == "C":
-            return HeckeElement("T", self.c_to_t(e.coeffs))
-        out = {}
-        for w, c in e.coeffs.items():
-            for u, d in self.cprime(w).items():
-                accumulate(out, u, c * d)
-        return HeckeElement("T", out)
-
-    def multiply(self, e1: HeckeElement, e2: HeckeElement) -> HeckeElement:
-        a, b = self.to_t(e1), self.to_t(e2)
-        return HeckeElement("T", self.t_multiply(a.coeffs, b.coeffs))
 
 
 def _clean(d: dict) -> dict:

@@ -192,6 +192,10 @@ class LaurentPoly:
             return LaurentPoly.zero(self.rank)
         return LaurentPoly(self.rank, {g: c * v for g, v in self.terms.items()}, _trusted=True)
 
+    def __rmul__(self, c) -> "LaurentPoly":
+        """Scalar times polynomial, for an int, Fraction or CycloNumber c."""
+        return self.scale(c)
+
     def shift(self, g: Exponent) -> "LaurentPoly":
         if not any(g):
             return self

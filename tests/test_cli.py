@@ -274,3 +274,45 @@ def test_ring_clears_every_word_cache():
     models = [*session.family, *session.balanced.values()]
     assert len({id(r) for r in models}) == len(session.family) + 2
     assert all(list(r._words) == [0] for r in models)
+
+
+@pytest.mark.parametrize("verify", ["bogus", "compare_kl", "reps,bogus", "all,reps"])
+def test_unknown_verify_name_gives_input_exit_and_writes_nothing(tmp_path, capsys, verify):
+    out = tmp_path / "out"
+    assert_input_error(["run", "--system", "A1", "--verify", verify, "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+SUITE_KEYS = {"reps": ["schur_relations"], "jring": ["jring"], "compare-kl": ["compare_kl"],
+              "cell": ["bimodule", "cell_datum", "phi"]}
+
+
+@pytest.mark.parametrize("verify,keys", [
+    *SUITE_KEYS.items(),
+    ("reps, jring", ["jring", "schur_relations"]),
+    (" cell ,compare-kl", ["bimodule", "cell_datum", "compare_kl", "phi"]),
+], ids=[*SUITE_KEYS, "reps-and-jring", "cell-and-compare-kl"])
+def test_run_writes_exactly_the_results_of_the_named_suites(tmp_path, verify, keys):
+    out = tmp_path / "a2"
+    assert main(["run", "--system", "A2", "--verify", verify, "--out", str(out)]) == 0
+    assert sorted(read(out / "verification.json")["results"]) == keys
+
+
+@pytest.fixture(scope="module")
+def a2_results(tmp_path_factory):
+    out = tmp_path_factory.mktemp("a2")
+    assert main(["run", "--system", "A2", "--out", str(out)]) == 0
+    return read(out / "verification.json")["results"]
+
+
+@pytest.mark.parametrize("command,suite", [(["jring", "verify"], "jring"),
+                                           (["jring", "compare-kl"], "compare-kl"),
+                                           (["cell", "verify"], "cell")])
+def test_suite_actions_print_the_checks_that_run_records(capsys, a2_results, command, suite):
+    capsys.readouterr()
+    assert main([*command, "--system", "A2"]) == 0
+    printed = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()
+               if not line.startswith("  ")]
+    recorded = [check for key in SUITE_KEYS[suite] for check in a2_results[key]]
+    assert sorted(printed) == sorted(recorded)
+    assert len(printed) == len(set(printed))

@@ -215,18 +215,3 @@ def test_full_table_size_guard():
     session = Session({"system": B4_MATRIX})
     with pytest.raises(InputError, match="limited"):
         session.algebra.h_rows()
-
-
-def test_element_wrapper_conversions():
-    alg = alg_of("A2")
-    s0, s1 = alg.table.gen(0), alg.table.gen(1)
-    from heckecell.hecke import HeckeElement
-    e1 = HeckeElement("Cp", {s0: NAT_ONE})
-    e2 = HeckeElement("C", {s1: NAT_ONE})
-    prod = alg.multiply(e1, e2)
-    assert prod.basis == "T"
-    assert prod.coeffs == alg.t_multiply(alg.cprime(s0), alg.c_basis(s1))
-    back = alg.t_to_c(alg.to_t(e2).coeffs)
-    assert back == {s1: NAT_ONE}
-    with pytest.raises(Exception, match="unknown basis"):
-        HeckeElement("X", {})

@@ -183,6 +183,15 @@ def test_text_roundtrip_rational_and_cyclotomic():
     assert LaurentPoly.from_str("0", 1, F1) == LaurentPoly.zero(1)
 
 
+def test_scalar_times_polynomial_is_scale():
+    F5 = RealCyclotomicField(5)
+    delta = F5.element((0, 1))
+    p = LaurentPoly(2, {(1, 0): 3, (0, -2): Fraction(-1, 2), (1, 1): delta})
+    for c in (2, 0, Fraction(-3, 4), delta, F5.element((1, -2))):
+        assert c * p == p.scale(c)
+    assert 0 * p == LaurentPoly.zero(2)
+
+
 # -- the integer-numerator product kernel ---------------------------------------
 
 
