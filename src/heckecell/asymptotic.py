@@ -20,15 +20,24 @@ by position per representation, and adds f^{-1} a b c to gamma_{x,y,z}; the
 table is filled block by block in (x, y, z) order. The representation check
 likewise compares sparse matrices, so every step costs in proportion to the
 nonzero entries, dense matrices included.
+
+The gamma are Lusztig's, integers (`compare_with_kl` checks it), and the n_d
+are integers too in the rings built here, even over a field of degree above
+one, where the sums above produce them as CycloNumbers with no irrational
+part. The table stores each value through `fields.narrow`:
+an int for a rational integer, a Fraction for another rational, and an
+irrational CycloNumber unchanged. Equality, hashing and the artifact text
+agree across these types, so the stored values are the same; only the
+arithmetic of the ring, phi and bimodule checks becomes int arithmetic.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import ComputationError, VerificationError
+from .fields import narrow
 from .hecke import HeckeAlgebra
 from .matrices import f_sparse_mul
 from .scalars import accumulate, scalar_inverse
@@ -104,7 +113,7 @@ class AsymptoticRing:
 
     def _build_gamma(self):
         inverse = self.alg.table.inverse
-        n = [Fraction(0)] * self.size
+        n = [0] * self.size
         gamma: dict = {}
         for bi, block in enumerate(self.blocks):
             # trace(M_x M_y M_z) is the sum of a*b*c over the entries
@@ -119,7 +128,7 @@ class AsymptoticRing:
                 by_row: dict = {}
                 by_pos: dict = {}
                 for w, ents in nz.items():
-                    tr = Fraction(0)
+                    tr = 0
                     for i, j, c in ents:
                         by_row.setdefault(i, []).append((w, j, c))
                         by_pos.setdefault((i, j), []).append((w, c))
@@ -137,9 +146,9 @@ class AsymptoticRing:
                             for z, c in by_pos.get((l, i), ()):
                                 accumulate(row, (y, z), fab * c)
                 for y, z in sorted(row):
-                    gamma[(x, y, z)] = row[(y, z)]
+                    gamma[(x, y, z)] = narrow(row[(y, z)])
         self.gamma = gamma
-        self.n_vec = n
+        self.n_vec = [narrow(c) for c in n]
         self.d_set = [w for w in range(self.size) if n[w]]
 
     # -- ring operations ---------------------------------------------------------------
@@ -185,7 +194,7 @@ class AsymptoticRing:
 
     def trace(self, a: dict):
         inverse = self.alg.table.inverse
-        acc = Fraction(0)
+        acc = 0
         for w, c in a.items():
             nw = self.n_vec[inverse[w]]
             if nw:
@@ -203,9 +212,9 @@ class AsymptoticRing:
 
         bad = []
         for (x, y, z), g in self.gamma.items():
-            if self.gamma.get((y, z, x), Fraction(0)) != g:
+            if self.gamma.get((y, z, x), 0) != g:
                 bad.append(f"cyclic symmetry fails at ({x},{y},{z})")
-            if self.gamma.get((inverse[y], inverse[x], inverse[z]), Fraction(0)) != g:
+            if self.gamma.get((inverse[y], inverse[x], inverse[z]), 0) != g:
                 bad.append(f"anti-involution symmetry fails at ({x},{y},{z})")
             if not (self.block_of[x] == self.block_of[y] == self.block_of[z]):
                 bad.append(f"gamma crosses blocks at ({x},{y},{z})")
@@ -214,12 +223,12 @@ class AsymptoticRing:
         bad = []
         for x in range(self.size):
             for y in range(self.size):
-                acc = Fraction(0)
+                acc = 0
                 for w, g in rows.get((inverse[x], y), ()):
                     nw = self.n_vec[w]
                     if nw:
                         acc = acc + g * nw
-                want = Fraction(1) if x == y else Fraction(0)
+                want = 1 if x == y else 0
                 if acc != want:
                     bad.append(f"dual-pairing identity fails at ({x},{y})")
         report.record("gamma/n duality", bad)
@@ -227,7 +236,7 @@ class AsymptoticRing:
         one = self.identity_element()
         bad = []
         for x in range(self.size):
-            tx = {x: Fraction(1)}
+            tx = {x: 1}
             if self.multiply(one, tx, rows) != tx or self.multiply(tx, one, rows) != tx:
                 bad.append(f"identity fails at {x}")
         report.record("two-sided identity", bad)
@@ -235,7 +244,7 @@ class AsymptoticRing:
         bad = []
         for x in range(self.size):
             for y in range(self.size):
-                want = Fraction(1) if x == y else Fraction(0)
+                want = 1 if x == y else 0
                 if self.trace(self.basis_product(x, inverse[y], rows)) != want:
                     bad.append(f"trace dual-basis fails at ({x},{y})")
         report.record("trace dual bases", bad)
@@ -249,8 +258,8 @@ class AsymptoticRing:
             triples = ((rng.randrange(self.size), rng.randrange(self.size),
                         rng.randrange(self.size)) for _ in range(random_triples))
         for x, y, z in triples:
-            lhs = self.multiply(self.basis_product(x, y, rows), {z: Fraction(1)}, rows)
-            rhs = self.multiply({x: Fraction(1)}, self.basis_product(y, z, rows), rows)
+            lhs = self.multiply(self.basis_product(x, y, rows), {z: 1}, rows)
+            rhs = self.multiply({x: 1}, self.basis_product(y, z, rows), rows)
             if lhs != rhs:
                 bad.append(f"associativity fails at ({x},{y},{z})")
         report.record("associativity", bad)
@@ -285,7 +294,7 @@ class AsymptoticRing:
         bad = []
         for x, y, z in sorted(self.gamma.keys() | theirs.keys()):
             kl = theirs.get((x, y, z), 0)
-            ours = self.gamma.get((x, y, z), Fraction(0))
+            ours = self.gamma.get((x, y, z), 0)
             if ours != kl:
                 bad.append(f"gamma mismatch at ({x},{y},{z}): reps {ours} vs kl {kl}")
         report.record("gamma equality", bad)

@@ -413,19 +413,24 @@ def sampled_quadruples(size: int, cells, cell_of, samples: int, seed: int):
     without randrange's own call overhead.
     """
     getrandbits = random.Random(seed).getrandbits
-
-    def below(n):
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
+    k = size.bit_length()
+    # w -> (the cell of w, its size, that size's bit length)
+    peers_of = [(p, len(p), len(p).bit_length()) for p in (cells[c] for c in cell_of)]
     for _ in range(samples):
-        w = below(size)
-        peers = cells[cell_of[w]]
-        y = peers[below(len(peers))]
-        yield w, y, below(size), below(size)
+        w = getrandbits(k)
+        while w >= size:
+            w = getrandbits(k)
+        peers, n, kp = peers_of[w]
+        i = getrandbits(kp)
+        while i >= n:
+            i = getrandbits(kp)
+        x = getrandbits(k)
+        while x >= size:
+            x = getrandbits(k)
+        xp = getrandbits(k)
+        while xp >= size:
+            xp = getrandbits(k)
+        yield w, peers[i], x, xp
 
 
 # -- weight specialization ----------------------------------------------------------
@@ -453,6 +458,7 @@ class SpecializedBasis:
     leq: dict
     msize: dict
     elements: dict           # (label, s, t) -> {w: LaurentPoly over target rank}
+    invertible_primes: set   # the datum's: R = Z[delta][1/p : p in them]
 
 
 def specialize_datum(datum: CellDatum, target_alg: HeckeAlgebra) -> SpecializedBasis:
@@ -471,12 +477,17 @@ def specialize_datum(datum: CellDatum, target_alg: HeckeAlgebra) -> SpecializedB
         elements[key] = {u: q for u, p in tcoeffs.items()
                          if (q := p.specialize_exponents(images, rank2))}
     return SpecializedBasis(target_alg, list(datum.labels), dict(datum.leq),
-                            dict(datum.msize), elements)
+                            dict(datum.msize), elements, set(datum.invertible_primes))
 
 
 def verify_specialized(spec: SpecializedBasis) -> Report:
-    """A'-basis via an exact determinant (must be a unit: a single monomial),
-    then the star axiom and t-independence of the generator action."""
+    """A'-basis via an exact determinant, then the star axiom and
+    t-independence of the generator action.
+
+    The determinant must be a unit of R[Gamma], R = Z[delta][1/p : p in
+    invertible_primes]: a single monomial c eps^g. The datum's elements lie in
+    Z[delta], hence so does c, and such a c is a unit of R exactly when its
+    norm has no prime factor outside invertible_primes."""
     report = Report()
     alg = spec.alg
     size = alg.table.size
@@ -492,6 +503,12 @@ def verify_specialized(spec: SpecializedBasis) -> Report:
         q = det.as_laurent()
         if len(q.terms) != 1:
             bad.append("specialized determinant is not a unit of the Laurent ring")
+        else:
+            (c,) = q.terms.values()
+            field = alg.table.field
+            if not norm_primes(field, c) <= spec.invertible_primes:
+                bad.append(f"specialized determinant coefficient {field.format(c)} is not "
+                           f"a unit of Z[d][1/p : p in {sorted(spec.invertible_primes)}]")
     report.record("A'-basis", bad)
     report.record("C2 star (specialized)", _star_violations(spec))
 

@@ -350,7 +350,7 @@ def _hasse_edges(datum) -> list:
 
 
 class Stage(NamedTuple):
-    needs: tuple   # stages run before this one (one level, not transitively)
+    needs: tuple   # stages run before this one, with their own needs in turn
     writes: tuple  # artifact file stems, in order
 
 
@@ -448,16 +448,28 @@ def _suite_names(verify: str, stages: list) -> list | None:
     return [n for n in SUITES if n in names]
 
 
-def cmd_run(args) -> int:
-    session = _session_from_args(args)
+def _stage_closure(requested: str) -> list:
+    """The requested stages with everything they need, transitively, each
+    after its needs and in the order first reached."""
     stages: list = []
-    for st in (args.stages or ",".join(STAGES)).split(","):
+
+    def add(st):
+        if st not in stages:
+            for dep in STAGES[st].needs:
+                add(dep)
+            stages.append(st)
+
+    for st in requested.split(","):
         st = st.strip()
         if st not in STAGES:
             raise InputError(f"unknown stage {st!r}")
-        for dep in (*STAGES[st].needs, st):
-            if dep not in stages:
-                stages.append(dep)
+        add(st)
+    return stages
+
+
+def cmd_run(args) -> int:
+    session = _session_from_args(args)
+    stages = _stage_closure(args.stages or ",".join(STAGES))
     suites = _suite_names(args.verify or "all", stages)
     # written only once every stage and suite has run; held as JSON text,
     # which takes a fraction of the memory of the dicts of strings

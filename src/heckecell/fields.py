@@ -237,6 +237,20 @@ class CycloNumber:
         return any(self.num)
 
 
+def narrow(c):
+    """The value of c in the narrowest type that holds it: an int for a
+    rational integer, a Fraction for another rational, and an irrational
+    CycloNumber unchanged. Value, equality and hash are kept."""
+    if isinstance(c, CycloNumber):
+        num = c.num
+        if any(num[1:]):
+            return c
+        return num[0] if c.den == 1 else Fraction(num[0], c.den)
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    return c
+
+
 class RealCyclotomicField:
     """The field Q(delta), delta = 2*cos(2*pi/conductor), with exact sign."""
 

@@ -206,6 +206,39 @@ def test_gamma_denominators_powers_of_two_b2():
             assert den & (den - 1) == 0
 
 
+@pytest.mark.parametrize("name,weights,order", [
+    ("I2:9", "equal", None),
+    ("I2:11", "equal", None),
+    ("I2:12", "equal", None),
+    ("B3", "universal", "b-first"),
+])
+def test_gamma_and_n_are_stored_as_ints(name, weights, order):
+    """Every gamma and n_d here is a rational integer, which the ring stores
+    as an int even over a field of degree above one."""
+    ring = get_session(name, weights, order).ring
+    assert all(type(g) is int for g in ring.gamma.values())
+    assert all(type(c) is int for c in ring.n_vec)
+    assert ring.d_set and all(ring.n_vec[d] in (1, -1) for d in ring.d_set)
+
+
+def test_narrowed_ring_checks_detect_an_edited_gamma():
+    """I2:9 has 18 elements, so associativity and the bimodule identity are
+    sampled; gamma + 1 at a key with x != y breaks the cyclic symmetry too."""
+    from heckecell.cellular import verify_bimodule_identity
+    session = get_session("I2:9")
+    ring = AsymptoticRing(session.algebra, session.tensors)
+    assert ring.size > 16
+    key = next(k for k in ring.gamma if k[0] != k[1])
+    ring.gamma = dict(ring.gamma)
+    ring.gamma[key] += 1
+    assert type(ring.gamma[key]) is int
+    report = ring.verify(seed=0)
+    assert report.checks["gamma symmetries"]
+    assert report.checks["associativity"]
+    bimodule = verify_bimodule_identity(session.algebra, ring, seed=0)
+    assert bimodule.checks["bimodule identity (100000 samples)"]
+
+
 # Pairs (x, y) at which the representation property of dihedral:1 fails after
 # each edit of `edited_leading_session`.
 EDITED_REP_PAIRS = {

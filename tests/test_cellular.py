@@ -195,6 +195,31 @@ def test_specialized_c3_detects_swapped_elements():
     assert report.checks["C3 (specialized)"], report.summary()
 
 
+def test_specialized_a_prime_basis_detects_a_doubled_element():
+    """Twice an element keeps the determinant a single monomial, -2 eps^g,
+    but -2 is no unit of Z[delta] when invertible_primes is empty."""
+    session = get_session("B2", "universal", "b-first")
+    spec = specialize_datum(session.datum, get_session("B2").algebra)
+    assert verify_specialized(spec).checks["A'-basis"] == []
+    assert spec.invertible_primes == set()
+    key = ("B:((2,), ())", 0, 0)
+    spec.elements[key] = {u: p + p for u, p in spec.elements[key].items()}
+    assert verify_specialized(spec).checks["A'-basis"] == [
+        "specialized determinant coefficient -2 is not a unit of Z[d][1/p : p in []]"]
+
+
+def test_specialized_a_prime_basis_reads_the_invertible_primes():
+    """I2:6 specialized to equal parameters has determinant -16 eps^g: a unit
+    once 2 is inverted, as the datum's invertible_primes {2} says."""
+    session = get_session("I2:6", "universal", "b-first")
+    spec = specialize_datum(session.datum, get_session("I2:6").algebra)
+    assert spec.invertible_primes == {2}
+    assert verify_specialized(spec).ok
+    spec.invertible_primes = set()
+    assert verify_specialized(spec).checks["A'-basis"] == [
+        "specialized determinant coefficient -16 is not a unit of Z[d][1/p : p in []]"]
+
+
 def test_specialize_accepts_nonpositive_targets():
     """The target weight function need not be positive; only the source order
     matters. Sending b to -a still yields a basis with the cellular axioms."""

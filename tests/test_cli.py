@@ -29,6 +29,19 @@ def test_run_a1_full_pipeline(tmp_path):
     assert all(not v for suite in ver["results"].values() for v in suite.values())
 
 
+def test_run_stage_needs_are_transitive(tmp_path, capsys):
+    # cell needs jring and kl, and jring needs reps
+    out = tmp_path / "a1"
+    assert main(["run", "--system", "A1", "--stages", "cell", "--out", str(out)]) == 0
+    written = [line.rsplit("/", 1)[-1] for line in capsys.readouterr().out.splitlines()]
+    assert written == ["reps.json", "jring.json", "kl-table.json", "h-table.json",
+                       "cells.json", "cell-datum.json", "phi.json", "verification.json"]
+    ver = read(out / "verification.json")
+    assert sorted(ver["results"]) == ["bimodule", "cell_datum", "compare_kl", "jring",
+                                      "phi", "schur_relations"]
+    assert ver["ok"] is True
+
+
 def test_run_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):

@@ -9,8 +9,8 @@ import pytest
 
 from heckecell import fields as fields_mod
 from heckecell.errors import InputError
-from heckecell.fields import (CycloNumber, RealCyclotomicField, real_minimal_polynomial,
-                              reduced_conductor)
+from heckecell.fields import (CycloNumber, RealCyclotomicField, narrow,
+                              real_minimal_polynomial, reduced_conductor)
 
 KNOWN_MIN_POLYS = {
     1: (-2, 1),
@@ -270,6 +270,31 @@ def test_rational_values_compare_and_hash_like_fractions(n):
         assert_canonical(x - x)
         assert (x - x).num == (0,) * F.degree and (x - x).den == 1
         assert x - x == 0 and hash(x - x) == hash(0)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11, 12])
+def test_narrow_keeps_value_and_hash(n):
+    F = RealCyclotomicField(n)
+    rng = random.Random(300 + n)
+    for _ in range(40):
+        x = random_element(F, rng)
+        r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+        k = rng.randrange(-9, 10)
+        cases = [
+            (k, int), (Fraction(k), int), (F.from_rational(k), int), ((x + k) - x, int),
+            (F.from_rational(r), int if r.denominator == 1 else Fraction),
+        ]
+        if r.denominator != 1:
+            cases.append((r, Fraction))
+        if any(x.num[1:]):
+            cases += [(x, CycloNumber), (x * 3 + r, CycloNumber)]
+        for val, kind in cases:
+            got = narrow(val)
+            assert type(got) is kind
+            assert got == val and val == got
+            assert hash(got) == hash(val)
+    x = F.delta() + 1
+    assert narrow(x) is x
 
 
 def test_inverting_zero_raises():
