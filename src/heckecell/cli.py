@@ -74,9 +74,12 @@ def parse_system(spec) -> CoxeterSystem:
         return CoxeterSystem.named(spec)
     try:
         matrix = json.loads(spec) if isinstance(spec, str) else spec
-        return CoxeterSystem(tuple(tuple(int(x) for x in row) for row in matrix))
+        rows = tuple(tuple(row) for row in matrix)
     except (TypeError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot parse system specification {spec!r}") from exc
+    if any(type(x) is not int for row in rows for x in row):  # not bool
+        raise InputError(f"Coxeter matrix entries must be integers, not {spec!r}")
+    return CoxeterSystem(rows)
 
 
 def _config_int(config: dict, key: str, default: int) -> int:

@@ -1,8 +1,11 @@
 """Finite Coxeter systems: enumeration, lengths, descents, weight functions.
 
-Elements are enumerated once by breadth-first search in a faithful reflection
-representation over F = Q(2cos(2pi/N)) with Cartan-style integer-in-Z[delta]
-entries, then identified by small integer ids. All downstream tables
+Elements are enumerated once by breadth-first search over the orbit of a
+chamber point: w is identified by w^{-1}(rho), rho = (1, ..., 1), in the dual
+of a reflection representation over F = Q(2cos(2pi/N)) with Cartan-style
+integer-in-Z[delta] entries. rho lies in the open fundamental chamber, so the
+points of distinct elements differ, and right multiplication by s is one
+vector update. Elements then get small integer ids; all downstream tables
 (multiplication, inverses, descent bitsets, reduced words) are stored on the
 table and never mutated afterwards.
 """
@@ -10,7 +13,6 @@ table and never mutated afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError, ComputationError
 from .fields import RealCyclotomicField, reduced_conductor
@@ -18,17 +20,15 @@ from .scalars import MonomialOrder
 
 DEFAULT_BOUND = 20000
 
-_CLASSICAL_ORDERS = {
-    "A1": 2, "A2": 6, "A3": 24, "A4": 120,
-    "B2": 8, "B3": 48, "H3": 120,
-}
-
 
 def _type_matrix(name: str):
-    """Coxeter matrix for a named type; I2(m) spelled 'I2:m'."""
-    name = name.strip()
+    """Coxeter matrix for a named type, spelled as `CoxeterSystem.named` stores
+    it; I2(m) spelled 'I2:m'."""
     if name.startswith("I2:"):
-        m = int(name[3:])
+        try:
+            m = int(name[3:])
+        except ValueError:
+            raise InputError(f"I2(m) needs an integer m, not {name[3:]!r}") from None
         if not 3 <= m <= 12:
             raise InputError("I2(m) supported for 3 <= m <= 12")
         return ((1, m), (m, 1))
@@ -62,9 +62,9 @@ class CoxeterSystem:
     def __post_init__(self):
         m = self.matrix
         n = len(m)
+        if any(len(m[i]) != n or m[i][i] != 1 for i in range(n)):
+            raise InputError("Coxeter matrix must be square with 1 on the diagonal")
         for i in range(n):
-            if len(m[i]) != n or m[i][i] != 1:
-                raise InputError("Coxeter matrix must be square with 1 on the diagonal")
             for j in range(n):
                 if m[i][j] != m[j][i]:
                     raise InputError("Coxeter matrix must be symmetric")
@@ -73,7 +73,12 @@ class CoxeterSystem:
 
     @classmethod
     def named(cls, name: str) -> "CoxeterSystem":
-        return cls(_type_matrix(name), name=name)
+        """The named type, keeping the canonical spelling: stripped, I2:m with m an int."""
+        name = name.strip()
+        matrix = _type_matrix(name)
+        if name.startswith("I2:"):
+            name = f"I2:{matrix[0][1]}"
+        return cls(matrix, name=name)
 
     @property
     def ngens(self) -> int:
@@ -120,7 +125,7 @@ class ElementTable:
       rmult[w][s]   index of w*s
       lmult[w][s]   index of s*w
       inverse[w]    index of w^{-1}
-      left_descents[w], right_descents[w]   bitmask ints over generators
+      left_descents[w]   bitmask int over generators
       by_length     element ids grouped by length
       longest       id of the longest element
     """
@@ -130,7 +135,9 @@ class ElementTable:
         self.field = system.coefficient_field()
         self._enumerate(bound)
 
-    def _gen_matrices(self):
+    def _cartan(self):
+        """Rows cartan[s] with s(x) = x - (cartan[s] . x) alpha_s on the simple
+        roots alpha_s, so a point f of the dual space moves as f*s = f - f_s cartan[s]."""
         F = self.field
         n = self.system.ngens
         cartan = [[None] * n for _ in range(n)]
@@ -145,38 +152,16 @@ class ElementTable:
                 else:
                     m = self.system.matrix[s][t]
                     cartan[s][t] = -(F.from_rational(2) + F.two_cos(1, m))
-        mats = []
-        for s in range(n):
-            rows = []
-            for u in range(n):
-                row = []
-                for t in range(n):
-                    e = F.one if u == t else F.zero
-                    if u == s:
-                        e = e - cartan[s][t]
-                    row.append(e)
-                rows.append(tuple(row))
-            mats.append(tuple(rows))
-        return mats
-
-    @staticmethod
-    def _matmul(a, b):
-        n = len(a)
-        return tuple(
-            tuple(sum((a[i][k] * b[k][j] for k in range(n) if a[i][k]), Fraction(0))
-                  for j in range(n))
-            for i in range(n)
-        )
+        return cartan
 
     def _enumerate(self, bound: int):
         n = self.system.ngens
-        gens = self._gen_matrices()
-        identity = tuple(
-            tuple(self.field.one if i == j else self.field.zero for j in range(n))
-            for i in range(n)
-        )
-        index = {identity: 0}
-        mats = [identity]
+        cartan = self._cartan()
+        # w is identified by the point rho*w = w^{-1}(rho); rho = (1, ..., 1) lies in
+        # the open fundamental chamber, whose stabilizer in W is trivial (Tits)
+        rho = tuple(self.field.one for _ in range(n))
+        index = {rho: 0}
+        points = [rho]
         self.word = [()]
         self.length = [0]
         rmult = [[None] * n]
@@ -184,42 +169,39 @@ class ElementTable:
         while frontier:
             new_frontier = []
             for w in frontier:
-                mw = mats[w]
+                p = points[w]
                 for s in range(n):
-                    m2 = self._matmul(mw, gens[s])
-                    idx = index.get(m2)
+                    ps = p[s]
+                    q = tuple(x - ps * c if c else x for x, c in zip(p, cartan[s]))
+                    idx = index.get(q)
                     if idx is None:
-                        idx = len(mats)
+                        idx = len(points)
                         if idx > bound:
                             raise InputError("group not finite or bound too small")
-                        index[m2] = idx
-                        mats.append(m2)
+                        index[q] = idx
+                        points.append(q)
                         self.word.append(self.word[w] + (s,))
                         self.length.append(self.length[w] + 1)
                         rmult.append([None] * n)
                         new_frontier.append(idx)
                     rmult[w][s] = idx
             frontier = new_frontier
-        self.size = len(mats)
+        self.size = len(points)
         self.rmult = rmult
-        self.lmult = [[None] * n for _ in range(self.size)]
-        for w in range(self.size):
-            for s in range(n):
-                self.lmult[w][s] = index[self._matmul(gens[s], mats[w])]
         self.inverse = [None] * self.size
         for w in range(self.size):
             acc = 0
             for s in reversed(self.word[w]):
                 acc = self.rmult[acc][s]
             self.inverse[w] = acc
+        inv = self.inverse
+        # s w = (w^{-1} s)^{-1}
+        self.lmult = [[inv[rmult[inv[w]][s]] for s in range(n)] for w in range(self.size)]
         self.left_descents = [0] * self.size
-        self.right_descents = [0] * self.size
         for w in range(self.size):
             for s in range(n):
                 if self.length[self.lmult[w][s]] < self.length[w]:
                     self.left_descents[w] |= 1 << s
-                if self.length[self.rmult[w][s]] < self.length[w]:
-                    self.right_descents[w] |= 1 << s
         maxlen = max(self.length)
         self.by_length = [[] for _ in range(maxlen + 1)]
         for w in range(self.size):
@@ -238,12 +220,6 @@ class ElementTable:
     def gen(self, s: int) -> int:
         """Element id of the generator s."""
         return self.rmult[0][s]
-
-    def has_left_descent(self, w: int, s: int) -> bool:
-        return bool(self.left_descents[w] >> s & 1)
-
-    def has_right_descent(self, w: int, s: int) -> bool:
-        return bool(self.right_descents[w] >> s & 1)
 
     def first_left_descent(self, w: int) -> int:
         d = self.left_descents[w]

@@ -12,7 +12,9 @@ correcting the bar-invariant product Cp_s Cp_{sw} downwards; C_w = j(Cp_w)
 with j(eps^g) = eps^{-g}, j(T_y) = (-1)^{l(y)} T_y.
 
 Structure constants h_{x,y,z} (C_x C_y = sum h_{x,y,z} C_z) are materialized
-by a length recursion on x that only ever multiplies by generator rows, the
+by a length recursion on x that only ever multiplies by generator rows. The
+generator rows h_{s,w,.} come from the same correction step that builds
+Cp_{sw}: the multiples mu_y Cp_y it takes away from Cp_s Cp_w. The
 a-function is the smallest shift making a z-column nonnegative, and gamma
 constants are the resulting constant terms at z^{-1}, kept as a map of the
 nonzero ones. The full table is built only for |W| <= MAX_FULL_TABLE, the one
@@ -164,16 +166,22 @@ class HeckeAlgebra:
                 self._cprime[0] = self.unit()
             else:
                 for w in t.by_length[lng]:
-                    self._cprime[w] = self._build_cprime(w)
+                    s = t.first_left_descent(w)
+                    self._cprime[w], _ = self._peel(s, t.lmult[w][s])
             self._kl_done_length = lng
 
-    def _build_cprime(self, w: int) -> dict:
+    def _peel(self, s: int, v: int):
+        """(Cp_{sv}, mu) for sv > v, where Cp_s Cp_v = Cp_{sv} + sum mu[y] Cp_y
+        (Lusztig, Hecke algebras with unequal parameters, Thm 6.6).
+
+        Cp_s Cp_v = (T_s + v_s^{-1}) Cp_v is bar-invariant with top term T_{sv};
+        going down in length, each Cp_y takes away the nonnegative part of the
+        coefficient at T_y. Reads the Cp_y with l(y) <= l(v)."""
         t, order = self.table, self.order
-        s = t.first_left_descent(w)
-        v = t.lmult[w][s]
-        # Cp_s Cp_v = (T_s + v_s^{-1}) Cp_v : bar-invariant, top term T_w
+        w = t.lmult[v][s]
         x = self.add(self.gen_left(s, self._cprime[v]),
                      self.scale(self._cprime[v], self.vinv[s]))
+        mu = {}
         bad = sorted((y for y in x if y != w), key=lambda y: -t.length[y])
         for y in bad:
             c = x.get(y)
@@ -182,14 +190,14 @@ class HeckeAlgebra:
             m = c.nonnegative_part(order)
             if not m:
                 continue
-            mu = m + m.bar() - LaurentPoly.constant(self.rank, m.constant_coefficient())
-            x = self.sub(x, self.scale(self._cprime[y], mu))
+            mu[y] = m + m.bar() - LaurentPoly.constant(self.rank, m.constant_coefficient())
+            x = self.sub(x, self.scale(self._cprime[y], mu[y]))
         if x.get(w) != LaurentPoly.one(self.rank):
             raise ComputationError("KL correction failed")
         for y, c in x.items():
             if y != w and not c.supported_negative(order):
                 raise ComputationError("KL correction failed")
-        return x
+        return x, mu
 
     def c_basis(self, w: int) -> dict:
         """C_w = j(Cp_w) in the T-basis."""
@@ -223,15 +231,22 @@ class HeckeAlgebra:
     # -- structure constants, a-function, gamma ----------------------------------------
 
     def gen_row(self, s: int, w: int) -> dict:
-        """h_{s,w,.} as a dict z -> LaurentPoly."""
+        """h_{s,w,.} as a dict z -> LaurentPoly.
+
+        Cp_s Cp_w is Cp_{sw} + sum mu_y Cp_y (`_peel`) when sw > w and
+        (v_s + v_s^{-1}) Cp_w when sw < w. These coefficients are bar-invariant,
+        so they are also those of C_s C_w = j(Cp_s Cp_w) in the C-basis."""
         if self._gen_rows is None:
             self._gen_rows = [dict() for _ in range(self.table.system.ngens)]
         row = self._gen_rows[s].get(w)
         if row is None:
-            # C_s = -T_s + v_s T_1, so C_s C_w = v_s C_w - T_s C_w
-            prod = self.sub(self.scale(self.c_basis(w), self.v[s]),
-                            self.gen_left(s, self.c_basis(w)))
-            row = self.t_to_c(prod)
+            t = self.table
+            sw = t.lmult[w][s]
+            if t.length[sw] < t.length[w]:
+                row = {w: self.v[s] + self.vinv[s]}
+            else:
+                self.cprime(w)  # builds every Cp_y with l(y) <= l(w)
+                row = {sw: LaurentPoly.one(self.rank), **self._peel(s, w)[1]}
             self._gen_rows[s][w] = row
         return row
 
@@ -297,10 +312,6 @@ class HeckeAlgebra:
                     if g:
                         out[(x, y, z)] = g
         return out
-
-    def gamma_constant(self, x: int, y: int, z: int):
-        """gamma_{x,y,z}, read from `kl_gamma()` (0 off its keys)."""
-        return self.kl_gamma().get((x, y, z), 0)
 
     def _compute_a(self):
         if self._a is not None:

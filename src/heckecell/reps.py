@@ -91,13 +91,6 @@ class MatrixRep:
             raise ComputationError("representation not defined over expected ring")
         return q
 
-    def character_at_one(self, w: int):
-        """Classical character value: trace with every eps^g specialized to 1."""
-        total = Fraction(0)
-        for c in self.trace_poly(w).terms.values():
-            total = c + total
-        return total
-
 
 @dataclass
 class SchurData:

@@ -12,6 +12,10 @@ _CACHE: dict = {}
 # while its group table still enumerates in about a second.
 B4_MATRIX = "[[1,4,2,2],[4,1,3,2],[2,3,1,3],[2,2,3,1]]"
 
+# D4 as an explicit Coxeter matrix (a branching diagram, no built-in name):
+# |W| = 192, the largest table under hecke.MAX_FULL_TABLE.
+D4_MATRIX = "[[1,3,2,2],[3,1,3,3],[2,3,1,2],[2,3,2,1]]"
+
 
 def get_session(system: str, weights: str = "equal", order=None) -> Session:
     key = (system, weights, order)

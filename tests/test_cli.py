@@ -99,6 +99,27 @@ def test_bad_system_gives_input_exit():
     assert main(["run", "--system", "Z9"]) == 3
 
 
+@pytest.mark.parametrize("spec", ["I2:x", "I2:", "I2:3.5"])
+def test_malformed_dihedral_name_gives_input_exit(tmp_path, capsys, spec):
+    assert_input_error(["cells", "--system", spec, "--out", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("spec,name", [(" A2", "A2"), ("I2:05", "I2:5"), (" I2:5 ", "I2:5")])
+def test_named_system_is_stored_in_its_canonical_spelling(tmp_path, spec, name):
+    # the built-in family is looked up by the stored name, and headers carry it
+    out = tmp_path / "out"
+    assert main(["run", "--system", spec, "--stages", "reps", "--verify", "none",
+                 "--out", str(out)]) == 0
+    assert read(out / "reps.json")["system"] == name
+
+
+@pytest.mark.parametrize("spec", ["[[1,2.5],[2.5,1]]", "[[1,true],[true,1]]",
+                                  '[[1,"3"],["3",1]]', "[[1,3,2],[3,1,3],[2]]"],
+                         ids=["float", "bool", "string", "ragged"])
+def test_non_integer_or_ragged_coxeter_matrix_gives_input_exit(tmp_path, capsys, spec):
+    assert_input_error(["cells", "--system", spec, "--out", str(tmp_path)], capsys)
+
+
 def test_run_writes_the_h_table_above_48_elements(tmp_path):
     out = tmp_path / "a4"
     assert main(["run", "--system", "A4", "--stages", "kl", "--verify", "none",

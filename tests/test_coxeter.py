@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from conftest import D4_MATRIX
+from heckecell.cli import parse_system
 from heckecell.coxeter import (CoxeterSystem, ElementTable, WeightFunction,
                                equal_weights, universal_weights, validate_weights)
 from heckecell.errors import InputError
@@ -67,9 +69,19 @@ def test_length_steps_and_descents():
             for s in range(n):
                 sw = t.lmult[w][s]
                 assert abs(t.length[sw] - t.length[w]) == 1
-                assert t.has_left_descent(w, s) == (t.length[sw] < t.length[w])
+                assert bool(t.left_descents[w] >> s & 1) == (t.length[sw] < t.length[w])
+                # a right descent of w is a left descent of w^{-1}
                 ws = t.rmult[w][s]
-                assert t.has_right_descent(w, s) == (t.length[ws] < t.length[w])
+                assert (bool(t.left_descents[t.inverse[w]] >> s & 1)
+                        == (t.length[ws] < t.length[w]))
+
+
+@pytest.mark.parametrize("system", ["A3", "B3", "H3", "I2:7", D4_MATRIX])
+def test_left_multiplication_against_words(system):
+    t = ElementTable(parse_system(system))
+    for w in range(t.size):
+        for s in range(t.system.ngens):
+            assert t.lmult[w][s] == t.mult(t.gen(s), w)
 
 
 def test_words_are_reduced_and_inverse_involutive():

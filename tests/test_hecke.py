@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import B4_MATRIX, get_session
+from conftest import B4_MATRIX, D4_MATRIX, get_session
 from heckecell.cli import Session
 from heckecell.errors import InputError
 from heckecell.scalars import LaurentPoly
@@ -164,6 +164,28 @@ def test_h_table_matches_direct_products():
         assert direct == rows[x][y]
 
 
+@pytest.mark.parametrize("name,weights,order", [
+    ("A3", "equal", None), ("H3", "equal", None), ("B3", "universal", "b-first"),
+    ("I2:8", "universal", "b-first"), ("I2:12", '{"0":[1],"1":[2]}', None),
+])
+def test_generator_rows_match_direct_products(name, weights, order):
+    # gen_row reads the rows off the KL correction step; the reference
+    # multiplies C_s C_w in the T-basis and converts back to the C-basis
+    alg = alg_of(name, weights, order)
+    for s in range(alg.table.system.ngens):
+        cs = alg.c_basis(alg.table.gen(s))
+        for w in range(alg.table.size):
+            direct = alg.t_to_c(alg.t_multiply(cs, alg.c_basis(w)))
+            assert alg.gen_row(s, w) == direct
+
+
+def test_d4_matrix_cells():
+    alg = alg_of(D4_MATRIX)
+    assert alg.table.size == 192
+    _, cells, _ = alg.lr_cells()
+    assert len(cells) == 11
+
+
 def test_a_function():
     alg = alg_of("A1")
     s = alg.table.gen(0)
@@ -184,10 +206,11 @@ def test_a_function():
 def test_gamma_constants():
     alg = alg_of("A1")
     s = alg.table.gen(0)
-    assert alg.gamma_constant(0, 0, 0) == 1
-    assert alg.gamma_constant(s, s, s) == 1
-    alg2 = alg_of("A2")
-    values = {alg2.gamma_constant(x, y, z)
+    gamma = alg.kl_gamma()
+    assert gamma.get((0, 0, 0), 0) == 1
+    assert gamma.get((s, s, s), 0) == 1
+    gamma2 = alg_of("A2").kl_gamma()
+    values = {gamma2.get((x, y, z), 0)
               for x in range(6) for y in range(6) for z in range(6)}
     assert values == {0, 1}
 
