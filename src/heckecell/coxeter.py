@@ -128,6 +128,9 @@ class ElementTable:
       left_descents[w]   bitmask int over generators
       by_length     element ids grouped by length
       longest       id of the longest element
+
+    Ids are given breadth-first, so they run in length order: l(y) < l(w)
+    implies y < w. `HeckeAlgebra.cprime` relies on it.
     """
 
     def __init__(self, system: CoxeterSystem, bound: int = DEFAULT_BOUND):

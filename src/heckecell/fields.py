@@ -536,12 +536,16 @@ class RealCyclotomicField:
             term, i = text[i:j], j
             if not term:
                 raise InputError(f"bad field-coefficient string {text!r}")
-            if "d" in term:
-                head, _, tail = term.partition("d")
-                coef = Fraction(head.rstrip("*")) if head.rstrip("*") else Fraction(1)
-                power = int(tail[1:]) if tail.startswith("^") else 1
-            else:
-                coef, power = Fraction(term), 0
+            head, d, tail = term.partition("d")
+            if d and head.endswith("*"):
+                head = head[:-1]
+            if tail and not tail.startswith("^"):
+                raise InputError(f"bad field-coefficient string {text!r}")
+            try:
+                coef = Fraction(head) if head else Fraction(1)
+                power = int(tail[1:]) if tail else (1 if d else 0)
+            except (ValueError, ZeroDivisionError):
+                raise InputError(f"bad field-coefficient string {text!r}") from None
             if power >= len(coeffs):
                 coeffs.extend([Fraction(0)] * (power + 1 - len(coeffs)))
             coeffs[power] += sign * coef

@@ -8,13 +8,13 @@ Everything here works in the standard basis {T_w} with the multiplication rule
 where v_s = eps^{L(s)}. The canonical bases are computed from their defining
 characterization: Cp_w is the unique bar-invariant element T_w + sum p_{y,w} T_y
 with every p_{y,w} supported on strictly negative exponents, built by
-correcting the bar-invariant product Cp_s Cp_{sw} downwards; C_w = j(Cp_w)
-with j(eps^g) = eps^{-g}, j(T_y) = (-1)^{l(y)} T_y.
+peeling the bar-invariant product Cp_s Cp_{sw} downwards, in element-id
+(= length) order; C_w = j(Cp_w) with j(eps^g) = eps^{-g}, j(T_y) = (-1)^{l(y)} T_y.
 
 Structure constants h_{x,y,z} (C_x C_y = sum h_{x,y,z} C_z) are materialized
 by a length recursion on x that only ever multiplies by generator rows. The
-generator rows h_{s,w,.} come from the same correction step that builds
-Cp_{sw}: the multiples mu_y Cp_y it takes away from Cp_s Cp_w. The
+generator row h_{s,w,.} is what the peel of Cp_s Cp_w takes away, mu_y Cp_y,
+and every peel keeps its row: each ascent is peeled once per algebra. The
 a-function is the smallest shift making a z-column nonnegative, and gamma
 constants are the resulting constant terms at z^{-1}, kept as a map of the
 nonzero ones. The full table is built only for |W| <= MAX_FULL_TABLE, the one
@@ -57,10 +57,9 @@ class HeckeAlgebra:
         self.vinv = [LaurentPoly.monomial(exp_neg(weights.of_gen(s))) for s in range(n)]
         self.xi = [self.v[s] - self.vinv[s] for s in range(n)]
         self._tinv: dict = {0: {0: LaurentPoly.one(self.rank)}}
-        self._cprime: dict = {}
-        self._kl_done_length = -1
+        self._cprime: list = [self.unit()]
         self._c_cache: dict = {}
-        self._gen_rows = None
+        self._gen_rows = [dict() for _ in range(n)]
         self._h_rows = None
         self._a = None
         self._cells = None
@@ -154,25 +153,22 @@ class HeckeAlgebra:
     # -- canonical bases ------------------------------------------------------------
 
     def cprime(self, w: int) -> dict:
-        """Cp_w in the T-basis."""
-        self._ensure_kl(self.table.length[w])
+        """Cp_w in the T-basis.
+
+        Peels every missing u <= w in id order, each by its first left descent.
+        Ids run in length order (`ElementTable`), so the table always holds a
+        prefix of the ids and each peel reads only shorter Cp_y."""
+        t = self.table
+        while len(self._cprime) <= w:
+            u = len(self._cprime)
+            s = t.first_left_descent(u)
+            self._peel(s, t.lmult[u][s])
         return self._cprime[w]
 
-    def _ensure_kl(self, upto: int):
-        t = self.table
-        while self._kl_done_length < upto:
-            lng = self._kl_done_length + 1
-            if lng == 0:
-                self._cprime[0] = self.unit()
-            else:
-                for w in t.by_length[lng]:
-                    s = t.first_left_descent(w)
-                    self._cprime[w], _ = self._peel(s, t.lmult[w][s])
-            self._kl_done_length = lng
-
-    def _peel(self, s: int, v: int):
-        """(Cp_{sv}, mu) for sv > v, where Cp_s Cp_v = Cp_{sv} + sum mu[y] Cp_y
-        (Lusztig, Hecke algebras with unequal parameters, Thm 6.6).
+    def _peel(self, s: int, v: int) -> dict:
+        """Peel Cp_s Cp_v = Cp_{sv} + sum mu[y] Cp_y for sv > v (Lusztig, Hecke
+        algebras with unequal parameters, Thm 6.6); store and return the
+        generator row h_{s,v,.} = {sv: 1, **mu}, and store Cp_{sv} if it is new.
 
         Cp_s Cp_v = (T_s + v_s^{-1}) Cp_v is bar-invariant with top term T_{sv};
         going down in length, each Cp_y takes away the nonnegative part of the
@@ -197,7 +193,10 @@ class HeckeAlgebra:
         for y, c in x.items():
             if y != w and not c.supported_negative(order):
                 raise ComputationError("KL correction failed")
-        return x, mu
+        if w == len(self._cprime):
+            self._cprime.append(x)
+        row = self._gen_rows[s][v] = {w: LaurentPoly.one(self.rank), **mu}
+        return row
 
     def c_basis(self, w: int) -> dict:
         """C_w = j(Cp_w) in the T-basis."""
@@ -235,19 +234,18 @@ class HeckeAlgebra:
 
         Cp_s Cp_w is Cp_{sw} + sum mu_y Cp_y (`_peel`) when sw > w and
         (v_s + v_s^{-1}) Cp_w when sw < w. These coefficients are bar-invariant,
-        so they are also those of C_s C_w = j(Cp_s Cp_w) in the C-basis."""
-        if self._gen_rows is None:
-            self._gen_rows = [dict() for _ in range(self.table.system.ngens)]
+        so they are also those of C_s C_w = j(Cp_s Cp_w) in the C-basis. An
+        ascent row is the one `cprime(sw)` stored when s is the first left
+        descent of sw, and is peeled here otherwise."""
         row = self._gen_rows[s].get(w)
         if row is None:
             t = self.table
             sw = t.lmult[w][s]
             if t.length[sw] < t.length[w]:
-                row = {w: self.v[s] + self.vinv[s]}
+                row = self._gen_rows[s][w] = {w: self.v[s] + self.vinv[s]}
             else:
-                self.cprime(w)  # builds every Cp_y with l(y) <= l(w)
-                row = {sw: LaurentPoly.one(self.rank), **self._peel(s, w)[1]}
-            self._gen_rows[s][w] = row
+                self.cprime(sw)
+                row = self._gen_rows[s].get(w) or self._peel(s, w)
         return row
 
     def h_rows(self) -> list:

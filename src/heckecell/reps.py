@@ -668,20 +668,32 @@ def _seminormal_gram(gens, d, rank, order) -> KMatrix:
 
 
 def rep_from_dict(alg: HeckeAlgebra, data: dict) -> MatrixRep:
+    """The representation a parsed representation file describes; a file of
+    the wrong shape is an InputError, one that breaks the relations a
+    VerificationError."""
+    if not isinstance(data, dict):
+        raise InputError("representation file must hold a JSON object")
     label = data.get("label", "loaded")
+    if not isinstance(label, str):
+        raise InputError("representation label must be a string")
     if "generators" in data:
         gens = []
         n = alg.table.system.ngens
         field = alg.table.field
+        if not isinstance(data["generators"], dict):
+            raise InputError("'generators' must map generator indices to matrices")
         for s in range(n):
-            key = str(s)
-            if key not in data["generators"]:
+            rows = data["generators"].get(str(s))
+            if rows is None:
                 raise InputError(f"generator {s} missing from representation file")
-            rows = data["generators"][key]
-            mat = [[LaurentPoly.from_str(x, alg.rank, field) for x in row] for row in rows]
-            dims = {len(rows)} | {len(r) for r in rows}
-            if len(dims) != 1:
+            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+                raise InputError(f"generator {s} must be a list of rows")
+            dim = gens[0].dim if gens else len(rows)
+            if not rows or {len(rows)} | {len(r) for r in rows} != {dim}:
                 raise InputError("generator matrices must be square of equal size")
+            if not all(isinstance(x, str) for row in rows for x in row):
+                raise InputError(f"generator {s} has an entry that is not a polynomial string")
+            mat = [[LaurentPoly.from_str(x, alg.rank, field) for x in row] for row in rows]
             gens.append(KMatrix.from_polys(mat, alg.order))
         return MatrixRep(alg, label, gens)
     if "wgraph" in data:
@@ -692,17 +704,33 @@ def rep_from_dict(alg: HeckeAlgebra, data: dict) -> MatrixRep:
 def _wgraph_rep(alg: HeckeAlgebra, label: str, wg: dict) -> MatrixRep:
     """T_s e_x = v_s e_x + sum_{y: s in I_y} mu_{y,x} e_y  (s not in I_x),
        T_s e_x = -v_s^{-1} e_x                             (s in I_x)."""
+    n = alg.table.system.ngens
+    if not (isinstance(wg, dict) and isinstance(wg.get("vertices"), list) and wg["vertices"]):
+        raise InputError("'wgraph' needs a nonempty list of 'vertices'")
+    for v in wg["vertices"]:
+        if not isinstance(v, list) or any(type(s) is not int or not 0 <= s < n for s in v):
+            raise InputError(f"W-graph vertex {v!r} is not a list of generators 0..{n - 1}")
     verts = [frozenset(v) for v in wg["vertices"]]
     d = len(verts)
-    n = alg.table.system.ngens
     field = alg.table.field
     rank = alg.rank
+    edges = wg.get("edges", [])
+    if not isinstance(edges, list):
+        raise InputError("W-graph 'edges' must be a list")
     mu = {}
-    for e in wg.get("edges", []):
-        u, v = int(e["u"]), int(e["v"])
+    for e in edges:
+        if not isinstance(e, dict) or any(type(e.get(k)) is not int or not 0 <= e[k] < d
+                                          for k in ("u", "v")):
+            raise InputError(f"W-graph edge {e!r} needs vertices 'u' and 'v' in 0..{d - 1}")
+        u, v = e["u"], e["v"]
         w = e.get("weight", 1)
-        p = (LaurentPoly.from_str(w, rank, field) if isinstance(w, str)
-             else LaurentPoly.constant(rank, Fraction(w)))
+        if isinstance(w, str):
+            p = LaurentPoly.from_str(w, rank, field)
+        elif type(w) is int:  # not bool
+            p = LaurentPoly.constant(rank, Fraction(w))
+        else:
+            raise InputError(f"W-graph edge weight {w!r} is neither an integer nor a "
+                             "polynomial string")
         mu[(u, v)] = p
         mu.setdefault((v, u), p)
     gens = []

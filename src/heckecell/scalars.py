@@ -318,7 +318,10 @@ class LaurentPoly:
             if cstr.startswith("(") and cstr.endswith(")"):
                 cstr = cstr[1:-1]
             coeff = field.parse(cstr)
-            g = tuple(int(x) for x in gstr[:-1].split(",")) if gstr[:-1] else ()
+            try:
+                g = tuple(int(x) for x in gstr[:-1].split(",")) if gstr[:-1] else ()
+            except ValueError:
+                raise InputError(f"bad exponent in Laurent term {part!r}") from None
             if len(g) != rank:
                 raise InputError(f"exponent {g} has rank {len(g)}, expected {rank}")
             if g in terms:

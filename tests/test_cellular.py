@@ -94,6 +94,26 @@ def test_fault_injection_breaks_c3():
     assert report.checks["C3 left action"]
 
 
+def test_c1_detects_a_singular_basis_and_c3_is_not_checked():
+    import dataclasses
+    datum = get_session("A2").datum
+    elements = dict(datum.elements)
+    elements[("A:(3,)", 0, 0)] = elements[("A:(1, 1, 1)", 0, 0)]
+    report = verify_cell_datum(dataclasses.replace(datum, elements=elements))
+    assert report.checks["C1 basis"] == ["transition matrix to the canonical basis is singular"]
+    assert report.checks["C3 left action"] == [
+        "C3 not checked: transition matrix to the canonical basis is singular"]
+
+
+def test_c1_detects_a_missing_cell_and_c3_is_not_checked():
+    import dataclasses
+    datum = get_session("A2").datum
+    report = verify_cell_datum(dataclasses.replace(datum, labels=datum.labels[1:]))
+    assert report.checks["C1 basis"] == ["basis has 5 elements for group order 6"]
+    assert report.checks["C3 left action"] == [
+        "C3 not checked: basis has 5 elements for group order 6"]
+
+
 def test_phi_values_a1():
     session = get_session("A1")
     alg, ring = session.algebra, session.ring
@@ -206,6 +226,16 @@ def test_specialized_a_prime_basis_detects_a_doubled_element():
     spec.elements[key] = {u: p + p for u, p in spec.elements[key].items()}
     assert verify_specialized(spec).checks["A'-basis"] == [
         "specialized determinant coefficient -2 is not a unit of Z[d][1/p : p in []]"]
+
+
+def test_specialized_a_prime_basis_detects_a_singular_basis():
+    session = get_session("B2", "universal", "b-first")
+    spec = specialize_datum(session.datum, get_session("B2").algebra)
+    spec.elements[("B:((2,), ())", 0, 0)] = spec.elements[("B:((1, 1), ())", 0, 0)]
+    report = verify_specialized(spec)
+    assert report.checks["A'-basis"] == ["specialized transition matrix is singular"]
+    assert report.checks["C3 (specialized)"] == [
+        "C3 not checked: specialized transition matrix is singular"]
 
 
 def test_specialized_a_prime_basis_reads_the_invertible_primes():

@@ -95,6 +95,23 @@ def test_unparsable_rep_file_gives_input_exit(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("data", [
+    [1, 2],
+    {"generators": {"0": [[1]], "1": [["1*eps[1]"]]}},
+    {"wgraph": {"edges": []}},
+    {"wgraph": {"vertices": [[0]], "edges": [{"u": 0, "v": 5}]}},
+    {"generators": {"0": [["-1*eps[-1]"]],
+                    "1": [["-1*eps[-1]", "0"], ["0", "-1*eps[-1]"]]}},
+    {"generators": {"0": [["x*eps[1]"]], "1": [["1*eps[1]"]]}},
+    {"generators": {"0": [["1*eps[a]"]], "1": [["1*eps[1]"]]}},
+], ids=["array", "number-entry", "no-vertices", "edge-out-of-range", "unequal-sizes",
+        "bad-coefficient", "bad-exponent"])
+def test_malformed_rep_file_gives_input_exit(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert_input_error(["rep", "validate", "--system", "I2:4", "--file", str(bad)], capsys)
+
+
 def test_bad_system_gives_input_exit():
     assert main(["run", "--system", "Z9"]) == 3
 

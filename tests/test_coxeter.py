@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import D4_MATRIX
+from conftest import B4_MATRIX, D4_MATRIX
 from heckecell.cli import parse_system
 from heckecell.coxeter import (CoxeterSystem, ElementTable, WeightFunction,
                                equal_weights, universal_weights, validate_weights)
@@ -74,6 +74,16 @@ def test_length_steps_and_descents():
                 ws = t.rmult[w][s]
                 assert (bool(t.left_descents[t.inverse[w]] >> s & 1)
                         == (t.length[ws] < t.length[w]))
+
+
+@pytest.mark.parametrize("system", ["A1", "A2", "A3", "A4", "B2", "B3", "H3"]
+                         + [f"I2:{m}" for m in range(3, 13)] + [D4_MATRIX, B4_MATRIX])
+def test_element_ids_are_in_length_order(system):
+    # HeckeAlgebra.cprime builds Cp in id order and relies on every shorter
+    # element having a smaller id
+    t = ElementTable(parse_system(system))
+    assert t.length == sorted(t.length)
+    assert [w for ws in t.by_length for w in ws] == list(range(t.size))
 
 
 @pytest.mark.parametrize("system", ["A3", "B3", "H3", "I2:7", D4_MATRIX])

@@ -123,6 +123,12 @@ def test_format_parse_roundtrip():
             assert F.parse(F.format(x)) == x
 
 
+@pytest.mark.parametrize("text", ["x", "1/0", "2d5", "d^x", "2**d", "3*"])
+def test_parse_rejects_malformed_coefficients(text):
+    with pytest.raises(InputError, match="bad field-coefficient string"):
+        RealCyclotomicField(5).parse(text)
+
+
 def test_ring_integrality_check():
     F = RealCyclotomicField(5)
     assert F.is_ring_integer(F.delta())

@@ -9,6 +9,7 @@ import pytest
 from conftest import B4_MATRIX, D4_MATRIX, get_session
 from heckecell.cli import Session
 from heckecell.errors import InputError
+from heckecell.hecke import HeckeAlgebra
 from heckecell.scalars import LaurentPoly
 
 NAT_ONE = LaurentPoly.one(1)
@@ -177,6 +178,48 @@ def test_generator_rows_match_direct_products(name, weights, order):
         for w in range(alg.table.size):
             direct = alg.t_to_c(alg.t_multiply(cs, alg.c_basis(w)))
             assert alg.gen_row(s, w) == direct
+
+
+@pytest.mark.parametrize("cells_first", [True, False])
+@pytest.mark.parametrize("name,ascents", [("H3", 180), ("A4", 240)])
+def test_each_ascent_is_peeled_once(monkeypatch, name, ascents, cells_first):
+    # every peel keeps its row, so the cells and the whole KL basis, in
+    # either order, peel each ascent (s, v), sv > v, exactly once
+    alg = Session({"system": name}).algebra
+    t = alg.table
+    calls = []
+    peel = HeckeAlgebra._peel
+
+    def counted(self, s, v):
+        calls.append((s, v))
+        return peel(self, s, v)
+
+    monkeypatch.setattr(HeckeAlgebra, "_peel", counted)
+    if cells_first:
+        alg.lr_cells()
+    for w in range(t.size):
+        alg.cprime(w)
+    alg.lr_cells()
+    assert len(calls) == len(set(calls)) == ascents
+    assert all(t.length[t.lmult[v][s]] > t.length[v] for s, v in calls)
+
+
+@pytest.mark.parametrize("name,weights,order", [
+    ("H3", "equal", None), ("B3", "universal", "b-first"),
+    ("I2:12", '{"0":[1],"1":[2]}', None),
+])
+def test_kl_basis_rows_and_cells_do_not_depend_on_call_order(name, weights, order):
+    config = {"system": name, "weights": weights, "order": order}
+    cells_first = Session(config).algebra
+    kl_first = Session(config).algebra
+    cells = cells_first.lr_cells()
+    t = kl_first.table
+    cprimes = [kl_first.cprime(w) for w in range(t.size)]
+    assert [cells_first.cprime(w) for w in range(t.size)] == cprimes
+    for s in range(t.system.ngens):
+        for w in range(t.size):
+            assert cells_first.gen_row(s, w) == kl_first.gen_row(s, w)
+    assert kl_first.lr_cells() == cells
 
 
 def test_d4_matrix_cells():
