@@ -32,7 +32,7 @@ from . import asymptotic, cellular, reps
 from .asymptotic import Report
 from .coxeter import (CoxeterSystem, ElementTable, WeightFunction, equal_weights,
                       universal_weights, validate_weights)
-from .errors import ComputationError, HeckecellError, InputError, VerificationError
+from .errors import HeckecellError, InputError, VerificationError
 from .hecke import HeckeAlgebra
 from .scalars import LaurentPoly, MonomialOrder, natural_order
 
@@ -96,16 +96,19 @@ def _config_int(config: dict, key: str, default: int) -> int:
 
 
 class Session:
-    """Lazily computed pipeline state for one job configuration."""
+    """Lazily computed pipeline state for one job; `balanced` is its one representation stage."""
 
     def __init__(self, config: dict):
-        self.config = dict(config)
         self.system = parse_system(config.get("system", "A1"))
         self.weights = parse_weights(config.get("weights"), self.system)
         self.order = parse_order(config.get("order"), self.weights.rank)
         self.seed = _config_int(config, "seed", 0)
         self.jobs = _config_int(config, "jobs", 1)
         self.bound = _config_int(config, "bound", 20000)
+        self.sources = config.get("reps", "builtin")
+        if self.sources != "builtin" and not (
+                isinstance(self.sources, list) and all(isinstance(p, str) for p in self.sources)):
+            raise InputError(f"reps must be 'builtin' or a list of paths, not {self.sources!r}")
         problems = validate_weights(self.system, self.weights, self.order)
         if problems:
             raise InputError("; ".join(problems))
@@ -123,61 +126,30 @@ class Session:
 
     @cached_property
     def family(self) -> list:
-        sources = self.config.get("reps", "builtin")
-        if sources == "builtin":
+        if self.sources == "builtin":
             return reps.builtin_family(self.algebra)
-        loaded = [reps.load_rep(self.algebra, path) for path in sources]
+        loaded = [reps.load_rep(self.algebra, path) for path in self.sources]
         if self.system.name.startswith("H"):
             return [reps.index_rep(self.algebra), reps.sign_rep(self.algebra)] + loaded
         return loaded
 
     @cached_property
-    def schurs(self) -> dict:
-        return {r.label: reps.schur_data(r) for r in self.family}
-
-    @cached_property
     def balanced(self) -> dict:
-        """label -> balanced representation with its normalized Gram attached.
-
-        Raises unless every representation ends balanced."""
-        out = {}
-        for r in self.family:
-            sd = self.schurs[r.label]
-            omega = reps.invariant_gram(r)
-            if reps.is_balanced(r, omega, sd):
-                rb = r
-                rb.gram = omega
-            else:
-                rb = reps.balance(r)
-                # the balance test filled r's word cache; rb replaces r
-                r.clear_cache()
-                if not reps.is_balanced(rb, rb.gram, sd):
-                    raise VerificationError(f"balancing failed for {r.label}")
-            out[r.label] = rb
-        return out
-
-    @cached_property
-    def ring(self) -> asymptotic.AsymptoticRing:
-        tens = []
-        for r in self.family:
-            rb = self.balanced[r.label]
-            tens.append(reps.leading_tensor(rb, self.schurs[r.label]))
-            # nothing reads a word matrix once its tensor is built; a
-            # model that `balance` replaced was cleared in `balanced`
-            rb.clear_cache()
-        return asymptotic.AsymptoticRing(self.algebra, tens)
+        """label -> reps.BalancedModel; raises unless every representation ends balanced."""
+        return {r.label: reps.balanced_tensor(r) for r in self.family}
 
     @property
     def tensors(self) -> list:
-        return self.ring.tensors
+        return [self.balanced[r.label].tensor for r in self.family]
 
     @cached_property
-    def grams(self) -> dict:
-        return {label: rb.gram for label, rb in self.balanced.items()}
+    def ring(self) -> asymptotic.AsymptoticRing:
+        return asymptotic.AsymptoticRing(self.algebra, self.tensors)
 
     @cached_property
     def datum(self) -> cellular.CellDatum:
-        return cellular.build_cell_datum(self.algebra, self.ring, self.grams)
+        grams = {label: b.gram for label, b in self.balanced.items()}
+        return cellular.build_cell_datum(self.algebra, self.ring, grams)
 
     # -- serialization helpers ---------------------------------------------------
 
@@ -242,9 +214,8 @@ class Session:
     def artifact_reps(self) -> dict:
         out = self.header("reps")
         items = []
-        self.balanced  # noqa: B018 - raises unless every representation is balanced
         for r in self.family:
-            sd = self.schurs[r.label]
+            sd = self.balanced[r.label].schur
             items.append({
                 "label": r.label,
                 "dim": r.dim,
@@ -260,11 +231,9 @@ class Session:
     def artifact_balanced(self) -> dict:
         out = self.header("balanced-reps")
         out["balanced"] = {}
-        for label, rb in self.balanced.items():
-            beta = rb.gram.residue()
-            if beta is None:
-                raise ComputationError("not in valuation ring")
-            out["balanced"][label] = {"gram_constant_matrix": self.matrix_strs(beta)}
+        for label, b in self.balanced.items():
+            # the Gram test read this residue, so it exists
+            out["balanced"][label] = {"gram_constant_matrix": self.matrix_strs(b.gram.residue())}
         return out
 
     def artifact_leading(self) -> dict:

@@ -298,12 +298,14 @@ class KMatrix:
         return LaurentFraction(det, self.den ** self.dim, self.order)
 
     def inverse(self) -> "KMatrix":
-        """den * q num^-1 over the last Bareiss pivot q: a single denominator."""
+        """den num^-1 over det num. Elimination leaves q num^-1, q the last
+        Bareiss pivot: det num, or -det num, and then the rows are negated."""
         n = self.dim
         one, zero = LaurentPoly.one(self.rank), LaurentPoly.zero(self.rank)
         m = [row[:] + [one if i == j else zero for j in range(n)]
              for i, row in enumerate(self.num)]
-        if not eliminate(m, n, one, self.order):
+        det = eliminate(m, n, one, self.order)
+        if not det:
             raise ComputationError("singular matrix")
-        q = m[n - 1][n - 1] if n else one
-        return KMatrix([[self.den * x for x in row[n:]] for row in m], q, self.order)
+        scale = self.den if not n or m[n - 1][n - 1] == det else -self.den
+        return KMatrix([[scale * x for x in row[n:]] for row in m], det, self.order)

@@ -17,6 +17,10 @@ A representation is balanced when its normalized form Omega has entries in O
 and det Omega is a unit of O. The residue map is a ring homomorphism, so
 det Omega is a unit of O if and only if det(Omega mod p) != 0, and the test
 is a determinant over the field F.
+
+`balanced_tensor` runs these steps for one representation, each check once:
+a form is checked where it is made, and the residue pass that builds a
+model's leading tensor is also the direct check of the Gram test.
 """
 
 from __future__ import annotations
@@ -148,9 +152,7 @@ def gram_average(rep: MatrixRep) -> KMatrix:
     for i in range(d):
         for j in range(i):
             acc[i][j] = acc[j][i]
-    omega = normalize_gram(KMatrix.from_polys(acc, alg.order))
-    check_intertwining(rep, omega)
-    return omega
+    return normalize_gram(KMatrix.from_polys(acc, alg.order))
 
 
 def normalize_gram(omega: KMatrix) -> KMatrix:
@@ -173,12 +175,11 @@ def normalize_gram(omega: KMatrix) -> KMatrix:
 
 
 def invariant_gram(rep: MatrixRep) -> KMatrix:
-    """The attached invariant form if present, otherwise the literal average."""
-    if rep.gram is not None:
-        omega = normalize_gram(rep.gram)
-        check_intertwining(rep, omega)
-        return omega
-    return gram_average(rep)
+    """The attached invariant form if present, otherwise the literal average,
+    normalized and checked for intertwining."""
+    omega = gram_average(rep) if rep.gram is None else normalize_gram(rep.gram)
+    check_intertwining(rep, omega)
+    return omega
 
 
 def check_intertwining(rep: MatrixRep, omega: KMatrix) -> None:
@@ -191,38 +192,28 @@ def check_intertwining(rep: MatrixRep, omega: KMatrix) -> None:
                 f"Gram matrix for {rep.label} fails intertwining at generator {s}")
 
 
-def is_balanced(rep: MatrixRep, omega: KMatrix, schur: SchurData | None = None) -> bool:
-    """Whether det Omega is a unit of O, for a normalized form Omega.
+def is_balanced(rep: MatrixRep, omega: KMatrix) -> bool:
+    """Whether det Omega is a unit of O, for a normalized form Omega of `rep`.
 
     Omega must have entries in O. The residue map O -> F is a ring
     homomorphism, so det Omega is a unit of O if and only if
-    det(Omega mod p) != 0, a determinant over the field. With Schur data the
-    direct definition is cross-checked: every eps^a rho(T_w) has entries in O.
+    det(Omega mod p) != 0, a determinant over the field.
     """
-    check_intertwining(rep, omega)
     res = omega.residue()
     if res is None:
         raise VerificationError("Gram matrix not normalized into O")
-    flag = bool(f_det(res))
-    if schur is not None:
-        direct = all(rep.matrix(w).residue(schur.a) is not None
-                     for w in range(rep.alg.table.size))
-        if direct != flag:
-            raise ComputationError(
-                f"balancedness criterion disagrees with the direct definition for {rep.label}")
-    return flag
+    return bool(f_det(res))
 
 
-def balance(rep: MatrixRep) -> MatrixRep:
+def balance(rep: MatrixRep, omega: KMatrix) -> MatrixRep:
     """Change basis so the representation becomes balanced.
 
-    Diagonalizes the invariant form by congruence over K, fixes the global
+    Diagonalizes the invariant form omega by congruence over K, fixes the global
     parity and sign of the diagonal valuations, rescales each basis vector by
     eps^{-g_i} with g_i half the diagonal valuation, and conjugates.
     """
     alg = rep.alg
     order = alg.order
-    omega = invariant_gram(rep)
     d = rep.dim
     frac = omega.fractions()
     one = LaurentFraction.from_poly(LaurentPoly.one(alg.rank), order)
@@ -254,9 +245,8 @@ def balance(rep: MatrixRep) -> MatrixRep:
     # global parity fix: any K-scalar multiple of the form is as good
     parity = tuple(x % 2 for x in vals[0][0])
     if any(parity):
-        shift = parity  # eps^{-parity} times the form fixes all parities at once
-        diag = [LaurentFraction(x.num.shift(exp_neg(shift)), x.den, order) for x in diag]
-        vals = [(exp_sub(g, shift), r) for g, r in vals]
+        # eps^{-parity} times the form fixes all parities (the new form is normalized)
+        vals = [(exp_sub(g, parity), r) for g, r in vals]
     field = alg.table.field
     if field.sign(vals[0][1]) < 0:
         diag = [-x for x in diag]
@@ -350,6 +340,46 @@ def leading_tensor(rep: MatrixRep, schur: SchurData) -> LeadingTensor:
         mats.append(rows)
         support.add(w)
     return LeadingTensor(rep.label, rep.dim, schur.a, schur.f, mats, frozenset(support))
+
+
+@dataclass
+class BalancedModel:
+    """Schur data, a balanced model, its normalized form and its leading tensor."""
+
+    schur: SchurData
+    rep: MatrixRep
+    gram: KMatrix
+    tensor: LeadingTensor
+
+
+def balanced_tensor(rep: MatrixRep) -> BalancedModel:
+    """`rep`, or `balance`'s model of it if the Gram test fails, with its data.
+
+    Each model gets one residue pass, `leading_tensor`'s, which must fail on
+    `rep` exactly when the Gram test does; then its word cache is released."""
+    schur = schur_data(rep)
+    omega = invariant_gram(rep)
+    balanced = is_balanced(rep, omega)
+
+    def tensor_of(model):
+        try:
+            return leading_tensor(model, schur)
+        except VerificationError:  # some eps^a rho(T_w) lies outside O
+            return None
+        finally:
+            model.clear_cache()
+
+    model, tensor = rep, tensor_of(rep)
+    if not balanced and tensor is None:
+        model = balance(rep, omega)
+        omega = model.gram
+        if not is_balanced(model, omega):
+            raise VerificationError(f"balancing failed for {rep.label}")
+        balanced, tensor = True, tensor_of(model)
+    if balanced != (tensor is not None):
+        raise ComputationError(
+            f"balancedness criterion disagrees with the direct definition for {rep.label}")
+    return BalancedModel(schur, model, omega, tensor)
 
 
 def verify_schur_relations(alg: HeckeAlgebra, tensors: list) -> list:

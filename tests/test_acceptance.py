@@ -33,7 +33,7 @@ def test_criterion_01_dihedral_gram_constant_matrices():
         field = session.table.field
         jmax = (m - 2) // 2 if m % 2 == 0 else (m - 1) // 2
         for j in range(1, jmax + 1):
-            omega = session.grams[f"dihedral:{j}"]
+            omega = session.balanced[f"dihedral:{j}"].gram
             consts = omega.residue()
             want = [[field.two_cos(j, m) + 2, Fraction(0)], [Fraction(0), Fraction(1)]]
             ok = ok and consts == want
@@ -41,7 +41,7 @@ def test_criterion_01_dihedral_gram_constant_matrices():
             # two-variable lexicographic order, larger weight on the first generator
             asym = get_session(f"I2:{m}", "universal", "b-first")
             for j in range(1, jmax + 1):
-                omega = asym.grams[f"dihedral:{j}"]
+                omega = asym.balanced[f"dihedral:{j}"].gram
                 consts = omega.residue()
                 ok = ok and consts == [[Fraction(1), Fraction(0)],
                                        [Fraction(0), Fraction(1)]]
@@ -58,7 +58,7 @@ def test_criterion_02_determinant_products():
         prod = field.one
         for j in range(1, jmax + 1):
             label = f"dihedral:{j}"
-            beta = b_matrix(session.grams[label], ring, label)
+            beta = b_matrix(session.balanced[label].gram, ring, label)
             det = beta[0][0] * beta[1][1] - beta[0][1] * beta[1][0]
             prod = prod * det
         want = field.from_rational(1 if m % 2 else Fraction(m, 2))

@@ -26,7 +26,7 @@ def test_b_matrices_i2_equal():
         jmax = (m - 2) // 2 if m % 2 == 0 else (m - 1) // 2
         for j in range(1, jmax + 1):
             label = f"dihedral:{j}"
-            beta = b_matrix(session.grams[label], ring, label)
+            beta = b_matrix(session.balanced[label].gram, ring, label)
             assert beta[0][0] == field.two_cos(j, m) + 2
             assert beta[1][1] == 1 and beta[0][1] == 0
 
@@ -35,13 +35,13 @@ def test_b_matrix_detects_an_edited_leading_entry():
     session = edited_leading_session("zero")
     with pytest.raises(VerificationError,
                        match=r"constant form of dihedral:1 fails intertwining at 1$"):
-        b_matrix(session.grams["dihedral:1"], session.ring, "dihedral:1")
+        b_matrix(session.balanced["dihedral:1"].gram, session.ring, "dihedral:1")
 
 
 def test_b_matrix_rejects_an_unknown_label():
     session = get_session("I2:5")
     with pytest.raises(ComputationError, match="unknown representation label nope"):
-        b_matrix(session.grams["dihedral:1"], session.ring, "nope")
+        b_matrix(session.balanced["dihedral:1"].gram, session.ring, "nope")
 
 
 def test_lambda_order_a2():
@@ -148,13 +148,12 @@ def test_bimodule_identity(name, weights, order):
 
 def test_bimodule_sums_may_run_over_the_whole_group():
     """Restricting the middle sum to the cell of w is an optimization; on a
-    small group the unrestricted sums must agree."""
+    small group the unrestricted sums of the reference must agree with it."""
     session = get_session("B2")
-    restricted = verify_bimodule_identity(session.algebra, session.ring,
-                                          restrict_cell=True)
-    full = verify_bimodule_identity(session.algebra, session.ring,
-                                    restrict_cell=False)
-    assert restricted.ok and full.ok
+    report = verify_bimodule_identity(session.algebra, session.ring)
+    assert report.ok
+    assert report.checks == reference_bimodule(session.algebra, session.ring,
+                                               restrict_cell=False)
 
 
 @pytest.mark.parametrize("exhaustive_max,samples", [(16, 100000), (0, 2000)],
@@ -384,6 +383,9 @@ def test_sampled_quadruples_follow_the_randrange_stream(name):
 @pytest.mark.parametrize("exhaustive_max,samples", [(16, 100000), (0, 3000)],
                          ids=["exhaustive", "sampled"])
 def test_bimodule_identity_agrees_with_the_reference(restrict_cell, exhaustive_max, samples):
+    """The check sums over the cell of w; the reference sums over the cell
+    (restrict_cell) or over the whole group, which agree while gamma is
+    supported on the blocks."""
     session = get_session("B2")
     alg, ring = session.algebra, session.ring
     _, _, cell_of = alg.lr_cells()
@@ -393,13 +395,13 @@ def test_bimodule_identity_agrees_with_the_reference(restrict_cell, exhaustive_m
         # h_{s,s,s} = v + v^-1 for the generator s = 1, read on both sides
         (corrupted_h_rows(alg, 1, 1, 1), ring, False),
         (alg, corrupted_ring(session), False),
-        # gamma_{s,s,1} with 1 outside the cell of s: read only by the unrestricted sums
-        (alg, ring_with_gamma(session, (1, 1, 0), 1), restrict_cell),
     ]
+    if restrict_cell:
+        # gamma_{s,s,1} with 1 outside the cell of s: read only by the unrestricted sums
+        cases.append((alg, ring_with_gamma(session, (1, 1, 0), 1), True))
     for a, r, ok in cases:
         report = verify_bimodule_identity(a, r, exhaustive_max=exhaustive_max,
-                                          samples=samples, seed=3,
-                                          restrict_cell=restrict_cell)
+                                          samples=samples, seed=3)
         assert report.checks == reference_bimodule(a, r, exhaustive_max, samples, 3,
                                                    restrict_cell)
         assert report.ok == ok

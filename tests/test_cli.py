@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import B4_MATRIX
+from heckecell import reps
 from heckecell.cli import Session, main
 from heckecell.fields import RealCyclotomicField
 from heckecell.scalars import LaurentPoly
@@ -298,6 +299,21 @@ def test_non_integer_weights_give_input_exit(tmp_path, capsys, spec, flag):
                         "--out", str(tmp_path)], capsys)
 
 
+@pytest.mark.parametrize("value", ["x.json", [1], [0], {"0": "x.json"}],
+                         ids=["string", "int", "zero", "object"])
+def test_reps_config_value_other_than_builtin_or_paths_gives_input_exit(tmp_path, capsys,
+                                                                          value):
+    # iterating a string would read one file per character, and [1] would open fd 1
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"system": "A1", "reps": value}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--stages", "reps", "--verify", "none",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: reps must be 'builtin' or a list of paths")
+    assert not (tmp_path / "out").exists()
+
+
 def test_integer_string_config_value_is_accepted(tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"system": "A1", "seed": "7", "bound": "100"}), encoding="utf-8")
@@ -307,24 +323,34 @@ def test_integer_string_config_value_is_accepted(tmp_path):
     assert read(out / "reps.json")["seed"] == 7
 
 
-def test_balanced_clears_the_word_cache_of_a_replaced_model():
-    # B3 equal: the balance test fills the word cache of every model, and two
-    # models are replaced by balanced ones
+def test_balanced_checks_each_form_and_model_once_and_clears_every_word_cache(monkeypatch):
+    # B3 equal: two of the ten seminormal models are replaced by balanced ones
+    forms, passes = [], []
+    check, tensor = reps.check_intertwining, reps.leading_tensor
+
+    def counted_check(rep, omega):
+        forms.append(omega)
+        return check(rep, omega)
+
+    def counted_tensor(rep, schur):
+        passes.append(rep)
+        return tensor(rep, schur)
+
+    monkeypatch.setattr(reps, "check_intertwining", counted_check)
+    monkeypatch.setattr(reps, "leading_tensor", counted_tensor)
     session = Session({"system": "B3"})
     balanced = session.balanced
-    replaced = [r for r in session.family if balanced[r.label] is not r]
+    replaced = [r for r in session.family if balanced[r.label].rep is not r]
     assert [r.label for r in replaced] == ["B:((1, 1), (1,))", "B:((1,), (2,))"]
-    assert all(list(r._words) == [0] for r in replaced)
-    assert all(len(balanced[r.label]._words) == 48 for r in replaced)
-
-
-def test_ring_clears_every_word_cache():
-    # B3 equal: two of the models are replaced by balanced ones
-    session = Session({"system": "B3"})
-    session.ring  # noqa: B018 - builds the tensors
-    models = [*session.family, *session.balanced.values()]
-    assert len({id(r) for r in models}) == len(session.family) + 2
+    models = [*session.family, *(balanced[r.label].rep for r in replaced)]
     assert all(list(r._words) == [0] for r in models)
+    # one intertwining check per form, the forms kept among them
+    assert len({id(f) for f in forms}) == len(forms) == len(models)
+    assert {id(b.gram) for b in balanced.values()} <= {id(f) for f in forms}
+    # one residue pass per model
+    assert sorted(map(id, passes)) == sorted(map(id, models))
+    session.ring  # noqa: B018 - builds the ring from the tensors already made
+    assert len(passes) == len(models)
 
 
 @pytest.mark.parametrize("verify", ["bogus", "compare_kl", "reps,bogus", "all,reps"])

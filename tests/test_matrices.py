@@ -115,6 +115,7 @@ def test_laurent_det_and_inverse_match_expansion():
                     mat.inverse()
                 continue
             inv = mat.inverse()
+            assert inv.den == perm_det(num, zero, one)
             if n:
                 assert mat * inv == KMatrix.identity(n, 2, B_FIRST)
                 assert inv * mat == KMatrix.identity(n, 2, B_FIRST)

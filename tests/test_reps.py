@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import edited_leading_session, get_session
+from heckecell import reps
 from heckecell.errors import ComputationError, InputError, VerificationError
 from heckecell.matrices import KMatrix
-from heckecell.reps import (MatrixRep, SchurData, balance, builtin_family, dihedral_rep,
-                            gram_average, index_rep, invariant_gram, is_balanced,
-                            leading_tensor, load_rep, one_dim_rep, rep_from_dict,
-                            schur_data, seminormal_rep, sign_rep, verify_schur_relations)
+from heckecell.reps import (MatrixRep, SchurData, balance, balanced_tensor, builtin_family,
+                            dihedral_rep, gram_average, index_rep, invariant_gram,
+                            is_balanced, leading_tensor, load_rep, one_dim_rep,
+                            rep_from_dict, schur_data, seminormal_rep, sign_rep,
+                            verify_schur_relations)
 from heckecell.scalars import LaurentPoly
 
 
@@ -57,14 +59,17 @@ def test_dihedral_mu_at_m3():
 @pytest.mark.parametrize("m", range(3, 13))
 def test_dihedral_construction_and_gram_equal_parameters(m):
     """Construction validates the quadratic and braid relations; the attached
-    form intertwines; its constant matrix is diag(2 + zeta^j + zeta^{-j}, 1)."""
+    form intertwines, the model is balanced (by the Gram test and by the
+    direct definition) and the form's constant matrix is
+    diag(2 + zeta^j + zeta^{-j}, 1)."""
     alg = get_session(f"I2:{m}").algebra
     field = alg.table.field
     jmax = (m - 2) // 2 if m % 2 == 0 else (m - 1) // 2
     for j in range(1, jmax + 1):
         rep = dihedral_rep(alg, j)
         omega = invariant_gram(rep)
-        assert is_balanced(rep, omega, schur_data(rep)) is True
+        assert is_balanced(rep, omega) is True
+        assert balanced_tensor(rep).rep is rep
         consts = omega.residue()
         zz = field.two_cos(j, m)
         assert consts[0][0] == zz + 2
@@ -165,11 +170,14 @@ def test_unbalanced_after_monomial_conjugation():
     own normalized invariant form acquires a singular constant matrix."""
     twisted, sd = twisted_i24()
     omega = gram_average(twisted)
-    assert is_balanced(twisted, omega, sd) is False
+    assert is_balanced(twisted, omega) is False
+    with pytest.raises(VerificationError, match="representation not balanced"):
+        leading_tensor(twisted, sd)
 
     # balancing recovers an equivalent balanced model with the same invariants
-    fixed = balance(twisted)
-    assert is_balanced(fixed, fixed.gram, sd) is True
+    fixed = balance(twisted, omega)
+    assert is_balanced(fixed, fixed.gram) is True
+    assert leading_tensor(fixed, sd).a == sd.a
 
 
 # B3 equal has two seminormal models that need balancing.
@@ -191,22 +199,24 @@ def test_is_balanced_agrees_with_the_laurent_determinant(system, weights, order)
     session = get_session(system, weights, order)
     seen = set()
     for rep in session.family:
-        sd = session.schurs[rep.label]
         omega = invariant_gram(rep)
-        flag = is_balanced(rep, omega, sd)
+        flag = is_balanced(rep, omega)
         assert flag is reference_balanced(omega)
         seen.add(flag)
-        rb = session.balanced[rep.label]
-        assert is_balanced(rb, rb.gram, sd) is reference_balanced(rb.gram) is True
+        # balanced_tensor cross-checked both verdicts against the direct definition
+        b = session.balanced[rep.label]
+        assert (b.rep is rep) is flag
+        assert is_balanced(b.rep, b.gram) is reference_balanced(b.gram) is True
     assert True in seen
 
 
 def test_is_balanced_agrees_with_the_laurent_determinant_on_a_twisted_model():
     twisted, sd = twisted_i24()
     omega = gram_average(twisted)
-    assert is_balanced(twisted, omega, sd) is reference_balanced(omega) is False
-    fixed = balance(twisted)
-    assert is_balanced(fixed, fixed.gram, sd) is reference_balanced(fixed.gram) is True
+    assert is_balanced(twisted, omega) is reference_balanced(omega) is False
+    b = balanced_tensor(twisted)
+    assert b.rep is not twisted and b.schur == sd
+    assert is_balanced(b.rep, b.gram) is reference_balanced(b.gram) is True
 
 
 def test_is_balanced_rejects_a_gram_outside_the_valuation_ring():
@@ -216,19 +226,37 @@ def test_is_balanced_rejects_a_gram_outside_the_valuation_ring():
         is_balanced(rep, omega)
 
 
-def test_wrong_a_invariant_fails_the_direct_check_and_the_tensor():
+def test_wrong_a_invariant_fails_the_direct_check_and_the_tensor(monkeypatch):
     """With a one too small, eps^a rho(T_1) lies outside O: the direct
     definition then disagrees with the (correct) determinant criterion, and
     the leading tensor refuses the representation."""
     rep = dihedral_rep(get_session("I2:5").algebra, 1)
     sd = schur_data(rep)
     wrong = SchurData(sd.c, tuple(x - 1 for x in sd.a), sd.f)
-    omega = invariant_gram(rep)
-    assert is_balanced(rep, omega, sd) is True
+    assert is_balanced(rep, invariant_gram(rep)) is True
+    assert balanced_tensor(rep).rep is rep
+    monkeypatch.setattr(reps, "schur_data", lambda r: wrong)
     with pytest.raises(ComputationError, match="disagrees with the direct definition"):
-        is_balanced(rep, omega, wrong)
+        balanced_tensor(rep)
     with pytest.raises(VerificationError, match="representation not balanced"):
         leading_tensor(rep, wrong)
+
+
+def test_gram_test_rejecting_a_model_inside_o_is_a_disagreement(monkeypatch):
+    """The other direction: every eps^a rho(T_w) lies in O, but the Gram test
+    says unbalanced."""
+    rep = dihedral_rep(get_session("I2:5").algebra, 1)
+    assert balanced_tensor(rep).rep is rep
+    monkeypatch.setattr(reps, "is_balanced", lambda r, omega: False)
+    with pytest.raises(ComputationError, match="disagrees with the direct definition"):
+        balanced_tensor(rep)
+
+
+def test_a_model_the_gram_test_still_rejects_fails_balancing(monkeypatch):
+    twisted, _ = twisted_i24()
+    monkeypatch.setattr(reps, "is_balanced", lambda r, omega: False)
+    with pytest.raises(VerificationError, match="balancing failed for twisted"):
+        balanced_tensor(twisted)
 
 
 def test_balance_restores_gamma_table():
@@ -253,7 +281,7 @@ def test_balance_restores_gamma_table():
         [[LaurentPoly.monomial((-2,)), LaurentPoly.zero(1)],
          [LaurentPoly.zero(1), LaurentPoly.one(1)]], alg.order)
     twisted = MatrixRep(alg, "dihedral:1", [dinv * g * d for g in rep.gens])
-    fixed = balance(twisted)
+    fixed = balance(twisted, invariant_gram(twisted))
     tens2 = [leading_tensor(fixed if r.label == "dihedral:1" else r, schur_data(r))
              for r in family]
     other = AsymptoticRing(alg, tens2)
