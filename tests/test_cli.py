@@ -323,6 +323,26 @@ def test_integer_string_config_value_is_accepted(tmp_path):
     assert read(out / "reps.json")["seed"] == 7
 
 
+def test_balanced_clears_the_word_cache_of_a_replaced_model():
+    # B3 equal: the balance test fills the word cache of every model, and two
+    # models are replaced by balanced ones; each cache is released after its pass
+    session = Session({"system": "B3"})
+    balanced = session.balanced
+    replaced = [r for r in session.family if balanced[r.label].rep is not r]
+    assert [r.label for r in replaced] == ["B:((1, 1), (1,))", "B:((1,), (2,))"]
+    assert all(list(r._words) == [0] for r in replaced)
+    assert all(list(balanced[r.label].rep._words) == [0] for r in replaced)
+
+
+def test_ring_clears_every_word_cache():
+    # B3 equal: two of the models are replaced by balanced ones
+    session = Session({"system": "B3"})
+    session.ring  # noqa: B018 - builds the tensors
+    models = [*session.family, *(b.rep for b in session.balanced.values())]
+    assert len({id(r) for r in models}) == len(session.family) + 2
+    assert all(list(r._words) == [0] for r in models)
+
+
 def test_balanced_checks_each_form_and_model_once_and_clears_every_word_cache(monkeypatch):
     # B3 equal: two of the ten seminormal models are replaced by balanced ones
     forms, passes = [], []
