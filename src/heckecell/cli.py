@@ -46,9 +46,23 @@ def parse_weights(spec, system: CoxeterSystem) -> WeightFunction:
         return universal_weights(system)
     try:
         data = json.loads(spec) if isinstance(spec, str) else spec
-        values = [tuple(data[str(s)]) for s in range(system.ngens)]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"cannot parse weight specification {spec!r}: {exc}") from exc
+    names = [str(s) for s in range(system.ngens)]
+    if not isinstance(data, dict):
+        raise InputError(f"weight specification {spec!r} must be a JSON object mapping "
+                         f"generators 0..{system.ngens - 1} to weight vectors")
+    for key in data:
+        if key not in names:
+            raise InputError(f"weight specification {spec!r} names {key!r}, which is not "
+                             f"a generator 0..{system.ngens - 1}")
+    for key in names:
+        if key not in data:
+            raise InputError(f"weight specification {spec!r} has no weight for generator {key}")
+        if not isinstance(data[key], list):
+            raise InputError(f"weight specification {spec!r}: the weight of generator {key} "
+                             "must be a list of integers")
+    values = [tuple(data[key]) for key in names]
     if any(type(g) is not int for v in values for g in v):  # not bool
         raise InputError(f"weight vectors must hold integers, not {spec!r}")
     ranks = {len(v) for v in values}
@@ -130,7 +144,12 @@ class Session:
             return reps.builtin_family(self.algebra)
         loaded = [reps.load_rep(self.algebra, path) for path in self.sources]
         if self.system.name.startswith("H"):
-            return [reps.index_rep(self.algebra), reps.sign_rep(self.algebra)] + loaded
+            loaded = [reps.index_rep(self.algebra), reps.sign_rep(self.algebra)] + loaded
+        labels = [r.label for r in loaded]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise InputError(f"two representations share the label {label!r}; "
+                                 "give each representation file its own 'label'")
         return loaded
 
     @cached_property

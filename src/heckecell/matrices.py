@@ -156,28 +156,22 @@ class KMatrix:
 
     @classmethod
     def from_fractions(cls, rows, order: MonomialOrder) -> "KMatrix":
-        """Combine a matrix of LaurentFractions over the product of their distinct denominators."""
-        dens = []
-        for row in rows:
-            for x in row:
-                dens.append(x.den)
-        rank = rows[0][0].rank
-        den = LaurentPoly.one(rank)
-        seen = []
-        for d in dens:
-            if (not d.is_constant() or d.constant_coefficient() != 1) and d not in seen:
-                seen.append(d)
-        for d in seen:
-            den = den * d
-        out = []
-        for row in rows:
-            out_row = []
-            for x in row:
-                q = den.exact_divide(x.den, order)
-                assert q is not None
-                out_row.append(x.num * q)
-            out.append(out_row)
-        return cls(out, den, order)
+        """Combine a matrix of LaurentFractions over one common denominator.
+
+        The distinct entry denominators are taken from the most terms down,
+        and each is multiplied in only when an exact division shows that it
+        does not already divide the product so far. A seminormal generator's
+        entries over 1 - r and (1 - r)^2 then share (1 - r)^2, not (1 - r)^3.
+        Every entry denominator divides the result.
+        """
+        quot = dict.fromkeys(x.den for row in rows for x in row)
+        den = LaurentPoly.one(rows[0][0].rank)
+        for d in sorted(quot, key=lambda d: -len(d.terms)):
+            if den.exact_divide(d, order) is None:
+                den = den * d
+        for d in quot:
+            quot[d] = den.exact_divide(d, order)
+        return cls([[x.num * quot[x.den] for x in row] for row in rows], den, order)
 
     @property
     def dim(self):

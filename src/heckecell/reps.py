@@ -37,15 +37,24 @@ from .scalars import (LaurentFraction, LaurentPoly, accumulate, exp_neg, exp_sub
 
 
 class MatrixRep:
-    """A matrix representation of H over the Laurent fraction field."""
+    """A matrix representation of H over the Laurent fraction field.
+
+    Word matrices rho(T_w) are built on demand and cached until `clear_cache`.
+    A model that `balance` made is a conjugate C^-1 rho C of a base model and
+    keeps `base` = (rho, C^-1, C): its word matrices are C^-1 rho(T_w) C, read
+    from the base model's words, so a word of length l carries the
+    conjugator's denominators once rather than l times, and `clear_cache`
+    releases the base model's words too.
+    """
 
     def __init__(self, alg: HeckeAlgebra, label: str, gens, gram: KMatrix | None = None,
-                 validate: bool = True):
+                 validate: bool = True, base: tuple | None = None):
         self.alg = alg
         self.label = label
         self.gens = list(gens)
         self.dim = gens[0].dim
         self.gram = gram
+        self.base = base
         self._words = {0: KMatrix.identity(self.dim, alg.rank, alg.order)}
         if validate:
             self.validate()
@@ -56,12 +65,19 @@ class MatrixRep:
     def matrix(self, w: int) -> KMatrix:
         got = self._words.get(w)
         if got is None:
-            wp, s = self.alg.table.right_parent(w)
-            got = self._words[w] = self.matrix(wp) * self.gens[s]
+            if self.base is None:
+                wp, s = self.alg.table.right_parent(w)
+                got = self.matrix(wp) * self.gens[s]
+            else:
+                rep, cinv, c = self.base
+                got = cinv * rep.matrix(w) * c
+            self._words[w] = got
         return got
 
     def clear_cache(self):
         self._words = {0: self._words[0]}
+        if self.base is not None:
+            self.base[0].clear_cache()
 
     def validate(self):
         """Quadratic relation per generator, braid relation per pair."""
@@ -210,7 +226,8 @@ def balance(rep: MatrixRep, omega: KMatrix) -> MatrixRep:
 
     Diagonalizes the invariant form omega by congruence over K, fixes the global
     parity and sign of the diagonal valuations, rescales each basis vector by
-    eps^{-g_i} with g_i half the diagonal valuation, and conjugates.
+    eps^{-g_i} with g_i half the diagonal valuation, and conjugates. The new
+    model reads its word matrices from `rep`'s through the conjugator.
     """
     alg = rep.alg
     order = alg.order
@@ -273,7 +290,8 @@ def balance(rep: MatrixRep, omega: KMatrix) -> MatrixRep:
         x = new_gram_rows[i][i]
         new_gram_rows[i][i] = LaurentFraction(x.num.shift(g2), x.den, order)
     new_gram = KMatrix.from_fractions(new_gram_rows, order)
-    out = MatrixRep(alg, rep.label, new_gens, gram=normalize_gram(new_gram), validate=False)
+    out = MatrixRep(alg, rep.label, new_gens, gram=normalize_gram(new_gram), validate=False,
+                    base=(rep, conj_inv, conj))
     check_intertwining(out, out.gram)
     return out
 
@@ -356,7 +374,8 @@ def balanced_tensor(rep: MatrixRep) -> BalancedModel:
     """`rep`, or `balance`'s model of it if the Gram test fails, with its data.
 
     Each model gets one residue pass, `leading_tensor`'s, which must fail on
-    `rep` exactly when the Gram test does; then its word cache is released."""
+    `rep` exactly when the Gram test does. A balanced model reads `rep`'s
+    words, so the word caches are released once, after the last pass."""
     schur = schur_data(rep)
     omega = invariant_gram(rep)
     balanced = is_balanced(rep, omega)
@@ -366,16 +385,18 @@ def balanced_tensor(rep: MatrixRep) -> BalancedModel:
             return leading_tensor(model, schur)
         except VerificationError:  # some eps^a rho(T_w) lies outside O
             return None
-        finally:
-            model.clear_cache()
 
-    model, tensor = rep, tensor_of(rep)
-    if not balanced and tensor is None:
-        model = balance(rep, omega)
-        omega = model.gram
-        if not is_balanced(model, omega):
-            raise VerificationError(f"balancing failed for {rep.label}")
-        balanced, tensor = True, tensor_of(model)
+    model = rep
+    try:
+        tensor = tensor_of(rep)
+        if not balanced and tensor is None:
+            model = balance(rep, omega)
+            omega = model.gram
+            if not is_balanced(model, omega):
+                raise VerificationError(f"balancing failed for {rep.label}")
+            balanced, tensor = True, tensor_of(model)
+    finally:
+        model.clear_cache()  # a balanced model releases rep's words with its own
     if balanced != (tensor is not None):
         raise ComputationError(
             f"balancedness criterion disagrees with the direct definition for {rep.label}")

@@ -323,6 +323,43 @@ def test_integer_string_config_value_is_accepted(tmp_path):
     assert read(out / "reps.json")["seed"] == 7
 
 
+def test_representations_that_share_a_label_give_input_exit(tmp_path, capsys):
+    # unlabelled files are all named "loaded"; keyed by label, they used to
+    # collapse into one and fail the Schur relations with exit 2
+    files = {"a": {"generators": {"0": [["1*eps[1]"]], "1": [["1*eps[1]"]]}},
+             "b": {"generators": {"0": [["-1*eps[-1]"]], "1": [["-1*eps[-1]"]]}},
+             "c": {"wgraph": {"vertices": [[0], [1]], "edges": [{"u": 0, "v": 1}]}}}
+    paths = []
+    for name, data in files.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--system", "A2", "--reps", *map(str, paths), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: two representations share the label 'loaded'")
+    assert not out.exists()
+    for name, path in zip(files, paths):
+        path.write_text(json.dumps({"label": name, **files[name]}), encoding="utf-8")
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("system,spec,message", [
+    ("I2:12", '{"0":[1]}', "has no weight for generator 1"),
+    ("A2", '{"0":[1],"1":[1],"2":[1]}', "names '2', which is not a generator 0..1"),
+    ("I2:12", "[1,2]", "must be a JSON object mapping generators 0..1"),
+    ("A2", '{"0":1,"1":[1]}', "the weight of generator 0 must be a list of integers"),
+], ids=["missing-key", "extra-key", "array", "non-list-weight"])
+def test_weight_specification_must_name_exactly_the_generators(tmp_path, capsys, system,
+                                                               spec, message):
+    capsys.readouterr()
+    assert main(["kl-table", "--system", system, "--weights", spec,
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: weight specification") and message in err
+
+
 def test_balanced_clears_the_word_cache_of_a_replaced_model():
     # B3 equal: the balance test fills the word cache of every model, and two
     # models are replaced by balanced ones; each cache is released after its pass
@@ -341,6 +378,23 @@ def test_ring_clears_every_word_cache():
     models = [*session.family, *(b.rep for b in session.balanced.values())]
     assert len({id(r) for r in models}) == len(session.family) + 2
     assert all(list(r._words) == [0] for r in models)
+
+
+def test_clearing_a_balanced_model_releases_its_base_model_words():
+    # B3 equal: a balanced model reads its words through the conjugator from
+    # the replaced model, so its cache release must reach the base model's
+    session = Session({"system": "B3"})
+    balanced = session.balanced
+    replaced = [r for r in session.family if balanced[r.label].rep is not r]
+    assert replaced
+    w0 = session.table.size - 1
+    for r in replaced:
+        model = balanced[r.label].rep
+        assert model.base[0] is r
+        model.matrix(w0)
+        assert w0 in model._words and w0 in r._words
+        model.clear_cache()
+        assert list(model._words) == list(r._words) == [0]
 
 
 def test_balanced_checks_each_form_and_model_once_and_clears_every_word_cache(monkeypatch):

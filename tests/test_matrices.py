@@ -134,6 +134,25 @@ def test_from_fractions_uses_each_denominator_once():
     assert mat.fractions() == rows
 
 
+def test_from_fractions_denominator_is_divided_by_every_entry_denominator():
+    # the largest denominator goes in first, so 1 - e, (1 - e)^2 and 1 + e,
+    # in any order, share (1 - e)^2 (1 + e), not (1 - e)^3 (1 + e)
+    order = natural_order(1)
+    one_minus = LaurentPoly(1, {(0,): 1, (1,): -1})
+    one_plus = LaurentPoly(1, {(0,): 1, (1,): 1})
+    lcm = one_minus * one_minus * one_plus
+    for dens, want in [([one_minus, one_minus * one_minus, one_plus, LaurentPoly.one(1)], lcm),
+                       ([one_minus, one_plus, one_minus * one_plus], None)]:
+        for shift in range(len(dens)):
+            turned = dens[shift:] + dens[:shift]
+            rows = [[LaurentFraction(LaurentPoly.monomial((i,), j + 1), d, order)
+                     for j, d in enumerate(turned)] for i in range(2)]
+            mat = KMatrix.from_fractions(rows, order)
+            assert all(mat.den.exact_divide(d, order) is not None for d in dens)
+            assert want is None or mat.den == want
+            assert mat.fractions() == rows
+
+
 def test_kmatrix_equality_over_equal_and_different_denominators():
     order = natural_order(1)
     den = LaurentPoly(1, {(0,): 1, (1,): -1})

@@ -288,6 +288,33 @@ def test_balance_restores_gamma_table():
     assert base.gamma == other.gamma
 
 
+def test_b3_seminormal_generators_share_one_denominator_per_binomial():
+    # entries over 1 - r and (1 - r)^2 share (1 - r)^2, three terms; the
+    # product of the distinct denominators, (1 - r)^3, had four
+    session = get_session("B3", "universal", "b-first")
+    dens = [g.den for r in session.family for g in r.gens]
+    assert max(len(d.terms) for d in dens) == 3
+
+
+def test_b3_balanced_models_read_their_words_through_the_conjugator():
+    # B3 equal rebalances two seminormal models; each word matrix of a balanced
+    # model is C^-1 rho(T_w) C from its base model, and must equal the product
+    # of its own generators along the reduced word of w
+    session = get_session("B3")
+    alg, balanced = session.algebra, session.balanced
+    replaced = [balanced[r.label].rep for r in session.family
+                if balanced[r.label].rep is not r]
+    assert [m.label for m in replaced] == ["B:((1, 1), (1,))", "B:((1,), (2,))"]
+    for model in replaced:
+        assert model.base is not None
+        for w in range(alg.table.size):
+            product = KMatrix.identity(model.dim, alg.rank, alg.order)
+            for s in alg.table.word[w]:
+                product = product * model.gens[s]
+            assert model.matrix(w) == product
+        model.clear_cache()
+
+
 def test_balanced_seminormal_b2_has_integral_tensor():
     session = get_session("B2")
     for t in session.tensors:
