@@ -41,13 +41,14 @@ def corrupted_ring(session: Session, key=CORRUPT_KEY) -> AsymptoticRing:
     return ring
 
 
-def edited_leading_session(edit: str) -> Session:
-    """A fresh I2:5 session whose ring is built before one leading matrix is
-    edited. The matrix of dihedral:1 at the simple reflection 1 is
-    [[1, 0], [0, 0]]: "zero" makes its entry (1, 0) equal to 1, "nonzero"
-    raises its entry (0, 0) to 2. "erased" makes the matrix of onedim:++ at
-    the identity, [[1]], zero, so the orthogonality sums it alone fed vanish."""
-    session = Session({"system": "I2:5"})
+def edited_leading_session(edit: str, system: str = "I2:5") -> Session:
+    """A fresh dihedral session whose ring is built before one leading matrix
+    is edited. The matrix of dihedral:1 at the simple reflection 1 is
+    [[1, 0], [0, 0]] on I2:5 and I2:12: "zero" makes its entry (1, 0) equal
+    to 1, "nonzero" raises its entry (0, 0) to 2. "erased" makes the matrix
+    of onedim:++ at the identity, [[1]], zero, so the orthogonality sums it
+    alone fed vanish."""
+    session = Session({"system": system})
     tensors = {t.label: t for t in session.ring.tensors}
     if edit == "erased":
         m = tensors["onedim:++"].mats[0]

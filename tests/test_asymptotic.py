@@ -257,6 +257,39 @@ def test_irreducible_representations_detect_an_edited_leading_entry(edit):
     assert report.checks["associativity"] == []
 
 
+def reference_rep_violations(ring) -> list:
+    """The representation property M_x M_y = sum_z gamma_{x,y,z} M_{z^{-1}}
+    tested densely for every representation and every (x, y) of W, blocks
+    ignored; the reference for the block walk of `AsymptoticRing.verify`."""
+    inverse = ring.alg.table.inverse
+    by_pair: dict = {}
+    for (x, y, z), g in ring.gamma.items():
+        by_pair.setdefault((x, y), []).append((z, g))
+    bad = []
+    for t in ring.tensors:
+        zero = [[Fraction(0)] * t.dim for _ in range(t.dim)]
+        mats = [zero if m is None else m for m in t.mats]
+        for x in range(ring.size):
+            for y in range(ring.size):
+                rhs = [row[:] for row in zero]
+                for z, g in by_pair.get((x, y), ()):
+                    mz = mats[inverse[z]]
+                    for i in range(t.dim):
+                        for j in range(t.dim):
+                            rhs[i][j] += g * mz[i][j]
+                if f_mat_mul(mats[x], mats[y]) != rhs:
+                    bad.append(f"representation property fails for {t.label} at ({x},{y})")
+    return bad
+
+
+def test_irreducible_representations_walk_every_pair_of_a_large_block():
+    """I2:12's middle block has 22 elements: every pair of it is checked."""
+    ring = edited_leading_session("zero", "I2:12").ring
+    assert max(map(len, ring.blocks)) == 22
+    bad = ring.verify(seed=0).checks["irreducible representations"]
+    assert bad and bad == reference_rep_violations(ring)
+
+
 def dense_gamma(ring) -> dict:
     """gamma by the dense formula: every (x, y, z) of each block and every
     matrix entry, emitted block by block in x, y, z order. The reference for

@@ -132,7 +132,7 @@ def test_phi_values_a1():
 ])
 def test_phi_suite(name, weights, order):
     session = get_session(name, weights, order)
-    report = verify_phi(session.algebra, session.ring, seed=1)
+    report = verify_phi(session.algebra, session.ring)
     assert report.ok, report.summary()
 
 
@@ -165,11 +165,28 @@ def test_bimodule_identity_detects_a_corrupted_gamma(exhaustive_max, samples):
     assert not report.ok
 
 
-@pytest.mark.parametrize("name", ["A2", "B2"])
+def reference_phi_multiplicative(alg, ring) -> list:
+    """phi(C_s) phi(C_y) against phi(sum_z h_{s,y,z} C_z) for every generator
+    s and every y, through `phi_element`: the reference for "phi
+    multiplicative"."""
+    rows = alg.h_rows()
+    bad = []
+    for s in range(alg.table.system.ngens):
+        x = alg.table.gen(s)
+        for y in range(alg.table.size):
+            lhs = ring.multiply(hecke_to_asym(alg, ring, x), hecke_to_asym(alg, ring, y))
+            if lhs != phi_element(alg, ring, rows[x][y]):
+                bad.append(f"multiplicativity fails at ({x},{y})")
+    return bad
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "I2:9"])
 def test_phi_multiplicative_detects_a_corrupted_gamma(name):
+    """I2:9 has 18 elements: every (generator, y) pair is checked."""
     session = get_session(name)
-    report = verify_phi(session.algebra, corrupted_ring(session), seed=1)
-    assert report.checks["phi multiplicative"]
+    ring = corrupted_ring(session)
+    bad = verify_phi(session.algebra, ring).checks["phi multiplicative"]
+    assert bad and bad == reference_phi_multiplicative(session.algebra, ring)
 
 
 def test_invertible_primes_i2():
@@ -413,8 +430,7 @@ def test_bimodule_identity_agrees_with_the_reference(restrict_cell, exhaustive_m
 
 @pytest.mark.parametrize("name", ["A2", "I2:9"])
 def test_phi_filtration_detects_an_edited_h_entry(name):
-    """I2:9 has 18 elements, above the default exhaustive_max of 16: the
-    filtration check runs at every size."""
+    """I2:9 has 18 elements: the filtration check runs at every size."""
     from heckecell.cli import Session
     session = Session({"system": name})
     alg, ring = session.algebra, session.ring

@@ -427,10 +427,17 @@ def test_balanced_checks_each_form_and_model_once_and_clears_every_word_cache(mo
     assert len(passes) == len(models)
 
 
-@pytest.mark.parametrize("verify", ["bogus", "compare_kl", "reps,bogus", "all,reps"])
+@pytest.mark.parametrize("verify", ["bogus", "compare_kl", "reps,bogus", "all,reps", ""])
 def test_unknown_verify_name_gives_input_exit_and_writes_nothing(tmp_path, capsys, verify):
     out = tmp_path / "out"
     assert_input_error(["run", "--system", "A1", "--verify", verify, "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stages", ["bogus", "kl,bogus", ""])
+def test_unknown_stage_name_gives_input_exit_and_writes_nothing(tmp_path, capsys, stages):
+    out = tmp_path / "out"
+    assert_input_error(["run", "--system", "A1", "--stages", stages, "--out", str(out)], capsys)
     assert not out.exists()
 
 
