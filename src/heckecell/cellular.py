@@ -457,7 +457,8 @@ def sampled_quadruples(size: int, cells, cell_of, samples: int, seed: int):
 def specialization_hom(source: WeightFunction, target: WeightFunction) -> list:
     """Images of the source coordinate vectors under the group homomorphism
     determined by the target weight function (coordinate i of the source is
-    the class-i indicator, so it maps to the target weight of that class)."""
+    the class-i indicator, so it maps to the target weight of that class).
+    Both are an algebra's weights, so stored exponents map to stored ones."""
     images = [None] * source.rank
     for s, vec in enumerate(source.values):
         nonzero = [i for i, x in enumerate(vec) if x]
@@ -513,7 +514,7 @@ def verify_specialized(spec: SpecializedBasis) -> Report:
     keys = _cell_keys(spec)
     zero = LaurentPoly.zero(alg.rank)
     transition = KMatrix.from_polys(
-        [[spec.elements[key].get(w, zero) for w in range(size)] for key in keys], alg.order)
+        [[spec.elements[key].get(w, zero) for w in range(size)] for key in keys])
     bad = []
     inv = None
     if len(keys) != size:

@@ -30,8 +30,7 @@ from typing import NamedTuple
 
 from . import asymptotic, cellular, reps
 from .asymptotic import Report
-from .coxeter import (CoxeterSystem, ElementTable, WeightFunction, equal_weights,
-                      universal_weights, validate_weights)
+from .coxeter import CoxeterSystem, ElementTable, WeightFunction, equal_weights, universal_weights
 from .errors import HeckecellError, InputError, VerificationError
 from .hecke import HeckeAlgebra
 from .scalars import LaurentPoly, MonomialOrder, natural_order
@@ -123,9 +122,6 @@ class Session:
         if self.sources != "builtin" and not (
                 isinstance(self.sources, list) and all(isinstance(p, str) for p in self.sources)):
             raise InputError(f"reps must be 'builtin' or a list of paths, not {self.sources!r}")
-        problems = validate_weights(self.system, self.weights, self.order)
-        if problems:
-            raise InputError("; ".join(problems))
         self.findings: list = []
 
     # -- lazy stages ------------------------------------------------------------
@@ -173,7 +169,7 @@ class Session:
     # -- serialization helpers ---------------------------------------------------
 
     def poly_str(self, p: LaurentPoly) -> str:
-        return p.to_str(self.table.field)
+        return p.to_str(self.table.field, self.order)
 
     def scalar_str(self, c) -> str:
         field = self.table.field
@@ -219,7 +215,7 @@ class Session:
                 for z, h in rows[x][y].items():
                     table[f"{x},{y},{z}"] = self.poly_str(h)
         out["h_constants"] = dict(sorted(table.items()))
-        out["a_values"] = [list(alg.a_value(z)) for z in range(self.table.size)]
+        out["a_values"] = [list(self.order.user(alg.a_value(z))) for z in range(self.table.size)]
         return out
 
     def artifact_cells(self) -> dict:
@@ -238,7 +234,7 @@ class Session:
             items.append({
                 "label": r.label,
                 "dim": r.dim,
-                "a": list(sd.a),
+                "a": list(self.order.user(sd.a)),
                 "f": self.scalar_str(sd.f),
                 "schur_element": self.poly_str(sd.c),
                 "balanced": True,
@@ -259,7 +255,7 @@ class Session:
         out = self.header("leading-tensors")
         out["tensors"] = {
             t.label: {
-                "a": list(t.a),
+                "a": list(self.order.user(t.a)),
                 "f": self.scalar_str(t.f),
                 "matrices": {str(w): self.matrix_strs(t.mats[w]) for w in sorted(t.support)},
             }
@@ -525,7 +521,8 @@ def _cell_specialize(session: Session, args) -> int:
     data["target_weights"] = {str(s): list(target_w.of_gen(s))
                               for s in range(session.system.ngens)}
     data["elements"] = {
-        f"{lab}|{s}|{t}": {str(w): session.poly_str(p) for w, p in sorted(coeffs.items())}
+        f"{lab}|{s}|{t}": {str(w): p.to_str(session.table.field, target_order)
+                           for w, p in sorted(coeffs.items())}
         for (lab, s, t), coeffs in sorted(spec.elements.items(), key=lambda kv: str(kv[0]))
     }
     data["verification"] = {k: list(v) for k, v in report.checks.items()}

@@ -281,8 +281,9 @@ def equal_weights(system: CoxeterSystem) -> WeightFunction:
 
 
 def validate_weights(system: CoxeterSystem, weights: WeightFunction,
-                     order: MonomialOrder) -> list:
-    """Class-constancy and strict positivity; returns violation strings."""
+                     order: MonomialOrder, require_positive: bool = True) -> list:
+    """Class-constancy and, when required, strict positivity in `order` of
+    the weights, given in the user's coordinates; returns violation strings."""
     problems = []
     if order.rank != weights.rank:
         problems.append(
@@ -293,7 +294,9 @@ def validate_weights(system: CoxeterSystem, weights: WeightFunction,
         if len(vals) > 1:
             problems.append(
                 f"conjugate generators with unequal weights: class {cls}")
-    for s in range(system.ngens):
-        if not order.is_positive(weights.of_gen(s)):
-            problems.append(f"L(s) > 0 fails for generator {s}: {weights.of_gen(s)}")
+    if require_positive:
+        zero = (0,) * order.rank
+        for s in range(system.ngens):
+            if not order.stored(weights.of_gen(s)) > zero:
+                problems.append(f"L(s) > 0 fails for generator {s}: {weights.of_gen(s)}")
     return problems

@@ -42,19 +42,18 @@ class HeckeAlgebra:
                  require_positive: bool = True):
         """Positivity of the weights can be waived for specialization targets,
         where only standard-basis arithmetic is needed; the canonical bases
-        always require a valid positive weight function."""
-        problems = validate_weights(table.system, weights, order)
-        if not require_positive:
-            problems = [p for p in problems if "L(s) > 0" not in p]
+        always require a valid positive weight function. `weights` is in the
+        user's coordinates; `self.weights` and every exponent made here are stored."""
+        problems = validate_weights(table.system, weights, order, require_positive)
         if problems:
             raise InputError("; ".join(problems))
         self.table = table
-        self.weights = weights
+        self.weights = WeightFunction(weights.rank, tuple(map(order.stored, weights.values)))
         self.order = order
         self.rank = order.rank
         n = table.system.ngens
-        self.v = [LaurentPoly.monomial(weights.of_gen(s)) for s in range(n)]
-        self.vinv = [LaurentPoly.monomial(exp_neg(weights.of_gen(s))) for s in range(n)]
+        self.v = [LaurentPoly.monomial(g) for g in self.weights.values]
+        self.vinv = [LaurentPoly.monomial(exp_neg(g)) for g in self.weights.values]
         self.xi = [self.v[s] - self.vinv[s] for s in range(n)]
         self._tinv: dict = {0: {0: LaurentPoly.one(self.rank)}}
         self._cprime: list = [self.unit()]
@@ -173,7 +172,7 @@ class HeckeAlgebra:
         Cp_s Cp_v = (T_s + v_s^{-1}) Cp_v is bar-invariant with top term T_{sv};
         going down in length, each Cp_y takes away the nonnegative part of the
         coefficient at T_y. Reads the Cp_y with l(y) <= l(v)."""
-        t, order = self.table, self.order
+        t = self.table
         w = t.lmult[v][s]
         x = self.add(self.gen_left(s, self._cprime[v]),
                      self.scale(self._cprime[v], self.vinv[s]))
@@ -183,7 +182,7 @@ class HeckeAlgebra:
             c = x.get(y)
             if c is None or not c:
                 continue
-            m = c.nonnegative_part(order)
+            m = c.nonnegative_part()
             if not m:
                 continue
             mu[y] = m + m.bar() - LaurentPoly.constant(self.rank, m.constant_coefficient())
@@ -191,7 +190,7 @@ class HeckeAlgebra:
         if x.get(w) != LaurentPoly.one(self.rank):
             raise ComputationError("KL correction failed")
         for y, c in x.items():
-            if y != w and not c.supported_negative(order):
+            if y != w and not c.supported_negative():
                 raise ComputationError("KL correction failed")
         if w == len(self._cprime):
             self._cprime.append(x)
@@ -315,14 +314,12 @@ class HeckeAlgebra:
         if self._a is not None:
             return
         rows = self.h_rows()
-        order = self.order
-        zero = order.zero
-        amax = [zero] * self.table.size
+        amax = [(0,) * self.rank] * self.table.size
         for x in range(self.table.size):
             for y in range(self.table.size):
                 for z, h in rows[x][y].items():
-                    cand = exp_neg(h.min_exponent(order))
-                    if order.less(amax[z], cand):
+                    cand = exp_neg(h.min_exponent())
+                    if cand > amax[z]:
                         amax[z] = cand
         for z in range(self.table.size):
             if amax[z] != amax[self.table.inverse[z]]:

@@ -25,19 +25,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ComputationError
-from .scalars import (LaurentFraction, LaurentPoly, MonomialOrder, accumulate, exp_sub,
-                      scalar_inverse)
+from .scalars import LaurentFraction, LaurentPoly, accumulate, exp_sub, scalar_inverse
 
 
-def eliminate(m, n: int, one, order: MonomialOrder | None = None):
+def eliminate(m, n: int, one):
     """Gauss-Jordan on the augmented rows m = [A | B] in place; return det A.
 
     A is the leading n x n block and `one` the unit of the entries' ring.
     When det A != 0 the B block ends as q A^-1 B:
-    - over a field (order None) each pivot row is scaled by its pivot's
+    - over a field (`one` a scalar) each pivot row is scaled by its pivot's
       inverse, and q = 1; a row that is zero right of its pivot needs
       neither the inverse nor any update;
-    - over the Laurent ring (order given) the elimination is fraction-free,
+    - over the Laurent ring (`one` a LaurentPoly) the elimination is fraction-free,
       and q is the last pivot m[n-1][n-1], which is det A up to the sign of
       the row swaps.
     Without a B block only the rows below each pivot are cleared, which is
@@ -45,6 +44,7 @@ def eliminate(m, n: int, one, order: MonomialOrder | None = None):
     up to date.
     """
     width = len(m[0]) if m else n
+    fraction_free = isinstance(one, LaurentPoly)
     sign = 1
     det = prev = one
     for k in range(n):
@@ -56,7 +56,7 @@ def eliminate(m, n: int, one, order: MonomialOrder | None = None):
             sign = -sign
         row, p = m[k], m[k][k]
         rows = [i for i in range(0 if width > n else k + 1, n) if i != k]
-        if order is None:
+        if not fraction_free:
             det = det * p
             if not any(row[k + 1:]):
                 continue
@@ -79,7 +79,7 @@ def eliminate(m, n: int, one, order: MonomialOrder | None = None):
                     if f and row[j]:
                         x = x - f * row[j]
                     if k and x:
-                        x = x.exact_divide(prev, order)
+                        x = x.exact_divide(prev)
                         if x is None:
                             raise ComputationError("Bareiss division failed")
                     ri[j] = x
@@ -136,26 +136,25 @@ def f_inverse(a):
 class KMatrix:
     """Matrix over K kept as (numerator polynomial matrix, common denominator)."""
 
-    __slots__ = ("num", "den", "order")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den: LaurentPoly, order: MonomialOrder):
+    def __init__(self, num, den: LaurentPoly):
         self.num = num
         self.den = den
-        self.order = order
 
     @classmethod
-    def identity(cls, n: int, rank: int, order: MonomialOrder) -> "KMatrix":
+    def identity(cls, n: int, rank: int) -> "KMatrix":
         one, zero = LaurentPoly.one(rank), LaurentPoly.zero(rank)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)],
-                   LaurentPoly.one(rank), order)
+                   LaurentPoly.one(rank))
 
     @classmethod
-    def from_polys(cls, rows, order: MonomialOrder) -> "KMatrix":
+    def from_polys(cls, rows) -> "KMatrix":
         rank = rows[0][0].rank
-        return cls([list(r) for r in rows], LaurentPoly.one(rank), order)
+        return cls([list(r) for r in rows], LaurentPoly.one(rank))
 
     @classmethod
-    def from_fractions(cls, rows, order: MonomialOrder) -> "KMatrix":
+    def from_fractions(cls, rows) -> "KMatrix":
         """Combine a matrix of LaurentFractions over one common denominator.
 
         The distinct entry denominators are taken from the most terms down,
@@ -167,11 +166,11 @@ class KMatrix:
         quot = dict.fromkeys(x.den for row in rows for x in row)
         den = LaurentPoly.one(rows[0][0].rank)
         for d in sorted(quot, key=lambda d: -len(d.terms)):
-            if den.exact_divide(d, order) is None:
+            if den.exact_divide(d) is None:
                 den = den * d
         for d in quot:
-            quot[d] = den.exact_divide(d, order)
-        return cls([[x.num * quot[x.den] for x in row] for row in rows], den, order)
+            quot[d] = den.exact_divide(d)
+        return cls([[x.num * quot[x.den] for x in row] for row in rows], den)
 
     @property
     def dim(self):
@@ -182,7 +181,7 @@ class KMatrix:
         return self.den.rank
 
     def entry(self, i: int, j: int) -> LaurentFraction:
-        return LaurentFraction(self.num[i][j], self.den, self.order)
+        return LaurentFraction(self.num[i][j], self.den)
 
     def fractions(self):
         return [[self.entry(i, j) for j in range(len(self.num[0]))] for i in range(self.dim)]
@@ -202,25 +201,25 @@ class KMatrix:
                         acc = acc + ai[k] * b[k][j]
                 row.append(acc)
             out.append(row)
-        return KMatrix(out, self.den * other.den, self.order)
+        return KMatrix(out, self.den * other.den)
 
     def __add__(self, other: "KMatrix") -> "KMatrix":
         if self.den == other.den:
             return KMatrix([[x + y for x, y in zip(r1, r2)]
-                            for r1, r2 in zip(self.num, other.num)], self.den, self.order)
+                            for r1, r2 in zip(self.num, other.num)], self.den)
         return KMatrix(
             [[x * other.den + y * self.den for x, y in zip(r1, r2)]
              for r1, r2 in zip(self.num, other.num)],
-            self.den * other.den, self.order)
+            self.den * other.den)
 
     def __sub__(self, other: "KMatrix") -> "KMatrix":
         return self + other.scale_poly(LaurentPoly.constant(self.rank, -1))
 
     def scale_poly(self, p: LaurentPoly) -> "KMatrix":
-        return KMatrix([[x * p for x in row] for row in self.num], self.den, self.order)
+        return KMatrix([[x * p for x in row] for row in self.num], self.den)
 
     def transpose(self) -> "KMatrix":
-        return KMatrix([list(col) for col in zip(*self.num)], self.den, self.order)
+        return KMatrix([list(col) for col in zip(*self.num)], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, KMatrix):
@@ -239,15 +238,14 @@ class KMatrix:
         return f"KMatrix({self.dim}x{len(self.num[0])}, den={self.den!r})"
 
     def is_polynomial(self) -> bool:
-        return all(x.exact_divide(self.den, self.order) is not None
-                   for row in self.num for x in row)
+        return all(x.exact_divide(self.den) is not None for row in self.num for x in row)
 
     def poly_entries(self):
         out = []
         for row in self.num:
             orow = []
             for x in row:
-                q = x.exact_divide(self.den, self.order)
+                q = x.exact_divide(self.den)
                 if q is None:
                     raise ComputationError("matrix entry is not polynomial")
                 orow.append(q)
@@ -263,9 +261,8 @@ class KMatrix:
         positive and lead(x)/lead(den) when it is zero. The denominator's lead
         coefficient is inverted at most once, and only for a nonzero residue.
         """
-        order = self.order
-        dmin = self.den.min_exponent(order)
-        base = order.key(dmin if shift is None else exp_sub(dmin, shift))
+        dmin = self.den.min_exponent()
+        base = dmin if shift is None else exp_sub(dmin, shift)
         inv = None
         out = []
         for row in self.num:
@@ -273,11 +270,10 @@ class KMatrix:
             for x in row:
                 c = Fraction(0)
                 if x:
-                    g = x.min_exponent(order)
-                    key = order.key(g)
-                    if key < base:
+                    g = x.min_exponent()
+                    if g < base:
                         return None
-                    if key == base:
+                    if g == base:
                         if inv is None:
                             inv = scalar_inverse(self.den.terms[dmin])
                         c = x.terms[g] * inv
@@ -288,8 +284,8 @@ class KMatrix:
     def det(self) -> LaurentFraction:
         """Fraction-free determinant of num, divided by den^dim."""
         one = LaurentPoly.one(self.rank)
-        det = eliminate([row[:] for row in self.num], self.dim, one, self.order)
-        return LaurentFraction(det, self.den ** self.dim, self.order)
+        det = eliminate([row[:] for row in self.num], self.dim, one)
+        return LaurentFraction(det, self.den ** self.dim)
 
     def inverse(self) -> "KMatrix":
         """den num^-1 over det num. Elimination leaves q num^-1, q the last
@@ -298,8 +294,8 @@ class KMatrix:
         one, zero = LaurentPoly.one(self.rank), LaurentPoly.zero(self.rank)
         m = [row[:] + [one if i == j else zero for j in range(n)]
              for i, row in enumerate(self.num)]
-        det = eliminate(m, n, one, self.order)
+        det = eliminate(m, n, one)
         if not det:
             raise ComputationError("singular matrix")
         scale = self.den if not n or m[n - 1][n - 1] == det else -self.den
-        return KMatrix([[scale * x for x in row[n:]] for row in m], det, self.order)
+        return KMatrix([[scale * x for x in row[n:]] for row in m], det)

@@ -55,7 +55,7 @@ class MatrixRep:
         self.dim = gens[0].dim
         self.gram = gram
         self.base = base
-        self._words = {0: KMatrix.identity(self.dim, alg.rank, alg.order)}
+        self._words = {0: KMatrix.identity(self.dim, alg.rank)}
         if validate:
             self.validate()
 
@@ -83,7 +83,7 @@ class MatrixRep:
         """Quadratic relation per generator, braid relation per pair."""
         alg = self.alg
         n = alg.table.system.ngens
-        ident = KMatrix.identity(self.dim, alg.rank, alg.order)
+        ident = KMatrix.identity(self.dim, alg.rank)
         for s in range(n):
             m = self.gens[s]
             if m * m != ident + m.scale_poly(alg.xi[s]):
@@ -106,7 +106,7 @@ class MatrixRep:
         acc = LaurentPoly.zero(self.alg.rank)
         for i in range(self.dim):
             acc = acc + m.num[i][i]
-        q = acc.exact_divide(m.den, self.alg.order)
+        q = acc.exact_divide(m.den)
         if q is None:
             raise ComputationError("representation not defined over expected ring")
         return q
@@ -129,11 +129,12 @@ def schur_data(rep: MatrixRep) -> SchurData:
     for w in range(table.size):
         acc = acc + traces[w] * traces[table.inverse[w]]
     c = acc.scale(Fraction(1, rep.dim))
-    g = c.min_exponent(alg.order)
+    g = c.min_exponent()
     if any(x % 2 for x in g):
-        raise ComputationError(f"Schur element of {rep.label} has odd valuation {g}")
+        raise ComputationError(
+            f"Schur element of {rep.label} has odd valuation {alg.order.user(g)}")
     a = tuple(-x // 2 for x in g)
-    if alg.order.is_negative(a):
+    if a < (0,) * alg.rank:
         raise ComputationError(f"negative a-invariant for {rep.label}")
     f = c.terms[g]
     if table.field.sign(f) <= 0:
@@ -168,26 +169,24 @@ def gram_average(rep: MatrixRep) -> KMatrix:
     for i in range(d):
         for j in range(i):
             acc[i][j] = acc[j][i]
-    return normalize_gram(KMatrix.from_polys(acc, alg.order))
+    return normalize_gram(KMatrix.from_polys(acc))
 
 
 def normalize_gram(omega: KMatrix) -> KMatrix:
     """Scale by a monomial so all entries have valuation >= 0, some exactly 0."""
-    order = omega.order
     gmin = None
     for i in range(omega.dim):
         for j in range(omega.dim):
             x = omega.entry(i, j)
             if x:
                 g, _ = x.valuation()
-                if gmin is None or order.less(g, gmin):
+                if gmin is None or g < gmin:
                     gmin = g
     if gmin is None:
         raise ComputationError("zero Gram matrix")
     if not any(gmin):
         return omega
-    return KMatrix([[x.shift(exp_neg(gmin)) for x in row] for row in omega.num],
-                   omega.den, order)
+    return KMatrix([[x.shift(exp_neg(gmin)) for x in row] for row in omega.num], omega.den)
 
 
 def invariant_gram(rep: MatrixRep) -> KMatrix:
@@ -230,11 +229,10 @@ def balance(rep: MatrixRep, omega: KMatrix) -> MatrixRep:
     model reads its word matrices from `rep`'s through the conjugator.
     """
     alg = rep.alg
-    order = alg.order
     d = rep.dim
     frac = omega.fractions()
-    one = LaurentFraction.from_poly(LaurentPoly.one(alg.rank), order)
-    zero = LaurentFraction.zero(alg.rank, order)
+    one = LaurentFraction.from_poly(LaurentPoly.one(alg.rank))
+    zero = LaurentFraction.zero(alg.rank)
     basis = [[one if i == j else zero for j in range(d)] for i in range(d)]  # columns
     m = [row[:] for row in frac]
     for k in range(d):
@@ -276,11 +274,11 @@ def balance(rep: MatrixRep, omega: KMatrix) -> MatrixRep:
             raise ComputationError("diagonal form value with non-positive leading term")
         half.append(tuple(x // 2 for x in g))
     # conjugator C = P diag(eps^{-g_i}); new rep = C^{-1} rho C
-    cmat = KMatrix.from_fractions(basis, order)
+    cmat = KMatrix.from_fractions(basis)
     scalemat = KMatrix(
         [[LaurentPoly.monomial(exp_neg(half[j])) if i == j else LaurentPoly.zero(alg.rank)
           for j in range(d)] for i in range(d)],
-        LaurentPoly.one(alg.rank), order)
+        LaurentPoly.one(alg.rank))
     conj = cmat * scalemat
     conj_inv = conj.inverse()
     new_gens = [conj_inv * g * conj for g in rep.gens]
@@ -288,8 +286,8 @@ def balance(rep: MatrixRep, omega: KMatrix) -> MatrixRep:
     for i in range(d):
         g2 = exp_neg(tuple(2 * x for x in half[i]))
         x = new_gram_rows[i][i]
-        new_gram_rows[i][i] = LaurentFraction(x.num.shift(g2), x.den, order)
-    new_gram = KMatrix.from_fractions(new_gram_rows, order)
+        new_gram_rows[i][i] = LaurentFraction(x.num.shift(g2), x.den)
+    new_gram = KMatrix.from_fractions(new_gram_rows)
     out = MatrixRep(alg, rep.label, new_gens, gram=normalize_gram(new_gram), validate=False,
                     base=(rep, conj_inv, conj))
     check_intertwining(out, out.gram)
@@ -472,9 +470,9 @@ def one_dim_rep(alg: HeckeAlgebra, signs) -> MatrixRep:
     gens = []
     for s in range(n):
         p = alg.v[s] if signs[s] > 0 else -alg.vinv[s]
-        gens.append(KMatrix.from_polys([[p]], alg.order))
+        gens.append(KMatrix.from_polys([[p]]))
     label = "onedim:" + "".join("+" if signs[s] > 0 else "-" for s in range(n))
-    gram = KMatrix.from_polys([[LaurentPoly.one(alg.rank)]], alg.order)
+    gram = KMatrix.from_polys([[LaurentPoly.one(alg.rank)]])
     return MatrixRep(alg, label, gens, gram=gram)
 
 
@@ -510,10 +508,10 @@ def dihedral_rep(alg: HeckeAlgebra, j: int) -> MatrixRep:
     mu = v1 * v2i + zeta + v1i * v2
     zero = LaurentPoly.zero(rank)
     one = LaurentPoly.one(rank)
-    m1 = KMatrix.from_polys([[-v1i, zero], [mu, v1]], alg.order)
-    m2 = KMatrix.from_polys([[v2, one], [zero, -v2i]], alg.order)
+    m1 = KMatrix.from_polys([[-v1i, zero], [mu, v1]])
+    m2 = KMatrix.from_polys([[v2, one], [zero, -v2i]])
     omega = KMatrix.from_polys(
-        [[v1 * mu * (v2 + v2i), v1 * mu], [v1 * mu, v1 * (v1 + v1i)]], alg.order)
+        [[v1 * mu * (v2 + v2i), v1 * mu], [v1 * mu, v1 * (v1 + v1i)]])
     return MatrixRep(alg, f"dihedral:{j}", [m1, m2], gram=omega)
 
 
@@ -628,7 +626,6 @@ def seminormal_rep(alg: HeckeAlgebra, shape) -> MatrixRep:
         raise InputError("invalid shape: no standard tableaux")
     index = {t: i for i, t in enumerate(tabs)}
     d = len(tabs)
-    order = alg.order
     rank = alg.rank
     weight_a = alg.weights.of_gen(1) if special is not None else alg.weights.of_gen(0)
     weight_b = alg.weights.of_gen(0) if special is not None else None
@@ -651,10 +648,10 @@ def seminormal_rep(alg: HeckeAlgebra, shape) -> MatrixRep:
         rows = [[LaurentPoly.zero(rank)] * d for _ in range(d)]
         for t, tab in enumerate(tabs):
             rows[t][t] = vb if tab[0][0] == 0 else -vbi
-        gens[special] = KMatrix.from_polys(rows, order)
+        gens[special] = KMatrix.from_polys(rows)
     xi = va - vai
     for s, k in trans_of_gen.items():
-        entries = [[LaurentFraction.zero(rank, order)] * d for _ in range(d)]
+        entries = [[LaurentFraction.zero(rank)] * d for _ in range(d)]
         done = set()
         for t, tab in enumerate(tabs):
             if t in done:
@@ -668,26 +665,26 @@ def seminormal_rep(alg: HeckeAlgebra, shape) -> MatrixRep:
             if not _swap_is_standard(tab, k):
                 # same row: eigenvalue v; same column: -v^{-1}
                 same_row = tab[k - 1][1] == tab[k][1]
-                entries[t][t] = LaurentFraction.from_poly(va if same_row else -vai, order)
+                entries[t][t] = LaurentFraction.from_poly(va if same_row else -vai)
                 done.add(t)
                 continue
             u = index[_tableau_swap(tab, k)]
-            a_t = LaurentFraction(xi, den, order)
-            a_u = LaurentFraction.from_poly(xi, order) - a_t
+            a_t = LaurentFraction(xi, den)
+            a_u = LaurentFraction.from_poly(xi) - a_t
             entries[t][t] = a_t
             entries[u][u] = a_u
-            entries[u][t] = LaurentFraction.from_poly(LaurentPoly.one(rank), order)
-            entries[t][u] = a_t * a_u + LaurentFraction.from_poly(LaurentPoly.one(rank), order)
+            entries[u][t] = LaurentFraction.from_poly(LaurentPoly.one(rank))
+            entries[t][u] = a_t * a_u + LaurentFraction.from_poly(LaurentPoly.one(rank))
             done.add(t)
             done.add(u)
-        gens[s] = KMatrix.from_fractions(entries, order)
-    gram = _seminormal_gram(gens, d, rank, order)
+        gens[s] = KMatrix.from_fractions(entries)
+    gram = _seminormal_gram(gens, d, rank)
     return MatrixRep(alg, label, gens, gram=gram)
 
 
-def _seminormal_gram(gens, d, rank, order) -> KMatrix:
+def _seminormal_gram(gens, d, rank) -> KMatrix:
     """Diagonal invariant form: g_u / g_t = M[t][u] / M[u][t] along blocks."""
-    one = LaurentFraction.from_poly(LaurentPoly.one(rank), order)
+    one = LaurentFraction.from_poly(LaurentPoly.one(rank))
     vals = [None] * d
     vals[0] = one
     pending = [0]
@@ -701,7 +698,7 @@ def _seminormal_gram(gens, d, rank, order) -> KMatrix:
                 if mtu or mut:
                     if not (mtu and mut):
                         raise ComputationError("one-sided block in seminormal generator")
-                    ratio = LaurentFraction(mtu, mut, order)
+                    ratio = LaurentFraction(mtu, mut)
                     val = vals[t] * ratio
                     if vals[u] is None:
                         vals[u] = val
@@ -710,9 +707,9 @@ def _seminormal_gram(gens, d, rank, order) -> KMatrix:
                         raise ComputationError("inconsistent diagonal form ratios")
     if any(v is None for v in vals):
         raise ComputationError("tableau graph is not connected")
-    zero = LaurentFraction.zero(rank, order)
+    zero = LaurentFraction.zero(rank)
     return KMatrix.from_fractions(
-        [[vals[i] if i == j else zero for j in range(d)] for i in range(d)], order)
+        [[vals[i] if i == j else zero for j in range(d)] for i in range(d)])
 
 
 # -- file-loaded representations ------------------------------------------------------
@@ -744,8 +741,8 @@ def rep_from_dict(alg: HeckeAlgebra, data: dict) -> MatrixRep:
                 raise InputError("generator matrices must be square of equal size")
             if not all(isinstance(x, str) for row in rows for x in row):
                 raise InputError(f"generator {s} has an entry that is not a polynomial string")
-            mat = [[LaurentPoly.from_str(x, alg.rank, field) for x in row] for row in rows]
-            gens.append(KMatrix.from_polys(mat, alg.order))
+            mat = [[LaurentPoly.from_str(x, field, alg.order) for x in row] for row in rows]
+            gens.append(KMatrix.from_polys(mat))
         return MatrixRep(alg, label, gens)
     if "wgraph" in data:
         return _wgraph_rep(alg, label, data["wgraph"])
@@ -776,7 +773,7 @@ def _wgraph_rep(alg: HeckeAlgebra, label: str, wg: dict) -> MatrixRep:
         u, v = e["u"], e["v"]
         w = e.get("weight", 1)
         if isinstance(w, str):
-            p = LaurentPoly.from_str(w, rank, field)
+            p = LaurentPoly.from_str(w, field, alg.order)
         elif type(w) is int:  # not bool
             p = LaurentPoly.constant(rank, Fraction(w))
         else:
@@ -795,7 +792,7 @@ def _wgraph_rep(alg: HeckeAlgebra, label: str, wg: dict) -> MatrixRep:
                 for y in range(d):
                     if y != x and s in verts[y] and (y, x) in mu:
                         rows[y][x] = mu[(y, x)]
-        gens.append(KMatrix.from_polys(rows, alg.order))
+        gens.append(KMatrix.from_polys(rows))
     return MatrixRep(alg, label, gens)
 
 

@@ -5,6 +5,12 @@ eps^g is keyed by its exponent tuple. Monomial orders are coordinate-priority
 lexicographic: a permutation of the coordinates, most significant first. This
 covers the natural order on Z and the asymptotic orders b >> a on Z^2.
 
+Every exponent is stored in priority order (`MonomialOrder.stored`), so the
+monomial order on stored exponents is tuple order: a valuation is
+`min(p.terms)`, and nothing in the arithmetic takes or keeps an order. Only
+text input and output convert: `LaurentPoly.from_str` and `to_str`, the
+weights a `HeckeAlgebra` is given, and the a-values the command line writes.
+
 LaurentFraction is a quotient num/den of Laurent polynomials kept in a
 canonical shape (the denominator's minimal exponent is zero with leading
 coefficient one) but never reduced by polynomial gcd: equality is decided by
@@ -42,7 +48,9 @@ def exp_neg(a: Exponent) -> Exponent:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total order on Z^rank: lexicographic with the given coordinate priority."""
+    """Lexicographic order on Z^rank with the given coordinate priority. An
+    exponent g is stored as `stored(g)`, its coordinates most significant
+    first, and compared as a tuple; the order only converts text exponents."""
 
     rank: int
     priority: tuple
@@ -51,21 +59,15 @@ class MonomialOrder:
         if sorted(self.priority) != list(range(self.rank)):
             raise InputError(f"priority {self.priority} is not a permutation of 0..{self.rank - 1}")
 
-    def key(self, g: Exponent):
+    def stored(self, g: Exponent) -> Exponent:
         return tuple(g[i] for i in self.priority)
 
-    def less(self, a: Exponent, b: Exponent) -> bool:
-        return self.key(a) < self.key(b)
-
-    def is_positive(self, g: Exponent) -> bool:
-        return self.key(g) > (0,) * self.rank
-
-    def is_negative(self, g: Exponent) -> bool:
-        return self.key(g) < (0,) * self.rank
-
-    @property
-    def zero(self) -> Exponent:
-        return (0,) * self.rank
+    def user(self, g: Exponent) -> Exponent:
+        """The inverse of `stored`: the user's coordinates of a stored exponent."""
+        out = [0] * self.rank
+        for i, x in zip(self.priority, g):
+            out[i] = x
+        return tuple(out)
 
 
 def natural_order(rank: int = 1) -> MonomialOrder:
@@ -236,26 +238,25 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and (0,) * self.rank in self.terms)
 
-    def min_exponent(self, order: MonomialOrder) -> Exponent:
+    def min_exponent(self) -> Exponent:
         if not self.terms:
             raise ComputationError("undefined valuation: zero polynomial")
-        return min(self.terms, key=order.key)
+        return min(self.terms)
 
-    def max_exponent(self, order: MonomialOrder) -> Exponent:
+    def max_exponent(self) -> Exponent:
         if not self.terms:
             raise ComputationError("undefined valuation: zero polynomial")
-        return max(self.terms, key=order.key)
+        return max(self.terms)
 
-    def nonnegative_part(self, order: MonomialOrder) -> "LaurentPoly":
+    def nonnegative_part(self) -> "LaurentPoly":
         """Terms with exponent >= 0 in the order."""
-        zero = order.key((0,) * self.rank)
-        return LaurentPoly(
-            self.rank, {g: c for g, c in self.terms.items() if order.key(g) >= zero}, _trusted=True
-        )
+        zero = (0,) * self.rank
+        return LaurentPoly(self.rank, {g: c for g, c in self.terms.items() if g >= zero},
+                           _trusted=True)
 
-    def supported_negative(self, order: MonomialOrder) -> bool:
-        zero = order.key((0,) * self.rank)
-        return all(order.key(g) < zero for g in self.terms)
+    def supported_negative(self) -> bool:
+        zero = (0,) * self.rank
+        return all(g < zero for g in self.terms)
 
     def specialize_exponents(self, images: list[Exponent], rank2: int) -> "LaurentPoly":
         """Apply the group homomorphism sending coordinate i to images[i]."""
@@ -268,21 +269,21 @@ class LaurentPoly:
             accumulate(out, h, c)
         return LaurentPoly(rank2, out, _trusted=True)
 
-    def exact_divide(self, den: "LaurentPoly", order: MonomialOrder):
+    def exact_divide(self, den: "LaurentPoly"):
         """Return self/den if den divides self exactly, else None."""
         if not den:
             raise ZeroDivisionError("division by zero polynomial")
         if not self:
             return LaurentPoly.zero(self.rank)
-        dmin = den.min_exponent(order)
+        dmin = den.min_exponent()
         dinv = scalar_inverse(den.terms[dmin])
-        bound = order.key(exp_sub(self.max_exponent(order), den.max_exponent(order)))
+        bound = exp_sub(self.max_exponent(), den.max_exponent())
         rem = self
         quot = {}
         while rem:
-            rmin = rem.min_exponent(order)
+            rmin = rem.min_exponent()
             qexp = exp_sub(rmin, dmin)
-            if order.key(qexp) > bound:
+            if qexp > bound:
                 return None
             qc = rem.terms[rmin] * dinv
             quot[qexp] = qc
@@ -291,13 +292,15 @@ class LaurentPoly:
 
     # -- text form -------------------------------------------------------------------
 
-    def to_str(self, field) -> str:
-        """Canonical text: `c*eps[g1,...,gk]` terms joined by ' + ', exponents ascending."""
+    def to_str(self, field, order: MonomialOrder) -> str:
+        """Canonical text: `c*eps[g1,...,gk]` terms joined by ' + ', with each
+        exponent in the user's coordinates of `order`, ascending."""
         if not self.terms:
             return "0"
+        terms = {order.user(g): c for g, c in self.terms.items()}
         parts = []
-        for g in sorted(self.terms):
-            c = self.terms[g]
+        for g in sorted(terms):
+            c = terms[g]
             cstr = field.format(c) if not isinstance(c, (int, Fraction)) else _frac_str(c)
             if any(ch in cstr[1:] for ch in "+-"):
                 cstr = f"({cstr})"
@@ -305,7 +308,9 @@ class LaurentPoly:
         return " + ".join(parts)
 
     @classmethod
-    def from_str(cls, text: str, rank: int, field) -> "LaurentPoly":
+    def from_str(cls, text: str, field, order: MonomialOrder) -> "LaurentPoly":
+        """Parse `to_str` text, whose exponents are in the user's coordinates."""
+        rank = order.rank
         text = text.strip()
         if text == "0":
             return cls.zero(rank)
@@ -328,7 +333,7 @@ class LaurentPoly:
                 raise InputError(f"duplicate exponent {g}")
             if coeff:
                 terms[g] = coeff
-        return cls(rank, terms, _trusted=True)
+        return cls(rank, {order.stored(g): c for g, c in terms.items()}, _trusted=True)
 
 
 def accumulate(out: dict, key, val):
@@ -405,13 +410,13 @@ class LaurentFraction:
     corresponding coefficient is one. Equality is by cross-multiplication.
     """
 
-    __slots__ = ("num", "den", "order")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly, order: MonomialOrder, _trusted=False):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly, _trusted=False):
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not _trusted:
-            g = den.min_exponent(order)
+            g = den.min_exponent()
             r = den.terms[g]
             if any(g) or r != 1:
                 rinv = scalar_inverse(r)
@@ -419,15 +424,14 @@ class LaurentFraction:
                 num = num.shift(exp_neg(g)).scale(rinv)
         self.num = num
         self.den = den
-        self.order = order
 
     @classmethod
-    def from_poly(cls, p: LaurentPoly, order: MonomialOrder) -> "LaurentFraction":
-        return cls(p, LaurentPoly.one(p.rank), order, _trusted=True)
+    def from_poly(cls, p: LaurentPoly) -> "LaurentFraction":
+        return cls(p, LaurentPoly.one(p.rank), _trusted=True)
 
     @classmethod
-    def zero(cls, rank: int, order: MonomialOrder) -> "LaurentFraction":
-        return cls(LaurentPoly.zero(rank), LaurentPoly.one(rank), order, _trusted=True)
+    def zero(cls, rank: int) -> "LaurentFraction":
+        return cls(LaurentPoly.zero(rank), LaurentPoly.one(rank), _trusted=True)
 
     @property
     def rank(self):
@@ -439,42 +443,38 @@ class LaurentFraction:
     def __add__(self, other):
         other = self._coerce(other)
         if other.den is self.den or other.den == self.den:
-            return LaurentFraction(self.num + other.num, self.den, self.order, _trusted=True)
-        return LaurentFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den, self.order
-        )
+            return LaurentFraction(self.num + other.num, self.den, _trusted=True)
+        return LaurentFraction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other.den is self.den or other.den == self.den:
-            return LaurentFraction(self.num - other.num, self.den, self.order, _trusted=True)
-        return LaurentFraction(
-            self.num * other.den - other.num * self.den, self.den * other.den, self.order
-        )
+            return LaurentFraction(self.num - other.num, self.den, _trusted=True)
+        return LaurentFraction(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self):
-        return LaurentFraction(-self.num, self.den, self.order, _trusted=True)
+        return LaurentFraction(-self.num, self.den, _trusted=True)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return LaurentFraction(self.num * other.num, self.den * other.den, self.order)
+        return LaurentFraction(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if not other.num:
             raise ZeroDivisionError("division by zero fraction")
-        return LaurentFraction(self.num * other.den, self.den * other.num, self.order)
+        return LaurentFraction(self.num * other.den, self.den * other.num)
 
     def _coerce(self, other):
         if isinstance(other, LaurentFraction):
             return other
         if isinstance(other, LaurentPoly):
-            return LaurentFraction.from_poly(other, self.order)
+            return LaurentFraction.from_poly(other)
         raise ComputationError(f"cannot coerce {other!r} to LaurentFraction")
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
-            other = LaurentFraction.from_poly(other, self.order)
+            other = LaurentFraction.from_poly(other)
         if not isinstance(other, LaurentFraction):
             return NotImplemented
         return self.num * other.den == other.num * self.den
@@ -494,13 +494,13 @@ class LaurentFraction:
         """
         if not self.num:
             return None, Fraction(0)
-        g_num = self.num.min_exponent(self.order)
+        g_num = self.num.min_exponent()
         # den is normalized: min exponent 0, leading coefficient 1
         return g_num, self.num.terms[g_num]
 
     def as_laurent(self) -> LaurentPoly:
         """Exact quotient num/den; raises if the denominator does not divide."""
-        q = self.num.exact_divide(self.den, self.order)
+        q = self.num.exact_divide(self.den)
         if q is None:
             raise ComputationError("representation not defined over expected ring")
         return q

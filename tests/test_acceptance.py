@@ -220,7 +220,7 @@ def test_criterion_12_h3_table_check():
     abar = LaurentPoly.constant(1, -(field.one + delta))  # conjugate of (sqrt5-1)/2
     diag = v * v + one
     printed = KMatrix.from_polys(
-        [[diag, -v, zero], [-v, diag, abar * v], [zero, abar * v, diag]], alg.order)
+        [[diag, -v, zero], [-v, diag, abar * v], [zero, abar * v, diag]])
     omega = gram_average(rep)
     ok = True
     for i in range(3):

@@ -56,12 +56,11 @@ def test_lambda_order_a2():
 def test_strict_order_reverses_a_invariants(name):
     session = get_session(name)
     datum = session.datum
-    a_of = {t.label: t.a for t in session.ring.tensors}
-    order = session.algebra.order
+    a_of = {t.label: t.a for t in session.ring.tensors}  # stored exponents
     for la in datum.labels:
         for mu in datum.labels:
             if la != mu and datum.leq[(la, mu)]:
-                assert order.less(a_of[mu], a_of[la])
+                assert a_of[mu] < a_of[la]
 
 
 def test_a1_cellular_elements():
@@ -298,7 +297,8 @@ def test_specialize_i26_collapses_to_one_variable():
         for w, c in datum.elements[key].items():
             for u, p in alg.c_basis(w).items():
                 for g, coeff in p.terms.items():
-                    h = (g[0] * 1 + g[1] * 3,)
+                    a, b = alg.order.user(g)  # terms are keyed by stored exponents
+                    h = (a + 3 * b,)
                     cur = direct.setdefault(u, {})
                     cur[h] = cur.get(h, 0) + coeff * c
         direct = {u: LaurentPoly(1, terms) for u, terms in direct.items()}

@@ -9,7 +9,7 @@ from conftest import B4_MATRIX
 from heckecell import reps
 from heckecell.cli import Session, main
 from heckecell.fields import RealCyclotomicField
-from heckecell.scalars import LaurentPoly
+from heckecell.scalars import LaurentPoly, MonomialOrder
 
 
 def read(path: Path) -> dict:
@@ -59,10 +59,11 @@ def test_artifact_polynomials_roundtrip(tmp_path):
                  "--stages", "kl", "--verify", "none", "--out", str(out)]) == 0
     data = read(out / "kl-table.json")
     field = RealCyclotomicField(data["conductor"])
-    rank = len(data["order_priority"])
+    priority = data["order_priority"]
+    order = MonomialOrder(len(priority), tuple(priority))
     for text in data["kl_polynomials"].values():
-        p = LaurentPoly.from_str(text, rank, field)
-        assert p.to_str(field) == text
+        p = LaurentPoly.from_str(text, field, order)
+        assert p.to_str(field, order) == text
 
 
 def test_h_table_artifact(tmp_path):
@@ -197,6 +198,65 @@ def test_cell_commands(tmp_path):
     assert code == 0
     spec = read(out / "cell-specialized.json")
     assert all(not v for v in spec["verification"].values())
+
+
+A1_CUBED = "[[1,2,2],[2,1,2],[2,2,1]]"
+ORDER_201 = ["--weights", "universal", "--order", "2,0,1"]  # a priority that is not its own inverse
+
+
+def test_non_involutive_priority_reads_and_writes_user_coordinates(tmp_path):
+    """Under the priority (2, 0, 1), stored and user coordinates differ by a
+    permutation that is not its own inverse: a-values and h-table text, and
+    the exponents of a representation file, are in user coordinates."""
+    out = tmp_path / "a13"
+    assert main(["h-table", "--system", A1_CUBED, *ORDER_201, "--out", str(out)]) == 0
+    data = read(out / "h-table.json")
+    table = Session({"system": A1_CUBED}).table
+    assert data["weights"]["0"] == [0, 0, 1]
+    for s in range(3):
+        g, w = table.gen(s), data["weights"][str(s)]
+        assert data["a_values"][g] == w
+        pos, neg = ",".join(map(str, w)), ",".join(str(-x) for x in w)
+        assert data["h_constants"][f"{g},{g},{g}"] == f"1*eps[{neg}] + 1*eps[{pos}]"
+    g0 = table.gen(0)
+    assert data["h_constants"][f"{g0},{g0},{g0}"] == "1*eps[0,0,-1] + 1*eps[0,0,1]"
+    # T_s -> v_s, written in user coordinates; swapping two generators breaks it
+    gens = {str(s): [[f"1*eps[{','.join(map(str, w))}]"]] for s, w in data["weights"].items()}
+    for swap, code in ((False, 0), (True, 2)):
+        if swap:
+            gens["0"], gens["1"] = gens["1"], gens["0"]
+        path = tmp_path / f"index-{swap}.json"
+        path.write_text(json.dumps({"label": "index", "generators": gens}), encoding="utf-8")
+        assert main(["rep", "validate", "--file", str(path), "--system", A1_CUBED,
+                     *ORDER_201]) == code
+
+
+def _swapped(text: str) -> str:
+    """A rank-2 polynomial text with the two entries of every exponent swapped."""
+    terms = []
+    for part in text.split(" + "):
+        coeff, _, exp = part.rpartition("*eps[")
+        a, b = map(int, exp[:-1].split(","))
+        terms.append(((b, a), coeff))
+    return " + ".join(f"{c}*eps[{a},{b}]" for (a, b), c in sorted(terms))
+
+
+def test_target_order_converts_the_specialized_polynomials(tmp_path):
+    """Swapping the target coordinates and the target priority together
+    describes the same specialization, so the texts differ by the swap only;
+    printing with the source order (b-first) would break this."""
+    elements = {}
+    for target, order in (('{"0":[1,0],"1":[0,1]}', "0,1"), ('{"0":[0,1],"1":[1,0]}', "1,0")):
+        out = tmp_path / order.replace(",", "")
+        assert main(["cell", "specialize", "--system", "B2", "--weights", "universal",
+                     "--order", "b-first", "--target", target, "--target-order", order,
+                     "--out", str(out)]) == 0
+        data = read(out / "cell-specialized.json")
+        assert all(not v for v in data["verification"].values())
+        elements[order] = data["elements"]
+    assert len(elements["0,1"]) == 8
+    assert elements["1,0"] == {key: {w: _swapped(text) for w, text in coeffs.items()}
+                               for key, coeffs in elements["0,1"].items()}
 
 
 def test_config_file(tmp_path):

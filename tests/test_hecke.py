@@ -104,7 +104,7 @@ def test_cprime_longest_a2():
     assert alg.bar(expected) == expected
     for y, c in expected.items():
         if y != w0:
-            assert c.supported_negative(alg.order)
+            assert c.supported_negative()
     assert alg.cprime(w0) == expected
 
 
@@ -120,7 +120,7 @@ def test_cprime_triangular_with_negative_integral_coefficients(name, weights, or
         for y, c in cp.items():
             if y == w:
                 continue
-            assert c.supported_negative(alg.order)
+            assert c.supported_negative()
             assert all(isinstance(v, int) for v in c.terms.values())
             assert bruhat_leq(t, y, w)
 
