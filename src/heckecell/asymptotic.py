@@ -66,6 +66,24 @@ class Report:
         return "\n".join(lines)
 
 
+def sampled_triples(size: int, samples: int, seed: int):
+    """The (x, y, z) cases of the sampled associativity check: the stream of
+    random.Random(seed).randrange(size), drawn by the rejection loop randrange
+    runs on getrandbits(size.bit_length()), without its call overhead."""
+    getrandbits = random.Random(seed).getrandbits
+    k = size.bit_length()
+
+    def draws():
+        for _ in range(3 * samples):
+            r = getrandbits(k)
+            while r >= size:
+                r = getrandbits(k)
+            yield r
+
+    stream = draws()
+    return zip(stream, stream, stream)
+
+
 class AsymptoticRing:
     """Structure constants, identity, trace and blocks of the asymptotic ring."""
 
@@ -254,9 +272,7 @@ class AsymptoticRing:
             triples = ((x, y, z) for x in range(self.size)
                        for y in range(self.size) for z in range(self.size))
         else:
-            rng = random.Random(seed)
-            triples = ((rng.randrange(self.size), rng.randrange(self.size),
-                        rng.randrange(self.size)) for _ in range(random_triples))
+            triples = sampled_triples(self.size, random_triples, seed)
         for x, y, z in triples:
             lhs = self.multiply(self.basis_product(x, y, rows), {z: 1}, rows)
             rhs = self.multiply({x: 1}, self.basis_product(y, z, rows), rows)

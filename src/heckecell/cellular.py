@@ -374,81 +374,79 @@ def verify_bimodule_identity(alg: HeckeAlgebra, ring: AsymptoticRing,
                              exhaustive_max: int = 16, samples: int = 100000,
                              seed: int = 0) -> Report:
     """For w ~ y in the two-sided order:
-    sum_u gamma_{w,x',u^{-1}} h_{x,u,y} = sum_u h_{x,w,u} gamma_{u,x',y^{-1}}, u ~ w."""
+    sum_u gamma_{w,x',u^{-1}} h_{x,u,y} = sum_u h_{x,w,u} gamma_{u,x',y^{-1}}, u ~ w.
+
+    In matrix form, with G_{x'}[w][u] = gamma_{w,x',u^{-1}} and
+    H_x[w][u] = h_{x,w,u}, both kept only where u ~ w, this is
+    G_{x'} H_x = H_x G_{x'}. For each x, both products are summed for every
+    x' into one map keyed (x', w, y, exponent), from the nonzero entries of
+    the G_{x'} and of H_x indexed by row and by column: one pass over the
+    h-table and one step per product of nonzero coefficients (on A4, 0.29
+    million against 44 million cases). A key left in the map is a failing
+    case, so the set of failing cases covers every case at every |W|.
+
+    Up to `exhaustive_max` elements the report lists that set in (w, y, x, x')
+    order. Above it, it lists the set's members among `samples` quadruples
+    drawn from `seed`, in draw order; a passing check draws nothing."""
     report = Report()
     size = alg.table.size
     rows = alg.h_rows()
     inverse = alg.table.inverse
     _, cells, cell_of = alg.lr_cells()
-    gamma = ring.gamma
 
-    # left: (w, x') -> [(u, gamma_{w,x',u^-1})]; right: (x, w) -> [(u, h_{x,w,u})]
-    left = {(w, xp): [(inverse[z], g) for z, g in row if cell_of[inverse[z]] == cell_of[w]]
-            for (w, xp), row in ring.gamma_rows().items()}
-    right = [[[(u, h.terms) for u, h in rows[x][w].items() if cell_of[u] == cell_of[w]]
-              for w in range(size)] for x in range(size)]
-    bad = []
-
-    def check(x, xp, y, w):
-        # LHS - RHS, accumulated coefficientwise by exponent
-        diff = {}
-        row = rows[x]
-        for u, g in left.get((w, xp), ()):
-            h = row[u].get(y)
-            if h:
-                for e, c in h.terms.items():
-                    accumulate(diff, e, g * c)
-        yinv = inverse[y]
-        for u, terms in right[x][w]:
-            g = gamma.get((u, xp, yinv))
-            if g:
-                for e, c in terms.items():
-                    accumulate(diff, e, -(g * c))
-        return not diff
+    # the entries of every G_{x'}, and below of H_x, by column and by row, with u ~ w
+    g_col: list = [[] for _ in range(size)]  # u -> [(x', w, gamma_{w,x',u^-1})]
+    g_row: list = [[] for _ in range(size)]  # w -> [(x', u, gamma_{w,x',u^-1})]
+    for (w, xp), row in ring.gamma_rows().items():
+        for z, g in row:
+            u = inverse[z]
+            if cell_of[u] == cell_of[w]:
+                g_col[u].append((xp, w, g))
+                g_row[w].append((xp, u, g))
+    failing = set()
+    for x in range(size):
+        h_row: list = [[] for _ in range(size)]  # w -> [(u, h_{x,w,u})]
+        h_col: list = [[] for _ in range(size)]  # u -> [(w, h_{x,w,u})]
+        for w, hw in enumerate(rows[x]):
+            cw = cell_of[w]
+            for u, h in hw.items():
+                if cell_of[u] == cw:
+                    h_row[w].append((u, h.terms))
+                    h_col[u].append((w, h.terms))
+        # G_{x'} H_x - H_x G_{x'} for every x', by middle index u and exponent
+        diff: dict = {}
+        for u in range(size):
+            if h_row[u]:
+                for xp, w, g in g_col[u]:
+                    for y, terms in h_row[u]:
+                        for e, c in terms.items():
+                            accumulate(diff, (xp, w, y, e), g * c)
+            if h_col[u]:
+                for xp, y, g in g_row[u]:
+                    for w, terms in h_col[u]:
+                        for e, c in terms.items():
+                            accumulate(diff, (xp, w, y, e), -(g * c))
+        failing.update((w, y, x, xp) for xp, w, y, _ in diff)
 
     if size <= exhaustive_max:
-        for w in range(size):
-            peers = cells[cell_of[w]]
-            for y in peers:
-                for x in range(size):
-                    for xp in range(size):
-                        if not check(x, xp, y, w):
-                            bad.append(f"identity fails at (x={x},x'={xp},y={y},w={w})")
-        report.record("bimodule identity (exhaustive)", bad)
+        cases, name = sorted(failing), "bimodule identity (exhaustive)"
     else:
-        for w, y, x, xp in sampled_quadruples(size, cells, cell_of, samples, seed):
-            if not check(x, xp, y, w):
-                bad.append(f"identity fails at (x={x},x'={xp},y={y},w={w})")
-        report.record(f"bimodule identity ({samples} samples)", bad)
+        cases = [q for q in sampled_quadruples(size, cells, cell_of, samples, seed)
+                 if q in failing] if failing else []
+        name = f"bimodule identity ({samples} samples)"
+    report.record(name, [f"identity fails at (x={x},x'={xp},y={y},w={w})"
+                         for w, y, x, xp in cases])
     return report
 
 
 def sampled_quadruples(size: int, cells, cell_of, samples: int, seed: int):
-    """The (w, y, x, x') cases of the sampled bimodule check, y in the cell of w.
-
-    The stream is the one random.Random(seed).randrange gives: each draw is
-    the rejection loop randrange(n) runs on getrandbits(n.bit_length()),
-    without randrange's own call overhead.
-    """
-    getrandbits = random.Random(seed).getrandbits
-    k = size.bit_length()
-    # w -> (the cell of w, its size, that size's bit length)
-    peers_of = [(p, len(p), len(p).bit_length()) for p in (cells[c] for c in cell_of)]
+    """The (w, y, x, x') cases of the sampled bimodule check, y in the cell of
+    w, drawn by random.Random(seed).randrange. Only a failing check draws."""
+    rng = random.Random(seed)
     for _ in range(samples):
-        w = getrandbits(k)
-        while w >= size:
-            w = getrandbits(k)
-        peers, n, kp = peers_of[w]
-        i = getrandbits(kp)
-        while i >= n:
-            i = getrandbits(kp)
-        x = getrandbits(k)
-        while x >= size:
-            x = getrandbits(k)
-        xp = getrandbits(k)
-        while xp >= size:
-            xp = getrandbits(k)
-        yield w, peers[i], x, xp
+        w = rng.randrange(size)
+        peers = cells[cell_of[w]]
+        yield w, peers[rng.randrange(len(peers))], rng.randrange(size), rng.randrange(size)
 
 
 # -- weight specialization ----------------------------------------------------------

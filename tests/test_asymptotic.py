@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import corrupted_ring, edited_leading_session, get_session
-from heckecell.asymptotic import AsymptoticRing
+from heckecell.asymptotic import AsymptoticRing, sampled_triples
 from heckecell.cli import Session
 from heckecell.matrices import f_inverse, f_mat_mul
 from heckecell.reps import verify_schur_relations
@@ -237,6 +237,17 @@ def test_narrowed_ring_checks_detect_an_edited_gamma():
     assert report.checks["associativity"]
     bimodule = verify_bimodule_identity(session.algebra, ring, seed=0)
     assert bimodule.checks["bimodule identity (100000 samples)"]
+
+
+@pytest.mark.parametrize("name", ["I2:9", "I2:12"])
+def test_sampled_triples_follow_the_randrange_stream(name):
+    size = get_session(name).algebra.table.size
+    assert size > 16
+    for seed in (0, 1, 5):
+        rng = random.Random(seed)
+        want = [(rng.randrange(size), rng.randrange(size), rng.randrange(size))
+                for _ in range(10000)]
+        assert list(sampled_triples(size, 10000, seed)) == want
 
 
 # Pairs (x, y) at which the representation property of dihedral:1 fails after

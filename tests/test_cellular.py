@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import corrupted_ring, edited_leading_session, get_session
+from heckecell import cellular
 from heckecell.asymptotic import AsymptoticRing
 from heckecell.cellular import (b_matrix, hecke_to_asym,
                                 lambda_order, phi_element, sampled_quadruples,
@@ -423,6 +424,44 @@ def test_bimodule_identity_agrees_with_the_reference(restrict_cell, exhaustive_m
                                                    restrict_cell)
         assert report.ok == ok
 
+
+
+def i2_9_faults():
+    """I2:9 (|W| = 18 > 16) with gamma_{1,1,1} + 1 and with h_{1,1,1} + 1."""
+    session = get_session("I2:9")
+    alg = session.algebra
+    assert alg.table.size == 18
+    return [(alg, corrupted_ring(session)), (corrupted_h_rows(alg, 1, 1, 1), session.ring)]
+
+
+def test_bimodule_failing_set_is_every_failing_quadruple():
+    """At exhaustive_max = 18 the report is the whole failing set on I2:9,
+    which must be the cases that fail one by one."""
+    for alg, ring in i2_9_faults():
+        report = verify_bimodule_identity(alg, ring, exhaustive_max=18)
+        assert not report.ok
+        assert report.checks == reference_bimodule(alg, ring, exhaustive_max=18)
+
+
+def test_bimodule_sampled_report_lists_the_failing_draws():
+    for alg, ring in i2_9_faults():
+        report = verify_bimodule_identity(alg, ring, seed=3)
+        assert not report.ok
+        assert report.checks == reference_bimodule(alg, ring, seed=3)
+
+
+@pytest.mark.parametrize("name,weights,order", [
+    ("I2:9", "equal", None), ("B3", "universal", "b-first"),
+])
+def test_passing_bimodule_check_draws_nothing(monkeypatch, name, weights, order):
+    def no_draws(*args):
+        raise AssertionError("a passing bimodule check drew a quadruple")
+
+    monkeypatch.setattr(cellular, "sampled_quadruples", no_draws)
+    session = get_session(name, weights, order)
+    assert session.table.size > 16
+    report = verify_bimodule_identity(session.algebra, session.ring)
+    assert report.checks == {"bimodule identity (100000 samples)": []}
 
 
 # -- fault injection for the filtration and star checks -------------------------
