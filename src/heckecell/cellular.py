@@ -185,7 +185,7 @@ def verify_cell_datum(datum: CellDatum) -> Report:
 
     def coords(s_gen, key):
         prod = _ts_times_element(alg, s_gen, datum.elements[key])
-        return _to_cell_coords(tinv_t, prod, keys, LaurentPoly.scale)
+        return _to_cell_coords(tinv_t, prod, keys)
 
     report.record("C3 left action", _c3_violations(datum, coords) if tinv_t is not None
                   else [f"C3 not checked: {bad[0]}"])
@@ -260,17 +260,16 @@ def _ts_times_element(alg: HeckeAlgebra, s: int, coeffs: dict) -> dict:
     return out
 
 
-def _to_cell_coords(inv_rows, prod: dict, keys, mul) -> dict:
+def _to_cell_coords(inv_rows, prod: dict, keys) -> dict:
     """Express coordinates prod (w -> LaurentPoly) in the cellular basis, given
-    the rows of the inverse transition matrix and how to multiply a
-    polynomial by one of their entries."""
+    the rows of the inverse transition matrix (field or Laurent entries)."""
     out = {}
     for w, poly in prod.items():
         row = inv_rows[w]
         for ki, key in enumerate(keys):
             c = row[ki]
             if c:
-                accumulate(out, key, mul(poly, c))
+                accumulate(out, key, c * poly)
     return out
 
 
@@ -541,7 +540,7 @@ def verify_specialized(spec: SpecializedBasis) -> Report:
     # every coordinate has the denominator inv.den, so numerators are compared
     def coords(s_gen, key):
         prod = alg.gen_left(s_gen, spec.elements[key])
-        return _to_cell_coords(inv.num, prod, keys, LaurentPoly.__mul__)
+        return _to_cell_coords(inv.num, prod, keys)
 
     report.record("C3 (specialized)", _c3_violations(spec, coords))
     return report

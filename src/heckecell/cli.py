@@ -71,9 +71,9 @@ def parse_weights(spec, system: CoxeterSystem) -> WeightFunction:
 
 
 def parse_order(spec, rank: int) -> MonomialOrder:
-    if spec in (None, "natural", "a-first"):
+    if spec in (None, "natural"):
         return natural_order(rank)
-    if spec in ("b-first", "asymptotic"):
+    if spec == "b-first":
         return MonomialOrder(rank, tuple(range(rank - 1, -1, -1)))
     try:
         priority = tuple(int(x) for x in str(spec).split(","))
@@ -117,7 +117,6 @@ class Session:
         self.order = parse_order(config.get("order"), self.weights.rank)
         self.seed = _config_int(config, "seed", 0)
         self.jobs = _config_int(config, "jobs", 1)
-        self.bound = _config_int(config, "bound", 20000)
         self.sources = config.get("reps", "builtin")
         if self.sources != "builtin" and not (
                 isinstance(self.sources, list) and all(isinstance(p, str) for p in self.sources)):
@@ -128,7 +127,7 @@ class Session:
 
     @cached_property
     def table(self) -> ElementTable:
-        return ElementTable(self.system, bound=self.bound)
+        return ElementTable(self.system)
 
     @cached_property
     def algebra(self) -> HeckeAlgebra:

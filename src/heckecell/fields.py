@@ -87,8 +87,7 @@ def real_minimal_polynomial(n: int) -> tuple[Fraction, ...]:
     p_cur = [Fraction(0), Fraction(1)]  # p_1 = y
     psi = [Fraction(phi[m])]
     for j in range(1, m + 1):
-        pj = p_prev if j == 0 else p_cur
-        psi = _poly_add(psi, [Fraction(phi[m + j]) * c for c in pj])
+        psi = _poly_add(psi, [Fraction(phi[m + j]) * c for c in p_cur])
         if j < m:
             nxt = _poly_add([Fraction(0)] + p_cur, [-c for c in p_prev])
             p_prev, p_cur = p_cur, nxt

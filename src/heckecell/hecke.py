@@ -1,15 +1,20 @@
 """The generic Iwahori-Hecke algebra of a finite Coxeter system.
 
-Everything here works in the standard basis {T_w} with the multiplication rule
+Elements are kept in the standard basis {T_w}, and the one product computed
+here is the left action of a generator,
 
     T_s T_w = T_{sw}                           if l(sw) > l(w),
     T_s T_w = T_{sw} + (v_s - v_s^{-1}) T_w    if l(sw) < l(w),
 
-where v_s = eps^{L(s)}. The canonical bases are computed from their defining
-characterization: Cp_w is the unique bar-invariant element T_w + sum p_{y,w} T_y
-with every p_{y,w} supported on strictly negative exponents, built by
-peeling the bar-invariant product Cp_s Cp_{sw} downwards, in element-id
-(= length) order; C_w = j(Cp_w) with j(eps^g) = eps^{-g}, j(T_y) = (-1)^{l(y)} T_y.
+where v_s = eps^{L(s)}. The general T-basis product, inverse and bar
+involution live in the tests, as the references the KL basis and the
+structure constants are checked against.
+
+The canonical bases are computed from their defining characterization: Cp_w
+is the unique bar-invariant element T_w + sum p_{y,w} T_y with every p_{y,w}
+supported on strictly negative exponents, built by peeling the bar-invariant
+product Cp_s Cp_{sw} downwards on one accumulator, in element-id (= length)
+order; C_w = j(Cp_w) with j(eps^g) = eps^{-g}, j(T_y) = (-1)^{l(y)} T_y.
 
 Structure constants h_{x,y,z} (C_x C_y = sum h_{x,y,z} C_z) are materialized
 by a length recursion on x that only ever multiplies by generator rows. The
@@ -17,8 +22,8 @@ generator row h_{s,w,.} is what the peel of Cp_s Cp_w takes away, mu_y Cp_y,
 and every peel keeps its row: each ascent is peeled once per algebra. The
 a-function is the smallest shift making a z-column nonnegative, and gamma
 constants are the resulting constant terms at z^{-1}, kept as a map of the
-nonzero ones. The full table is built only for |W| <= MAX_FULL_TABLE, the one
-size limit of the package; past it `h_rows` rejects the input. All
+nonzero ones. The full table is built only for |W| <= MAX_FULL_TABLE, which
+`h_rows` alone reads; past it the input is rejected. All
 coefficients here are Laurent polynomials with integer coefficients, for
 every Coxeter type.
 """
@@ -55,7 +60,6 @@ class HeckeAlgebra:
         self.v = [LaurentPoly.monomial(g) for g in self.weights.values]
         self.vinv = [LaurentPoly.monomial(exp_neg(g)) for g in self.weights.values]
         self.xi = [self.v[s] - self.vinv[s] for s in range(n)]
-        self._tinv: dict = {0: {0: LaurentPoly.one(self.rank)}}
         self._cprime: list = [self.unit()]
         self._c_cache: dict = {}
         self._gen_rows = [dict() for _ in range(n)]
@@ -63,13 +67,10 @@ class HeckeAlgebra:
         self._a = None
         self._cells = None
 
-    # -- T-basis arithmetic ------------------------------------------------------
+    # -- the generator action ----------------------------------------------------
 
     def unit(self) -> dict:
         return {0: LaurentPoly.one(self.rank)}
-
-    def t_basis(self, w: int) -> dict:
-        return {w: LaurentPoly.one(self.rank)}
 
     def gen_left(self, s: int, h: dict) -> dict:
         """T_s * h for h in the T-basis."""
@@ -80,73 +81,6 @@ class HeckeAlgebra:
             accumulate(out, sw, c)
             if t.length[sw] < t.length[w]:
                 accumulate(out, w, xi * c)
-        return out
-
-    def gen_right(self, h: dict, s: int) -> dict:
-        """h * T_s for h in the T-basis."""
-        t, out = self.table, {}
-        xi = self.xi[s]
-        for w, c in h.items():
-            ws = t.rmult[w][s]
-            accumulate(out, ws, c)
-            if t.length[ws] < t.length[w]:
-                accumulate(out, w, xi * c)
-        return out
-
-    def t_multiply(self, h1: dict, h2: dict) -> dict:
-        """Product of two T-basis elements.
-
-        Expands along stored reduced words, sharing prefixes: h1*T_w is reused
-        through the right-parent chain of each w in the support of h2.
-        """
-        cache = {0: h1}
-
-        def left_times(w):
-            got = cache.get(w)
-            if got is None:
-                wp, s = self.table.right_parent(w)
-                got = cache[w] = self.gen_right(left_times(wp), s)
-            return got
-
-        out = {}
-        for w, c in h2.items():
-            for u, d in left_times(w).items():
-                accumulate(out, u, d * c)
-        return out
-
-    def scale(self, h: dict, p: LaurentPoly) -> dict:
-        return _clean({w: c * p for w, c in h.items()})
-
-    def add(self, h1: dict, h2: dict) -> dict:
-        out = dict(h1)
-        for w, c in h2.items():
-            accumulate(out, w, c)
-        return _clean(out)
-
-    def sub(self, h1: dict, h2: dict) -> dict:
-        out = dict(h1)
-        for w, c in h2.items():
-            accumulate(out, w, -c)
-        return _clean(out)
-
-    def t_inverse(self, w: int) -> dict:
-        """(T_w)^{-1} in the T-basis, cached; T_s^{-1} = T_s - (v_s - v_s^{-1})."""
-        got = self._tinv.get(w)
-        if got is None:
-            wp, s = self.table.right_parent(w)
-            prev = self.t_inverse(wp)
-            # T_w = T_{wp} T_s  =>  T_w^{-1} = T_s^{-1} T_{wp}^{-1}
-            got = self.sub(self.gen_left(s, prev), self.scale(prev, self.xi[s]))
-            self._tinv[w] = got
-        return got
-
-    def bar(self, h: dict) -> dict:
-        """The ring involution sum a_w T_w -> sum bar(a_w) (T_{w^{-1}})^{-1}."""
-        out = {}
-        for w, c in h.items():
-            cbar = c.bar()
-            for u, d in self.t_inverse(self.table.inverse[w]).items():
-                accumulate(out, u, cbar * d)
         return out
 
     # -- canonical bases ------------------------------------------------------------
@@ -170,23 +104,26 @@ class HeckeAlgebra:
         generator row h_{s,v,.} = {sv: 1, **mu}, and store Cp_{sv} if it is new.
 
         Cp_s Cp_v = (T_s + v_s^{-1}) Cp_v is bar-invariant with top term T_{sv};
-        going down in length, each Cp_y takes away the nonnegative part of the
-        coefficient at T_y. Reads the Cp_y with l(y) <= l(v)."""
+        going down in length, each mu_y Cp_y is subtracted in place, taking
+        away the nonnegative part of the coefficient at T_y. Reads the Cp_y
+        with l(y) <= l(v)."""
         t = self.table
         w = t.lmult[v][s]
-        x = self.add(self.gen_left(s, self._cprime[v]),
-                     self.scale(self._cprime[v], self.vinv[s]))
+        cv = self._cprime[v]
+        x = self.gen_left(s, cv)
+        for y, c in cv.items():
+            accumulate(x, y, c * self.vinv[s])
         mu = {}
-        bad = sorted((y for y in x if y != w), key=lambda y: -t.length[y])
-        for y in bad:
+        for y in sorted((y for y in x if y != w), key=lambda y: -t.length[y]):
             c = x.get(y)
-            if c is None or not c:
+            if c is None:
                 continue
             m = c.nonnegative_part()
             if not m:
                 continue
-            mu[y] = m + m.bar() - LaurentPoly.constant(self.rank, m.constant_coefficient())
-            x = self.sub(x, self.scale(self._cprime[y], mu[y]))
+            m = mu[y] = m + m.bar() - LaurentPoly.constant(self.rank, m.constant_coefficient())
+            for u, d in self._cprime[y].items():
+                accumulate(x, u, -(d * m))
         if x.get(w) != LaurentPoly.one(self.rank):
             raise ComputationError("KL correction failed")
         for y, c in x.items():
@@ -208,23 +145,6 @@ class HeckeAlgebra:
             }
             self._c_cache[w] = got
         return got
-
-    def t_to_c(self, h: dict) -> dict:
-        """Coordinates of a T-basis element in the C-basis."""
-        t = self.table
-        rem = dict(h)
-        out = {}
-        for y in sorted(rem, key=lambda u: -t.length[u]):
-            c = rem.get(y)
-            if c is None or not c:
-                continue
-            coeff = c if t.length[y] % 2 == 0 else -c
-            out[y] = coeff
-            for u, d in self.c_basis(y).items():
-                accumulate(rem, u, -(coeff * d))
-        if any(rem.values()):
-            raise ComputationError("C-basis conversion left a remainder")
-        return out
 
     # -- structure constants, a-function, gamma ----------------------------------------
 
@@ -342,20 +262,13 @@ class HeckeAlgebra:
                     adj[w] |= 1 << z
                 for z in self.gen_row(s, t.inverse[w]):
                     adj[w] |= 1 << t.inverse[z]
-        # transitive closure by iterated bitmask union
-        changed = True
-        while changed:
-            changed = False
+        # transitive closure (Warshall): after step k, adj[w] holds every y
+        # reachable from w through intermediates among 0..k
+        for k in range(size):
+            bit, reach_k = 1 << k, adj[k]
             for w in range(size):
-                acc = adj[w]
-                rest = acc
-                while rest:
-                    y = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    acc |= adj[y]
-                if acc != adj[w]:
-                    adj[w] = acc
-                    changed = True
+                if adj[w] & bit:
+                    adj[w] |= reach_k
         cell_of = [None] * size
         cells = []
         for w in range(size):
@@ -376,7 +289,3 @@ class HeckeAlgebra:
     def sim_lr(self, y: int, w: int) -> bool:
         _, _, cell_of = self.lr_cells()
         return cell_of[y] == cell_of[w]
-
-
-def _clean(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v}

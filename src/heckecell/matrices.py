@@ -90,14 +90,6 @@ def eliminate(m, n: int, one):
 # -- plain field matrices (lists of lists of Fraction/CycloNumber) -------------
 
 
-def f_mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(m) if a[i][k]), Fraction(0)) for j in range(p)]
-        for i in range(n)
-    ]
-
-
 def f_nonzero(a) -> list:
     """The nonzero entries [(i, j, c)] of a field matrix, in row-major order."""
     return [(i, j, c) for i, row in enumerate(a) for j, c in enumerate(row) if c]

@@ -497,10 +497,3 @@ class LaurentFraction:
         g_num = self.num.min_exponent()
         # den is normalized: min exponent 0, leading coefficient 1
         return g_num, self.num.terms[g_num]
-
-    def as_laurent(self) -> LaurentPoly:
-        """Exact quotient num/den; raises if the denominator does not divide."""
-        q = self.num.exact_divide(self.den)
-        if q is None:
-            raise ComputationError("representation not defined over expected ring")
-        return q

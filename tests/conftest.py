@@ -17,6 +17,24 @@ B4_MATRIX = "[[1,4,2,2],[4,1,3,2],[2,3,1,3],[2,2,3,1]]"
 D4_MATRIX = "[[1,3,2,2],[3,1,3,3],[2,3,1,2],[2,3,2,1]]"
 
 
+def f_mat_mul(a, b):
+    """Dense product of two field matrices (lists of lists)."""
+    n, m, p = len(a), len(b), len(b[0])
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(m) if a[i][k]), Fraction(0)) for j in range(p)]
+        for i in range(n)
+    ]
+
+
+def weight_of(weights, table, w: int) -> tuple:
+    """L(w), summed along the stored word of w."""
+    g = [0] * weights.rank
+    for s in table.word[w]:
+        for i, x in enumerate(weights.values[s]):
+            g[i] += x
+    return tuple(g)
+
+
 def get_session(system: str, weights: str = "equal", order=None) -> Session:
     key = (system, weights, order)
     if key not in _CACHE:

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import corrupted_ring, edited_leading_session, get_session
+from conftest import corrupted_ring, edited_leading_session, f_mat_mul, get_session
 from heckecell.asymptotic import AsymptoticRing, sampled_triples
 from heckecell.cli import Session
-from heckecell.matrices import f_inverse, f_mat_mul
+from heckecell.matrices import f_inverse
 from heckecell.reps import verify_schur_relations
 from heckecell.scalars import exp_neg, scalar_inverse
 

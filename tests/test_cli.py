@@ -341,7 +341,7 @@ def test_report_on_artifact_without_its_fields_gives_input_exit(tmp_path, capsys
     assert_input_error(["report", str(tmp_path)], capsys)
 
 
-@pytest.mark.parametrize("key,value", [("seed", "abc"), ("jobs", "two"), ("bound", 2.5),
+@pytest.mark.parametrize("key,value", [("seed", "abc"), ("jobs", "two"),
                                        ("seed", None), ("jobs", True)])
 def test_non_integer_config_value_gives_input_exit(tmp_path, capsys, key, value):
     cfg = tmp_path / "job.json"
@@ -357,6 +357,12 @@ def test_non_integer_weights_give_input_exit(tmp_path, capsys, spec, flag):
     command = ["kl-table"] if flag == "--weights" else ["cell", "specialize"]
     assert_input_error([*command, "--system", "I2:4", flag, spec,
                         "--out", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("spec", ["a-first", "asymptotic", "1;0"])
+def test_order_other_than_natural_b_first_or_priority_gives_input_exit(tmp_path, capsys, spec):
+    assert_input_error(["kl-table", "--system", "B2", "--weights", "universal",
+                        "--order", spec, "--out", str(tmp_path)], capsys)
 
 
 @pytest.mark.parametrize("value", ["x.json", [1], [0], {"0": "x.json"}],
@@ -376,7 +382,7 @@ def test_reps_config_value_other_than_builtin_or_paths_gives_input_exit(tmp_path
 
 def test_integer_string_config_value_is_accepted(tmp_path):
     cfg = tmp_path / "job.json"
-    cfg.write_text(json.dumps({"system": "A1", "seed": "7", "bound": "100"}), encoding="utf-8")
+    cfg.write_text(json.dumps({"system": "A1", "seed": "7"}), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--stages", "reps", "--verify", "none",
                  "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
-"""Standard-basis arithmetic, the canonical bases, structure constants,
-the a-function, gamma constants, and the two-sided cells."""
+"""The canonical bases, structure constants, the a-function, gamma
+constants and the two-sided cells, checked against standard-basis
+references: the T-basis product, inverse and bar involution below."""
 
 import itertools
 import random
@@ -10,9 +11,73 @@ from conftest import B4_MATRIX, D4_MATRIX, get_session
 from heckecell.cli import Session
 from heckecell.errors import InputError
 from heckecell.hecke import HeckeAlgebra
-from heckecell.scalars import LaurentPoly
+from heckecell.scalars import LaurentPoly, accumulate
 
 NAT_ONE = LaurentPoly.one(1)
+
+
+def gen_right(alg, h: dict, s: int) -> dict:
+    """h * T_s for h in the T-basis."""
+    t, out = alg.table, {}
+    xi = alg.xi[s]
+    for w, c in h.items():
+        ws = t.rmult[w][s]
+        accumulate(out, ws, c)
+        if t.length[ws] < t.length[w]:
+            accumulate(out, w, xi * c)
+    return out
+
+
+def t_multiply(alg, h1: dict, h2: dict) -> dict:
+    """Product of two T-basis elements.
+
+    Expands along stored reduced words, sharing prefixes: h1*T_w is reused
+    through the right-parent chain of each w in the support of h2.
+    """
+    cache = {0: h1}
+
+    def left_times(w):
+        got = cache.get(w)
+        if got is None:
+            wp, s = alg.table.right_parent(w)
+            got = cache[w] = gen_right(alg, left_times(wp), s)
+        return got
+
+    out = {}
+    for w, c in h2.items():
+        for u, d in left_times(w).items():
+            accumulate(out, u, d * c)
+    return out
+
+
+def t_inverse(alg, w: int) -> dict:
+    """(T_w)^{-1} in the T-basis: T_{s_1..s_k}^{-1} = T_{s_k}^{-1}..T_{s_1}^{-1},
+    with T_s^{-1} = T_s - (v_s - v_s^{-1})."""
+    out = alg.unit()
+    for s in alg.table.word[w]:
+        prev, out = out, alg.gen_left(s, out)
+        for u, c in prev.items():
+            accumulate(out, u, -(c * alg.xi[s]))
+    return out
+
+
+def bar(alg, h: dict) -> dict:
+    """The ring involution sum a_w T_w -> sum bar(a_w) (T_{w^{-1}})^{-1}."""
+    out = {}
+    for w, c in h.items():
+        cbar = c.bar()
+        for u, d in t_inverse(alg, alg.table.inverse[w]).items():
+            accumulate(out, u, cbar * d)
+    return out
+
+
+def from_c(alg, coords: dict) -> dict:
+    """sum_z coords[z] C_z in the T-basis."""
+    out = {}
+    for z, h in coords.items():
+        for u, d in alg.c_basis(z).items():
+            accumulate(out, u, h * d)
+    return out
 
 
 def alg_of(name, weights="equal", order=None):
@@ -45,16 +110,16 @@ def bruhat_leq(table, y, w):
 def test_t_multiplication_rule():
     alg = alg_of("A1")
     s = alg.table.gen(0)
-    prod = alg.t_multiply(alg.t_basis(s), alg.t_basis(s))
-    assert prod == {0: NAT_ONE, s: alg.xi[0]}
+    ts = {s: NAT_ONE}
+    assert t_multiply(alg, ts, ts) == {0: NAT_ONE, s: alg.xi[0]}
     # identity element
     w = alg.table.longest
-    assert alg.t_multiply(alg.unit(), alg.t_basis(w)) == alg.t_basis(w)
+    assert t_multiply(alg, alg.unit(), {w: NAT_ONE}) == {w: NAT_ONE}
     # eigen-relation: T_s (T_s + v^{-1}) = v (T_s + v^{-1}) by one-line expansion,
     # and the square of the canonical element picks up the factor v + v^{-1}
     cp = alg.cprime(s)
-    assert alg.t_multiply(alg.t_basis(s), cp) == alg.scale(cp, alg.v[0])
-    assert alg.t_multiply(cp, cp) == alg.scale(cp, alg.v[0] + alg.vinv[0])
+    assert t_multiply(alg, ts, cp) == {y: c * alg.v[0] for y, c in cp.items()}
+    assert t_multiply(alg, cp, cp) == {y: c * (alg.v[0] + alg.vinv[0]) for y, c in cp.items()}
 
 
 def test_t_multiply_associative_random():
@@ -62,20 +127,20 @@ def test_t_multiply_associative_random():
     rng = random.Random(4)
     for _ in range(15):
         a, b, c = (rand_elem(alg, rng) for _ in range(3))
-        lhs = alg.t_multiply(alg.t_multiply(a, b), c)
-        rhs = alg.t_multiply(a, alg.t_multiply(b, c))
+        lhs = t_multiply(alg, t_multiply(alg, a, b), c)
+        rhs = t_multiply(alg, a, t_multiply(alg, b, c))
         assert lhs == rhs
 
 
 def test_bar_basics():
     alg = alg_of("A1")
     s = alg.table.gen(0)
-    assert alg.bar(alg.unit()) == alg.unit()
-    barts = alg.bar(alg.t_basis(s))
+    assert bar(alg, alg.unit()) == alg.unit()
+    barts = bar(alg, {s: NAT_ONE})
     assert barts == {s: NAT_ONE, 0: -alg.xi[0]}
     # bar(T_s) is indeed T_s^{-1}: their product is T_1
-    assert alg.t_multiply(barts, alg.t_basis(s)) == alg.unit()
-    assert alg.bar(alg.cprime(s)) == alg.cprime(s)
+    assert t_multiply(alg, barts, {s: NAT_ONE}) == alg.unit()
+    assert bar(alg, alg.cprime(s)) == alg.cprime(s)
 
 
 def test_bar_is_involutive_and_multiplicative():
@@ -83,8 +148,8 @@ def test_bar_is_involutive_and_multiplicative():
     rng = random.Random(8)
     for _ in range(10):
         a, b = rand_elem(alg, rng), rand_elem(alg, rng)
-        assert alg.bar(alg.bar(a)) == a
-        assert alg.bar(alg.t_multiply(a, b)) == alg.t_multiply(alg.bar(a), alg.bar(b))
+        assert bar(alg, bar(alg, a)) == a
+        assert bar(alg, t_multiply(alg, a, b)) == t_multiply(alg, bar(alg, a), bar(alg, b))
 
 
 def test_cprime_base_cases():
@@ -101,7 +166,7 @@ def test_cprime_longest_a2():
     w0 = alg.table.longest
     expected = {y: LaurentPoly(1, {(alg.table.length[y] - 3,): 1})
                 for y in range(6)}
-    assert alg.bar(expected) == expected
+    assert bar(alg, expected) == expected
     for y, c in expected.items():
         if y != w0:
             assert c.supported_negative()
@@ -132,7 +197,7 @@ def test_c_basis_and_bar_invariance():
     assert alg.c_basis(0) == alg.unit()
     for w in range(6):
         c = alg.c_basis(w)
-        assert alg.bar(c) == c
+        assert bar(alg, c) == c
 
 
 def test_h_constants_examples_and_invariants():
@@ -161,8 +226,8 @@ def test_h_table_matches_direct_products():
     rng = random.Random(12)
     for _ in range(10):
         x, y = rng.randrange(8), rng.randrange(8)
-        direct = alg.t_to_c(alg.t_multiply(alg.c_basis(x), alg.c_basis(y)))
-        assert direct == rows[x][y]
+        direct = t_multiply(alg, alg.c_basis(x), alg.c_basis(y))
+        assert direct == from_c(alg, rows[x][y])
 
 
 @pytest.mark.parametrize("name,weights,order", [
@@ -171,13 +236,14 @@ def test_h_table_matches_direct_products():
 ])
 def test_generator_rows_match_direct_products(name, weights, order):
     # gen_row reads the rows off the KL correction step; the reference
-    # multiplies C_s C_w in the T-basis and converts back to the C-basis
+    # multiplies C_s C_w in the T-basis, and expanding sum_z h_{s,w,z} C_z
+    # there compares coordinates, since {C_z} is a basis
     alg = alg_of(name, weights, order)
     for s in range(alg.table.system.ngens):
         cs = alg.c_basis(alg.table.gen(s))
         for w in range(alg.table.size):
-            direct = alg.t_to_c(alg.t_multiply(cs, alg.c_basis(w)))
-            assert alg.gen_row(s, w) == direct
+            direct = t_multiply(alg, cs, alg.c_basis(w))
+            assert direct == from_c(alg, alg.gen_row(s, w))
 
 
 @pytest.mark.parametrize("cells_first", [True, False])
@@ -220,6 +286,40 @@ def test_kl_basis_rows_and_cells_do_not_depend_on_call_order(name, weights, orde
         for w in range(t.size):
             assert cells_first.gen_row(s, w) == kl_first.gen_row(s, w)
     assert kl_first.lr_cells() == cells
+
+
+def reference_reach(alg) -> list:
+    """reach[w] as a bitmask, by depth-first search from w over the one-step
+    relation: y in supp(C_s C_w), and z^{-1} for z in supp(C_s C_{w^{-1}})."""
+    t = alg.table
+    step = [set() for _ in range(t.size)]
+    for w in range(t.size):
+        for s in range(t.system.ngens):
+            step[w].update(alg.gen_row(s, w))
+            step[w].update(t.inverse[z] for z in alg.gen_row(s, t.inverse[w]))
+    reach = []
+    for w in range(t.size):
+        seen, todo = {w}, [w]
+        while todo:
+            for y in step[todo.pop()] - seen:
+                seen.add(y)
+                todo.append(y)
+        reach.append(sum(1 << y for y in seen))
+    return reach
+
+
+@pytest.mark.parametrize("name,weights,order", [
+    (D4_MATRIX, "equal", None), ("H3", "equal", None), ("B3", "universal", "b-first"),
+    ("I2:12", '{"0":[1],"1":[2]}', None),
+])
+def test_lr_preorder_matches_depth_first_closure(name, weights, order):
+    # leq_lr, lambda_order and the phi filtration read the masks themselves
+    alg = alg_of(name, weights, order)
+    reach, cells, cell_of = alg.lr_cells()
+    assert reach == reference_reach(alg)
+    for w in range(alg.table.size):
+        assert cells[cell_of[w]] == [y for y in range(alg.table.size)
+                                     if reach[w] >> y & 1 and reach[y] >> w & 1]
 
 
 def test_d4_matrix_cells():

@@ -8,9 +8,10 @@ from itertools import permutations
 
 import pytest
 
+from conftest import f_mat_mul
 from heckecell.errors import ComputationError
 from heckecell.fields import RealCyclotomicField
-from heckecell.matrices import KMatrix, f_det, f_inverse, f_mat_mul, f_nonzero, f_sparse_mul
+from heckecell.matrices import KMatrix, f_det, f_inverse, f_nonzero, f_sparse_mul
 from heckecell.scalars import LaurentFraction, LaurentPoly, MonomialOrder
 
 B_FIRST = MonomialOrder(2, (1, 0))

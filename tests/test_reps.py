@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import edited_leading_session, get_session
+from conftest import edited_leading_session, get_session, weight_of
 from heckecell import reps
 from heckecell.errors import ComputationError, InputError, VerificationError
 from heckecell.matrices import KMatrix
@@ -22,7 +22,7 @@ def test_one_dimensional_traces():
     alg = get_session("B2").algebra
     rind, rsgn = index_rep(alg), sign_rep(alg)
     for w in range(alg.table.size):
-        lw = alg.weights.of(alg.table, w)
+        lw = weight_of(alg.weights, alg.table, w)
         assert rind.trace_poly(w) == LaurentPoly.monomial(lw)
         sign = -1 if alg.table.length[w] % 2 else 1
         assert rsgn.trace_poly(w) == LaurentPoly.monomial(tuple(-x for x in lw), sign)
@@ -51,7 +51,7 @@ def test_dihedral_mu_at_m3():
     alg = get_session("I2:3").algebra
     rep = dihedral_rep(alg, 1)
     # off-diagonal entry of rho(T_{s1}) is mu_1
-    assert rep.gens[0].entry(1, 0).as_laurent() == LaurentPoly.one(1)
+    assert rep.gens[0].num[1][0].exact_divide(rep.gens[0].den) == LaurentPoly.one(1)
     with pytest.raises(InputError, match="out of range"):
         dihedral_rep(alg, 2)
 
@@ -444,7 +444,7 @@ def test_explicit_file_roundtrip(tmp_path, weights, order):
         "label": "rho1",
         "dim": 2,
         "generators": {
-            str(s): [[rep.gens[s].entry(i, j).as_laurent().to_str(field, alg.order)
+            str(s): [[rep.gens[s].num[i][j].exact_divide(rep.gens[s].den).to_str(field, alg.order)
                       for j in range(2)] for i in range(2)]
             for s in range(2)
         },

@@ -106,7 +106,6 @@ def test_fraction_valuation_examples():
     num, den = poly({1: 1, 3: 1}), poly({0: 1, 2: 1})
     frac = LaurentFraction(num, den)
     assert frac.valuation() == ((1,), 1)
-    assert frac.as_laurent() == poly({1: 1})
     zero = LaurentFraction.zero(1)
     assert zero.valuation() == (None, 0)
 
