@@ -13,7 +13,7 @@ gamma live inside blocks: connected components of the graph joining elements
 that share a representation with a nonzero leading matrix.
 
 The leading matrices are sparse, so the table is built from their nonzero
-entries (`LeadingTensor.nonzero`) rather than from every (x, y, z) of a
+entries (`LeadingTensor.entries`) rather than from every (x, y, z) of a
 block: each entry a = M_x[i][j] meets only the entries b = M_y[j][l] of row j
 and c = M_z[l][i] at position (l, i), found through one index by row and one
 by position per representation, and adds f^{-1} a b c to gamma_{x,y,z}; the
@@ -111,7 +111,7 @@ class AsymptoticRing:
             return x
 
         for t in self.tensors:
-            sup = sorted(t.support)
+            sup = list(t.entries)
             for w in sup[1:]:
                 parent[find(w)] = find(sup[0])
         groups: dict = {}
@@ -124,7 +124,7 @@ class AsymptoticRing:
                 self.block_of[w] = bi
         self.block_of_label = {}
         for t in self.tensors:
-            bis = {self.block_of[w] for w in t.support}
+            bis = {self.block_of[w] for w in t.entries}
             if len(bis) != 1:
                 raise ComputationError(f"representation {t.label} meets several blocks")
             self.block_of_label[t.label] = next(iter(bis))
@@ -142,10 +142,9 @@ class AsymptoticRing:
                 if self.block_of_label[t.label] != bi:
                     continue
                 fi = scalar_inverse(t.f)
-                nz = t.nonzero()
                 by_row: dict = {}
                 by_pos: dict = {}
-                for w, ents in nz.items():
+                for w, ents in t.entries.items():
                     tr = 0
                     for i, j, c in ents:
                         by_row.setdefault(i, []).append((w, j, c))
@@ -154,7 +153,7 @@ class AsymptoticRing:
                             tr = c + tr
                     if tr:
                         n[inverse[w]] = n[inverse[w]] + fi * tr
-                tens.append((fi, nz, by_row, by_pos))
+                tens.append((fi, t.entries, by_row, by_pos))
             for x in block:
                 row: dict = {}
                 for fi, nz, by_row, by_pos in tens:
@@ -284,7 +283,7 @@ class AsymptoticRing:
         # image of t_x t_y, as gamma does not cross blocks ("gamma symmetries")
         bad = []
         for t in self.tensors:
-            nz = t.nonzero()
+            nz = t.entries
             block = self.blocks[self.block_of_label[t.label]]
             for x in block:
                 for y in block:
@@ -316,7 +315,7 @@ class AsymptoticRing:
         report.record("gamma equality", bad)
         bad = []
         for t in self.tensors:
-            for w in t.support:
+            for w in t.entries:
                 if alg.a_value(w) != t.a:
                     bad.append(f"a({w}) != a-invariant of {t.label}")
         report.record("a-value link", bad)

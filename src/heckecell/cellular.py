@@ -23,16 +23,19 @@ from .coxeter import WeightFunction
 from .errors import ComputationError, InputError, VerificationError
 from .hecke import HeckeAlgebra
 from .matrices import KMatrix, f_det, f_inverse, f_nonzero, f_sparse_mul
+from .reps import LeadingTensor
 from .scalars import LaurentPoly, accumulate
 
-def b_matrix(rep_gram: KMatrix, ring: AsymptoticRing, label: str):
+def b_matrix(rep_gram: KMatrix, tensor: LeadingTensor, alg: HeckeAlgebra):
     """Constant-term matrix of a normalized balanced Gram form.
 
     Asserts: symmetric, positive-definite (exact signs of leading principal
     minors), nonzero determinant, and the intertwining property against the
-    asymptotic-ring representation for every group element.
+    leading matrices of the same representation, `tensor`, for every group
+    element.
     """
-    field = ring.alg.table.field
+    label = tensor.label
+    field = alg.table.field
     d = rep_gram.dim
     beta = rep_gram.residue()
     if beta is None:
@@ -46,13 +49,10 @@ def b_matrix(rep_gram: KMatrix, ring: AsymptoticRing, label: str):
         if field.sign(minor) <= 0:
             raise VerificationError(
                 f"constant form of {label} is not positive-definite (minor {k})")
-    tensor = next((t for t in ring.tensors if t.label == label), None)
-    if tensor is None:
-        raise ComputationError(f"unknown representation label {label}")
-    inverse = ring.alg.table.inverse
-    nz = tensor.nonzero()
+    inverse = alg.table.inverse
+    nz = tensor.entries
     ents = f_nonzero(beta)
-    for w in range(ring.size):
+    for w in range(alg.table.size):
         lhs = f_sparse_mul(ents, nz.get(inverse[w], ()))
         rhs = f_sparse_mul([(j, i, c) for i, j, c in nz.get(w, ())], ents)
         if lhs != rhs:
@@ -130,7 +130,7 @@ def build_cell_datum(alg: HeckeAlgebra, ring: AsymptoticRing, grams: dict) -> Ce
     bmats, msize, elements = {}, {}, {}
     primes = set()
     for t in ring.tensors:
-        beta = b_matrix(grams[t.label], ring, t.label)
+        beta = b_matrix(grams[t.label], t, alg)
         bmats[t.label] = beta
         msize[t.label] = t.dim
         primes |= norm_primes(field, f_det(beta))
@@ -139,7 +139,7 @@ def build_cell_datum(alg: HeckeAlgebra, ring: AsymptoticRing, grams: dict) -> Ce
         # the coefficient of C_{w^{-1}} in C^lam_{s,tt} is (beta M_w)[tt][s]
         columns: dict = {}
         ents = f_nonzero(beta)
-        for w, mw in t.nonzero().items():
+        for w, mw in t.entries.items():
             for (tt, s), acc in f_sparse_mul(ents, mw).items():
                 columns.setdefault((s, tt), {})[inverse[w]] = acc
         for s in range(t.dim):

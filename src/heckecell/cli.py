@@ -261,7 +261,7 @@ class Session:
             t.label: {
                 "a": list(self.order.user(t.a)),
                 "f": self.scalar_str(t.f),
-                "matrices": {str(w): self.matrix_strs(t.mats[w]) for w in sorted(t.support)},
+                "matrices": {str(w): self.matrix_strs(t.matrix(w)) for w in t.entries},
             }
             for t in self.tensors
         }

@@ -204,9 +204,6 @@ class KMatrix:
              for r1, r2 in zip(self.num, other.num)],
             self.den * other.den)
 
-    def __sub__(self, other: "KMatrix") -> "KMatrix":
-        return self + other.scale_poly(LaurentPoly.constant(self.rank, -1))
-
     def scale_poly(self, p: LaurentPoly) -> "KMatrix":
         return KMatrix([[x * p for x in row] for row in self.num], self.den)
 
@@ -228,21 +225,6 @@ class KMatrix:
 
     def __repr__(self):
         return f"KMatrix({self.dim}x{len(self.num[0])}, den={self.den!r})"
-
-    def is_polynomial(self) -> bool:
-        return all(x.exact_divide(self.den) is not None for row in self.num for x in row)
-
-    def poly_entries(self):
-        out = []
-        for row in self.num:
-            orow = []
-            for x in row:
-                q = x.exact_divide(self.den)
-                if q is None:
-                    raise ComputationError("matrix entry is not polynomial")
-                orow.append(q)
-            out.append(orow)
-        return out
 
     def residue(self, shift=None):
         """The residues in F of eps^shift times each entry, or None if one lies outside O.

@@ -6,10 +6,12 @@ through Jucys-Murphy residues), and file-loaded representations (explicit
 matrices or W-graphs). Every constructor validates the defining relations.
 
 From a representation this module computes its Schur element and the derived
-invariants (a, f), an invariant symmetric bilinear form, the balancing change
-of basis that puts every entry of eps^a rho(T_w) inside the valuation ring,
-and the tensor of leading matrix coefficients: the constant terms of
-(-1)^{l(w)} eps^a rho_{ij}(T_w), the raw input of the asymptotic ring.
+invariants (a, f), an invariant symmetric bilinear form (attached by the
+built-in models, averaged over W for a loaded one), the balancing change of
+basis that puts every entry of eps^a rho(T_w) inside the valuation ring, and
+the tensor of leading matrix coefficients: the constant terms of
+(-1)^{l(w)} eps^a rho_{ij}(T_w), the raw input of the asymptotic ring, stored
+once as the nonzero entries of each leading matrix.
 
 Every constant term here is one residue map O -> F (`KMatrix.residue`):
 the leading tensors, the balance test and, in `cellular`, the B-matrices.
@@ -148,42 +150,26 @@ def schur_data(rep: MatrixRep) -> SchurData:
 def gram_average(rep: MatrixRep) -> KMatrix:
     """sum_w rho(T_w)^tr rho(T_w), normalized into the valuation ring.
 
-    Only for representations with polynomial matrix entries; the seminormal
-    models attach an equivalent solved diagonal form instead.
+    Only loaded representations are averaged; the built-in models attach an
+    equivalent invariant form instead.
     """
-    alg = rep.alg
-    if any(not g.is_polynomial() for g in rep.gens):
-        raise ComputationError("averaged Gram matrix requires polynomial matrix entries")
-    d = rep.dim
-    zero = LaurentPoly.zero(alg.rank)
-    acc = [[zero] * d for _ in range(d)]
-    for w in range(alg.table.size):
-        entries = rep.matrix(w).poly_entries()
-        for i in range(d):
-            for j in range(i, d):
-                s = acc[i][j]
-                for k in range(d):
-                    if entries[k][i] and entries[k][j]:
-                        s = s + entries[k][i] * entries[k][j]
-                acc[i][j] = s
-    for i in range(d):
-        for j in range(i):
-            acc[i][j] = acc[j][i]
-    return normalize_gram(KMatrix.from_polys(acc))
+    acc = rep.matrix(0)
+    for w in range(1, rep.alg.table.size):
+        m = rep.matrix(w)
+        acc = acc + m.transpose() * m
+    return normalize_gram(acc)
 
 
 def normalize_gram(omega: KMatrix) -> KMatrix:
-    """Scale by a monomial so all entries have valuation >= 0, some exactly 0."""
-    gmin = None
-    for i in range(omega.dim):
-        for j in range(omega.dim):
-            x = omega.entry(i, j)
-            if x:
-                g, _ = x.valuation()
-                if gmin is None or g < gmin:
-                    gmin = g
-    if gmin is None:
+    """Scale by a monomial so all entries have valuation >= 0, some exactly 0.
+
+    An entry x/den has valuation g_x - g_den, and the order is translation
+    invariant, so the least valuation is the least g_x less g_den.
+    """
+    gs = [x.min_exponent() for row in omega.num for x in row if x]
+    if not gs:
         raise ComputationError("zero Gram matrix")
+    gmin = exp_sub(min(gs), omega.den.min_exponent())
     if not any(gmin):
         return omega
     return KMatrix([[x.shift(exp_neg(gmin)) for x in row] for row in omega.num], omega.den)
@@ -227,20 +213,22 @@ def balance(rep: MatrixRep, omega: KMatrix) -> MatrixRep:
     parity and sign of the diagonal valuations, rescales each basis vector by
     eps^{-g_i} with g_i half the diagonal valuation, and conjugates. The new
     model reads its word matrices from `rep`'s through the conjugator.
+
+    A zero pivot m[k][k] is p_k^tr Omega p_k = 0 for the nonzero column p_k
+    of the basis change, so Omega is not definite. K is ordered by the sign
+    of the leading coefficient, so by Sylvester's law of inertia any diagonal
+    form congruent to Omega has mixed signs or a zero, which the sign test
+    below rejects anyway.
     """
     alg = rep.alg
     d = rep.dim
-    frac = omega.fractions()
     one = LaurentFraction.from_poly(LaurentPoly.one(alg.rank))
     zero = LaurentFraction.zero(alg.rank)
     basis = [[one if i == j else zero for j in range(d)] for i in range(d)]  # columns
-    m = [row[:] for row in frac]
+    m = omega.fractions()
     for k in range(d):
         if not m[k][k]:
-            piv = next((j for j in range(k + 1, d) if m[j][j]), None)
-            if piv is None:
-                raise ComputationError("form degenerate")
-            _swap_sym(m, basis, k, piv)
+            raise ComputationError("form is not definite")
         for i in range(k + 1, d):
             if m[k][i]:
                 f = m[k][i] / m[k][k]
@@ -250,13 +238,8 @@ def balance(rep: MatrixRep, omega: KMatrix) -> MatrixRep:
                     m[c][i] = m[c][i] - f * m[c][k]
                 for c in range(d):
                     m[i][c] = m[i][c] - f * m[k][c]
-    diag = [m[i][i] for i in range(d)]
-    vals = []
-    for x in diag:
-        g, r = x.valuation()
-        if g is None:
-            raise ComputationError("form degenerate")
-        vals.append((g, r))
+    diag = [m[i][i] for i in range(d)]  # the pivots, each final after its step
+    vals = [x.valuation() for x in diag]
     # global parity fix: any K-scalar multiple of the form is as good
     parity = tuple(x % 2 for x in vals[0][0])
     if any(parity):
@@ -294,15 +277,6 @@ def balance(rep: MatrixRep, omega: KMatrix) -> MatrixRep:
     return out
 
 
-def _swap_sym(m, basis, i, j):
-    d = len(m)
-    for c in range(d):
-        basis[c][i], basis[c][j] = basis[c][j], basis[c][i]
-    m[i], m[j] = m[j], m[i]
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
 # -- leading matrix coefficients -------------------------------------------------
 
 
@@ -310,52 +284,42 @@ def _swap_sym(m, basis, i, j):
 class LeadingTensor:
     """Constant terms of (-1)^{l(w)} eps^a rho_{ij}(T_w) for one representation.
 
-    `mats` is the one stored form. The leading matrices are sparse (on the
+    `entries` is the one stored form: w -> [(i, j, c)], the nonzero entries of
+    the leading matrix at w in row-major order, for each w where that matrix
+    is nonzero, in increasing w. The leading matrices are sparse (on the
     built-in families every nonzero one has a single nonzero entry), so the
-    ring, Schur and cellular computations walk `nonzero()` instead of d x d
+    ring, Schur and cellular computations walk `entries` instead of d x d
     loops; any matrix, dense ones included, costs in proportion to its
-    nonzero entries.
+    nonzero entries. Readers index `entries` afresh on every call, so an
+    edit of it is never missed.
     """
 
     label: str
     dim: int
     a: tuple
     f: object
-    mats: list  # per element id: d x d list of field scalars, or None if zero
-    support: frozenset
+    entries: dict
 
-    def entry(self, w: int, i: int, j: int):
-        m = self.mats[w]
-        return m[i][j] if m is not None else Fraction(0)
-
-    def nonzero(self) -> dict:
-        """The nonzero entries by element, w -> [(i, j, c)] in row-major order.
-
-        Derived from `mats` on every call, so an edited entry, a zero made
-        nonzero included, is never missed."""
-        out = {}
-        for w, m in enumerate(self.mats):
-            if m is not None and (ents := f_nonzero(m)):
-                out[w] = ents
-        return out
+    def matrix(self, w: int) -> list:
+        """The leading matrix at w, d x d."""
+        m = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for i, j, c in self.entries.get(w, ()):
+            m[i][j] = c
+        return m
 
 
 def leading_tensor(rep: MatrixRep, schur: SchurData) -> LeadingTensor:
     alg = rep.alg
-    mats = []
-    support = set()
+    entries = {}
     for w in range(alg.table.size):
         rows = rep.matrix(w).residue(schur.a)
         if rows is None:
             raise VerificationError(f"representation not balanced: {rep.label}")
-        if not any(any(row) for row in rows):
-            mats.append(None)
-            continue
-        if alg.table.length[w] % 2:
-            rows = [[-c for c in row] for row in rows]
-        mats.append(rows)
-        support.add(w)
-    return LeadingTensor(rep.label, rep.dim, schur.a, schur.f, mats, frozenset(support))
+        if ents := f_nonzero(rows):
+            if alg.table.length[w] % 2:
+                ents = [(i, j, -c) for i, j, c in ents]
+            entries[w] = ents
+    return LeadingTensor(rep.label, rep.dim, schur.a, schur.f, entries)
 
 
 @dataclass
@@ -418,13 +382,12 @@ def verify_schur_relations(alg: HeckeAlgebra, tensors: list) -> list:
         raise VerificationError(
             f"missing irreducibles: sum of squared dimensions {total} != group order {size}")
     inverse = alg.table.inverse
-    nzs = [t.nonzero() for t in tensors]
     violations = []
-    for li, (t1, nz1) in enumerate(zip(tensors, nzs)):
-        for lj, (t2, nz2) in enumerate(zip(tensors, nzs)):
+    for li, t1 in enumerate(tensors):
+        for lj, t2 in enumerate(tensors):
             acc: dict = {}
-            for w, ents in nz1.items():
-                for k, l, b in nz2.get(inverse[w], ()):
+            for w, ents in t1.entries.items():
+                for k, l, b in t2.entries.get(inverse[w], ()):
                     for i, j, a in ents:
                         accumulate(acc, (i, j, k, l), a * b)
             keys = set(acc)
@@ -437,13 +400,13 @@ def verify_schur_relations(alg: HeckeAlgebra, tensors: list) -> list:
                         f"first family fails at ({t1.label},{t2.label},"
                         f"i={i},j={j},k={k},l={l})")
     acc = {}
-    for t, nz in zip(tensors, nzs):
+    for t in tensors:
         fi = scalar_inverse(t.f)
         by_pos: dict = {}
-        for w, ents in nz.items():
+        for w, ents in t.entries.items():
             for i, j, c in ents:
                 by_pos.setdefault((i, j), []).append((w, c))
-        for x, ents in nz.items():
+        for x, ents in t.entries.items():
             for i, j, a in ents:
                 fa = fi * a
                 for z, c in by_pos.get((j, i), ()):

@@ -441,13 +441,11 @@ class LaurentFraction:
         return bool(self.num)
 
     def __add__(self, other):
-        other = self._coerce(other)
         if other.den is self.den or other.den == self.den:
             return LaurentFraction(self.num + other.num, self.den, _trusted=True)
         return LaurentFraction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
         if other.den is self.den or other.den == self.den:
             return LaurentFraction(self.num - other.num, self.den, _trusted=True)
         return LaurentFraction(self.num * other.den - other.num * self.den, self.den * other.den)
@@ -456,25 +454,14 @@ class LaurentFraction:
         return LaurentFraction(-self.num, self.den, _trusted=True)
 
     def __mul__(self, other):
-        other = self._coerce(other)
         return LaurentFraction(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
         if not other.num:
             raise ZeroDivisionError("division by zero fraction")
         return LaurentFraction(self.num * other.den, self.den * other.num)
 
-    def _coerce(self, other):
-        if isinstance(other, LaurentFraction):
-            return other
-        if isinstance(other, LaurentPoly):
-            return LaurentFraction.from_poly(other)
-        raise ComputationError(f"cannot coerce {other!r} to LaurentFraction")
-
     def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            other = LaurentFraction.from_poly(other)
         if not isinstance(other, LaurentFraction):
             return NotImplemented
         return self.num * other.den == other.num * self.den

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 from heckecell.asymptotic import AsymptoticRing
 from heckecell.cli import Session
+from heckecell.matrices import KMatrix
+from heckecell.scalars import LaurentPoly
 
 _CACHE: dict = {}
 
@@ -24,6 +26,11 @@ def f_mat_mul(a, b):
         [sum((a[i][k] * b[k][j] for k in range(m) if a[i][k]), Fraction(0)) for j in range(p)]
         for i in range(n)
     ]
+
+
+def constant_form(rows) -> KMatrix:
+    """A rank-1 KMatrix with the given constant entries."""
+    return KMatrix.from_polys([[LaurentPoly.constant(1, x) for x in row] for row in rows])
 
 
 def weight_of(weights, table, w: int) -> tuple:
@@ -60,23 +67,23 @@ def corrupted_ring(session: Session, key=CORRUPT_KEY) -> AsymptoticRing:
 
 
 def edited_leading_session(edit: str, system: str = "I2:5") -> Session:
-    """A fresh dihedral session whose ring is built before one leading matrix
-    is edited. The matrix of dihedral:1 at the simple reflection 1 is
-    [[1, 0], [0, 0]] on I2:5 and I2:12: "zero" makes its entry (1, 0) equal
-    to 1, "nonzero" raises its entry (0, 0) to 2. "erased" makes the matrix
-    of onedim:++ at the identity, [[1]], zero, so the orthogonality sums it
-    alone fed vanish."""
+    """A fresh dihedral session whose ring is built before the leading entries
+    of one representation are edited in place. The matrix of dihedral:1 at
+    the simple reflection 1 is [[1, 0], [0, 0]] on I2:5 and I2:12: "zero"
+    makes its entry (1, 0) equal to 1, "nonzero" raises its entry (0, 0) to
+    2. "erased" deletes the matrix of onedim:++ at the identity, [[1]], so
+    the orthogonality sums it alone fed vanish."""
     session = Session({"system": system})
     tensors = {t.label: t for t in session.ring.tensors}
     if edit == "erased":
-        m = tensors["onedim:++"].mats[0]
-        assert m == [[1]]
-        m[0][0] = Fraction(0)
+        entries = tensors["onedim:++"].entries
+        assert entries[0] == [(0, 0, 1)]
+        del entries[0]
         return session
-    m = tensors["dihedral:1"].mats[1]
-    assert m == [[1, 0], [0, 0]]
+    ents = tensors["dihedral:1"].entries[1]
+    assert ents == [(0, 0, 1)]
     if edit == "zero":
-        m[1][0] = Fraction(1)
+        ents.append((1, 0, Fraction(1)))
     else:
-        m[0][0] = m[0][0] + 1
+        ents[0] = (0, 0, ents[0][2] + 1)
     return session

@@ -53,12 +53,12 @@ def test_criterion_02_determinant_products():
     for m in range(3, 13):
         session = get_session(f"I2:{m}")
         field = session.table.field
-        ring = session.ring
         jmax = (m - 2) // 2 if m % 2 == 0 else (m - 1) // 2
         prod = field.one
         for j in range(1, jmax + 1):
             label = f"dihedral:{j}"
-            beta = b_matrix(session.balanced[label].gram, ring, label)
+            b = session.balanced[label]
+            beta = b_matrix(b.gram, b.tensor, session.algebra)
             det = beta[0][0] * beta[1][1] - beta[0][1] * beta[1][0]
             prod = prod * det
         want = field.from_rational(1 if m % 2 else Fraction(m, 2))
@@ -121,12 +121,9 @@ def test_criterion_06_integrality():
         session = get_session(f"I2:{m}")
         field = session.table.field
         for t in session.tensors:
-            for mat in t.mats:
-                if mat is None:
-                    continue
-                for row in mat:
-                    for c in row:
-                        ok = ok and field.is_ring_integer(c)
+            for ents in t.entries.values():
+                for _, _, c in ents:
+                    ok = ok and field.is_ring_integer(c)
     report(6, "gamma integral (crystallographic), 2-local (type B), tensors in"
               " the cosine ring (dihedral)", ok)
 

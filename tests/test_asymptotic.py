@@ -9,7 +9,7 @@ import pytest
 from conftest import corrupted_ring, edited_leading_session, f_mat_mul, get_session
 from heckecell.asymptotic import AsymptoticRing, sampled_triples
 from heckecell.cli import Session
-from heckecell.matrices import f_inverse
+from heckecell.matrices import f_inverse, f_nonzero
 from heckecell.reps import verify_schur_relations
 from heckecell.scalars import exp_neg, scalar_inverse
 
@@ -171,8 +171,8 @@ def test_a_value_link_lists_an_edited_a():
     report = AsymptoticRing(session.algebra, tensors).compare_with_kl()
     assert report.checks["gamma equality"] == []
     assert sorted(report.checks["a-value link"]) == sorted(
-        f"a({w}) != a-invariant of A:(2, 1)" for w in t.support)
-    assert len(t.support) == 4
+        f"a({w}) != a-invariant of A:(2, 1)" for w in t.entries)
+    assert len(t.entries) == 4
 
 
 def test_choice_independence_b2():
@@ -279,7 +279,7 @@ def reference_rep_violations(ring) -> list:
     bad = []
     for t in ring.tensors:
         zero = [[Fraction(0)] * t.dim for _ in range(t.dim)]
-        mats = [zero if m is None else m for m in t.mats]
+        mats = [t.matrix(w) for w in range(ring.size)]
         for x in range(ring.size):
             for y in range(ring.size):
                 rhs = [row[:] for row in zero]
@@ -311,13 +311,13 @@ def dense_gamma(ring) -> dict:
                 if ring.block_of_label[t.label] == bi]
         for x in block:
             for y in block:
-                prods = [(t, fi, f_mat_mul(t.mats[x], t.mats[y])) for t, fi in tens
-                         if t.mats[x] is not None and t.mats[y] is not None]
+                prods = [(t, fi, f_mat_mul(t.matrix(x), t.matrix(y))) for t, fi in tens
+                         if x in t.entries and y in t.entries]
                 for z in block:
                     acc = Fraction(0)
                     for t, fi, pxy in prods:
-                        mz = t.mats[z]
-                        if mz is not None:
+                        if z in t.entries:
+                            mz = t.matrix(z)
                             acc = acc + fi * sum((pxy[i][k] * mz[k][i] for i in range(t.dim)
                                                   for k in range(t.dim) if pxy[i][k]),
                                                  Fraction(0))
@@ -331,8 +331,8 @@ def conjugated(t):
     Neither P nor P^{-1} has a zero entry, so a single-entry M becomes dense."""
     p = [[Fraction(2 if i == j else 1) for j in range(t.dim)] for i in range(t.dim)]
     pinv = f_inverse(p)
-    mats = [None if m is None else f_mat_mul(f_mat_mul(p, m), pinv) for m in t.mats]
-    return dataclasses.replace(t, mats=mats)
+    return dataclasses.replace(t, entries={
+        w: f_nonzero(f_mat_mul(f_mat_mul(p, t.matrix(w)), pinv)) for w in t.entries})
 
 
 @pytest.mark.parametrize("name,weights,order", [
@@ -343,7 +343,7 @@ def conjugated(t):
 def test_dense_leading_matrices_agree_with_the_dense_formula(name, weights, order):
     session = get_session(name, weights, order)
     tens = [conjugated(t) for t in session.tensors]
-    assert all(all(all(row) for row in m) for t in tens for m in t.mats if m is not None)
+    assert all(len(ents) == t.dim ** 2 for t in tens for ents in t.entries.values())
     ring = AsymptoticRing(session.algebra, tens)
     assert list(ring.gamma.items()) == list(dense_gamma(ring).items())
     # the trace is invariant under conjugation

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import corrupted_ring, edited_leading_session, get_session
+from conftest import constant_form, corrupted_ring, edited_leading_session, get_session
 from heckecell import cellular
 from heckecell.asymptotic import AsymptoticRing
 from heckecell.cellular import (b_matrix, hecke_to_asym,
@@ -14,7 +14,7 @@ from heckecell.cellular import (b_matrix, hecke_to_asym,
                                 specialize_datum,
                                 verify_bimodule_identity, verify_cell_datum,
                                 verify_phi, verify_specialized)
-from heckecell.errors import ComputationError, VerificationError
+from heckecell.errors import VerificationError
 from heckecell.hecke import HeckeAlgebra
 from heckecell.scalars import LaurentPoly, natural_order
 
@@ -23,26 +23,32 @@ def test_b_matrices_i2_equal():
     for m in (4, 5, 6):
         session = get_session(f"I2:{m}")
         field = session.table.field
-        ring = session.ring
         jmax = (m - 2) // 2 if m % 2 == 0 else (m - 1) // 2
         for j in range(1, jmax + 1):
             label = f"dihedral:{j}"
-            beta = b_matrix(session.balanced[label].gram, ring, label)
+            b = session.balanced[label]
+            beta = b_matrix(b.gram, b.tensor, session.algebra)
             assert beta[0][0] == field.two_cos(j, m) + 2
             assert beta[1][1] == 1 and beta[0][1] == 0
 
 
 def test_b_matrix_detects_an_edited_leading_entry():
     session = edited_leading_session("zero")
+    b = session.balanced["dihedral:1"]
     with pytest.raises(VerificationError,
                        match=r"constant form of dihedral:1 fails intertwining at 1$"):
-        b_matrix(session.balanced["dihedral:1"].gram, session.ring, "dihedral:1")
+        b_matrix(b.gram, b.tensor, session.algebra)
 
 
-def test_b_matrix_rejects_an_unknown_label():
+@pytest.mark.parametrize("rows,message", [
+    ([[1, 1], [0, 1]], "is not symmetric"),
+    ([[-1, 0], [0, 1]], r"is not positive-definite \(minor 1\)"),
+    ([[1, 2], [2, 1]], r"is not positive-definite \(minor 2\)"),
+])
+def test_b_matrix_rejects_a_constant_form_that_is_not_symmetric_positive(rows, message):
     session = get_session("I2:5")
-    with pytest.raises(ComputationError, match="unknown representation label nope"):
-        b_matrix(session.balanced["dihedral:1"].gram, session.ring, "nope")
+    with pytest.raises(VerificationError, match=f"constant form of dihedral:1 {message}$"):
+        b_matrix(constant_form(rows), session.balanced["dihedral:1"].tensor, session.algebra)
 
 
 def test_lambda_order_a2():

@@ -164,6 +164,31 @@ def test_jring_and_cells_commands(tmp_path):
     assert main(["jring", "compare-kl", "--system", "I2:4"]) == 0
 
 
+def test_jring_blocks_names_the_ring_blocks_and_each_label_block(tmp_path):
+    """`blocks.json` repeats the ring's blocks, and each block is the union of
+    the leading-matrix supports of the representations it is named for."""
+    out = tmp_path / "x"
+    for command in (["jring", "build"], ["jring", "blocks"], ["rep", "leading"]):
+        assert main(command + ["--system", "I2:6", "--out", str(out)]) == 0
+    blocks = read(out / "blocks.json")
+    assert blocks["blocks"] == read(out / "jring.json")["blocks"]
+    lead = read(out / "leading.json")["tensors"]
+    assert sorted(blocks["block_of_representation"]) == sorted(lead)
+    union: dict = {}
+    for label, bi in blocks["block_of_representation"].items():
+        union.setdefault(bi, set()).update(map(int, lead[label]["matrices"]))
+    assert [sorted(union[bi]) for bi in sorted(union)] == blocks["blocks"]
+    assert len(blocks["blocks"]) > 2
+
+
+def test_artifact_printed_without_out_is_the_file_written_with_it(tmp_path, capsys):
+    assert main(["kl-table", "--system", "A1"]) == 0
+    printed = capsys.readouterr().out
+    assert main(["kl-table", "--system", "A1", "--out", str(tmp_path)]) == 0
+    assert printed == (tmp_path / "kl-table.json").read_text(encoding="utf-8")
+    assert json.loads(printed)["kl_polynomials"] == {"0,1": "1*eps[-1]"}
+
+
 def test_rep_commands(tmp_path):
     out = tmp_path / "reps"
     assert main(["rep", "schur", "--system", "I2:4", "--out", str(out)]) == 0

@@ -465,3 +465,23 @@ def test_inverse_matches_the_extended_euclid_reference(n):
         assert F.norm(x) == ref_resultant(list(F.min_poly), list(F.coords(x)))
     with pytest.raises(ZeroDivisionError):
         F.inverse(F.zero)
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 11, 12, 13])
+def test_sign_of_delta_against_its_enclosure_ends_needs_refinement(n):
+    """delta lies strictly inside its starting enclosure [lo, hi], and on that
+    interval delta - lo and hi - delta straddle zero, so each sign below is
+    decided only after `_refine` has bisected it. Those four signs hold on
+    either half of [lo, hi]; the sign at the midpoint and the isolation of
+    delta by the refined interval hold only on the half that contains it."""
+    F = RealCyclotomicField(n)
+    F._interval = None
+    lo, hi = F._delta_enclosure()
+    delta, lo_f, hi_f = F.delta(), F.from_rational(lo), F.from_rational(hi)
+    assert F.sign(delta - lo_f) == F.sign(hi_f - delta) == 1
+    assert F.sign(lo_f - delta) == F.sign(delta - hi_f) == -1
+    x = delta - F.from_rational((lo + hi) / 2)
+    assert F.sign(x) == _reference_sign(F, x, [_taylor_enclosure(n)])
+    lo2, hi2 = F._interval
+    assert lo <= lo2 < hi2 <= hi and hi2 - lo2 < hi - lo
+    assert fields_mod._poly_eval(F.min_poly, lo2) * fields_mod._poly_eval(F.min_poly, hi2) < 0

@@ -1,18 +1,17 @@
 """Representation constructors, Schur data, balancing, leading coefficients."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from conftest import edited_leading_session, get_session, weight_of
+from conftest import constant_form, edited_leading_session, get_session, weight_of
 from heckecell import reps
 from heckecell.errors import ComputationError, InputError, VerificationError
 from heckecell.matrices import KMatrix
 from heckecell.reps import (MatrixRep, SchurData, balance, balanced_tensor, builtin_family,
-                            dihedral_rep, gram_average, index_rep, invariant_gram,
-                            is_balanced, leading_tensor, load_rep, one_dim_rep,
+                            check_intertwining, dihedral_rep, gram_average, index_rep,
+                            invariant_gram, is_balanced, leading_tensor, load_rep, one_dim_rep,
                             rep_from_dict, schur_data, seminormal_rep, sign_rep,
                             verify_schur_relations)
 from heckecell.scalars import LaurentPoly
@@ -35,7 +34,7 @@ def test_a1_leading_coefficients():
     for rep, expect in ((index_rep(alg), {0: 1, 1: 0}), (sign_rep(alg), {0: 0, 1: 1})):
         t = leading_tensor(rep, schur_data(rep))
         for w, val in expect.items():
-            assert t.entry(w, 0, 0) == val
+            assert t.matrix(w)[0][0] == val
 
 
 def test_a1_schur_elements():
@@ -226,6 +225,24 @@ def test_is_balanced_rejects_a_gram_outside_the_valuation_ring():
         is_balanced(rep, omega)
 
 
+@pytest.mark.parametrize("rows,message", [
+    ([[1, 1], [0, 1]], "is not symmetric"),
+    ([[1, 0], [0, 1]], "fails intertwining at generator 0"),  # rho(T_0) is not symmetric
+])
+def test_check_intertwining_rejects_a_form_that_is_not_invariant(rows, message):
+    rep = dihedral_rep(get_session("I2:5").algebra, 1)
+    with pytest.raises(VerificationError, match=f"Gram matrix for dihedral:1 {message}$"):
+        check_intertwining(rep, constant_form(rows))
+
+
+def test_balance_rejects_an_indefinite_form_at_its_zero_pivot():
+    """[[0, 1], [1, 1]] has e_0^tr Omega e_0 = 0 with e_0 != 0, so no change of
+    basis makes it positive."""
+    rep = dihedral_rep(get_session("I2:5").algebra, 1)
+    with pytest.raises(ComputationError, match="^form is not definite$"):
+        balance(rep, constant_form([[0, 1], [1, 1]]))
+
+
 def test_wrong_a_invariant_fails_the_direct_check_and_the_tensor(monkeypatch):
     """With a one too small, eps^a rho(T_1) lies outside O: the direct
     definition then disagrees with the (correct) determinant criterion, and
@@ -318,12 +335,9 @@ def test_b3_balanced_models_read_their_words_through_the_conjugator():
 def test_balanced_seminormal_b2_has_integral_tensor():
     session = get_session("B2")
     for t in session.tensors:
-        for m in t.mats:
-            if m is None:
-                continue
-            for row in m:
-                for c in row:
-                    assert Fraction(c).denominator == 1
+        for ents in t.entries.values():
+            for _, _, c in ents:
+                assert Fraction(c).denominator == 1
 
 
 @pytest.mark.parametrize("m", [5, 7])
@@ -331,12 +345,9 @@ def test_dihedral_tensors_lie_in_the_cosine_ring(m):
     session = get_session(f"I2:{m}")
     field = session.table.field
     for t in session.tensors:
-        for mat in t.mats:
-            if mat is None:
-                continue
-            for row in mat:
-                for c in row:
-                    assert field.is_ring_integer(c)
+        for ents in t.entries.values():
+            for _, _, c in ents:
+                assert field.is_ring_integer(c)
 
 
 def test_a4_seminormal_smoke():
@@ -398,28 +409,13 @@ def test_schur_relations_detect_an_edited_leading_entry(family, edit):
     assert found == want
 
 
-def test_nonzero_entries_follow_edits_of_the_matrices():
-    t = next(t for t in get_session("I2:5").tensors if t.label == "dihedral:1")
-    t = dataclasses.replace(t, mats=[None if m is None else [row[:] for row in m]
-                                     for m in t.mats])
-    nz = t.nonzero()
-    assert sorted(nz) == sorted(t.support)
-    assert all(nz[w] == [(i, j, c) for i in range(2) for j in range(2)
-                         if (c := t.entry(w, i, j))] for w in nz)
-    assert nz[1] == [(0, 0, 1)]
-    t.mats[1][1][0] = Fraction(3)
-    t.mats[0] = [[Fraction(0), Fraction(5)], [Fraction(0), Fraction(0)]]
-    nz = t.nonzero()
-    assert nz[1] == [(0, 0, 1), (1, 0, 3)] and nz[0] == [(0, 1, 5)]
-
-
 def test_minimality_of_the_shift():
     """Some entry of eps^a rho(T_w) has constant term != 0: the tensor of a
     balanced representation is never empty, and a smaller shift would fail."""
     for name in ("A2", "B2"):
         session = get_session(name)
         for t in session.tensors:
-            assert t.support
+            assert t.entries
 
 
 def test_a_value_link_equal_parameters():
@@ -427,7 +423,7 @@ def test_a_value_link_equal_parameters():
         session = get_session(name)
         alg = session.algebra
         for t in session.tensors:
-            for w in t.support:
+            for w in t.entries:
                 assert alg.a_value(w) == t.a
 
 
