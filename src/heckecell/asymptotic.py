@@ -36,10 +36,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .errors import ComputationError, VerificationError
+from .errors import ComputationError
 from .fields import narrow
 from .hecke import HeckeAlgebra
 from .matrices import f_sparse_mul
+from .reps import check_complete
 from .scalars import accumulate, scalar_inverse
 
 
@@ -88,14 +89,10 @@ class AsymptoticRing:
     """Structure constants, identity, trace and blocks of the asymptotic ring."""
 
     def __init__(self, alg: HeckeAlgebra, tensors: list):
-        size = alg.table.size
-        total = sum(t.dim * t.dim for t in tensors)
-        if total != size:
-            raise VerificationError(
-                f"missing irreducibles: sum of squared dimensions {total} != {size}")
+        check_complete(alg.table.size, tensors)
         self.alg = alg
         self.tensors = list(tensors)
-        self.size = size
+        self.size = alg.table.size
         self._build_blocks()
         self._build_gamma()
 

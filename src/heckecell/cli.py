@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -171,10 +170,7 @@ class Session:
         return p.to_str(self.table.field, self.order)
 
     def scalar_str(self, c) -> str:
-        field = self.table.field
-        if isinstance(c, (int, Fraction)):
-            return str(Fraction(c))
-        return field.format(c)
+        return self.table.field.format(c)
 
     def matrix_strs(self, rows) -> list:
         return [[self.scalar_str(x) for x in row] for row in rows]

@@ -17,6 +17,11 @@ canonical, so equality is a tuple comparison.
 The norm and the inverse of x both come from M_x, the matrix of
 multiplication by x in the power basis: the norm is det M_x, and the
 coordinates of x^-1 solve M_x y = e_0, both through `matrices.eliminate`.
+This module owns two decisions for every coefficient in the package: the
+inverse of an irrational one (`RealCyclotomicField.inverse`, which
+`scalars.scalar_inverse` calls; CycloNumber has no division operator) and
+the text of any one, int and Fraction included (`RealCyclotomicField.format`,
+read back by `parse`).
 Sign determination is exact: delta is enclosed in a certified rational interval
 (initially from Taylor bounds on cos, rounded outward to dyadic endpoints, then
 refined by bisection against the minimal polynomial), widened-precision
@@ -74,36 +79,27 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     return q
 
 
-def real_minimal_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Monic minimal polynomial of 2*cos(2*pi/n) over Q, ascending degree."""
+def real_minimal_polynomial(n: int) -> tuple[int, ...]:
+    """Monic minimal polynomial of 2*cos(2*pi/n) over Q, ascending degree.
+
+    delta is an algebraic integer, so the coefficients are ints."""
     if n == 1:
-        return (Fraction(-2), Fraction(1))
+        return (-2, 1)
     if n == 2:
-        return (Fraction(2), Fraction(1))
+        return (2, 1)
     phi = cyclotomic_polynomial(n)
     m = (len(phi) - 1) // 2
     # Phi_n is palindromic for n >= 3; Phi_n(x)/x^m = a_m + sum a_{m+j}(x^j + x^-j)
-    p_prev = [Fraction(2)]           # p_0
-    p_cur = [Fraction(0), Fraction(1)]  # p_1 = y
-    psi = [Fraction(phi[m])]
+    psi = [phi[m]] + [0] * m
+    p_prev, p_cur = [2], [0, 1]  # p_0, p_1 = y
     for j in range(1, m + 1):
-        psi = _poly_add(psi, [Fraction(phi[m + j]) * c for c in p_cur])
-        if j < m:
-            nxt = _poly_add([Fraction(0)] + p_cur, [-c for c in p_prev])
-            p_prev, p_cur = p_cur, nxt
-    assert psi[-1] == 1
+        for i, c in enumerate(p_cur):
+            psi[i] += phi[m + j] * c
+        nxt = [0] + p_cur
+        for i, c in enumerate(p_prev):
+            nxt[i] -= c
+        p_prev, p_cur = p_cur, nxt
     return tuple(psi)
-
-
-def _poly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def reduced_conductor(orders) -> int:
@@ -204,16 +200,6 @@ class CycloNumber:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (CycloNumber, int, Fraction)):
-            return self * self.field.inverse(other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.field.inverse(self) * other
-        return NotImplemented
-
     def __eq__(self, other):
         if isinstance(other, CycloNumber):
             self._check_field(other)
@@ -267,11 +253,7 @@ class RealCyclotomicField:
         self.conductor = conductor
         self.min_poly = real_minimal_polynomial(conductor)
         self.degree = len(self.min_poly) - 1
-        # delta is an algebraic integer, so its monic minimal polynomial is in Z[y]
-        assert all(c.denominator == 1 for c in self.min_poly)
-        self._min_poly_int = tuple(c.numerator for c in self.min_poly)
         self._interval = None
-        self._cheb_cache = {}
 
     # -- element construction -------------------------------------------------
 
@@ -309,8 +291,6 @@ class RealCyclotomicField:
 
     def delta(self):
         """The generator 2*cos(2*pi/conductor) as a field element."""
-        if self.is_rational:
-            return -self.min_poly[0]
         return self.element((0, 1))
 
     def coords(self, x) -> tuple:
@@ -325,7 +305,7 @@ class RealCyclotomicField:
         """Reduce a coordinate list (int or Fraction) modulo the minimal
         polynomial, in place, padding it to `degree` entries."""
         d = self.degree
-        mp = self._min_poly_int
+        mp = self.min_poly
         for i in range(len(coeffs) - 1, d - 1, -1):
             c = coeffs[i]
             if c:
@@ -344,7 +324,7 @@ class RealCyclotomicField:
             if ai:
                 for k, bj in enumerate(b, i):
                     out[k] += ai * bj
-        mp = self._min_poly_int
+        mp = self.min_poly
         for i in range(2 * d - 2, d - 1, -1):
             c = out[i]
             if c:
@@ -352,11 +332,9 @@ class RealCyclotomicField:
                     out[i - d + j] -= c * mp[j]
         return tuple(out[:d])
 
-    def inverse(self, x):
-        if isinstance(x, (int, Fraction)):
-            if x == 0:
-                raise ZeroDivisionError("field inverse of zero")
-            return Fraction(1, 1) / Fraction(x)
+    def inverse(self, x: CycloNumber) -> CycloNumber:
+        """x^-1 for a nonzero CycloNumber x, reached through
+        `scalars.scalar_inverse`, which inverts rational coefficients itself."""
         if not x:
             raise ZeroDivisionError("field inverse of zero")
         # the coordinates y of x^-1 solve M_x y = e_0; M_x is invertible
@@ -378,11 +356,6 @@ class RealCyclotomicField:
         return [list(row) for row in zip(*cols)]
 
     # -- rationality, integrality, norms --------------------------------------
-
-    def rational_part_only(self, x) -> bool:
-        if isinstance(x, (int, Fraction)):
-            return True
-        return not any(x.num[1:])
 
     def is_ring_integer(self, x) -> bool:
         """Membership in Z[delta]: integer coordinates in the power basis."""
@@ -419,29 +392,18 @@ class RealCyclotomicField:
             assert num % 2 == 1 and (mp - num) % 2 == 0
             return -self.two_cos((mp - num) // 2, mp)
         if self.conductor % den != 0:
-            return self._two_cos_fail(num, den)
+            raise InputError(
+                f"2cos(2pi*{num}/{den}) does not lie in Q(2cos(2pi/{self.conductor}))")
         return self._cheb(num * (self.conductor // den))
 
-    def _two_cos_fail(self, num, den):
-        raise InputError(
-            f"2cos(2pi*{num}/{den}) does not lie in Q(2cos(2pi/{self.conductor}))")
-
     def _cheb(self, k: int):
-        """2*cos(2*pi*k/conductor) via p_k(delta), p_{j+1} = delta*p_j - p_{j-1}."""
-        n = self.conductor
-        k %= n
-        k = min(k, n - k)
-        if k in self._cheb_cache:
-            return self._cheb_cache[k]
-        prev, cur = self.from_rational(2), self.delta()
-        if k == 0:
-            val = prev
-        else:
-            for _ in range(k - 1):
-                prev, cur = cur, self.delta() * cur - prev
-            val = cur
-        self._cheb_cache[k] = val
-        return val
+        """2*cos(2*pi*k/conductor) for k >= 1 via p_k(delta),
+        p_{j+1} = delta*p_j - p_{j-1}."""
+        delta = self.delta()
+        prev, cur = self.from_rational(2), delta
+        for _ in range(k - 1):
+            prev, cur = cur, delta * cur - prev
+        return cur
 
     # -- exact sign -------------------------------------------------------------
 
@@ -450,7 +412,7 @@ class RealCyclotomicField:
         if isinstance(x, (int, Fraction)):
             return (x > 0) - (x < 0)
         # den > 0, so x has the sign of its numerator polynomial
-        if self.rational_part_only(x):
+        if not any(x.num[1:]):
             c = x.num[0]
             return (c > 0) - (c < 0)
         lo, hi = self._delta_enclosure()
@@ -491,30 +453,25 @@ class RealCyclotomicField:
     # -- text form ---------------------------------------------------------------
 
     def format(self, x) -> str:
-        """Canonical string: polynomial in `d`, descending powers, no spaces."""
-        coeffs = self.coords(x)
-        if all(c == 0 for c in coeffs):
-            return "0"
+        """Canonical string of any coefficient: polynomial in `d`, descending
+        powers, no spaces. A rational c prints as str(Fraction(c))."""
+        if isinstance(x, CycloNumber):
+            num, den = x.num, x.den
+        else:
+            num, den = (x.numerator,), x.denominator
         parts = []
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if c == 0:
+        for k in range(len(num) - 1, -1, -1):
+            n = num[k]
+            if not n:
                 continue
-            if k == 0:
-                mono = ""
-            elif k == 1:
-                mono = "d"
-            else:
-                mono = f"d^{k}"
-            if mono and abs(c) == 1:
-                body = mono
-            elif mono:
-                body = f"{abs(c)}*{mono}"
-            else:
-                body = str(abs(c))
-            sign = "-" if c < 0 else ("+" if parts else "")
-            parts.append(sign + body)
-        return "".join(parts)
+            # |n|/den in lowest terms, as str(Fraction) writes it
+            g = gcd(n, den)
+            body = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+            if k:
+                mono = "d" if k == 1 else f"d^{k}"
+                body = mono if body == "1" else f"{body}*{mono}"
+            parts.append(("-" if n < 0 else "+" if parts else "") + body)
+        return "".join(parts) or "0"
 
     def parse(self, text: str):
         """Inverse of format(); accepts any sum of rational*d^k terms."""

@@ -365,6 +365,15 @@ def balanced_tensor(rep: MatrixRep) -> BalancedModel:
     return BalancedModel(schur, model, omega, tensor)
 
 
+def check_complete(size: int, tensors: list) -> None:
+    """Raise unless the squared dimensions of the family sum to |W| = size,
+    as they do for a complete set of irreducibles."""
+    total = sum(t.dim * t.dim for t in tensors)
+    if total != size:
+        raise VerificationError(
+            f"missing irreducibles: sum of squared dimensions {total} != group order {size}")
+
+
 def verify_schur_relations(alg: HeckeAlgebra, tensors: list) -> list:
     """Check both orthogonality families for a complete tensor collection:
 
@@ -374,13 +383,8 @@ def verify_schur_relations(alg: HeckeAlgebra, tensors: list) -> list:
     Returns a list of violation descriptions (empty means all hold exactly).
     Raises if the family is incomplete (sum of squared dimensions != |W|).
     """
-    if not tensors:
-        raise VerificationError("missing irreducibles: empty family")
     size = alg.table.size
-    total = sum(t.dim * t.dim for t in tensors)
-    if total != size:
-        raise VerificationError(
-            f"missing irreducibles: sum of squared dimensions {total} != group order {size}")
+    check_complete(size, tensors)
     inverse = alg.table.inverse
     violations = []
     for li, t1 in enumerate(tensors):

@@ -24,6 +24,11 @@ not both all-int, convolves integer numerators over the lcm of each side's
 denominators and stores each result as an int when it is integer-valued. Both
 forms compare equal and hash alike (hash(3) == hash(Fraction(3))), so values,
 equality and hashes of polynomials do not depend on the form.
+
+`LaurentPoly(rank, terms)` keeps the map it is given, which must have no
+zero coefficient; every kernel here builds its maps that way. Coefficients
+are inverted through `scalar_inverse` alone, which hands an irrational one
+to `fields`, and written and read through the field's `format` and `parse`.
 """
 
 from __future__ import annotations
@@ -78,38 +83,34 @@ class LaurentPoly:
     """Sparse Laurent polynomial: finite map exponent tuple -> coefficient.
 
     Coefficients may be int, Fraction or CycloNumber; mixed arithmetic is fine
-    because all three interoperate. Zero coefficients are never stored, and an
-    integer-valued rational may be stored as either int or Fraction.
+    because all three interoperate. The constructor takes `terms` as it is,
+    so a caller passes a map with no zero coefficient; an integer-valued
+    rational may be stored as either int or Fraction.
     """
 
     __slots__ = ("rank", "terms")
 
-    def __init__(self, rank: int, terms: dict | None = None, _trusted: bool = False):
+    def __init__(self, rank: int, terms: dict):
         self.rank = rank
-        if terms is None:
-            self.terms = {}
-        elif _trusted:
-            self.terms = terms
-        else:
-            self.terms = {g: c for g, c in terms.items() if c}
+        self.terms = terms
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def zero(cls, rank: int) -> "LaurentPoly":
-        return cls(rank, {}, _trusted=True)
+        return cls(rank, {})
 
     @classmethod
     def constant(cls, rank: int, c) -> "LaurentPoly":
         if not c:
             return cls.zero(rank)
-        return cls(rank, {(0,) * rank: c}, _trusted=True)
+        return cls(rank, {(0,) * rank: c})
 
     @classmethod
     def monomial(cls, g: Exponent, c=1) -> "LaurentPoly":
         if not c:
             return cls.zero(len(g))
-        return cls(len(g), {tuple(g): c}, _trusted=True)
+        return cls(len(g), {tuple(g): c})
 
     @classmethod
     def one(cls, rank: int) -> "LaurentPoly":
@@ -134,7 +135,7 @@ class LaurentPoly:
                     out[g] = s
                 else:
                     del out[g]
-        return LaurentPoly(self.rank, out, _trusted=True)
+        return LaurentPoly(self.rank, out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
@@ -148,10 +149,10 @@ class LaurentPoly:
                     out[g] = s
                 else:
                     del out[g]
-        return LaurentPoly(self.rank, out, _trusted=True)
+        return LaurentPoly(self.rank, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.rank, {g: -c for g, c in self.terms.items()}, _trusted=True)
+        return LaurentPoly(self.rank, {g: -c for g, c in self.terms.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         a, b = self.terms, other.terms
@@ -161,7 +162,7 @@ class LaurentPoly:
             ra = _rational_denominator(a)
             rb = _rational_denominator(b) if ra else None
             if rb and (ra[1] or rb[1]):
-                return LaurentPoly(self.rank, _int_convolve(a, ra[0], b, rb[0]), _trusted=True)
+                return LaurentPoly(self.rank, _int_convolve(a, ra[0], b, rb[0]))
         out = {}
         for g, c in a.items():
             for h, d in b.items():
@@ -175,7 +176,7 @@ class LaurentPoly:
                         out[k] = s
                     else:
                         del out[k]
-        return LaurentPoly(self.rank, out, _trusted=True)
+        return LaurentPoly(self.rank, out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -192,7 +193,7 @@ class LaurentPoly:
     def scale(self, c) -> "LaurentPoly":
         if not c:
             return LaurentPoly.zero(self.rank)
-        return LaurentPoly(self.rank, {g: c * v for g, v in self.terms.items()}, _trusted=True)
+        return LaurentPoly(self.rank, {g: c * v for g, v in self.terms.items()})
 
     def __rmul__(self, c) -> "LaurentPoly":
         """Scalar times polynomial, for an int, Fraction or CycloNumber c."""
@@ -204,14 +205,11 @@ class LaurentPoly:
         return LaurentPoly(
             self.rank,
             {tuple(x + y for x, y in zip(h, g)): c for h, c in self.terms.items()},
-            _trusted=True,
         )
 
     def bar(self) -> "LaurentPoly":
         """The involution eps^g -> eps^{-g}."""
-        return LaurentPoly(
-            self.rank, {tuple(-x for x in g): c for g, c in self.terms.items()}, _trusted=True
-        )
+        return LaurentPoly(self.rank, {tuple(-x for x in g): c for g, c in self.terms.items()})
 
     # -- predicates and pieces -----------------------------------------------------
 
@@ -224,7 +222,7 @@ class LaurentPoly:
         return self.rank == other.rank and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.rank, frozenset((g, _hashable(c)) for g, c in self.terms.items())))
+        return hash((self.rank, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"LaurentPoly({self.terms!r})"
@@ -251,8 +249,7 @@ class LaurentPoly:
     def nonnegative_part(self) -> "LaurentPoly":
         """Terms with exponent >= 0 in the order."""
         zero = (0,) * self.rank
-        return LaurentPoly(self.rank, {g: c for g, c in self.terms.items() if g >= zero},
-                           _trusted=True)
+        return LaurentPoly(self.rank, {g: c for g, c in self.terms.items() if g >= zero})
 
     def supported_negative(self) -> bool:
         zero = (0,) * self.rank
@@ -267,7 +264,7 @@ class LaurentPoly:
                 if e:
                     h = tuple(x + e * y for x, y in zip(h, images[i]))
             accumulate(out, h, c)
-        return LaurentPoly(rank2, out, _trusted=True)
+        return LaurentPoly(rank2, out)
 
     def exact_divide(self, den: "LaurentPoly"):
         """Return self/den if den divides self exactly, else None."""
@@ -288,7 +285,7 @@ class LaurentPoly:
             qc = rem.terms[rmin] * dinv
             quot[qexp] = qc
             rem = rem - den.shift(qexp).scale(qc)
-        return LaurentPoly(self.rank, quot, _trusted=True)
+        return LaurentPoly(self.rank, quot)
 
     # -- text form -------------------------------------------------------------------
 
@@ -301,7 +298,7 @@ class LaurentPoly:
         parts = []
         for g in sorted(terms):
             c = terms[g]
-            cstr = field.format(c) if not isinstance(c, (int, Fraction)) else _frac_str(c)
+            cstr = field.format(c)
             if any(ch in cstr[1:] for ch in "+-"):
                 cstr = f"({cstr})"
             parts.append(f"{cstr}*eps[{','.join(map(str, g))}]")
@@ -333,7 +330,7 @@ class LaurentPoly:
                 raise InputError(f"duplicate exponent {g}")
             if coeff:
                 terms[g] = coeff
-        return cls(rank, {order.stored(g): c for g, c in terms.items()}, _trusted=True)
+        return cls(rank, {order.stored(g): c for g, c in terms.items()})
 
 
 def accumulate(out: dict, key, val):
@@ -352,7 +349,8 @@ def accumulate(out: dict, key, val):
 
 
 def scalar_inverse(c):
-    """Inverse of a nonzero int, Fraction or CycloNumber coefficient."""
+    """Inverse of a nonzero int, Fraction or CycloNumber coefficient: the one
+    entry point for inverting a coefficient."""
     if isinstance(c, int):
         return Fraction(1, c)
     if isinstance(c, Fraction):
@@ -392,15 +390,6 @@ def _int_convolve(a: dict, da: int, b: dict, db: int) -> dict:
             q, r = divmod(v, den)
             out[k] = Fraction(v, den) if r else q
     return out
-
-
-def _frac_str(c) -> str:
-    f = Fraction(c)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def _hashable(c):
-    return Fraction(c) if isinstance(c, int) else c
 
 
 class LaurentFraction:

@@ -9,6 +9,7 @@ import pytest
 from conftest import corrupted_ring, edited_leading_session, f_mat_mul, get_session
 from heckecell.asymptotic import AsymptoticRing, sampled_triples
 from heckecell.cli import Session
+from heckecell.errors import VerificationError
 from heckecell.matrices import f_inverse, f_nonzero
 from heckecell.reps import verify_schur_relations
 from heckecell.scalars import exp_neg, scalar_inverse
@@ -23,6 +24,23 @@ def test_a1_tables():
     assert ring.basis_product(0, 0) == {0: 1}
     assert ring.basis_product(1, 1) == {1: 1}
     assert ring.basis_product(0, 1) == {}
+
+
+@pytest.mark.parametrize("name", ["A2", "I2:5"])
+def test_ring_rejects_an_incomplete_family(name):
+    """The ring and the Schur check share one completeness rule: the squared
+    dimensions of the family sum to |W|."""
+    session = get_session(name)
+    alg, tensors = session.algebra, session.tensors
+    size = alg.table.size
+    assert sum(t.dim * t.dim for t in tensors) == size
+    for family in (tensors[1:], tensors + tensors[:1], []):
+        total = sum(t.dim * t.dim for t in family)
+        message = f"missing irreducibles: sum of squared dimensions {total} != group order {size}"
+        with pytest.raises(VerificationError, match=f"^{message}$"):
+            AsymptoticRing(alg, family)
+        with pytest.raises(VerificationError, match=f"^{message}$"):
+            verify_schur_relations(alg, family)
 
 
 def test_identity_acts_on_every_basis_vector():

@@ -250,6 +250,18 @@ def test_specialized_a_prime_basis_detects_a_doubled_element():
         "specialized determinant coefficient -2 is not a unit of Z[d][1/p : p in []]"]
 
 
+def test_specialized_a_prime_basis_detects_a_determinant_with_two_terms():
+    """(1 + eps) times one element makes the determinant (1 + eps) c eps^g,
+    which is no unit of the Laurent ring."""
+    session = get_session("B2", "universal", "b-first")
+    spec = specialize_datum(session.datum, get_session("B2").algebra)
+    one_plus_eps = LaurentPoly(1, {(0,): 1, (1,): 1})
+    key = ("B:((2,), ())", 0, 0)
+    spec.elements[key] = {u: p * one_plus_eps for u, p in spec.elements[key].items()}
+    assert verify_specialized(spec).checks["A'-basis"] == [
+        "specialized determinant is not a unit of the Laurent ring"]
+
+
 def test_specialized_a_prime_basis_detects_a_singular_basis():
     session = get_session("B2", "universal", "b-first")
     spec = specialize_datum(session.datum, get_session("B2").algebra)
@@ -471,6 +483,19 @@ def test_passing_bimodule_check_draws_nothing(monkeypatch, name, weights, order)
 
 
 # -- fault injection for the filtration and star checks -------------------------
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "I2:9"])
+def test_phi_unital_detects_an_edited_identity_row(name):
+    """h_{1,d,d} raised by one for a d in D doubles the term n_d t_d of
+    phi(C_1), which is then not the ring identity."""
+    session = get_session(name)
+    alg, ring = session.algebra, session.ring
+    assert verify_phi(alg, ring).checks["phi unital"] == []
+    d = min(ring.d_set)
+    report = verify_phi(corrupted_h_rows(alg, 0, d, d), ring)
+    assert report.checks["phi unital"] == [
+        "image of the identity canonical-basis element is not the ring identity"]
 
 
 @pytest.mark.parametrize("name", ["A2", "I2:9"])

@@ -179,6 +179,29 @@ def test_unbalanced_after_monomial_conjugation():
     assert leading_tensor(fixed, sd).a == sd.a
 
 
+@pytest.mark.parametrize("model", ["twisted I2:4", "B2 universal"])
+@pytest.mark.parametrize("sign,parity", [(-1, None), (1, 0), (1, 1), (-1, 1)])
+def test_balance_ignores_a_scalar_multiple_of_the_form(model, sign, parity):
+    """balance(rep, c Omega) for c = -1, eps^g and -eps^g (g = 0 for parity
+    None, else g even or odd) gives the generators and the normalized form
+    of balance(rep, Omega). An odd g takes the parity fix, and sign -1 the
+    sign flip, which the unscaled form reaches on neither model."""
+    if model == "twisted I2:4":
+        rep, _ = twisted_i24()
+        omega = gram_average(rep)
+        exps = [(-2,), (3,)]
+    else:
+        alg = get_session("B2", "universal", "b-first").algebra
+        rep = next(r for r in builtin_family(alg) if r.dim == 2)
+        omega = invariant_gram(rep)
+        exps = [(2, -4), (1, 2)]
+    g = (0,) * rep.alg.rank if parity is None else exps[parity]
+    want = balance(rep, omega)
+    got = balance(rep, omega.scale_poly(LaurentPoly.monomial(g, sign)))
+    assert got.gens == want.gens
+    assert got.gram == want.gram
+
+
 # B3 equal has two seminormal models that need balancing.
 BALANCE_SYSTEMS = [("A2", "equal", None), ("A3", "equal", None),
                    ("B2", "universal", "b-first"), ("B3", "universal", "b-first"),

@@ -17,8 +17,10 @@ LEX_CAB = MonomialOrder(3, (2, 0, 1))  # not its own inverse: stored differs fro
 
 
 def poly(terms, rank=1):
+    """The polynomial with these terms; LaurentPoly takes no zero coefficient,
+    so zero ones are left out here."""
     return LaurentPoly(rank, {tuple(g) if isinstance(g, (tuple, list)) else (g,): c
-                              for g, c in terms.items()})
+                              for g, c in terms.items() if c})
 
 
 def rand_poly(rng, rank=1, nterms=4, span=5):
@@ -235,7 +237,7 @@ def reference_mul(p, q):
                     out[k] = s
                 else:
                     del out[k]
-    return LaurentPoly(p.rank, out, _trusted=True)
+    return LaurentPoly(p.rank, out)
 
 
 COEFFICIENT_KINDS = {
