@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .asymptotic import AsymptoticRing, Report
 from .coxeter import WeightFunction
 from .errors import ComputationError, InputError, VerificationError
+from .fields import narrow
 from .hecke import HeckeAlgebra
 from .matrices import KMatrix, f_det, f_inverse, f_nonzero, f_sparse_mul
 from .reps import LeadingTensor
@@ -122,7 +122,13 @@ def lambda_order(alg: HeckeAlgebra, ring: AsymptoticRing) -> dict:
 
 
 def build_cell_datum(alg: HeckeAlgebra, ring: AsymptoticRing, grams: dict) -> CellDatum:
-    """Assemble the cell datum from balanced Gram forms (label -> KMatrix)."""
+    """Assemble the cell datum from balanced Gram forms (label -> KMatrix).
+
+    Each coefficient is stored through `fields.narrow`, as the ring stores
+    gamma and n: an int for a rational integer (every rational coefficient
+    on the systems checked) and an irrational CycloNumber unchanged. The
+    artifact text is the same; specialization, the transition matrices and
+    the T_s products of the checks then run int arithmetic."""
     field = alg.table.field
     inverse = alg.table.inverse
     leq = lambda_order(alg, ring)
@@ -141,7 +147,7 @@ def build_cell_datum(alg: HeckeAlgebra, ring: AsymptoticRing, grams: dict) -> Ce
         ents = f_nonzero(beta)
         for w, mw in t.entries.items():
             for (tt, s), acc in f_sparse_mul(ents, mw).items():
-                columns.setdefault((s, tt), {})[inverse[w]] = acc
+                columns.setdefault((s, tt), {})[inverse[w]] = narrow(acc)
         for s in range(t.dim):
             for tt in range(t.dim):
                 coeffs = columns.get((s, tt), {})
@@ -172,7 +178,7 @@ def verify_cell_datum(datum: CellDatum) -> Report:
     tinv_t = None
     # transition is keys x w; its inverse is w x keys, so coordinates of a
     # C-basis vector p are x[ki] = sum_w inv[w][ki] p[w]
-    mat = [[datum.elements[key].get(w, Fraction(0)) for w in range(size)] for key in keys]
+    mat = [[datum.elements[key].get(w, 0) for w in range(size)] for key in keys]
     if len(keys) != size:
         bad.append(f"basis has {len(keys)} elements for group order {size}")
     else:

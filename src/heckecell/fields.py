@@ -35,6 +35,7 @@ from math import ceil, floor, gcd, lcm
 
 from .errors import ComputationError, InputError
 from .matrices import eliminate, f_det
+from .scalars import int_if_integral
 
 # 50 verified decimal digits; only used to seed the initial isolating interval
 # for delta, after which refinement is purely algebraic.
@@ -231,9 +232,7 @@ def narrow(c):
         if any(num[1:]):
             return c
         return num[0] if c.den == 1 else Fraction(num[0], c.den)
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
+    return int_if_integral(c)
 
 
 class RealCyclotomicField:

@@ -27,8 +27,14 @@ equality and hashes of polynomials do not depend on the form.
 
 `LaurentPoly(rank, terms)` keeps the map it is given, which must have no
 zero coefficient; every kernel here builds its maps that way. Coefficients
-are inverted through `scalar_inverse` alone, which hands an irrational one
-to `fields`, and written and read through the field's `format` and `parse`.
+are inverted through `scalar_inverse` alone, which returns an int unit 1 or
+-1 as itself and hands an irrational coefficient to `fields`, and written
+and read through the field's `format` and `parse`.
+
+`exact_divide`, which every fraction-free (Bareiss) elimination step calls,
+is long division on one remainder map, from the minimum up; it stores an
+integer-valued quotient coefficient as an int. Dividing int polynomials by
+one whose lowest coefficient is 1 or -1 therefore stays in ints.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, gt, sub
 
 from .errors import ComputationError, InputError
 
@@ -118,10 +124,10 @@ class LaurentPoly:
 
     # -- ring operations ---------------------------------------------------------
 
-    # __add__, __sub__, __mul__ and _int_convolve sum terms inline rather than
-    # through accumulate(): they are the hottest kernels of the package, and
-    # the extra call per term costs about 30% of an addition of small
-    # polynomials.
+    # __add__, __sub__, __mul__, exact_divide and _int_convolve sum terms
+    # inline rather than through accumulate(): they are the hottest kernels of
+    # the package, and the extra call per term costs about 30% of an addition
+    # of small polynomials.
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
@@ -267,24 +273,52 @@ class LaurentPoly:
         return LaurentPoly(rank2, out)
 
     def exact_divide(self, den: "LaurentPoly"):
-        """Return self/den if den divides self exactly, else None."""
+        """Return self/den if den divides self exactly, else None.
+
+        Long division from the minimum up on one remainder map: each quotient
+        term pops the remainder's minimum and subtracts its multiple of den's
+        other terms in place. A monomial den is a unit and divides in one
+        pass. An integer-valued Fraction quotient coefficient is stored as an
+        int, so int division by a unit-lead divisor stays in ints.
+
+        A quotient exponent past the lexicographic bound max(self) - max(den),
+        or past max_i(self) - max_i(den) in some coordinate i, shows that den
+        does not divide self. The second test makes the division finite: the
+        quotient exponents increase and stay in a box."""
         if not den:
             raise ZeroDivisionError("division by zero polynomial")
         if not self:
             return LaurentPoly.zero(self.rank)
-        dmin = den.min_exponent()
-        dinv = scalar_inverse(den.terms[dmin])
-        bound = exp_sub(self.max_exponent(), den.max_exponent())
-        rem = self
+        dterms = den.terms
+        dmin = min(dterms)
+        dinv = scalar_inverse(dterms[dmin])
+        if len(dterms) == 1:
+            return LaurentPoly(self.rank, {exp_sub(g, dmin): int_if_integral(c * dinv)
+                                           for g, c in self.terms.items()})
+        # den's other terms relative to its minimum, negated
+        tail = [(exp_sub(g, dmin), -c) for g, c in dterms.items() if g != dmin]
+        bound = exp_sub(max(self.terms), max(dterms))
+        cap = tuple(map(sub, map(max, zip(*self.terms)), map(max, zip(*dterms))))
+        rem = dict(self.terms)
         quot = {}
         while rem:
-            rmin = rem.min_exponent()
+            rmin = min(rem)
             qexp = exp_sub(rmin, dmin)
-            if qexp > bound:
+            if qexp > bound or any(map(gt, qexp, cap)):
                 return None
-            qc = rem.terms[rmin] * dinv
+            qc = int_if_integral(rem.pop(rmin) * dinv)
             quot[qexp] = qc
-            rem = rem - den.shift(qexp).scale(qc)
+            for h, c in tail:
+                k = tuple(map(add, rmin, h))
+                s = rem.get(k)
+                if s is None:
+                    rem[k] = qc * c
+                else:
+                    s = s + qc * c
+                    if s:
+                        rem[k] = s
+                    else:
+                        del rem[k]
         return LaurentPoly(self.rank, quot)
 
     # -- text form -------------------------------------------------------------------
@@ -350,12 +384,20 @@ def accumulate(out: dict, key, val):
 
 def scalar_inverse(c):
     """Inverse of a nonzero int, Fraction or CycloNumber coefficient: the one
-    entry point for inverting a coefficient."""
+    entry point for inverting a coefficient. An int unit, 1 or -1, is its own
+    inverse and is returned as that int."""
     if isinstance(c, int):
-        return Fraction(1, c)
+        return c if c == 1 or c == -1 else Fraction(1, c)
     if isinstance(c, Fraction):
         return 1 / c
     return c.field.inverse(c)
+
+
+def int_if_integral(c):
+    """c, with an integer-valued Fraction replaced by its int."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def _rational_denominator(terms: dict):

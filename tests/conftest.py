@@ -56,13 +56,14 @@ CORRUPT_KEY = (1, 1, 1)
 
 
 def corrupted_ring(session: Session, key=CORRUPT_KEY) -> AsymptoticRing:
-    """A fresh ring whose gamma[key] is off by one. The table is first used,
-    then replaced and edited in place, so a verification that cached an index
-    of the old table would miss the corruption."""
+    """A fresh ring whose gamma[key] is off by one (a key outside the table
+    is added with value 1). The table is first used, then replaced and edited
+    in place, so a verification that cached an index of the old table would
+    miss the corruption."""
     ring = AsymptoticRing(session.algebra, session.tensors)
     ring.basis_product(*key[:2])
     ring.gamma = dict(ring.gamma)
-    ring.gamma[key] = ring.gamma[key] + 1
+    ring.gamma[key] = ring.gamma.get(key, 0) + 1
     return ring
 
 

@@ -268,6 +268,72 @@ def test_sampled_triples_follow_the_randrange_stream(name):
         assert list(sampled_triples(size, 10000, seed)) == want
 
 
+def reference_associativity(ring, seed=0, exhaustive_max=16, random_triples=10000) -> list:
+    """(t_x t_y) t_z against t_x (t_y t_z) one triple at a time, over every
+    triple up to `exhaustive_max` elements and the drawn ones above it: the
+    reference for the accumulated "associativity" check."""
+    rows = ring.gamma_rows()
+    size = ring.size
+    if size <= exhaustive_max:
+        triples = [(x, y, z) for x in range(size) for y in range(size) for z in range(size)]
+    else:
+        triples = sampled_triples(size, random_triples, seed)
+    bad = []
+    for x, y, z in triples:
+        lhs = ring.multiply(ring.basis_product(x, y, rows), {z: 1}, rows)
+        rhs = ring.multiply({x: 1}, ring.basis_product(y, z, rows), rows)
+        if lhs != rhs:
+            bad.append(f"associativity fails at ({x},{y},{z})")
+    return bad
+
+
+ASSOC_SYSTEMS = [("I2:5", "equal", None), ("B2", "equal", None), ("A3", "equal", None),
+                 ("I2:8", "equal", None), ("B2", "universal", "b-first")]
+
+
+@pytest.mark.parametrize("name,weights,order", ASSOC_SYSTEMS)
+def test_associativity_agrees_with_the_per_triple_reference(name, weights, order):
+    """gamma + 1, one key at a time, at four keys of each table and at two
+    keys outside it; both reports, the whole failing set (exhaustive_max =
+    24) and the drawn failing triples (exhaustive_max = 0), must be the
+    reference's. A key outside the table can make t_x (t_y t_w) nonzero
+    where t_x t_y = 0, which only a right-hand side summed over every y
+    sees. Some edits keep the ring associative (on a one-element block
+    gamma_{x,x,x} + 1 scales t_x), but not all six."""
+    session = get_session(name, weights, order)
+    gamma, size = session.ring.gamma, session.ring.size
+    rng = random.Random(7)
+    keys = rng.sample(sorted(gamma), 4)
+    while len(keys) < 6:
+        key = (rng.randrange(size), rng.randrange(size), rng.randrange(size))
+        if key not in gamma and key not in keys:
+            keys.append(key)
+    failing = 0
+    for key in keys:
+        ring = corrupted_ring(session, key)
+        for exhaustive_max, draws in ((24, 10000), (0, 2000)):
+            got = ring.verify(seed=3, exhaustive_max=exhaustive_max, random_triples=draws)
+            want = reference_associativity(ring, 3, exhaustive_max, draws)
+            assert got.checks["associativity"] == want
+        failing += bool(reference_associativity(ring, exhaustive_max=24))
+    assert failing
+
+
+@pytest.mark.parametrize("name,weights,order", [
+    ("I2:9", "equal", None), ("A3", "equal", None), ("B3", "universal", "b-first"),
+])
+def test_passing_associativity_check_draws_nothing(monkeypatch, name, weights, order):
+    import heckecell.asymptotic as asymptotic
+
+    def no_draws(*args):
+        raise AssertionError("a passing associativity check drew a triple")
+
+    monkeypatch.setattr(asymptotic, "sampled_triples", no_draws)
+    ring = get_session(name, weights, order).ring
+    assert ring.size > 16
+    assert ring.verify(seed=0).checks["associativity"] == []
+
+
 # Pairs (x, y) at which the representation property of dihedral:1 fails after
 # each edit of `edited_leading_session`.
 EDITED_REP_PAIRS = {

@@ -203,6 +203,29 @@ def test_invertible_primes_i2():
     assert session.datum.invertible_primes == {7}
 
 
+@pytest.mark.parametrize("name,weights,order", [
+    ("B2", "universal", "b-first"), ("I2:6", "universal", "b-first"), ("A3", "equal", None),
+])
+def test_rational_cell_coefficients_are_stored_as_ints(name, weights, order):
+    """Every coefficient of a cellular element over Q is a rational integer,
+    stored as an int, and so is every coefficient of its specialization."""
+    session = get_session(name, weights, order)
+    datum = session.datum
+    assert datum.alg.table.field.is_rational
+    coeffs = [c for e in datum.elements.values() for c in e.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
+    spec = specialize_datum(datum, get_session(name).algebra)
+    assert all(type(c) is int for e in spec.elements.values()
+               for p in e.values() for c in p.terms.values())
+
+
+def test_irrational_cell_coefficients_stay_cyclotomic():
+    """On I2:12 the rational coefficients are ints and the rest CycloNumbers."""
+    datum = get_session("I2:12").datum
+    kinds = {type(c).__name__ for e in datum.elements.values() for c in e.values()}
+    assert kinds == {"int", "CycloNumber"}
+
+
 def test_specialize_identity_is_noop():
     session = get_session("B2", "universal", "b-first")
     datum = session.datum

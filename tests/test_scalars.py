@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from heckecell.errors import ComputationError
-from heckecell.fields import RealCyclotomicField
+from heckecell.fields import CycloNumber, RealCyclotomicField
 from heckecell.matrices import KMatrix
 from heckecell.scalars import (LaurentFraction, LaurentPoly, MonomialOrder,
-                               accumulate, natural_order)
+                               accumulate, exp_sub, natural_order, scalar_inverse)
 
 NAT = natural_order(1)
 LEX_BA = MonomialOrder(2, (1, 0))
@@ -173,6 +173,107 @@ def test_exact_division():
             assert (a * b).exact_divide(b) == a
     # a non-multiple is rejected
     assert poly({0: 1, 1: 1}).exact_divide(poly({0: 1, 2: 1})) is None
+
+
+# -- the exact division kernel ---------------------------------------------------
+
+
+def reference_divide(num, den):
+    """Long division that rebuilds the remainder as rem - den.shift(q).scale(c)
+    for each quotient term, kept as the oracle for `exact_divide`. It stops
+    at a quotient exponent past max(num) - max(den) in the order or in one
+    coordinate, as `exact_divide` does."""
+    dmin = min(den.terms)
+    d = den.terms[dmin]
+    dinv = d.field.inverse(d) if isinstance(d, CycloNumber) else 1 / Fraction(d)
+    bound = exp_sub(max(num.terms), max(den.terms))
+    cap = [max(g[i] for g in num.terms) - max(g[i] for g in den.terms)
+           for i in range(num.rank)]
+    rem, quot = num, {}
+    while rem:
+        rmin = min(rem.terms)
+        qexp = exp_sub(rmin, dmin)
+        if qexp > bound or any(q > c for q, c in zip(qexp, cap)):
+            return None
+        qc = rem.terms[rmin] * dinv
+        quot[qexp] = qc
+        rem = rem - den.shift(qexp).scale(qc)
+    return LaurentPoly(num.rank, quot)
+
+
+F5 = RealCyclotomicField(5)
+DIVISION_KINDS = {
+    "int": lambda rng: rng.choice([-1, 1]) * rng.randrange(1, 6),
+    "fraction": lambda rng: Fraction(rng.choice([-1, 1]) * rng.randrange(1, 6),
+                                     rng.randrange(1, 4)),
+    "cyclotomic": lambda rng: F5.element((rng.randrange(-3, 4), rng.randrange(-3, 4))) or 1,
+}
+
+
+def division_poly(rng, rank, kind, nterms):
+    terms = {}
+    for _ in range(nterms):
+        terms[tuple(rng.randrange(-3, 4) for _ in range(rank))] = DIVISION_KINDS[kind](rng)
+    return LaurentPoly(rank, terms)
+
+
+@pytest.mark.parametrize("kind", sorted(DIVISION_KINDS))
+@pytest.mark.parametrize("rank", [1, 2])
+def test_exact_divide_matches_the_reference(kind, rank):
+    rng = random.Random(f"{kind}{rank}")
+    rejected = 0
+    for _ in range(150):
+        a = division_poly(rng, rank, kind, rng.randrange(1, 5))
+        b = division_poly(rng, rank, kind, rng.randrange(1, 5))
+        assert (a * b).exact_divide(b) == a == reference_divide(a * b, b)
+        # a random pair is mostly not a multiple; both divisions must agree
+        c = division_poly(rng, rank, kind, rng.randrange(1, 5))
+        got = c.exact_divide(b)
+        assert got == reference_divide(c, b)
+        rejected += got is None
+    assert rejected > 50
+
+
+def test_exact_divide_rejects_a_non_divisor_with_an_unbounded_remainder():
+    """(1 + eps^(1,0)) / (1 - eps^(0,1)) keeps a remainder eps^(0,k) + eps^(1,0)
+    below the lexicographic bound (1,-1) for every k; the quotient's second
+    coordinate passes its cap -1 at the second term."""
+    num = LaurentPoly(2, {(0, 0): 1, (1, 0): 1})
+    den = LaurentPoly(2, {(0, 0): 1, (0, 1): -1})
+    assert num.exact_divide(den) is None
+    assert (num * den).exact_divide(den) == num
+
+
+@pytest.mark.parametrize("kind", sorted(DIVISION_KINDS))
+def test_exact_divide_by_a_monomial_and_of_zero(kind):
+    rng = random.Random(kind)
+    for _ in range(50):
+        a = division_poly(rng, 2, kind, rng.randrange(1, 6))
+        mono = division_poly(rng, 2, kind, 1)
+        assert (a * mono).exact_divide(mono) == a
+        assert a.exact_divide(mono) == reference_divide(a, mono)
+        assert LaurentPoly.zero(2).exact_divide(a) == LaurentPoly.zero(2)
+    with pytest.raises(ZeroDivisionError):
+        poly({0: 1}).exact_divide(LaurentPoly.zero(1))
+
+
+def test_unit_inverses_and_unit_lead_quotients_are_ints():
+    for u in (1, -1):
+        assert type(scalar_inverse(u)) is int and scalar_inverse(u) == u
+    assert scalar_inverse(2) == Fraction(1, 2)
+    assert scalar_inverse(Fraction(-1)) == -1
+    rng = random.Random(5)
+    for _ in range(100):
+        a = division_poly(rng, 2, "int", rng.randrange(1, 5))
+        b = division_poly(rng, 2, "int", rng.randrange(1, 5))
+        lead = min(b.terms)
+        b.terms[lead] = rng.choice([-1, 1])
+        for num in (a * b, a * b * b):
+            q = num.exact_divide(b)
+            assert all(type(c) is int for c in q.terms.values())
+        # a Fraction-valued product still divides to ints
+        p = LaurentPoly(2, {g: Fraction(c) for g, c in (a * b).terms.items()})
+        assert all(type(c) is int for c in p.exact_divide(b).terms.values())
 
 
 def test_text_roundtrip_rational_and_cyclotomic():
