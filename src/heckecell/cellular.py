@@ -382,63 +382,164 @@ def verify_bimodule_identity(alg: HeckeAlgebra, ring: AsymptoticRing,
     sum_u gamma_{w,x',u^{-1}} h_{x,u,y} = sum_u h_{x,w,u} gamma_{u,x',y^{-1}}, u ~ w.
 
     In matrix form, with G_{x'}[w][u] = gamma_{w,x',u^{-1}} and
-    H_x[w][u] = h_{x,w,u}, both kept only where u ~ w, this is
-    G_{x'} H_x = H_x G_{x'}. For each x, both products are summed for every
-    x' into one map keyed (x', w, y, exponent), from the nonzero entries of
-    the G_{x'} and of H_x indexed by row and by column: one pass over the
-    h-table and one step per product of nonzero coefficients (on A4, 0.29
-    million against 44 million cases). A key left in the map is a failing
-    case, so the set of failing cases covers every case at every |W|.
+    B_x[w][u] = h_{x,w,u}, both kept only where u ~ w, this is
+    G_{x'} B_x = B_x G_{x'}. The failing cases of one x are the keys left
+    when both products, for every x', are summed into one map
+    (`_commutator_failures`).
+
+    The check is decided from the generators and the h-table recursion,
+    every matrix read from the stored `h_rows()`. If
+
+      1. B_1 = I,
+      2. for every x with l(x) >= 2, s its first left descent and x' = s x,
+         B_x = B_{x'} B_s - sum_{u != x} h_{s,x',u} B_u, with every such u
+         shorter than x, and
+      3. every B_s commutes with every G_{x'},
+
+    then every B_x commutes with every G_{x'}, by induction on l(x): length
+    0 is (1), length 1 is (3), and for l(x) >= 2 the right side of (2) is
+    a sum of products of B_{x'}, B_s and the B_u, all shorter than x, so
+    it commutes. Without the length test, an entry of a generator row at
+    some u no shorter than x would let the induction lean on B_u before
+    B_u is proved. On a true table, (2) is C_s C_{x'} = sum_u h_{s,x',u} C_u,
+    the recursion `HeckeAlgebra.h_rows` builds the table by, acting on the
+    subquotient module of each two-sided cell, where C_x acts by B_x (row
+    w holds the image of C_w). (2) reads every in-cell entry of the table,
+    so a fault in a row of neither 1 nor a generator fails it, where
+    "phi multiplicative", which reads generator rows only, may pass.
+
+    A passing check runs the commutator for the n generators only. In
+    process, min of nine calls on a 2-vCPU Xeon VM under Python 3.11.7:
+    A4 0.064 s against 0.115 s for the commutator of every x, the five
+    `dihedral` systems 0.022 s against 0.129 s, B3 universal/b-first level
+    at 0.011 s. When the certificate fails, the commutator runs for every
+    x, and its failing set covers every case at every |W|.
 
     Up to `exhaustive_max` elements the report lists that set in (w, y, x, x')
     order. Above it, it lists the set's members among `samples` quadruples
     drawn from `seed`, in draw order; a passing check draws nothing."""
-    report = Report()
     size = alg.table.size
     rows = alg.h_rows()
-    inverse = alg.table.inverse
-    _, cells, cell_of = alg.lr_cells()
+    _, _, cell_of = alg.lr_cells()
+    g_col, g_row = _gamma_blocks(alg, ring)
+    gens = [alg.table.gen(s) for s in range(alg.table.system.ngens)]
+    failing = set()
+    for x in gens:
+        failing |= _commutator_failures(x, rows, cell_of, g_col, g_row)
+    if failing or not _recursion_certificate(alg, rows, cell_of):
+        for x in range(size):
+            if x not in gens:
+                failing |= _commutator_failures(x, rows, cell_of, g_col, g_row)
+    return _bimodule_report(alg, failing, exhaustive_max, samples, seed)
 
-    # the entries of every G_{x'}, and below of H_x, by column and by row, with u ~ w
-    g_col: list = [[] for _ in range(size)]  # u -> [(x', w, gamma_{w,x',u^-1})]
-    g_row: list = [[] for _ in range(size)]  # w -> [(x', u, gamma_{w,x',u^-1})]
+
+def _gamma_blocks(alg: HeckeAlgebra, ring: AsymptoticRing):
+    """The entries of every G_{x'}, with u ~ w, by column and by row:
+    g_col[u] = [(x', w, gamma_{w,x',u^-1})], g_row[w] = [(x', u, same)]."""
+    size = alg.table.size
+    inverse = alg.table.inverse
+    _, _, cell_of = alg.lr_cells()
+    g_col: list = [[] for _ in range(size)]
+    g_row: list = [[] for _ in range(size)]
     for (w, xp), row in ring.gamma_rows().items():
         for z, g in row:
             u = inverse[z]
             if cell_of[u] == cell_of[w]:
                 g_col[u].append((xp, w, g))
                 g_row[w].append((xp, u, g))
-    failing = set()
-    for x in range(size):
-        h_row: list = [[] for _ in range(size)]  # w -> [(u, h_{x,w,u})]
-        h_col: list = [[] for _ in range(size)]  # u -> [(w, h_{x,w,u})]
-        for w, hw in enumerate(rows[x]):
-            cw = cell_of[w]
-            for u, h in hw.items():
-                if cell_of[u] == cw:
-                    h_row[w].append((u, h.terms))
-                    h_col[u].append((w, h.terms))
-        # G_{x'} H_x - H_x G_{x'} for every x', by middle index u and exponent
-        diff: dict = {}
-        for u in range(size):
-            if h_row[u]:
-                for xp, w, g in g_col[u]:
-                    for y, terms in h_row[u]:
-                        for e, c in terms.items():
-                            accumulate(diff, (xp, w, y, e), g * c)
-            if h_col[u]:
-                for xp, y, g in g_row[u]:
-                    for w, terms in h_col[u]:
-                        for e, c in terms.items():
-                            accumulate(diff, (xp, w, y, e), -(g * c))
-        failing.update((w, y, x, xp) for xp, w, y, _ in diff)
+    return g_col, g_row
 
+
+def _commutator_failures(x: int, rows, cell_of, g_col, g_row) -> set:
+    """The (w, y, x, x') at which G_{x'} B_x and B_x G_{x'} differ, for every x'.
+
+    Both products are summed into one map keyed (x', w, y, exponent), from
+    the nonzero entries of the G_{x'} and of B_x indexed by row and by
+    column, one step per product of nonzero coefficients; a key left in
+    the map is a failing case."""
+    size = len(rows)
+    h_row: list = [[] for _ in range(size)]  # w -> [(u, h_{x,w,u})]
+    h_col: list = [[] for _ in range(size)]  # u -> [(w, h_{x,w,u})]
+    for w, hw in enumerate(rows[x]):
+        cw = cell_of[w]
+        for u, h in hw.items():
+            if cell_of[u] == cw:
+                h_row[w].append((u, h.terms))
+                h_col[u].append((w, h.terms))
+    # G_{x'} B_x - B_x G_{x'} for every x', by middle index u and exponent
+    diff: dict = {}
+    for u in range(size):
+        if h_row[u]:
+            for xp, w, g in g_col[u]:
+                for y, terms in h_row[u]:
+                    for e, c in terms.items():
+                        accumulate(diff, (xp, w, y, e), g * c)
+        if h_col[u]:
+            for xp, y, g in g_row[u]:
+                for w, terms in h_col[u]:
+                    for e, c in terms.items():
+                        accumulate(diff, (xp, w, y, e), -(g * c))
+    return {(w, y, x, xp) for xp, w, y, _ in diff}
+
+
+def _recursion_certificate(alg: HeckeAlgebra, rows, cell_of) -> bool:
+    """Conditions (1) and (2) of `verify_bimodule_identity`: B_1 = I, and
+    B_x = B_{x'} B_s - sum_{u != x} h_{s,x',u} B_u with every such u shorter
+    than x, all read from `rows`. False at the first failure.
+
+    Each exponent e is packed into the int sum_i e_i k^i, k = 4 m + 1 for m
+    the largest |e_i| stored: additive, and one-to-one on the exponents
+    whose coordinates are at most 2 m in size, which holds every sum of two."""
+    t = alg.table
+    size, length = t.size, t.length
+    exps = {e for row in rows for hw in row for h in hw.values() for e in h.terms}
+    k = 4 * max((abs(a) for e in exps for a in e), default=0) + 1
+    pack = {e: sum(a * k ** i for i, a in enumerate(e)) for e in exps}
+    # blocks[x][w] = [(u, packed exponent, coefficient)] over the terms of
+    # h_{x,w,u}, u ~ w: the rows of B_x
+    blocks = [[[(u, pack[e], c) for u, h in hw.items() if cell_of[u] == cell_of[w]
+                for e, c in h.terms.items()]
+               for w, hw in enumerate(row)] for row in rows]
+    if any(block != [(w, 0, 1)] for w, block in enumerate(blocks[0])):
+        return False
+    for x in range(size):
+        if length[x] < 2:
+            continue
+        s = t.first_left_descent(x)
+        xp, bs = t.lmult[x][s], blocks[t.gen(s)]
+        corr = [(u, pack[e], -c) for u, h in rows[t.gen(s)][xp].items() if u != x
+                for e, c in h.terms.items()]
+        if any(length[u] >= length[x] for u, _, _ in corr):
+            return False
+        bx, bxp = blocks[x], blocks[xp]
+        for w in range(size):
+            # B_{x'} B_s - sum_u h_{s,x',u} B_u - B_x on row w, by (u, exponent)
+            diff: dict = {}
+            for v, e, c in bxp[w]:
+                for u, f, d in bs[v]:
+                    accumulate(diff, (u, e + f), c * d)
+            for v, e, c in corr:
+                for u, f, d in blocks[v][w]:
+                    accumulate(diff, (u, e + f), c * d)
+            for u, f, d in bx[w]:
+                accumulate(diff, (u, f), -d)
+            if diff:
+                return False
+    return True
+
+
+def _bimodule_report(alg: HeckeAlgebra, failing: set, exhaustive_max: int,
+                     samples: int, seed: int) -> Report:
+    """The bimodule report from the set of failing (w, y, x, x')."""
+    size = alg.table.size
     if size <= exhaustive_max:
         cases, name = sorted(failing), "bimodule identity (exhaustive)"
     else:
+        _, cells, cell_of = alg.lr_cells()
         cases = [q for q in sampled_quadruples(size, cells, cell_of, samples, seed)
                  if q in failing] if failing else []
         name = f"bimodule identity ({samples} samples)"
+    report = Report()
     report.record(name, [f"identity fails at (x={x},x'={xp},y={y},w={w})"
                          for w, y, x, xp in cases])
     return report

@@ -16,7 +16,7 @@ from heckecell.cellular import (b_matrix, hecke_to_asym,
                                 verify_phi, verify_specialized)
 from heckecell.errors import VerificationError
 from heckecell.hecke import HeckeAlgebra
-from heckecell.scalars import LaurentPoly, natural_order
+from heckecell.scalars import LaurentPoly, accumulate, natural_order
 
 
 def test_b_matrices_i2_equal():
@@ -498,11 +498,140 @@ def test_passing_bimodule_check_draws_nothing(monkeypatch, name, weights, order)
     def no_draws(*args):
         raise AssertionError("a passing bimodule check drew a quadruple")
 
+    commutator, calls = cellular._commutator_failures, []
+
+    def counted(x, *args):
+        calls.append(x)
+        return commutator(x, *args)
+
     monkeypatch.setattr(cellular, "sampled_quadruples", no_draws)
+    monkeypatch.setattr(cellular, "_commutator_failures", counted)
     session = get_session(name, weights, order)
     assert session.table.size > 16
     report = verify_bimodule_identity(session.algebra, session.ring)
     assert report.checks == {"bimodule identity (100000 samples)": []}
+    # the certificate passes, so the commutator runs for the generators only
+    assert calls == [session.table.gen(s) for s in range(session.table.system.ngens)]
+
+
+# -- the bimodule certificate against the commutator for every x -----------------
+
+
+def all_x_bimodule(alg, ring, exhaustive_max=16, samples=100000, seed=0) -> dict:
+    """The bimodule report from the commutator of every x, certificate or not."""
+    rows = alg.h_rows()
+    _, _, cell_of = alg.lr_cells()
+    g_col, g_row = cellular._gamma_blocks(alg, ring)
+    failing = set()
+    for x in range(alg.table.size):
+        failing |= cellular._commutator_failures(x, rows, cell_of, g_col, g_row)
+    return cellular._bimodule_report(alg, failing, exhaustive_max, samples, seed).checks
+
+
+def in_cell_faults(alg) -> list:
+    """(x, w, u) of every nonzero h_{x,w,u} with u ~ w, and of every diagonal
+    entry h_{x,w,w}, x = 1 included: the h + 1 faults of the certificate tests."""
+    rows = alg.h_rows()
+    _, _, cell_of = alg.lr_cells()
+    size = alg.table.size
+    nonzero = {(x, w, u) for x in range(size) for w in range(size)
+               for u in rows[x][w] if cell_of[u] == cell_of[w]}
+    return sorted(nonzero | {(x, w, w) for x in range(size) for w in range(size)})
+
+
+@pytest.mark.parametrize("name,weights,order", [
+    ("B2", "equal", None), ("I2:5", "equal", None), ("B2", "universal", "b-first"),
+])
+def test_bimodule_certificate_reports_as_the_all_x_loop(name, weights, order):
+    """Every in-cell h + 1 fault, and gamma + 1 at 14 keys spread over the
+    table: the report is the one the commutator over every x writes."""
+    session = get_session(name, weights, order)
+    alg, ring = session.algebra, session.ring
+    keys = sorted(ring.gamma)
+    cases = [(corrupted_h_rows(alg, *f), ring) for f in in_cell_faults(alg)]
+    cases += [(alg, corrupted_ring(session, k)) for k in keys[::max(1, len(keys) // 14)][:14]]
+    failed = 0
+    for a, r in cases:
+        report = verify_bimodule_identity(a, r)
+        assert report.checks == all_x_bimodule(a, r)
+        failed += not report.ok
+    assert 0 < failed < len(cases)
+
+
+def test_bimodule_premise_catches_the_non_generator_faults_phi_misses():
+    """On B2, phi multiplicative reads only the generator rows: of the in-cell
+    faults h_{x,w,u} + 1 with x neither 1 nor a generator, it misses 22, such
+    as h_{3,4,5} + 1. The recursion premise reads every row, so the check
+    falls back to every x, and each report lists failing cases."""
+    session = get_session("B2")
+    alg, ring = session.algebra, session.ring
+    length, rows = alg.table.length, alg.h_rows()
+    missed = [(x, w, u) for x, w, u in in_cell_faults(alg)
+              if length[x] >= 2 and u in rows[x][w]
+              and verify_phi(corrupted_h_rows(alg, x, w, u), ring).ok]
+    assert len(missed) == 22 and (3, 4, 5) in missed
+    for f in missed:
+        report = verify_bimodule_identity(corrupted_h_rows(alg, *f), ring)
+        assert not report.ok
+    faulty = corrupted_h_rows(alg, 3, 4, 5)
+    assert verify_bimodule_identity(faulty, ring).checks == reference_bimodule(faulty, ring)
+
+
+def recursion_mismatches(alg, rows) -> list:
+    """The x with l(x) >= 2 at which the in-cell blocks, read from `rows` as
+    LaurentPolys, break B_x = B_{x'} B_s - sum_{u != x} h_{s,x',u} B_u; no
+    length test."""
+    t = alg.table
+    _, _, cell_of = alg.lr_cells()
+
+    def block(x):
+        return {(w, u): h for w, hw in enumerate(rows[x]) for u, h in hw.items()
+                if cell_of[u] == cell_of[w] and h}
+
+    bad = []
+    for x in range(t.size):
+        if t.length[x] < 2:
+            continue
+        s = t.first_left_descent(x)
+        xp, gs = t.lmult[x][s], t.gen(s)
+        bs, rhs = block(gs), {}
+        for (w, v), h in block(xp).items():
+            for (v2, u), g in bs.items():
+                if v2 == v:
+                    accumulate(rhs, (w, u), h * g)
+        for u, c in rows[gs][xp].items():
+            if u != x:
+                for key, h in block(u).items():
+                    accumulate(rhs, key, -(c * h))
+        if rhs != block(x):
+            bad.append(x)
+    return bad
+
+
+def test_bimodule_premise_rejects_a_correction_no_shorter_than_x():
+    """A2: h_{s,x',w0} + 1 in the generator row of x = s x', with B_x lowered
+    by B_{w0} so that every recursion identity still holds. Only the length
+    test fails the premise; the commutator of every x then writes the report
+    (B_{w0} lives on the one-element cell of w0, so it still passes)."""
+    session = get_session("A2")
+    alg, ring = session.algebra, session.ring
+    t = alg.table
+    w0 = t.longest
+    x = next(x for x in t.by_length[2] if x != t.lmult[w0][t.first_left_descent(w0)])
+    s = t.first_left_descent(x)
+    xp = t.lmult[x][s]
+    rows = [list(r) for r in alg.h_rows()]
+    assert recursion_mismatches(alg, rows) == []
+    rows[t.gen(s)][xp] = {**rows[t.gen(s)][xp], w0: LaurentPoly.one(alg.rank)}
+    rows[x][w0] = {**rows[x][w0], w0: rows[x][w0][w0] - rows[w0][w0][w0]}
+    _, _, cell_of = alg.lr_cells()
+    assert [(w, u) for w, hw in enumerate(rows[w0]) for u in hw
+            if cell_of[u] == cell_of[w]] == [(w0, w0)]
+    assert recursion_mismatches(alg, rows) == []
+    assert not cellular._recursion_certificate(alg, rows, cell_of)
+    faulty = _AlteredRows(alg, rows)
+    report = verify_bimodule_identity(faulty, ring)
+    assert report.ok and report.checks == all_x_bimodule(faulty, ring)
 
 
 # -- fault injection for the filtration and star checks -------------------------
