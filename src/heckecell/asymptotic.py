@@ -33,7 +33,6 @@ arithmetic of the ring, phi and bimodule checks becomes int arithmetic.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ComputationError
@@ -65,24 +64,6 @@ class Report:
             for v in violations[:5]:
                 lines.append(f"  - {v}")
         return "\n".join(lines)
-
-
-def sampled_triples(size: int, samples: int, seed: int):
-    """The (x, y, z) cases of the sampled associativity check: the stream of
-    random.Random(seed).randrange(size), drawn by the rejection loop randrange
-    runs on getrandbits(size.bit_length()), without its call overhead."""
-    getrandbits = random.Random(seed).getrandbits
-    k = size.bit_length()
-
-    def draws():
-        for _ in range(3 * samples):
-            r = getrandbits(k)
-            while r >= size:
-                r = getrandbits(k)
-            yield r
-
-    stream = draws()
-    return zip(stream, stream, stream)
 
 
 class AsymptoticRing:
@@ -217,15 +198,14 @@ class AsymptoticRing:
 
     # -- verification ---------------------------------------------------------------------
 
-    def verify(self, seed: int = 0, exhaustive_max: int = 16,
-               random_triples: int = 10000) -> Report:
+    def verify(self, exhaustive_max: int = 16, random_triples: int = 10000) -> Report:
         """Ring axioms and symmetries; any violation is build-breaking.
 
-        Associativity is decided for every triple at every |W|. Up to
-        `exhaustive_max` elements the report lists the failing triples in
-        (x, y, z) order; above it, the failing ones among `random_triples`
-        triples drawn from `seed`, in draw order. A passing check draws
-        nothing."""
+        Every check is decided for every case at every |W|, and each lists
+        its whole failing set in sorted order. `exhaustive_max` and
+        `random_triples` are read by nothing; they stay in the signature
+        because `perfbench/tracer.py` binds them by name, until the
+        benchmark is re-pinned."""
         inverse = self.alg.table.inverse
         rows = self.gamma_rows()
         report = Report()
@@ -240,18 +220,13 @@ class AsymptoticRing:
                 bad.append(f"gamma crosses blocks at ({x},{y},{z})")
         report.record("gamma symmetries", bad)
 
-        bad = []
-        for x in range(self.size):
-            for y in range(self.size):
-                acc = 0
-                for w, g in rows.get((inverse[x], y), ()):
-                    nw = self.n_vec[w]
-                    if nw:
-                        acc = acc + g * nw
-                want = 1 if x == y else 0
-                if acc != want:
-                    bad.append(f"dual-pairing identity fails at ({x},{y})")
-        report.record("gamma/n duality", bad)
+        # sum_z gamma_{x^-1,y,z} n_z = delta_{x,y}; at (x^-1, y^-1) the sum is
+        # trace(t_x t_{y^-1}), so the inverted pairs fail "trace dual bases"
+        n = self.n_vec
+        dual = [(x, y) for x in range(self.size) for y in range(self.size)
+                if sum(g * n[w] for w, g in rows.get((inverse[x], y), ())) != (x == y)]
+        report.record("gamma/n duality",
+                      [f"dual-pairing identity fails at ({x},{y})" for x, y in dual])
 
         one = self.identity_element()
         bad = []
@@ -260,14 +235,9 @@ class AsymptoticRing:
             if self.multiply(one, tx, rows) != tx or self.multiply(tx, one, rows) != tx:
                 bad.append(f"identity fails at {x}")
         report.record("two-sided identity", bad)
-
-        bad = []
-        for x in range(self.size):
-            for y in range(self.size):
-                want = 1 if x == y else 0
-                if self.trace(self.basis_product(x, inverse[y], rows)) != want:
-                    bad.append(f"trace dual-basis fails at ({x},{y})")
-        report.record("trace dual bases", bad)
+        report.record("trace dual bases", [
+            f"trace dual-basis fails at ({x},{y})"
+            for x, y in sorted((inverse[x], inverse[y]) for x, y in dual)])
 
         # (t_x t_y) t_w - t_x (t_y t_w) at t_{u^-1} is
         #   sum_z gamma_{x,y,z} gamma_{z^-1,w,u} - sum_v gamma_{y,w,v} gamma_{x,v^-1,u};
@@ -293,13 +263,8 @@ class AsymptoticRing:
                     for u, h in row:
                         accumulate(diff, (y, w, u), -(g * h))
             failing.update((x, y, w) for y, w, _ in diff)
-        if self.size <= exhaustive_max:
-            triples = sorted(failing)
-        else:
-            triples = [t for t in sampled_triples(self.size, random_triples, seed)
-                       if t in failing] if failing else []
         report.record("associativity", [f"associativity fails at ({x},{y},{z})"
-                                        for x, y, z in triples])
+                                        for x, y, z in sorted(failing)])
 
         # every (x, y) of each block; off it M_x M_y = 0, and so is the
         # image of t_x t_y, as gamma does not cross blocks ("gamma symmetries")

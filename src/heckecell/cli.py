@@ -368,13 +368,12 @@ SUITES = {
         ("schur_relations", lambda s: Report(
             {"both families": reps.verify_schur_relations(s.algebra, s.tensors)})),
     )),
-    "jring": Suite(("jring",), (("jring", lambda s: s.ring.verify(seed=s.seed)),)),
+    "jring": Suite(("jring",), (("jring", lambda s: s.ring.verify()),)),
     "compare-kl": Suite(("jring", "kl"), (("compare_kl", lambda s: s.ring.compare_with_kl()),)),
     "cell": Suite(("cell",), (
         ("cell_datum", lambda s: cellular.verify_cell_datum(s.datum)),
         ("phi", lambda s: cellular.verify_phi(s.algebra, s.ring)),
-        ("bimodule", lambda s: cellular.verify_bimodule_identity(
-            s.algebra, s.ring, seed=s.seed)),
+        ("bimodule", lambda s: cellular.verify_bimodule_identity(s.algebra, s.ring)),
     )),
 }
 
@@ -608,9 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", help="'natural', 'b-first', or priority list '1,0'")
         p.add_argument("--reps", nargs="*", help="representation files (default: builtin)")
         p.add_argument("--seed", type=int,
-                       help="seed for the associativity triples drawn when |W| > 16, and "
-                            "there for which failing bimodule quadruples are listed; "
-                            "every other check is exhaustive")
+                       help="recorded in the artifact headers and otherwise unused: every "
+                            "check is exhaustive (kept until the benchmark is re-pinned)")
         p.add_argument("--jobs", type=int, help="worker count (recorded; runs sequentially)")
         p.add_argument("--out", help="artifact directory (default: print to stdout)")
         p.add_argument("--config", help="JSON config file mirroring the flags")

@@ -114,12 +114,14 @@ def f_det(a):
 
 
 def f_inverse(a):
+    """(A^-1, det A) from one elimination; raises on a singular A."""
     n = len(a)
     m = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
          for i, row in enumerate(a)]
-    if not eliminate(m, n, Fraction(1)):
+    det = eliminate(m, n, Fraction(1))
+    if not det:
         raise ComputationError("singular matrix")
-    return [row[n:] for row in m]
+    return [row[n:] for row in m], det
 
 
 # -- matrices over the Laurent fraction field ----------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import corrupted_ring, edited_leading_session, f_mat_mul, get_session
-from heckecell.asymptotic import AsymptoticRing, sampled_triples
+from heckecell.asymptotic import AsymptoticRing
 from heckecell.cli import Session
 from heckecell.errors import VerificationError
 from heckecell.matrices import f_inverse, f_nonzero
@@ -99,7 +99,7 @@ def test_blocks():
 ])
 def test_verify_ring(name, weights, order):
     session = get_session(name, weights, order)
-    report = session.ring.verify(seed=0)
+    report = session.ring.verify()
     assert report.ok, report.summary()
 
 
@@ -109,16 +109,50 @@ def test_corrupted_table_detected():
     key = next(iter(ring.gamma))
     ring.gamma = dict(ring.gamma)
     ring.gamma[key] = ring.gamma[key] + 1
-    report = ring.verify(seed=0)
+    report = ring.verify()
     assert not report.ok
 
 
 @pytest.mark.parametrize("name", ["A2", "B2"])
 @pytest.mark.parametrize("check", ["associativity", "two-sided identity", "gamma/n duality"])
 def test_row_indexed_checks_detect_a_corrupted_entry(name, check):
-    report = corrupted_ring(get_session(name)).verify(seed=0)
+    report = corrupted_ring(get_session(name)).verify()
     assert report.checks["gamma symmetries"] == []
     assert report.checks[check]
+
+
+def reference_trace_dual_bases(ring) -> list:
+    """trace(t_x t_{y^-1}) = delta_{x,y} one pair at a time: the reference
+    for "trace dual bases", which the check reads off the duality pass."""
+    inverse = ring.alg.table.inverse
+    rows = ring.gamma_rows()
+    bad = []
+    for x in range(ring.size):
+        for y in range(ring.size):
+            want = 1 if x == y else 0
+            if ring.trace(ring.basis_product(x, inverse[y], rows)) != want:
+                bad.append(f"trace dual-basis fails at ({x},{y})")
+    return bad
+
+
+@pytest.mark.parametrize("name", ["I2:5", "B2", "A3", "I2:9"])
+def test_trace_dual_bases_agrees_with_the_per_pair_trace(name):
+    """gamma + 1 at eight keys spread over the table and n + 1 at three
+    elements, one at a time: the report is the per-pair loop's."""
+    session = get_session(name)
+    keys = sorted(session.ring.gamma)
+    rings = [corrupted_ring(session, k) for k in keys[::max(1, len(keys) // 8)][:8]]
+    for w in (0, 1, session.table.size - 1):
+        ring = AsymptoticRing(session.algebra, session.tensors)
+        ring.n_vec = list(ring.n_vec)
+        ring.n_vec[w] += 1
+        rings.append(ring)
+    failing = 0
+    for ring in rings:
+        want = reference_trace_dual_bases(ring)
+        assert ring.verify().checks["trace dual bases"] == want
+        failing += bool(want)
+    assert 0 < failing < len(rings)
 
 
 def dense_gamma_equality(ring) -> list:
@@ -240,8 +274,9 @@ def test_gamma_and_n_are_stored_as_ints(name, weights, order):
 
 
 def test_narrowed_ring_checks_detect_an_edited_gamma():
-    """I2:9 has 18 elements, so associativity and the bimodule identity are
-    sampled; gamma + 1 at a key with x != y breaks the cyclic symmetry too."""
+    """I2:9 has 18 elements, above the size at which the bimodule check
+    takes the name "(100000 samples)"; gamma + 1 at a key with x != y breaks
+    the cyclic symmetry too."""
     from heckecell.cellular import verify_bimodule_identity
     session = get_session("I2:9")
     ring = AsymptoticRing(session.algebra, session.tensors)
@@ -250,53 +285,39 @@ def test_narrowed_ring_checks_detect_an_edited_gamma():
     ring.gamma = dict(ring.gamma)
     ring.gamma[key] += 1
     assert type(ring.gamma[key]) is int
-    report = ring.verify(seed=0)
+    report = ring.verify()
     assert report.checks["gamma symmetries"]
     assert report.checks["associativity"]
-    bimodule = verify_bimodule_identity(session.algebra, ring, seed=0)
+    bimodule = verify_bimodule_identity(session.algebra, ring)
     assert bimodule.checks["bimodule identity (100000 samples)"]
 
 
-@pytest.mark.parametrize("name", ["I2:9", "I2:12"])
-def test_sampled_triples_follow_the_randrange_stream(name):
-    size = get_session(name).algebra.table.size
-    assert size > 16
-    for seed in (0, 1, 5):
-        rng = random.Random(seed)
-        want = [(rng.randrange(size), rng.randrange(size), rng.randrange(size))
-                for _ in range(10000)]
-        assert list(sampled_triples(size, 10000, seed)) == want
-
-
-def reference_associativity(ring, seed=0, exhaustive_max=16, random_triples=10000) -> list:
+def reference_associativity(ring) -> list:
     """(t_x t_y) t_z against t_x (t_y t_z) one triple at a time, over every
-    triple up to `exhaustive_max` elements and the drawn ones above it: the
-    reference for the accumulated "associativity" check."""
+    triple: the reference for the accumulated "associativity" check."""
     rows = ring.gamma_rows()
     size = ring.size
-    if size <= exhaustive_max:
-        triples = [(x, y, z) for x in range(size) for y in range(size) for z in range(size)]
-    else:
-        triples = sampled_triples(size, random_triples, seed)
     bad = []
-    for x, y, z in triples:
-        lhs = ring.multiply(ring.basis_product(x, y, rows), {z: 1}, rows)
-        rhs = ring.multiply({x: 1}, ring.basis_product(y, z, rows), rows)
-        if lhs != rhs:
-            bad.append(f"associativity fails at ({x},{y},{z})")
+    for x in range(size):
+        for y in range(size):
+            for z in range(size):
+                lhs = ring.multiply(ring.basis_product(x, y, rows), {z: 1}, rows)
+                rhs = ring.multiply({x: 1}, ring.basis_product(y, z, rows), rows)
+                if lhs != rhs:
+                    bad.append(f"associativity fails at ({x},{y},{z})")
     return bad
 
 
 ASSOC_SYSTEMS = [("I2:5", "equal", None), ("B2", "equal", None), ("A3", "equal", None),
-                 ("I2:8", "equal", None), ("B2", "universal", "b-first")]
+                 ("I2:8", "equal", None), ("I2:9", "equal", None), ("B2", "universal", "b-first")]
 
 
 @pytest.mark.parametrize("name,weights,order", ASSOC_SYSTEMS)
 def test_associativity_agrees_with_the_per_triple_reference(name, weights, order):
     """gamma + 1, one key at a time, at four keys of each table and at two
-    keys outside it; both reports, the whole failing set (exhaustive_max =
-    24) and the drawn failing triples (exhaustive_max = 0), must be the
-    reference's. A key outside the table can make t_x (t_y t_w) nonzero
+    keys outside it; the report must be the reference's whole failing set,
+    sorted, from the default call and whatever `exhaustive_max` and
+    `random_triples`, which the check no longer reads. A key outside the table can make t_x (t_y t_w) nonzero
     where t_x t_y = 0, which only a right-hand side summed over every y
     sees. Some edits keep the ring associative (on a one-element block
     gamma_{x,x,x} + 1 scales t_x), but not all six."""
@@ -311,27 +332,21 @@ def test_associativity_agrees_with_the_per_triple_reference(name, weights, order
     failing = 0
     for key in keys:
         ring = corrupted_ring(session, key)
-        for exhaustive_max, draws in ((24, 10000), (0, 2000)):
-            got = ring.verify(seed=3, exhaustive_max=exhaustive_max, random_triples=draws)
-            want = reference_associativity(ring, 3, exhaustive_max, draws)
-            assert got.checks["associativity"] == want
-        failing += bool(reference_associativity(ring, exhaustive_max=24))
+        want = reference_associativity(ring)
+        for kwargs in ({}, {"exhaustive_max": 0, "random_triples": 2000}):
+            assert ring.verify(**kwargs).checks["associativity"] == want
+        failing += bool(want)
     assert failing
 
 
 @pytest.mark.parametrize("name,weights,order", [
     ("I2:9", "equal", None), ("A3", "equal", None), ("B3", "universal", "b-first"),
 ])
-def test_passing_associativity_check_draws_nothing(monkeypatch, name, weights, order):
-    import heckecell.asymptotic as asymptotic
-
-    def no_draws(*args):
-        raise AssertionError("a passing associativity check drew a triple")
-
-    monkeypatch.setattr(asymptotic, "sampled_triples", no_draws)
+def test_passing_associativity_check_draws_nothing(name, weights, order):
+    """Above 16 elements a passing check reports no triple."""
     ring = get_session(name, weights, order).ring
     assert ring.size > 16
-    assert ring.verify(seed=0).checks["associativity"] == []
+    assert ring.verify().checks["associativity"] == []
 
 
 # Pairs (x, y) at which the representation property of dihedral:1 fails after
@@ -344,7 +359,7 @@ EDITED_REP_PAIRS = {
 
 @pytest.mark.parametrize("edit", ["zero", "nonzero"])
 def test_irreducible_representations_detect_an_edited_leading_entry(edit):
-    report = edited_leading_session(edit).ring.verify(seed=0)
+    report = edited_leading_session(edit).ring.verify()
     assert report.checks["irreducible representations"] == [
         f"representation property fails for dihedral:1 at ({x},{y})"
         for x, y in EDITED_REP_PAIRS[edit]]
@@ -381,7 +396,7 @@ def test_irreducible_representations_walk_every_pair_of_a_large_block():
     """I2:12's middle block has 22 elements: every pair of it is checked."""
     ring = edited_leading_session("zero", "I2:12").ring
     assert max(map(len, ring.blocks)) == 22
-    bad = ring.verify(seed=0).checks["irreducible representations"]
+    bad = ring.verify().checks["irreducible representations"]
     assert bad and bad == reference_rep_violations(ring)
 
 
@@ -414,7 +429,7 @@ def conjugated(t):
     """t with every leading matrix M replaced by P M P^{-1}, P = I + (all ones).
     Neither P nor P^{-1} has a zero entry, so a single-entry M becomes dense."""
     p = [[Fraction(2 if i == j else 1) for j in range(t.dim)] for i in range(t.dim)]
-    pinv = f_inverse(p)
+    pinv, _ = f_inverse(p)
     return dataclasses.replace(t, entries={
         w: f_nonzero(f_mat_mul(f_mat_mul(p, t.matrix(w)), pinv)) for w in t.entries})
 
@@ -433,7 +448,7 @@ def test_dense_leading_matrices_agree_with_the_dense_formula(name, weights, orde
     # the trace is invariant under conjugation
     assert ring.gamma == session.ring.gamma
     assert ring.n_vec == session.ring.n_vec
-    report = ring.verify(seed=0)
+    report = ring.verify()
     assert report.ok, report.summary()
     assert verify_schur_relations(session.algebra, tens) == []
 

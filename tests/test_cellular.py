@@ -10,7 +10,7 @@ from conftest import constant_form, corrupted_ring, edited_leading_session, get_
 from heckecell import cellular
 from heckecell.asymptotic import AsymptoticRing
 from heckecell.cellular import (b_matrix, hecke_to_asym,
-                                lambda_order, phi_element, sampled_quadruples,
+                                lambda_order, phi_element,
                                 specialize_datum,
                                 verify_bimodule_identity, verify_cell_datum,
                                 verify_phi, verify_specialized)
@@ -118,6 +118,23 @@ def test_c1_detects_a_missing_cell_and_c3_is_not_checked():
     assert report.checks["C1 basis"] == ["basis has 5 elements for group order 6"]
     assert report.checks["C3 left action"] == [
         "C3 not checked: basis has 5 elements for group order 6"]
+
+
+def test_c1_detects_a_basis_over_f_that_is_not_one_over_r():
+    """On I2:5, C^{onedim:++}_{0,0} times 3 keeps a basis over F, the star
+    axiom and C3, but the determinant gains the factor 3, which is not a
+    unit of R = Z[d][1/p : p in invertible_primes]."""
+    import dataclasses
+    datum = get_session("I2:5").datum
+    assert 3 not in datum.invertible_primes
+    key = ("onedim:++", 0, 0)
+    elements = dict(datum.elements)
+    elements[key] = {w: 3 * c for w, c in elements[key].items()}
+    report = verify_cell_datum(dataclasses.replace(datum, elements=elements))
+    (bad,) = report.checks["C1 basis"]
+    assert bad.startswith("transition determinant ")
+    assert bad.endswith(f" is not a unit of Z[d][1/p : p in {sorted(datum.invertible_primes)}]")
+    assert report.checks["C2 star"] == [] and report.checks["C3 left action"] == []
 
 
 def test_phi_values_a1():
@@ -351,10 +368,10 @@ def test_specialize_i26_collapses_to_one_variable():
 # -- the bimodule check against its LaurentPoly form -----------------------------
 
 
-def reference_bimodule(alg, ring, exhaustive_max=16, samples=100000, seed=0,
-                       restrict_cell=True):
-    """The bimodule identity summed as LaurentPolys, with cases drawn by
-    Random.randrange: the oracle for the coefficient-level check."""
+def reference_bimodule(alg, ring, exhaustive_max=16, samples=100000, restrict_cell=True):
+    """The bimodule identity summed as LaurentPolys, one quadruple at a time
+    over every quadruple: the oracle for the coefficient-level check.
+    `exhaustive_max` and `samples` choose the check's name only."""
     size = alg.table.size
     rows, inverse = alg.h_rows(), alg.table.inverse
     _, cells, cell_of = alg.lr_cells()
@@ -376,27 +393,13 @@ def reference_bimodule(alg, ring, exhaustive_max=16, samples=100000, seed=0,
                 rhs = rhs + h.scale(g)
         return lhs == rhs
 
-    if size <= exhaustive_max:
-        cases = [(w, y, x, xp) for w in range(size) for y in cells[cell_of[w]]
-                 for x in range(size) for xp in range(size)]
-        name = "bimodule identity (exhaustive)"
-    else:
-        cases = reference_quadruples(size, cells, cell_of, samples, seed)
-        name = f"bimodule identity ({samples} samples)"
+    cases = [(w, y, x, xp) for w in range(size) for y in cells[cell_of[w]]
+             for x in range(size) for xp in range(size)]
+    name = ("bimodule identity (exhaustive)" if size <= exhaustive_max
+            else f"bimodule identity ({samples} samples)")
     bad = [f"identity fails at (x={x},x'={xp},y={y},w={w})"
            for w, y, x, xp in cases if not check(x, xp, y, w)]
     return {name: bad}
-
-
-def reference_quadruples(size, cells, cell_of, samples, seed):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(samples):
-        w = rng.randrange(size)
-        peers = cells[cell_of[w]]
-        y = peers[rng.randrange(len(peers))]
-        out.append((w, y, rng.randrange(size), rng.randrange(size)))
-    return out
 
 
 class _AlteredRows:
@@ -428,16 +431,6 @@ def ring_with_gamma(session, key, value):
     return ring
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "B3", "I2:7"])
-def test_sampled_quadruples_follow_the_randrange_stream(name):
-    alg = get_session(name).algebra
-    size = alg.table.size
-    _, cells, cell_of = alg.lr_cells()
-    for seed in (0, 5, 12345):
-        got = list(sampled_quadruples(size, cells, cell_of, 3000, seed))
-        assert got == reference_quadruples(size, cells, cell_of, 3000, seed)
-
-
 @pytest.mark.parametrize("restrict_cell", [True, False])
 @pytest.mark.parametrize("exhaustive_max,samples", [(16, 100000), (0, 3000)],
                          ids=["exhaustive", "sampled"])
@@ -460,8 +453,8 @@ def test_bimodule_identity_agrees_with_the_reference(restrict_cell, exhaustive_m
         cases.append((alg, ring_with_gamma(session, (1, 1, 0), 1), True))
     for a, r, ok in cases:
         report = verify_bimodule_identity(a, r, exhaustive_max=exhaustive_max,
-                                          samples=samples, seed=3)
-        assert report.checks == reference_bimodule(a, r, exhaustive_max, samples, 3,
+                                          samples=samples)
+        assert report.checks == reference_bimodule(a, r, exhaustive_max, samples,
                                                    restrict_cell)
         assert report.ok == ok
 
@@ -485,26 +478,25 @@ def test_bimodule_failing_set_is_every_failing_quadruple():
 
 
 def test_bimodule_sampled_report_lists_the_failing_draws():
+    """The default call on I2:9, whose check is named "(100000 samples)",
+    lists the whole failing set, the one the exhaustive call lists."""
     for alg, ring in i2_9_faults():
-        report = verify_bimodule_identity(alg, ring, seed=3)
+        report = verify_bimodule_identity(alg, ring)
         assert not report.ok
-        assert report.checks == reference_bimodule(alg, ring, seed=3)
+        (cases,) = verify_bimodule_identity(alg, ring, exhaustive_max=18).checks.values()
+        assert report.checks == {"bimodule identity (100000 samples)": cases}
 
 
 @pytest.mark.parametrize("name,weights,order", [
     ("I2:9", "equal", None), ("B3", "universal", "b-first"),
 ])
 def test_passing_bimodule_check_draws_nothing(monkeypatch, name, weights, order):
-    def no_draws(*args):
-        raise AssertionError("a passing bimodule check drew a quadruple")
-
     commutator, calls = cellular._commutator_failures, []
 
     def counted(x, *args):
         calls.append(x)
         return commutator(x, *args)
 
-    monkeypatch.setattr(cellular, "sampled_quadruples", no_draws)
     monkeypatch.setattr(cellular, "_commutator_failures", counted)
     session = get_session(name, weights, order)
     assert session.table.size > 16
@@ -517,7 +509,7 @@ def test_passing_bimodule_check_draws_nothing(monkeypatch, name, weights, order)
 # -- the bimodule certificate against the commutator for every x -----------------
 
 
-def all_x_bimodule(alg, ring, exhaustive_max=16, samples=100000, seed=0) -> dict:
+def all_x_bimodule(alg, ring, exhaustive_max=16, samples=100000) -> dict:
     """The bimodule report from the commutator of every x, certificate or not."""
     rows = alg.h_rows()
     _, _, cell_of = alg.lr_cells()
@@ -525,7 +517,7 @@ def all_x_bimodule(alg, ring, exhaustive_max=16, samples=100000, seed=0) -> dict
     failing = set()
     for x in range(alg.table.size):
         failing |= cellular._commutator_failures(x, rows, cell_of, g_col, g_row)
-    return cellular._bimodule_report(alg, failing, exhaustive_max, samples, seed).checks
+    return cellular._bimodule_report(alg, failing, exhaustive_max, samples).checks
 
 
 def in_cell_faults(alg) -> list:
@@ -556,6 +548,17 @@ def test_bimodule_certificate_reports_as_the_all_x_loop(name, weights, order):
         assert report.checks == all_x_bimodule(a, r)
         failed += not report.ok
     assert 0 < failed < len(cases)
+
+
+def test_bimodule_report_lists_every_failing_case_above_16_elements():
+    """A3 (24 elements) with h_{1,w,w} + 1 at w = 17: the default call fails
+    and lists the 4 cases the commutator of every x finds."""
+    session = get_session("A3")
+    faulty = corrupted_h_rows(session.algebra, 0, 17, 17)
+    report = verify_bimodule_identity(faulty, session.ring)
+    (cases,) = report.checks.values()
+    assert len(cases) == 4
+    assert report.checks == all_x_bimodule(faulty, session.ring)
 
 
 def test_bimodule_premise_catches_the_non_generator_faults_phi_misses():

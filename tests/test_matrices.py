@@ -73,7 +73,8 @@ def test_field_det_and_inverse_match_expansion(entry):
                 with pytest.raises(ComputationError):
                     f_inverse(a)
                 continue
-            inv = f_inverse(a)
+            inv, inv_det = f_inverse(a)
+            assert inv_det == det
             ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
             if n:
                 assert f_mat_mul(a, inv) == ident
