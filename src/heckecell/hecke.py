@@ -15,9 +15,13 @@ is the unique bar-invariant element T_w + sum p_{y,w} T_y with every p_{y,w}
 supported on strictly negative exponents, built by peeling the bar-invariant
 product Cp_s Cp_{sw} downwards on one accumulator, in element-id (= length)
 order; C_w = j(Cp_w) with j(eps^g) = eps^{-g}, j(T_y) = (-1)^{l(y)} T_y.
+The accumulator holds one term map per T_y, and every product is added into
+it by `scalars.mul_into`; the maps become polynomials once, when the peel
+ends.
 
 Structure constants h_{x,y,z} (C_x C_y = sum h_{x,y,z} C_z) are materialized
-by a length recursion on x that only ever multiplies by generator rows. The
+by a length recursion on x that only ever multiplies by generator rows; each
+entry h_{x,y,z} is summed on one term map the same way. The
 generator row h_{s,w,.} is what the peel of Cp_s Cp_w takes away, mu_y Cp_y,
 and every peel keeps its row: each ascent is peeled once per algebra. The
 a-function is the smallest shift making a z-column nonnegative, and gamma
@@ -32,14 +36,30 @@ from __future__ import annotations
 
 from .coxeter import ElementTable, WeightFunction, validate_weights
 from .errors import ComputationError, InputError
-from .scalars import LaurentPoly, MonomialOrder, accumulate, exp_neg
+from .scalars import LaurentPoly, MonomialOrder, exp_neg, mul_into
 
 # The full table is |W|^2 sparse rows. Time for `h_rows` plus the a-values,
 # and the peak resident memory of the process, on a 2-vCPU Xeon VM under
-# Python 3.11.7: A4 and H3 (|W| = 120) 0.8 + 0.3 s, 40 MB and 1.8 + 0.5 s,
-# 54 MB; D4 (192) 2.7-4.4 + 1.1 s, 95-99 MB; B4 (384) 26-28 + 7-8 s,
-# 534-548 MB. So the limit admits D4 and stops short of B4.
+# Python 3.11.7 (three runs each, B4 two): A4 and H3 (|W| = 120)
+# 0.20-0.25 + 0.04 s, 36 MB and 0.39-0.42 + 0.06-0.07 s, 45 MB; D4 (192)
+# 0.97-1.18 + 0.14-0.20 s, 78 MB; B4 (384) 6.8-8.5 + 0.9-1.1 s, 408 MB.
+# The VM also runs in a state about twice as slow. So the limit admits D4
+# and stops short of B4.
 MAX_FULL_TABLE = 192
+
+
+def _add_product(acc: dict, key, a: dict, b: dict, sign: int = 1):
+    """Add sign * a * b to the term map acc[key]; a map that cancels is
+    deleted, so acc holds no empty map (as `accumulate` keeps no zero)."""
+    m = acc.get(key)
+    if m is None:
+        m = mul_into({}, a, b, sign)
+        if m:
+            acc[key] = m
+    else:
+        mul_into(m, a, b, sign)
+        if not m:
+            del acc[key]
 
 
 class HeckeAlgebra:
@@ -60,6 +80,7 @@ class HeckeAlgebra:
         self.v = [LaurentPoly.monomial(g) for g in self.weights.values]
         self.vinv = [LaurentPoly.monomial(exp_neg(g)) for g in self.weights.values]
         self.xi = [self.v[s] - self.vinv[s] for s in range(n)]
+        self._one_terms = LaurentPoly.one(self.rank).terms
         self._cprime: list = [self.unit()]
         self._c_cache: dict = {}
         self._gen_rows = [dict() for _ in range(n)]
@@ -74,14 +95,23 @@ class HeckeAlgebra:
 
     def gen_left(self, s: int, h: dict) -> dict:
         """T_s * h for h in the T-basis."""
+        return self._polys(self._gen_left_terms(s, h))
+
+    def _gen_left_terms(self, s: int, h: dict) -> dict:
+        """T_s * h as a map w -> term map, for h in the T-basis."""
         t, out = self.table, {}
-        xi = self.xi[s]
+        one, xi = self._one_terms, self.xi[s].terms
         for w, c in h.items():
             sw = t.lmult[w][s]
-            accumulate(out, sw, c)
+            _add_product(out, sw, one, c.terms)
             if t.length[sw] < t.length[w]:
-                accumulate(out, w, xi * c)
+                _add_product(out, w, xi, c.terms)
         return out
+
+    def _polys(self, maps: dict) -> dict:
+        """Wrap each term map of maps in a LaurentPoly."""
+        rank = self.rank
+        return {y: LaurentPoly(rank, m) for y, m in maps.items()}
 
     # -- canonical bases ------------------------------------------------------------
 
@@ -110,20 +140,22 @@ class HeckeAlgebra:
         t = self.table
         w = t.lmult[v][s]
         cv = self._cprime[v]
-        x = self.gen_left(s, cv)
+        x = self._gen_left_terms(s, cv)
+        vinv = self.vinv[s].terms
         for y, c in cv.items():
-            accumulate(x, y, c * self.vinv[s])
+            _add_product(x, y, c.terms, vinv)
         mu = {}
         for y in sorted((y for y in x if y != w), key=lambda y: -t.length[y]):
             c = x.get(y)
             if c is None:
                 continue
-            m = c.nonnegative_part()
+            m = LaurentPoly(self.rank, c).nonnegative_part()
             if not m:
                 continue
             m = mu[y] = m + m.bar() - LaurentPoly.constant(self.rank, m.constant_coefficient())
             for u, d in self._cprime[y].items():
-                accumulate(x, u, -(d * m))
+                _add_product(x, u, d.terms, m.terms, -1)
+        x = self._polys(x)
         if x.get(w) != LaurentPoly.one(self.rank):
             raise ComputationError("KL correction failed")
         for y, c in x.items():
@@ -198,11 +230,11 @@ class HeckeAlgebra:
                     acc = {}
                     for w, hw in rows[xp][y].items():
                         for z, hz in self.gen_row(s, w).items():
-                            accumulate(acc, z, hw * hz)
+                            _add_product(acc, z, hw.terms, hz.terms)
                     for u, cu in corr:
                         for z, hz in rows[u][y].items():
-                            accumulate(acc, z, -(cu * hz))
-                    xrows.append(acc)
+                            _add_product(acc, z, cu.terms, hz.terms, -1)
+                    xrows.append(self._polys(acc))
                 rows[x] = xrows
         self._h_rows = rows
         return rows

@@ -16,6 +16,10 @@ fraction-free (Bareiss, Math. Comp. 22, 1968): each update is divided
 exactly by the previous pivot, so every entry is a minor of [A | B] and a
 KMatrix inverse is a polynomial matrix over one denominator.
 
+The Laurent sums of products, each entry of a KMatrix product and each
+Bareiss update a[i][j] p - a[i][k] a[k][j], are built on one term map by
+`scalars.mul_into` and become a polynomial once.
+
 `KMatrix.residue` is the one residue map O -> F of the package, applied
 entrywise: the balance test, the leading tensors and the B-matrices read it.
 """
@@ -25,7 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ComputationError
-from .scalars import LaurentFraction, LaurentPoly, accumulate, exp_sub, scalar_inverse
+from .scalars import (LaurentFraction, LaurentPoly, accumulate, exp_sub, mul_into,
+                      scalar_inverse)
 
 
 def eliminate(m, n: int, one):
@@ -72,13 +77,17 @@ def eliminate(m, n: int, one):
                         if row[j]:
                             ri[j] = ri[j] - f * row[j]
         else:
+            rank, pt = p.rank, p.terms
             for i in rows:
-                f, ri = m[i][k], m[i]
+                f, ri = m[i][k].terms, m[i]
                 for j in range(k + 1, width):
-                    x = ri[j] * p
+                    acc = {}
+                    if ri[j]:
+                        mul_into(acc, ri[j].terms, pt)
                     if f and row[j]:
-                        x = x - f * row[j]
-                    if k and x:
+                        mul_into(acc, f, row[j].terms, -1)
+                    x = LaurentPoly(rank, acc)
+                    if k and acc:
                         x = x.exact_divide(prev)
                         if x is None:
                             raise ComputationError("Bareiss division failed")
@@ -181,19 +190,18 @@ class KMatrix:
         return [[self.entry(i, j) for j in range(len(self.num[0]))] for i in range(self.dim)]
 
     def __mul__(self, other: "KMatrix") -> "KMatrix":
-        a, b = self.num, other.num
-        n, m, p = len(a), len(b), len(b[0])
-        zero = LaurentPoly.zero(self.rank)
+        rank = self.rank
+        cols = [[x.terms for x in col] for col in zip(*other.num)]
         out = []
-        for i in range(n):
+        for ai in self.num:
+            ai = [x.terms for x in ai]
             row = []
-            ai = a[i]
-            for j in range(p):
-                acc = zero
-                for k in range(m):
-                    if ai[k] and b[k][j]:
-                        acc = acc + ai[k] * b[k][j]
-                row.append(acc)
+            for col in cols:
+                acc = {}
+                for x, y in zip(ai, col):
+                    if x and y:
+                        mul_into(acc, x, y)
+                row.append(LaurentPoly(rank, acc))
             out.append(row)
         return KMatrix(out, self.den * other.den)
 

@@ -25,6 +25,15 @@ denominators and stores each result as an int when it is integer-valued. Both
 forms compare equal and hash alike (hash(3) == hash(Fraction(3))), so values,
 equality and hashes of polynomials do not depend on the form.
 
+`mul_into(out, a, b, sign)` is the convolution loop of the package, with
+`_int_convolve` as its integer-numerator route: it adds +-a*b to a
+mutable term map in place and deletes a coefficient that cancels. A sum of
+products (a KL peel, an h-table entry, a KMatrix entry, a Bareiss update)
+builds one term map through it and wraps it in a `LaurentPoly` once, at the
+end, instead of building a polynomial per product and copying the running
+sum to add it. `LaurentPoly.__mul__` is the kernel on an empty map, and
+each step of `exact_divide` subtracts through it.
+
 `LaurentPoly(rank, terms)` keeps the map it is given, which must have no
 zero coefficient; every kernel here builds its maps that way. Coefficients
 are inverted through `scalar_inverse` alone, which returns an int unit 1 or
@@ -124,10 +133,10 @@ class LaurentPoly:
 
     # -- ring operations ---------------------------------------------------------
 
-    # __add__, __sub__, __mul__, exact_divide and _int_convolve sum terms
-    # inline rather than through accumulate(): they are the hottest kernels of
-    # the package, and the extra call per term costs about 30% of an addition
-    # of small polynomials.
+    # __add__, __sub__, mul_into and _int_convolve sum terms inline rather
+    # than through accumulate(): they are the hottest kernels of the package,
+    # and the extra call per term costs about 30% of an addition of small
+    # polynomials. __mul__ and each step of exact_divide call mul_into.
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
@@ -161,28 +170,7 @@ class LaurentPoly:
         return LaurentPoly(self.rank, {g: -c for g, c in self.terms.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) > 1:
-            ra = _rational_denominator(a)
-            rb = _rational_denominator(b) if ra else None
-            if rb and (ra[1] or rb[1]):
-                return LaurentPoly(self.rank, _int_convolve(a, ra[0], b, rb[0]))
-        out = {}
-        for g, c in a.items():
-            for h, d in b.items():
-                k = tuple(map(add, g, h))
-                s = out.get(k)
-                if s is None:
-                    out[k] = c * d
-                else:
-                    s = s + c * d
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return LaurentPoly(self.rank, out)
+        return LaurentPoly(self.rank, mul_into({}, self.terms, other.terms))
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -277,7 +265,7 @@ class LaurentPoly:
 
         Long division from the minimum up on one remainder map: each quotient
         term pops the remainder's minimum and subtracts its multiple of den's
-        other terms in place. A monomial den is a unit and divides in one
+        other terms in place (`mul_into`). A monomial den is a unit and divides in one
         pass. An integer-valued Fraction quotient coefficient is stored as an
         int, so int division by a unit-lead divisor stays in ints.
 
@@ -296,7 +284,7 @@ class LaurentPoly:
             return LaurentPoly(self.rank, {exp_sub(g, dmin): int_if_integral(c * dinv)
                                            for g, c in self.terms.items()})
         # den's other terms relative to its minimum, negated
-        tail = [(exp_sub(g, dmin), -c) for g, c in dterms.items() if g != dmin]
+        tail = {exp_sub(g, dmin): -c for g, c in dterms.items() if g != dmin}
         bound = exp_sub(max(self.terms), max(dterms))
         cap = tuple(map(sub, map(max, zip(*self.terms)), map(max, zip(*dterms))))
         rem = dict(self.terms)
@@ -308,17 +296,7 @@ class LaurentPoly:
                 return None
             qc = int_if_integral(rem.pop(rmin) * dinv)
             quot[qexp] = qc
-            for h, c in tail:
-                k = tuple(map(add, rmin, h))
-                s = rem.get(k)
-                if s is None:
-                    rem[k] = qc * c
-                else:
-                    s = s + qc * c
-                    if s:
-                        rem[k] = s
-                    else:
-                        del rem[k]
+            mul_into(rem, {rmin: qc}, tail)
         return LaurentPoly(self.rank, quot)
 
     # -- text form -------------------------------------------------------------------
@@ -380,6 +358,87 @@ def accumulate(out: dict, key, val):
             out[key] = cur
         else:
             del out[key]
+
+
+def mul_into(out: dict, a: dict, b: dict, sign: int = 1) -> dict:
+    """Add sign * a * b to the term map out in place, and return out.
+
+    The convolution loop of the package: a and b are term maps
+    (exponent -> coefficient) of one rank, with no zero coefficient, and are
+    not changed; out must be neither of them. A coefficient of out that
+    cancels is deleted, so out never stores a zero. Two rational operands,
+    neither a monomial and not both all-int, are convolved on integer
+    numerators (`_int_convolve`) and that product is added. Otherwise each
+    coefficient product goes straight into out: exponents are summed
+    without `map` at rank 1 and 2, and a term 1 * eps^0 of the shorter
+    operand adds the other's terms as they are."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return out
+    if len(a) > 1:
+        ra = _rational_denominator(a)
+        rb = _rational_denominator(b) if ra else None
+        if rb and (ra[1] or rb[1]):
+            b = _int_convolve(a, ra[0], b, rb[0])
+            a = {(0,) * len(next(iter(a))): 1}
+    # one copy of the loop per way of forming the key k and the value: one
+    # loop over a list of (k, value) pairs took about 15% longer on the
+    # products of the h-table and of the seminormal models
+    get = out.get
+    for g, c in a.items():
+        if sign < 0:
+            c = -c
+        if not any(g) and c == 1:
+            for k, d in b.items():
+                s = get(k)
+                if s is None:
+                    out[k] = d
+                else:
+                    s = s + d
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        elif len(g) == 1:
+            g0 = g[0]
+            for h, d in b.items():
+                k = (g0 + h[0],)
+                s = get(k)
+                if s is None:
+                    out[k] = c * d
+                else:
+                    s = s + c * d
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        elif len(g) == 2:
+            g0, g1 = g
+            for h, d in b.items():
+                k = (g0 + h[0], g1 + h[1])
+                s = get(k)
+                if s is None:
+                    out[k] = c * d
+                else:
+                    s = s + c * d
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        else:
+            for h, d in b.items():
+                k = tuple(map(add, g, h))
+                s = get(k)
+                if s is None:
+                    out[k] = c * d
+                else:
+                    s = s + c * d
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+    return out
 
 
 def scalar_inverse(c):

@@ -246,6 +246,24 @@ def test_generator_rows_match_direct_products(name, weights, order):
             assert direct == from_c(alg, alg.gen_row(s, w))
 
 
+@pytest.mark.parametrize("name,weights,order", [
+    ("A3", "equal", None), ("B2", "universal", "b-first"), ("I2:5", "equal", None),
+])
+def test_kl_and_h_table_entries_are_nonzero_with_no_zero_coefficient(name, weights, order):
+    # the peel, the generator rows and the h-table sum products on term maps;
+    # an entry whose sum cancels is dropped and a coefficient that cancels is
+    # deleted, as `accumulate` kept no zero
+    alg = Session({"system": name, "weights": weights, "order": order}).algebra
+    t = alg.table
+    rows = alg.h_rows()
+    entries = [c for w in range(t.size) for c in alg.cprime(w).values()]
+    entries += [h for s in range(t.system.ngens) for w in range(t.size)
+                for h in alg.gen_row(s, w).values()]
+    entries += [h for row in rows for hs in row for h in hs.values()]
+    for p in entries:
+        assert p.terms and all(p.terms.values())
+
+
 @pytest.mark.parametrize("cells_first", [True, False])
 @pytest.mark.parametrize("name,ascents", [("H3", 180), ("A4", 240)])
 def test_each_ascent_is_peeled_once(monkeypatch, name, ascents, cells_first):

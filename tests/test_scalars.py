@@ -9,7 +9,7 @@ from heckecell.errors import ComputationError
 from heckecell.fields import CycloNumber, RealCyclotomicField
 from heckecell.matrices import KMatrix
 from heckecell.scalars import (LaurentFraction, LaurentPoly, MonomialOrder,
-                               accumulate, exp_sub, natural_order, scalar_inverse)
+                               accumulate, exp_sub, mul_into, natural_order, scalar_inverse)
 
 NAT = natural_order(1)
 LEX_BA = MonomialOrder(2, (1, 0))
@@ -420,6 +420,74 @@ def test_product_kernel_leaves_cyclotomic_coefficients_to_the_loop():
         got, want = cyclo * q, reference_mul(cyclo, q)
         assert got == want and hash(got) == hash(want)
         assert all(got.terms.values())
+
+
+# -- the fused multiply-accumulate kernel -----------------------------------------
+
+
+def reference_mul_into(out, a, b, sign):
+    """out + sign * a * b by a plain dict convolution, zeros dropped at the end."""
+    acc = dict(out)
+    for g, c in a.items():
+        for h, d in b.items():
+            k = tuple(x + y for x, y in zip(g, h))
+            acc[k] = acc.get(k, 0) + sign * c * d
+    return {k: v for k, v in acc.items() if v}
+
+
+MUL_INTO_KINDS = {
+    "int": COEFFICIENT_KINDS["int"],
+    "fraction": COEFFICIENT_KINDS["fraction"],
+    "cyclo": lambda rng: RealCyclotomicField(7).element(
+        [rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(1, 3)]),
+}
+
+
+def mul_into_terms(rng, rank, kind, nterms):
+    terms = {}
+    for _ in range(nterms):
+        # exponents near zero, so the constant term (and its shortcut) is common
+        g = tuple(rng.randrange(-1, 2) for _ in range(rank))
+        terms[g] = 1 if rng.random() < 0.2 else MUL_INTO_KINDS[kind](rng)
+    return terms
+
+
+@pytest.mark.parametrize("kind", sorted(MUL_INTO_KINDS))
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_mul_into_matches_a_dict_convolution(kind, rank):
+    rng = random.Random(f"{kind}{rank}")
+    for _ in range(200):
+        a, b = (mul_into_terms(rng, rank, kind, rng.randrange(0, 5)) for _ in "ab")
+        out = mul_into_terms(rng, rank, rng.choice(sorted(MUL_INTO_KINDS)), rng.randrange(0, 4))
+        sign = rng.choice([1, -1])
+        a_before, b_before = dict(a), dict(b)
+        want = reference_mul_into(out, a, b, sign)
+        got = mul_into(out, a, b, sign)
+        assert got is out
+        assert out == want
+        assert all(out.values())
+        assert a == a_before and b == b_before
+
+
+@pytest.mark.parametrize("kind", sorted(MUL_INTO_KINDS))
+def test_mul_into_a_sum_that_cancels_leaves_an_empty_map(kind):
+    rng = random.Random(kind)
+    for rank in (1, 2, 3):
+        a, b = (mul_into_terms(rng, rank, kind, 3) for _ in "ab")
+        out = mul_into({}, a, b)
+        assert out and out == reference_mul_into({}, a, b, 1)
+        # a * b - b * a, and -a * b + a * b
+        assert mul_into(out, b, a, -1) == {}
+        assert mul_into(mul_into({}, a, b, -1), a, b) == {}
+
+
+def test_mul_into_constant_one_term_adds_the_other_operand_as_it_is():
+    one = {(0, 0): 1}
+    b = {(1, 0): Fraction(1, 2), (0, -1): 3}
+    out = mul_into({}, one, b)
+    assert out == b and out is not b
+    assert mul_into({(1, 0): Fraction(-1, 2)}, b, one) == {(0, -1): 3}
+    assert mul_into({}, one, b, -1) == {(1, 0): Fraction(-1, 2), (0, -1): -3}
 
 
 # -- the sparse accumulator ------------------------------------------------------
