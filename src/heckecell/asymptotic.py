@@ -17,9 +17,12 @@ entries (`LeadingTensor.entries`) rather than from every (x, y, z) of a
 block: each entry a = M_x[i][j] meets only the entries b = M_y[j][l] of row j
 and c = M_z[l][i] at position (l, i), found through one index by row and one
 by position per representation, and adds f^{-1} a b c to gamma_{x,y,z}; the
-table is filled block by block in (x, y, z) order. The representation check
-likewise compares sparse matrices, so every step costs in proportion to the
-nonzero entries, dense matrices included.
+table is filled block by block in (x, y, z) order. The sums run on packed
+ints (`fields.ProductPacking`, three factors, at most sum dim^3 products per
+key over the block's representations): each (y, z) of a row x is one int,
+read back into the field once, and a sum that reads back as 0 stores no
+key. The representation check likewise compares sparse matrices, so every
+step costs in proportion to the nonzero entries, dense matrices included.
 
 The gamma are Lusztig's, integers (`compare_with_kl` checks it), and the n_d
 are integers too in the rings built here, even over a field of degree above
@@ -36,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ComputationError
-from .fields import narrow
+from .fields import ProductPacking, narrow
 from .hecke import HeckeAlgebra
 from .matrices import f_sparse_mul
 from .reps import check_complete
@@ -109,39 +112,49 @@ class AsymptoticRing:
 
     def _build_gamma(self):
         inverse = self.alg.table.inverse
+        field = self.alg.table.field
         n = [0] * self.size
         gamma: dict = {}
         for bi, block in enumerate(self.blocks):
+            tens = [(t, scalar_inverse(t.f)) for t in self.tensors
+                    if self.block_of_label[t.label] == bi]
             # trace(M_x M_y M_z) is the sum of a*b*c over the entries
-            # a = M_x[i][j], b = M_y[j][l], c = M_z[l][i]: index each
-            # representation's entries by row and by position
-            tens = []
-            for t in self.tensors:
-                if self.block_of_label[t.label] != bi:
-                    continue
-                fi = scalar_inverse(t.f)
+            # a = M_x[i][j], b = M_y[j][l], c = M_z[l][i]: at most sum dim^3
+            # products per (y, z), summed on packed f^-1 a, b and c. Each
+            # representation's entries are indexed by row and by position
+            packing = ProductPacking(field, [
+                v for t, fi in tens for ents in t.entries.values()
+                for _, _, c in ents for v in (c, fi * c)], 3, sum(t.dim ** 3 for t, _ in tens))
+            pack, unpack = packing.pack, packing.unpack
+            index = []
+            for t, fi in tens:
                 by_row: dict = {}
                 by_pos: dict = {}
                 for w, ents in t.entries.items():
                     tr = 0
                     for i, j, c in ents:
-                        by_row.setdefault(i, []).append((w, j, c))
-                        by_pos.setdefault((i, j), []).append((w, c))
+                        pc = pack(c)
+                        by_row.setdefault(i, []).append((w, j, pc))
+                        by_pos.setdefault((i, j), []).append((w, pc))
                         if i == j:
                             tr = c + tr
                     if tr:
                         n[inverse[w]] = n[inverse[w]] + fi * tr
-                tens.append((fi, t.entries, by_row, by_pos))
+                index.append(({w: [(i, j, pack(fi * a)) for i, j, a in ents]
+                               for w, ents in t.entries.items()}, by_row, by_pos))
             for x in block:
                 row: dict = {}
-                for fi, nz, by_row, by_pos in tens:
+                get = row.get
+                for nz, by_row, by_pos in index:
                     for i, j, a in nz.get(x, ()):
                         for y, l, b in by_row.get(j, ()):
-                            fab = fi * a * b
+                            ab = a * b
                             for z, c in by_pos.get((l, i), ()):
-                                accumulate(row, (y, z), fab * c)
+                                key = (y, z)
+                                row[key] = get(key, 0) + ab * c
                 for y, z in sorted(row):
-                    gamma[(x, y, z)] = narrow(row[(y, z)])
+                    if g := unpack(row[(y, z)]):
+                        gamma[(x, y, z)] = g
         self.gamma = gamma
         self.n_vec = [narrow(c) for c in n]
         self.d_set = [w for w in range(self.size) if n[w]]
@@ -242,8 +255,9 @@ class AsymptoticRing:
         # (t_x t_y) t_w - t_x (t_y t_w) at t_{u^-1} is
         #   sum_z gamma_{x,y,z} gamma_{z^-1,w,u} - sum_v gamma_{y,w,v} gamma_{x,v^-1,u};
         # for each x both sums go into one map keyed (y, w, u), from the rows
-        # indexed by first index and the gamma by last index. A key left is
-        # a failing triple (x, y, w), so the failing set covers every triple.
+        # indexed by first index and the gamma by last index. A key whose sum
+        # is nonzero is a failing triple (x, y, w), so the failing set covers
+        # every triple.
         first: dict = {}  # x -> [(y, [(z, gamma_{x,y,z})])]
         last: dict = {}   # z -> [(x, y, gamma_{x,y,z})]
         for (x, y), row in rows.items():
@@ -253,16 +267,19 @@ class AsymptoticRing:
         failing = set()
         for x in range(self.size):
             diff: dict = {}
+            get = diff.get
             for y, row in first.get(x, ()):
                 for z, g in row:
                     for w, row2 in first.get(inverse[z], ()):
                         for u, h in row2:
-                            accumulate(diff, (y, w, u), g * h)
+                            key = (y, w, u)
+                            diff[key] = get(key, 0) + g * h
             for vinv, row in first.get(x, ()):
                 for y, w, g in last.get(inverse[vinv], ()):
                     for u, h in row:
-                        accumulate(diff, (y, w, u), -(g * h))
-            failing.update((x, y, w) for y, w, _ in diff)
+                        key = (y, w, u)
+                        diff[key] = get(key, 0) - g * h
+            failing.update((x, y, w) for (y, w, _), c in diff.items() if c)
         report.record("associativity", [f"associativity fails at ({x},{y},{z})"
                                         for x, y, z in sorted(failing)])
 

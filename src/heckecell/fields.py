@@ -14,6 +14,14 @@ CycloNumber therefore stores integer power-basis coordinates over one positive
 integer denominator, in lowest terms: multiplication convolves and reduces in
 int, and one gcd per result (none when the denominator is 1) keeps the form
 canonical, so equality is a tuple comparison.
+Sums of many products of field values, the J structure constants and the
+Schur orthogonality sums, run on Python ints instead (`ProductPacking`):
+each value over one common denominator D is packed as the integer its
+coordinates make in base 2^bits, a product of packed values is one int
+product, and each sum is unpacked once, its digits reduced modulo the
+minimal polynomial by the same loop as a product and divided by a power
+of D. `bits` is chosen from the values and the number of products so that
+every digit is read back exactly.
 The norm and the inverse of x both come from M_x, the matrix of
 multiplication by x in the power basis: the norm is det M_x, and the
 coordinates of x^-1 solve M_x y = e_0, both through `matrices.eliminate`.
@@ -235,6 +243,78 @@ def narrow(c):
     return int_if_integral(c)
 
 
+class ProductPacking:
+    """Exact sums of k-fold products of field values, on Python ints.
+
+    Built from the values that will be multiplied, the number k of factors
+    in each product and a bound T on the number of products summed into
+    one key. It fixes one common denominator D, the lcm of the values'
+    denominators, and `pack(c)` is the int P_c(2^bits), where P_c is the
+    integer polynomial whose coefficients are the power-basis coordinates
+    of c*D. A product of k packed values is the product polynomial at
+    2^bits, so a sum s of such products is an int too, and `unpack(s)` is
+    that sum of field products, read back once per key.
+
+    Exactness. Let M be the largest |coordinate| of any c*D, d the field
+    degree and bits = (T * d^(k-1) * M^k).bit_length() + 2. The product of k
+    polynomials of degree below d has degree at most k(d-1), and its
+    coefficient at s sums the products of one coordinate of each factor
+    with indices adding up to s: at most d^(k-1) of them (the first k-1
+    indices fix the last), each of absolute value at most M^k. A sum of at
+    most T products therefore has every coefficient of absolute value at
+    most T * d^(k-1) * M^k < 2^(bits-2) < 2^(bits-1). An integer polynomial
+    with every |coefficient| below 2^(bits-1) is read off its value at
+    2^bits by signed base-2^bits digits: the lowest coefficient is the one
+    residue of the value mod 2^bits in [-2^(bits-1), 2^(bits-1)), and the
+    rest is (value - digit) / 2^bits. So the k(d-1)+1 digits are the
+    coefficients exactly; they are reduced modulo the minimal polynomial
+    and divided by D^k. There is no tolerance, and a degree-1 field takes
+    the same path: one digit, nothing to reduce.
+    """
+
+    __slots__ = ("field", "den", "bits", "_digits", "_scale")
+
+    def __init__(self, field: "RealCyclotomicField", values: list, k: int, terms: int):
+        den = lcm(*(c.den if isinstance(c, CycloNumber) else c.denominator for c in values))
+        top = max((abs(x) for c in values for x in _scaled(c, den)), default=0)
+        self.field = field
+        self.den = den
+        self.bits = (terms * field.degree ** (k - 1) * top ** k).bit_length() + 2
+        self._digits = k * (field.degree - 1) + 1
+        self._scale = den ** k
+
+    def pack(self, c) -> int:
+        """The int P_c(2^bits) of an int, Fraction or CycloNumber c."""
+        bits = self.bits
+        return sum(x << (i * bits) for i, x in enumerate(_scaled(c, self.den)))
+
+    def unpack(self, n: int):
+        """The field value of a sum n of k-fold packed products, through
+        `narrow`: an int, a Fraction or an irrational CycloNumber."""
+        if not n:
+            return 0
+        bits = self.bits
+        mask, half = (1 << bits) - 1, 1 << (bits - 1)
+        coeffs = []
+        for _ in range(self._digits):
+            digit = n & mask
+            if digit >= half:
+                digit -= mask + 1
+            coeffs.append(digit)
+            n = (n - digit) >> bits
+        field = self.field
+        return narrow(_canonical(field, tuple(field._reduce(coeffs)), self._scale))
+
+
+def _scaled(c, den: int) -> tuple:
+    """The integer power-basis coordinates of c * den, for a den that the
+    denominator of c divides; a rational c gives one coordinate."""
+    if isinstance(c, CycloNumber):
+        s = den // c.den
+        return tuple(x * s for x in c.num)
+    return (c.numerator * (den // c.denominator),)
+
+
 class RealCyclotomicField:
     """The field Q(delta), delta = 2*cos(2*pi/conductor), with exact sign."""
 
@@ -267,7 +347,9 @@ class RealCyclotomicField:
         return CycloNumber(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
 
     def element(self, coeffs):
-        coeffs = self._reduce([Fraction(c) for c in coeffs])
+        coeffs = [Fraction(c) for c in coeffs]
+        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
+        self._reduce(coeffs)
         if self.is_rational:
             return coeffs[0]
         return self._from_coords(coeffs)
@@ -301,8 +383,9 @@ class RealCyclotomicField:
     # -- arithmetic kernels ---------------------------------------------------
 
     def _reduce(self, coeffs: list) -> list:
-        """Reduce a coordinate list (int or Fraction) modulo the minimal
-        polynomial, in place, padding it to `degree` entries."""
+        """Reduce a coordinate list (int or Fraction), at least `degree`
+        long, modulo the minimal polynomial, in place, and cut it to
+        `degree` entries: the one reduction loop of the module."""
         d = self.degree
         mp = self.min_poly
         for i in range(len(coeffs) - 1, d - 1, -1):
@@ -310,26 +393,17 @@ class RealCyclotomicField:
             if c:
                 for j in range(d):
                     coeffs[i - d + j] -= c * mp[j]
-            coeffs.pop()
-        while len(coeffs) < d:
-            coeffs.append(Fraction(0))
+        del coeffs[d:]
         return coeffs
 
     def _mul_reduce(self, a: tuple, b: tuple) -> tuple:
         """Product of two integer coordinate tuples, reduced, in pure int."""
-        d = self.degree
-        out = [0] * (2 * d - 1)
+        out = [0] * (2 * self.degree - 1)
         for i, ai in enumerate(a):
             if ai:
                 for k, bj in enumerate(b, i):
                     out[k] += ai * bj
-        mp = self.min_poly
-        for i in range(2 * d - 2, d - 1, -1):
-            c = out[i]
-            if c:
-                for j in range(d):
-                    out[i - d + j] -= c * mp[j]
-        return tuple(out[:d])
+        return tuple(self._reduce(out))
 
     def inverse(self, x: CycloNumber) -> CycloNumber:
         """x^-1 for a nonzero CycloNumber x, reached through

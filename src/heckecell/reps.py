@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComputationError, InputError, VerificationError
+from .fields import ProductPacking
 from .hecke import HeckeAlgebra
 from .matrices import KMatrix, f_det, f_nonzero
-from .scalars import (LaurentFraction, LaurentPoly, accumulate, exp_neg, exp_sub,
-                      scalar_inverse)
+from .scalars import LaurentFraction, LaurentPoly, exp_neg, exp_sub, scalar_inverse
 
 
 class MatrixRep:
@@ -380,44 +380,59 @@ def verify_schur_relations(alg: HeckeAlgebra, tensors: list) -> list:
         sum_w c^{ij}_{w,lam} c^{kl}_{w^{-1},mu} = d_il d_jk d_{lam,mu} f_lam
         sum_lam sum_{i,j} f^{-1} c^{ij}_{x,lam} c^{ji}_{y^{-1},lam} = d_xy
 
+    Both sides are sums of products of two leading entries, summed on packed
+    ints (`fields.ProductPacking`) and read back once per key: at most |W|
+    products per (i, j, k, l) in the first family, one per w, and at most
+    sum dim^2 = |W| per (x, y) in the second.
+
     Returns a list of violation descriptions (empty means all hold exactly).
     Raises if the family is incomplete (sum of squared dimensions != |W|).
     """
     size = alg.table.size
     check_complete(size, tensors)
     inverse = alg.table.inverse
+    fis = [scalar_inverse(t.f) for t in tensors]
+    packing = ProductPacking(alg.table.field, [
+        v for t, fi in zip(tensors, fis) for ents in t.entries.values()
+        for _, _, c in ents for v in (c, fi * c)], 2, size)
+    pack, unpack = packing.pack, packing.unpack
+    entries = [{w: [(i, j, pack(c)) for i, j, c in ents] for w, ents in t.entries.items()}
+               for t in tensors]
     violations = []
     for li, t1 in enumerate(tensors):
         for lj, t2 in enumerate(tensors):
             acc: dict = {}
-            for w, ents in t1.entries.items():
-                for k, l, b in t2.entries.get(inverse[w], ()):
+            get = acc.get
+            e2 = entries[lj]
+            for w, ents in entries[li].items():
+                for k, l, b in e2.get(inverse[w], ()):
                     for i, j, a in ents:
-                        accumulate(acc, (i, j, k, l), a * b)
+                        key = (i, j, k, l)
+                        acc[key] = get(key, 0) + a * b
             keys = set(acc)
             if li == lj:
                 keys.update((i, j, j, i) for i in range(t1.dim) for j in range(t1.dim))
             for i, j, k, l in sorted(keys):
-                want = t1.f if (li == lj and i == l and j == k) else Fraction(0)
-                if acc.get((i, j, k, l), Fraction(0)) != want:
+                want = t1.f if (li == lj and i == l and j == k) else 0
+                if unpack(get((i, j, k, l), 0)) != want:
                     violations.append(
                         f"first family fails at ({t1.label},{t2.label},"
                         f"i={i},j={j},k={k},l={l})")
     acc = {}
-    for t in tensors:
-        fi = scalar_inverse(t.f)
+    get = acc.get
+    for t, fi, packed in zip(tensors, fis, entries):
         by_pos: dict = {}
-        for w, ents in t.entries.items():
+        for w, ents in packed.items():
             for i, j, c in ents:
-                by_pos.setdefault((i, j), []).append((w, c))
+                by_pos.setdefault((i, j), []).append((inverse[w], c))
         for x, ents in t.entries.items():
             for i, j, a in ents:
-                fa = fi * a
-                for z, c in by_pos.get((j, i), ()):
-                    accumulate(acc, (x, inverse[z]), fa * c)
+                fa = pack(fi * a)
+                for y, c in by_pos.get((j, i), ()):
+                    key = (x, y)
+                    acc[key] = get(key, 0) + fa * c
     for x, y in sorted(set(acc) | {(x, x) for x in range(size)}):
-        want = Fraction(1) if x == y else Fraction(0)
-        if acc.get((x, y), Fraction(0)) != want:
+        if unpack(get((x, y), 0)) != int(x == y):
             violations.append(f"second family fails at (x={x},y={y})")
     return violations
 

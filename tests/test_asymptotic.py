@@ -10,6 +10,7 @@ from conftest import corrupted_ring, edited_leading_session, f_mat_mul, get_sess
 from heckecell.asymptotic import AsymptoticRing
 from heckecell.cli import Session
 from heckecell.errors import VerificationError
+from heckecell.fields import CycloNumber
 from heckecell.matrices import f_inverse, f_nonzero
 from heckecell.reps import verify_schur_relations
 from heckecell.scalars import exp_neg, scalar_inverse
@@ -425,23 +426,26 @@ def dense_gamma(ring) -> dict:
     return gamma
 
 
-def conjugated(t):
-    """t with every leading matrix M replaced by P M P^{-1}, P = I + (all ones).
-    Neither P nor P^{-1} has a zero entry, so a single-entry M becomes dense."""
-    p = [[Fraction(2 if i == j else 1) for j in range(t.dim)] for i in range(t.dim)]
+def conjugated(t, p=None):
+    """t with every leading matrix M replaced by P M P^{-1}, by default
+    P = I + (all ones). Neither P nor P^{-1} has a zero entry, so a
+    single-entry M becomes dense."""
+    if p is None:
+        p = [[Fraction(2 if i == j else 1) for j in range(t.dim)] for i in range(t.dim)]
     pinv, _ = f_inverse(p)
     return dataclasses.replace(t, entries={
         w: f_nonzero(f_mat_mul(f_mat_mul(p, t.matrix(w)), pinv)) for w in t.entries})
 
 
-@pytest.mark.parametrize("name,weights,order", [
-    ("I2:7", "equal", None),
-    ("B2", "universal", "b-first"),
-    ("A3", "equal", None),
-])
-def test_dense_leading_matrices_agree_with_the_dense_formula(name, weights, order):
-    session = get_session(name, weights, order)
-    tens = [conjugated(t) for t in session.tensors]
+def wide(dim: int) -> list:
+    """P = I + 10^12 (all ones) with the entry (0, dim-1) replaced by 1/7:
+    large coordinates over a denominator D != 1 in the packed sums."""
+    p = [[Fraction(int(i == j) + 10 ** 12) for j in range(dim)] for i in range(dim)]
+    p[0][dim - 1] = Fraction(1, 7)
+    return p
+
+
+def assert_dense_formula_agrees(session, tens):
     assert all(len(ents) == t.dim ** 2 for t in tens for ents in t.entries.values())
     ring = AsymptoticRing(session.algebra, tens)
     assert list(ring.gamma.items()) == list(dense_gamma(ring).items())
@@ -451,6 +455,31 @@ def test_dense_leading_matrices_agree_with_the_dense_formula(name, weights, orde
     report = ring.verify()
     assert report.ok, report.summary()
     assert verify_schur_relations(session.algebra, tens) == []
+
+
+@pytest.mark.parametrize("name,weights,order", [
+    ("I2:7", "equal", None),
+    ("B2", "universal", "b-first"),
+    ("A3", "equal", None),
+    ("I2:11", "equal", None),
+    ("I2:12", "universal", "b-first"),
+    ("I2:12", '{"0":[1],"1":[2]}', None),
+])
+def test_dense_leading_matrices_agree_with_the_dense_formula(name, weights, order):
+    session = get_session(name, weights, order)
+    assert_dense_formula_agrees(session, [conjugated(t) for t in session.tensors])
+
+
+@pytest.mark.parametrize("name", ["I2:7", "A3"])
+def test_a_wide_conjugation_agrees_with_the_dense_formula(name):
+    """Leading entries with coordinates near 10^24 over denominators that
+    carry the 7 of P: the packing widths grow with them, and every sum is
+    still exact."""
+    session = get_session(name)
+    tens = [conjugated(t, wide(t.dim)) for t in session.tensors]
+    assert any((c.den if isinstance(c, CycloNumber) else c.denominator) % 7 == 0
+               for t in tens for ents in t.entries.values() for _, _, c in ents)
+    assert_dense_formula_agrees(session, tens)
 
 
 @pytest.mark.parametrize("name,weights,order", [

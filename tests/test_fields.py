@@ -9,7 +9,7 @@ import pytest
 
 from heckecell import fields as fields_mod
 from heckecell.errors import InputError
-from heckecell.fields import (CycloNumber, RealCyclotomicField, narrow,
+from heckecell.fields import (CycloNumber, ProductPacking, RealCyclotomicField, narrow,
                               real_minimal_polynomial, reduced_conductor)
 from heckecell.scalars import scalar_inverse
 
@@ -366,6 +366,113 @@ def test_inverting_zero_raises():
             scalar_inverse(F.zero)
         with pytest.raises(ZeroDivisionError):
             scalar_inverse(F.delta() - F.delta())
+
+
+# -- sums of products on packed ints ------------------------------------------
+
+# degrees 1, 2, 3 and 5
+PACKING_CONDUCTORS = [1, 5, 7, 11]
+
+
+def packing_values(F):
+    """Values with denominators 2, 3 and 7 and coordinates of either sign."""
+    return [F.element([Fraction((-1) ** i * (i + 2), 3) for i in range(F.degree)]),
+            F.element([Fraction(5, 7)] * F.degree), Fraction(-9, 2), 4]
+
+
+def packed_reference(F, digits, scale):
+    """sum digits[i] * delta^i / scale, reduced over Fraction coordinates."""
+    return narrow(F.element(ref_reduce(F.min_poly, [Fraction(d, scale) for d in digits])))
+
+
+def field_product(factors):
+    out = 1
+    for c in factors:
+        out = c * out
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", PACKING_CONDUCTORS)
+def test_packing_width_is_the_documented_bound(n, k):
+    F = RealCyclotomicField(n)
+    values = packing_values(F)
+    packing = ProductPacking(F, values, k, 12)
+    assert packing.den == 42
+    top = max(int(abs(c) * 42) for v in values for c in F.coords(v))
+    assert packing.bits == (12 * F.degree ** (k - 1) * top ** k).bit_length() + 2
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", PACKING_CONDUCTORS)
+def test_unpack_reads_the_widest_signed_digits(n, k):
+    """Every one of the k(d-1)+1 digits at +-(2^(bits-1) - 1), in four sign
+    patterns, comes back as the reduced value over D^k."""
+    F = RealCyclotomicField(n)
+    packing = ProductPacking(F, packing_values(F), k, 12)
+    bits, count = packing.bits, k * (F.degree - 1) + 1
+    top = (1 << (bits - 1)) - 1
+    for signs in ([1] * count, [-1] * count, [(-1) ** i for i in range(count)],
+                  [-((-1) ** i) for i in range(count)]):
+        digits = [s * top for s in signs]
+        got = packing.unpack(sum(d << (i * bits) for i, d in enumerate(digits)))
+        want = packed_reference(F, digits, packing.den ** k)
+        assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", PACKING_CONDUCTORS)
+def test_packed_sums_match_field_arithmetic(n, k):
+    """Sums of up to `terms` products, the largest coordinates all of one
+    sign included, against the same sums of field products."""
+    F = RealCyclotomicField(n)
+    rng = random.Random(40 + 10 * n + k)
+    values = packing_values(F) + [random_element(F, rng) for _ in range(6)]
+    terms = 9
+    packing = ProductPacking(F, values, k, terms)
+    pack = packing.pack
+    cases = [[[values[1]] * k] * terms]
+    for _ in range(30):
+        cases.append([[rng.choice(values) for _ in range(k)]
+                      for _ in range(rng.randrange(1, terms + 1))])
+    for products in cases:
+        got = packing.unpack(sum(field_product(pack(c) for c in p) for p in products))
+        want = narrow(sum((field_product(p) for p in products), 0))
+        assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("n", PACKING_CONDUCTORS)
+def test_a_sum_that_cancels_unpacks_to_zero(n):
+    """Cancelling products, and on degree 2 a nonzero digit polynomial that
+    the minimal polynomial delta^2 + delta - 1 reduces to 0."""
+    F = RealCyclotomicField(n)
+    a, b = packing_values(F)[:2]
+    packing = ProductPacking(F, [a, -a, b, F.delta(), 1], 2, 3)
+    pack = packing.pack
+    for packed in (pack(a) * pack(b) + pack(-a) * pack(b), 0):
+        got = packing.unpack(packed)
+        assert got == 0 and type(got) is int
+    if F.degree == 2:
+        d, one = pack(F.delta()), pack(1)
+        packed = d * d + d * one - one * one
+        assert packed != 0
+        got = packing.unpack(packed)
+        assert got == 0 and type(got) is int
+
+
+def test_packing_divides_a_common_denominator_back_exactly():
+    F = RealCyclotomicField(7)
+    values = [Fraction(1, 6), F.element([Fraction(1, 4), 0, Fraction(-1, 9)]), Fraction(3, 5)]
+    packing = ProductPacking(F, values, 3, 4)
+    assert packing.den == 180
+    pack = packing.pack
+    got = packing.unpack(sum(pack(a) * pack(b) * pack(c) for a, b, c in
+                             [values, values[::-1], values[:1] * 3]))
+    want = sum(field_product(p) for p in [values, values[::-1], values[:1] * 3])
+    assert got == want and type(got) is CycloNumber and got.den != 1
+    # a rational sum over the same denominators comes back as a Fraction
+    got = packing.unpack(pack(values[0]) * pack(values[2]) * pack(4 * values[0]))
+    assert got == Fraction(1, 15) and type(got) is Fraction
 
 
 # -- the isolating interval for delta ------------------------------------------

@@ -1,5 +1,6 @@
 """Representation constructors, Schur data, balancing, leading coefficients."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from heckecell.reps import (MatrixRep, SchurData, balance, balanced_tensor, buil
                             invariant_gram, is_balanced, leading_tensor, load_rep, one_dim_rep,
                             rep_from_dict, schur_data, seminormal_rep, sign_rep,
                             verify_schur_relations)
-from heckecell.scalars import LaurentPoly
+from heckecell.scalars import LaurentPoly, accumulate, scalar_inverse
 
 
 def test_one_dimensional_traces():
@@ -430,6 +431,65 @@ def test_schur_relations_detect_an_edited_leading_entry(family, edit):
         want = [f"second family fails at (x={x},y={y})"
                 for x, y in EDITED_SCHUR_VIOLATIONS[(family, edit)]]
     assert found == want
+
+
+def reference_schur_relations(alg, tensors) -> list:
+    """Both orthogonality families summed one field product at a time: the
+    reference for the packed sums of `verify_schur_relations`."""
+    size, inverse = alg.table.size, alg.table.inverse
+    violations = []
+    for li, t1 in enumerate(tensors):
+        for lj, t2 in enumerate(tensors):
+            acc: dict = {}
+            for w, ents in t1.entries.items():
+                for k, l, b in t2.entries.get(inverse[w], ()):
+                    for i, j, a in ents:
+                        accumulate(acc, (i, j, k, l), a * b)
+            keys = set(acc)
+            if li == lj:
+                keys.update((i, j, j, i) for i in range(t1.dim) for j in range(t1.dim))
+            for i, j, k, l in sorted(keys):
+                want = t1.f if (li == lj and i == l and j == k) else 0
+                if acc.get((i, j, k, l), 0) != want:
+                    violations.append(f"first family fails at ({t1.label},{t2.label},"
+                                      f"i={i},j={j},k={k},l={l})")
+    acc = {}
+    for t in tensors:
+        fi = scalar_inverse(t.f)
+        for x, ents in t.entries.items():
+            for i, j, a in ents:
+                for z, zents in t.entries.items():
+                    for k, l, c in zents:
+                        if (k, l) == (j, i):
+                            accumulate(acc, (x, inverse[z]), fi * a * c)
+    for x, y in sorted(set(acc) | {(x, x) for x in range(size)}):
+        if acc.get((x, y), 0) != (x == y):
+            violations.append(f"second family fails at (x={x},y={y})")
+    return violations
+
+
+@pytest.mark.parametrize("name,weights,order", [
+    ("I2:11", "equal", None), ("I2:12", "universal", "b-first"), ("B3", "universal", "b-first"),
+])
+def test_packed_schur_sums_agree_with_the_field_products(name, weights, order):
+    """An entry of each representation moved by 1/3 (by delta/3 over a field
+    of degree above one): both families list the reference's violations."""
+    session = get_session(name, weights, order)
+    alg = session.algebra
+    field = alg.table.field
+    step = Fraction(1, 3) if field.is_rational else field.delta() * Fraction(1, 3)
+    tensors = []
+    for t in session.tensors:
+        w = max(t.entries)
+        entries = dict(t.entries)
+        (i, j, c), *rest = entries[w]
+        entries[w] = [(i, j, c + step), *rest]
+        tensors.append(dataclasses.replace(t, entries=entries))
+    found = verify_schur_relations(alg, tensors)
+    assert found == reference_schur_relations(alg, tensors)
+    assert any(v.startswith("first") for v in found)
+    assert any(v.startswith("second") for v in found)
+    assert reference_schur_relations(alg, session.tensors) == []
 
 
 def test_minimality_of_the_shift():
