@@ -5,7 +5,9 @@ scalars (Fraction or CycloNumber), handled by the f_* functions on lists of
 lists (`f_sparse_mul` multiplies their `f_nonzero` entry lists instead), and
 matrices over the fraction field of the Laurent ring, handled by KMatrix,
 which keeps one common polynomial denominator per matrix so that products
-only ever multiply polynomials.
+only ever multiply polynomials. `KMatrix.from_fractions`, where rational
+coefficients enter the word matrices, clears their denominators, so those
+polynomials carry no Fraction coefficient.
 
 Determinants and inverses of both kinds come from `eliminate`, a single
 Gauss-Jordan pass over an augmented matrix [A | B]; so do the norm and the
@@ -27,10 +29,11 @@ entrywise: the balance test, the leading tensors and the B-matrices read it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ComputationError
-from .scalars import (LaurentFraction, LaurentPoly, accumulate, exp_sub, mul_into,
-                      scalar_inverse)
+from .scalars import (LaurentFraction, LaurentPoly, accumulate, exp_sub, int_if_integral,
+                      mul_into, scalar_inverse)
 
 
 def eliminate(m, n: int, one):
@@ -136,6 +139,11 @@ def f_inverse(a):
 # -- matrices over the Laurent fraction field ----------------------------------
 
 
+def _times_int(p: LaurentPoly, k: int) -> LaurentPoly:
+    """k * p, with each integer-valued coefficient stored as an int."""
+    return LaurentPoly(p.rank, {g: int_if_integral(c * k) for g, c in p.terms.items()})
+
+
 class KMatrix:
     """Matrix over K kept as (numerator polynomial matrix, common denominator)."""
 
@@ -165,6 +173,12 @@ class KMatrix:
         does not already divide the product so far. A seminormal generator's
         entries over 1 - r and (1 - r)^2 then share (1 - r)^2, not (1 - r)^3.
         Every entry denominator divides the result.
+
+        Numerators and denominator are then multiplied by the lcm k of the
+        Fraction denominators among their coefficients: entries with rational
+        coefficients give numerators and a denominator with int coefficients,
+        so products of such matrices run on ints. The matrix is the same
+        element of M_n(K).
         """
         quot = dict.fromkeys(x.den for row in rows for x in row)
         den = LaurentPoly.one(rows[0][0].rank)
@@ -173,7 +187,14 @@ class KMatrix:
                 den = den * d
         for d in quot:
             quot[d] = den.exact_divide(d)
-        return cls([[x.num * quot[x.den] for x in row] for row in rows], den)
+        num = [[x.num * quot[x.den] for x in row] for row in rows]
+        polys = [den] + [x for row in num for x in row]
+        k = lcm(*(c.denominator for p in polys for c in p.terms.values()
+                  if type(c) is Fraction))
+        if k > 1:
+            num = [[_times_int(x, k) for x in row] for row in num]
+            den = _times_int(den, k)
+        return cls(num, den)
 
     @property
     def dim(self):

@@ -757,7 +757,7 @@ def _wgraph_rep(alg: HeckeAlgebra, label: str, wg: dict) -> MatrixRep:
         if isinstance(w, str):
             p = LaurentPoly.from_str(w, field, alg.order)
         elif type(w) is int:  # not bool
-            p = LaurentPoly.constant(rank, Fraction(w))
+            p = LaurentPoly.constant(rank, w)
         else:
             raise InputError(f"W-graph edge weight {w!r} is neither an integer nor a "
                              "polynomial string")

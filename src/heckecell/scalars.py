@@ -18,21 +18,21 @@ cross-multiplication, and the data anyone downstream actually consumes is the
 valuation pair (g_x, r_x) of the normal form x = r_x eps^{g_x} (1+p)/(1+q).
 
 Coefficients are int, Fraction or CycloNumber. A rational coefficient may be
-stored as an int or a Fraction, and an integer-valued one as either: the
-product of two polynomials with rational coefficients, neither a monomial and
-not both all-int, convolves integer numerators over the lcm of each side's
-denominators and stores each result as an int when it is integer-valued. Both
+stored as an int or a Fraction, and an integer-valued one as either; both
 forms compare equal and hash alike (hash(3) == hash(Fraction(3))), so values,
-equality and hashes of polynomials do not depend on the form.
+equality and hashes of polynomials do not depend on the form. Fractions are
+kept out of the word matrices where they would enter them:
+`matrices.KMatrix.from_fractions` clears them, so products of word matrices
+run on int coefficients through the one loop below.
 
-`mul_into(out, a, b, sign)` is the convolution loop of the package, with
-`_int_convolve` as its integer-numerator route: it adds +-a*b to a
-mutable term map in place and deletes a coefficient that cancels. A sum of
-products (a KL peel, an h-table entry, a KMatrix entry, a Bareiss update)
-builds one term map through it and wraps it in a `LaurentPoly` once, at the
-end, instead of building a polynomial per product and copying the running
-sum to add it. `LaurentPoly.__mul__` is the kernel on an empty map, and
-each step of `exact_divide` subtracts through it.
+`mul_into(out, a, b, sign)` is the convolution loop of the package: it adds
++-a*b to a mutable term map in place and deletes a coefficient that
+cancels. A sum of products (a KL peel, an h-table entry, a KMatrix entry, a
+Bareiss update) builds one term map through it and wraps it in a
+`LaurentPoly` once, at the end, instead of building a polynomial per
+product and copying the running sum to add it. `LaurentPoly.__mul__` is the
+kernel on an empty map, and each step of `exact_divide` subtracts through
+it.
 
 `LaurentPoly(rank, terms)` keeps the map it is given, which must have no
 zero coefficient; every kernel here builds its maps that way. Coefficients
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add, gt, sub
 
 from .errors import ComputationError, InputError
@@ -133,9 +132,9 @@ class LaurentPoly:
 
     # -- ring operations ---------------------------------------------------------
 
-    # __add__, __sub__, mul_into and _int_convolve sum terms inline rather
-    # than through accumulate(): they are the hottest kernels of the package,
-    # and the extra call per term costs about 30% of an addition of small
+    # __add__, __sub__ and mul_into sum terms inline rather than through
+    # accumulate(): they are the hottest kernels of the package, and the
+    # extra call per term costs about 30% of an addition of small
     # polynomials. __mul__ and each step of exact_divide call mul_into.
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -366,22 +365,14 @@ def mul_into(out: dict, a: dict, b: dict, sign: int = 1) -> dict:
     The convolution loop of the package: a and b are term maps
     (exponent -> coefficient) of one rank, with no zero coefficient, and are
     not changed; out must be neither of them. A coefficient of out that
-    cancels is deleted, so out never stores a zero. Two rational operands,
-    neither a monomial and not both all-int, are convolved on integer
-    numerators (`_int_convolve`) and that product is added. Otherwise each
-    coefficient product goes straight into out: exponents are summed
-    without `map` at rank 1 and 2, and a term 1 * eps^0 of the shorter
-    operand adds the other's terms as they are."""
+    cancels is deleted, so out never stores a zero. Each coefficient
+    product goes straight into out, in the coefficients' own arithmetic:
+    exponents are summed without `map` at rank 1 and 2, and a term
+    1 * eps^0 of the shorter operand adds the other's terms as they are."""
     if len(a) > len(b):
         a, b = b, a
     if not a:
         return out
-    if len(a) > 1:
-        ra = _rational_denominator(a)
-        rb = _rational_denominator(b) if ra else None
-        if rb and (ra[1] or rb[1]):
-            b = _int_convolve(a, ra[0], b, rb[0])
-            a = {(0,) * len(next(iter(a))): 1}
     # one copy of the loop per way of forming the key k and the value: one
     # loop over a list of (k, value) pairs took about 15% longer on the
     # products of the h-table and of the seminormal models
@@ -457,40 +448,6 @@ def int_if_integral(c):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
-
-
-def _rational_denominator(terms: dict):
-    """(lcm of the denominators, whether any coefficient is a Fraction), or
-    None when some coefficient is neither an int nor a Fraction."""
-    den, has_fraction = 1, False
-    for c in terms.values():
-        if type(c) is Fraction:
-            has_fraction = True
-            den = lcm(den, c.denominator)
-        elif type(c) is not int:
-            return None
-    return den, has_fraction
-
-
-def _int_convolve(a: dict, da: int, b: dict, db: int) -> dict:
-    """Product of two rational term maps over the lcm denominators da and db:
-    the convolution runs on int numerators, and each output coefficient is
-    built once, as an int when da * db divides it and as a Fraction otherwise."""
-    nb = [(h, d.numerator * (db // d.denominator)) for h, d in b.items()]
-    acc = {}
-    get = acc.get
-    for g, c in a.items():
-        c = c.numerator * (da // c.denominator)
-        for h, d in nb:
-            k = tuple(map(add, g, h))
-            acc[k] = get(k, 0) + c * d
-    den = da * db
-    out = {}
-    for k, v in acc.items():
-        if v:
-            q, r = divmod(v, den)
-            out[k] = Fraction(v, den) if r else q
-    return out
 
 
 class LaurentFraction:

@@ -154,6 +154,33 @@ def test_from_fractions_denominator_is_divided_by_every_entry_denominator():
             assert mat.fractions() == rows
 
 
+def coefficient_types(mat: KMatrix) -> set:
+    return {type(c) for p in [mat.den] + [x for row in mat.num for x in row]
+            for c in p.terms.values()}
+
+
+def test_from_fractions_clears_rational_coefficients():
+    # 1/(2 - e) is stored as (1/2)/(1 - e/2): Fractions in numerator and
+    # denominator; an integer-valued Fraction(4) must come out as 4
+    e = LaurentPoly.monomial((1,))
+    two_minus_e = LaurentPoly(1, {(0,): 2, (1,): -1})
+    one_minus_e = LaurentPoly(1, {(0,): 1, (1,): -1})
+    cases = [
+        [[LaurentFraction(LaurentPoly(1, {(0,): Fraction(1, 2), (1,): 3}), one_minus_e),
+          LaurentFraction.from_poly(LaurentPoly.constant(1, Fraction(-5, 6)))],
+         [LaurentFraction.from_poly(LaurentPoly.constant(1, Fraction(4))),
+          LaurentFraction.from_poly(e)]],
+        [[LaurentFraction(LaurentPoly.one(1), two_minus_e),
+          LaurentFraction(e, LaurentPoly(1, {(0,): 1, (2,): Fraction(1, 3)}))],
+         [LaurentFraction.from_poly(LaurentPoly.constant(1, Fraction(4))),
+          LaurentFraction(LaurentPoly.constant(1, 3), one_minus_e)]],
+    ]
+    for rows in cases:
+        mat = KMatrix.from_fractions(rows)
+        assert mat.fractions() == rows
+        assert coefficient_types(mat) == {int}
+
+
 def test_kmatrix_equality_over_equal_and_different_denominators():
     den = LaurentPoly(1, {(0,): 1, (1,): -1})
     num = [[LaurentPoly.monomial((1,), 2), LaurentPoly.zero(1)],

@@ -550,6 +550,41 @@ def test_wgraph_degenerate_and_two_dimensional():
         assert two.trace_poly(w) == sn.trace_poly(w)
 
 
+A3_REFLECTION_WGRAPH = {"label": "refl", "wgraph": {"vertices": [[0], [1], [2]],
+                                                     "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2}]}}
+
+
+def fraction_coefficients(mats) -> list:
+    """The Fraction coefficients of the numerators and denominators of mats."""
+    return [c for m in mats for p in [m.den] + [x for row in m.num for x in row]
+            for c in p.terms.values() if type(c) is Fraction]
+
+
+@pytest.mark.parametrize("case", [("B2", '{"0":[1],"1":[2]}'), ("B3", "equal"),
+                                  ("B3", '{"0":[1],"1":[2],"2":[2]}'),
+                                  ("I2:12", '{"0":[1],"1":[2]}'), ("A3", "wgraph")],
+                         ids=lambda case: "-".join(case))
+def test_word_matrices_carry_no_fraction(case):
+    """Rational coefficients are cleared where they enter (`from_fractions`,
+    integer W-graph weights), so the generators of every model, and the
+    conjugators and Gram of every rebalanced one, have int or cyclotomic
+    coefficients only."""
+    system, weights = case
+    if weights == "wgraph":
+        family = [rep_from_dict(get_session(system).algebra, A3_REFLECTION_WGRAPH)]
+        models = [balanced_tensor(family[0])]
+    else:
+        session = get_session(system, weights)
+        family, models = session.family, list(session.balanced.values())
+    assert fraction_coefficients(g for rep in family for g in rep.gens) == []
+    for b in models:
+        if b.rep.base is not None:
+            _, cinv, c = b.rep.base
+            assert fraction_coefficients([cinv, c, *b.rep.gens, b.rep.gram, b.gram]) == []
+    if case == ("B3", "equal"):
+        assert any(b.rep.base is not None for b in models)
+
+
 def test_wgraph_braid_violation_rejected():
     alg = get_session("A2").algebra
     with pytest.raises(VerificationError, match="braid violation"):

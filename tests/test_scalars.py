@@ -317,7 +317,7 @@ def test_scalar_times_polynomial_is_scale():
     assert 0 * p == LaurentPoly.zero(2)
 
 
-# -- the integer-numerator product kernel ---------------------------------------
+# -- the product kernel on rational coefficients ---------------------------------
 
 
 def reference_mul(p, q):
@@ -376,11 +376,7 @@ def test_product_kernel_matches_the_reference_loop(kind):
         rank = rng.randrange(1, 4)
         p = kind_poly(rng, rank, kind, rng.randrange(0, 6))
         q = kind_poly(rng, rank, rng.choice(sorted(COEFFICIENT_KINDS)), rng.randrange(0, 6))
-        got = assert_same_product(p, q)
-        if min(len(p.terms), len(q.terms)) > 1 and any(
-                type(c) is Fraction for c in list(p.terms.values()) + list(q.terms.values())):
-            # the kernel builds each coefficient once, and integer values as int
-            assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+        assert_same_product(p, q)
 
 
 def test_product_kernel_cancellation_stores_no_zero():
@@ -394,7 +390,6 @@ def test_product_kernel_cancellation_stores_no_zero():
     y = LaurentPoly(2, {(1, 0): Fraction(3), (0, 1): Fraction(-2)})
     got = assert_same_product(x, y)
     assert got.terms == {(2, 0): 9, (0, 2): -4}
-    assert all(type(c) is int for c in got.terms.values())
 
 
 def test_product_kernel_empty_and_monomial_operands():
