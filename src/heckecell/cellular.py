@@ -19,11 +19,11 @@ from dataclasses import dataclass, field as dc_field
 from .asymptotic import AsymptoticRing, Report
 from .coxeter import WeightFunction
 from .errors import ComputationError, InputError, VerificationError
-from .fields import narrow
+from .fields import CycloNumber, ProductPacking, narrow
 from .hecke import HeckeAlgebra
 from .matrices import KMatrix, f_det, f_inverse, f_nonzero, f_sparse_mul
 from .reps import LeadingTensor
-from .scalars import LaurentPoly, accumulate
+from .scalars import LaurentPoly, accumulate, scalar_inverse
 
 def b_matrix(rep_gram: KMatrix, tensor: LeadingTensor, alg: HeckeAlgebra):
     """Constant-term matrix of a normalized balanced Gram form.
@@ -91,25 +91,22 @@ class CellDatum:
 def lambda_order(alg: HeckeAlgebra, ring: AsymptoticRing) -> dict:
     """The partial order: lam <= mu iff lam = mu, or block(lam) sits strictly
     below block(mu) in the two-sided preorder. Checked to be representative-
-    independent, antisymmetric and transitive."""
+    independent, antisymmetric and transitive, once per pair of blocks."""
     labels = [t.label for t in ring.tensors]
+    block = ring.block_of_label
     _, _, cell_of = alg.lr_cells()
-    leq = {}
+    below: dict = {}  # (block, block) -> bool
     for la in labels:
-        bla = ring.blocks[ring.block_of_label[la]]
         for mu in labels:
-            bmu = ring.blocks[ring.block_of_label[mu]]
-            if la == mu:
-                leq[(la, mu)] = True
-                continue
-            results = {
-                (alg.leq_lr(x, y) and cell_of[x] != cell_of[y])
-                for x in bla for y in bmu
-            }
-            if len(results) != 1:
-                raise ComputationError(
-                    f"order between {la} and {mu} depends on block representatives")
-            leq[(la, mu)] = results.pop()
+            pair = (block[la], block[mu])
+            if la != mu and pair not in below:
+                results = {(alg.leq_lr(x, y) and cell_of[x] != cell_of[y])
+                           for x in ring.blocks[pair[0]] for y in ring.blocks[pair[1]]}
+                if len(results) != 1:
+                    raise ComputationError(
+                        f"order between {la} and {mu} depends on block representatives")
+                below[pair] = results.pop()
+    leq = {(la, mu): la == mu or below[(block[la], block[mu])] for la in labels for mu in labels}
     for la in labels:
         for mu in labels:
             if la != mu and leq[(la, mu)] and leq[(mu, la)]:
@@ -165,40 +162,81 @@ def build_cell_datum(alg: HeckeAlgebra, ring: AsymptoticRing, grams: dict) -> Ce
 
 
 def verify_cell_datum(datum: CellDatum) -> Report:
-    """C1 and C3 read the one elimination that inverts the transition matrix;
-    C3 is checked only on a square, nonsingular basis. C1 asks for a basis
-    over R, as A'-basis does: the transition matrix lies over Z[delta], so
-    its inverse lies over R exactly when its determinant is a unit of R."""
-    report = Report()
-    alg = datum.alg
-    size = alg.table.size
-    keys = _cell_keys(datum)
+    """C1 basis, C2 star and C3 left action of the cell datum.
 
+    C1 asks for a basis over R = Z[delta][1/p : p in invertible_primes]. The
+    transition matrix P[(lam,s,t)][u] = (beta_lam M^lam_{u^-1})[t][s] has the
+    closed-form inverse Q[u][(lam,s,t)] = f_lam^-1 (M^lam_u beta_lam^-1)[s][t]:
+    the first Schur family, sum_w M^lam_w[a][s] M^mu_{w^-1}[s'][b] =
+    d_{lam,mu} d_ab d_ss' f_lam, makes (PQ)[(lam,s,t)][(mu,s',t')] =
+    d_{lam,mu} d_ss' (beta_lam beta_lam^-1)[t][t']. C1 passes on a certificate
+    (`_certified_coords`): |W| keys, every entry of P and Q in R
+    (`_lies_in_r`) and PQ = I; then det P det Q = 1 makes det P a unit of R.
+    Otherwise one elimination over F inverts P, and C1 asks that det P be a
+    unit of R (P lies over Z[delta], so P^-1 then lies over R): every failing
+    C1 report comes from there. C3 is checked only on a square, nonsingular
+    basis, from the rows of either inverse."""
+    report = Report()
+    size = datum.alg.table.size
+    keys = _cell_keys(datum)
     bad = []
-    tinv_t = None
-    # transition is keys x w; its inverse is w x keys, so coordinates of a
-    # C-basis vector p are x[ki] = sum_w inv[w][ki] p[w]
-    mat = [[datum.elements[key].get(w, 0) for w in range(size)] for key in keys]
+    coords = None
     if len(keys) != size:
         bad.append(f"basis has {len(keys)} elements for group order {size}")
-    else:
+    elif (coords := _certified_coords(datum, keys)) is None:
         try:
-            tinv_t, det = f_inverse(mat)
+            inv, det = f_inverse([[datum.elements[key].get(w, 0) for w in range(size)]
+                                  for key in keys])
         except ComputationError:
             bad.append("transition matrix to the canonical basis is singular")
         else:
-            bad += _unit_violations(alg.table.field, det, datum.invertible_primes,
+            bad += _unit_violations(datum.alg.table.field, det, datum.invertible_primes,
                                     "transition determinant")
+            coords = _cell_coords(datum, keys, [[(k, c) for k, c in enumerate(row) if c]
+                                                for row in inv])
     report.record("C1 basis", bad)
     report.record("C2 star", _star_violations(datum))
-
-    def coords(s_gen, key):
-        prod = _ts_times_element(alg, s_gen, datum.elements[key])
-        return _to_cell_coords(tinv_t, prod, keys)
-
-    report.record("C3 left action", _c3_violations(datum, coords) if tinv_t is not None
+    report.record("C3 left action", _c3_violations(datum, coords) if coords is not None
                   else [f"C3 not checked: {bad[0]}"])
     return report
+
+
+def _closed_form_rows(datum: CellDatum, keys: list) -> list:
+    """The rows u -> [(key index, Q[u][key])] of the closed-form inverse Q."""
+    index = {key: k for k, key in enumerate(keys)}
+    rows: list = [[] for _ in range(datum.alg.table.size)]
+    for t in datum.ring.tensors:
+        binv, _ = f_inverse(datum.bmatrices[t.label])
+        fi = scalar_inverse(t.f)
+        right = [(j, tt, fi * c) for j, tt, c in f_nonzero(binv)]
+        for u, mu in t.entries.items():
+            rows[u] += [(index[(t.label, s, tt)], c)
+                        for (s, tt), c in f_sparse_mul(mu, right).items()]
+    return rows
+
+
+def _certified_coords(datum: CellDatum, keys: list):
+    """`_cell_coords` on the rows of Q if every entry of P and Q lies in R
+    and each element's own coordinates, its row of PQ, are itself; else None."""
+    rows = _closed_form_rows(datum, keys)
+    entries = [c for key in keys for c in datum.elements[key].values()]
+    entries += [q for row in rows for _, q in row]
+    if not all(_lies_in_r(c, datum.invertible_primes) for c in entries):
+        return None
+    coords = _cell_coords(datum, keys, rows)
+    one = LaurentPoly.one(datum.alg.rank)
+    return coords if all(coords(None, key) == {key: one} for key in keys) else None
+
+
+def _lies_in_r(c, primes: set) -> bool:
+    """Whether c lies in R = Z[delta][1/p : p in primes]: every prime of its
+    reduced denominator is in `primes`. Exact, as the powers of delta are a
+    Z-basis of Z[delta], the ring of integers of Q(delta)."""
+    den = c.den if isinstance(c, CycloNumber) else c.denominator
+    for p in primes:
+        while den % p == 0:
+            den //= p
+    return den == 1
 
 
 def _unit_violations(field, c, primes: set, what: str) -> list:
@@ -266,28 +304,45 @@ def _c3_violations(basis, coords) -> list:
     return bad
 
 
-def _ts_times_element(alg: HeckeAlgebra, s: int, coeffs: dict) -> dict:
-    """T_s * (sum_w c_w C_w) in C-basis coordinates; c_w are F-scalars."""
-    out = {}
-    vs = alg.v[s]
-    for w, c in coeffs.items():
-        accumulate(out, w, vs.scale(c))
-        for z, h in alg.gen_row(s, w).items():
-            accumulate(out, z, h.scale(-c))
-    return out
+def _cell_coords(datum: CellDatum, keys: list, rows: list):
+    """coords(s, key) for `_c3_violations`, in key order, from the rows of an
+    inverse transition matrix; s None gives the element's own coordinates.
+    T_s C_w = v_s C_w - sum_z h_{s,w,z} C_z, so the coordinate at key k and
+    exponent e sums c_w a Q[z][k] over the terms a eps^e of v_s (z = w) and
+    of -h_{s,w,z} (a = 1, z = w for s None), on packed ints, read back once
+    per (k, e). A polynomial has one term at e at most, so each w gives one
+    product from v_s and one for each z: at most |W| (|W| + 1) per (k, e)."""
+    alg = datum.alg
+    size = alg.table.size
+    support = {w for key in keys for w in datum.elements[key]}
+    moves = {s: {w: [(w, e, a) for e, a in alg.v[s].terms.items()] + [
+        (z, e, -a) for z, h in alg.gen_row(s, w).items() for e, a in h.terms.items()]
+        for w in support} for s in range(alg.table.system.ngens)}
+    moves[None] = {w: [(w, (0,) * alg.rank, 1)] for w in support}
+    packing = ProductPacking(alg.table.field, [
+        c for key in keys for c in datum.elements[key].values()] + [
+        a for mv in moves.values() for ts in mv.values() for _, _, a in ts] + [
+        q for row in rows for _, q in row], 3, size * (size + 1))
+    pack, unpack = packing.pack, packing.unpack
+    rows = [[(k, pack(q)) for k, q in row] for row in rows]
+    moves = {s: {w: [(z, e, pack(a)) for z, e, a in ts] for w, ts in mv.items()}
+             for s, mv in moves.items()}
 
+    def coords(s, key):
+        acc: dict = {}
+        for w, c in datum.elements[key].items():
+            c = pack(c)
+            for z, e, a in moves[s][w]:
+                ca = c * a
+                for k, q in rows[z]:
+                    acc[(k, e)] = acc.get((k, e), 0) + ca * q
+        out: dict = {}
+        for k, e in sorted(acc):
+            if v := unpack(acc[(k, e)]):
+                out.setdefault(keys[k], {})[e] = v
+        return {key: LaurentPoly(alg.rank, terms) for key, terms in out.items()}
 
-def _to_cell_coords(inv_rows, prod: dict, keys) -> dict:
-    """Express coordinates prod (w -> LaurentPoly) in the cellular basis, given
-    the rows of the inverse transition matrix (field or Laurent entries)."""
-    out = {}
-    for w, poly in prod.items():
-        row = inv_rows[w]
-        for ki, key in enumerate(keys):
-            c = row[ki]
-            if c:
-                accumulate(out, key, c * poly)
-    return out
+    return coords
 
 
 # -- the homomorphism into the Laurent-extended asymptotic ring -----------------------
@@ -641,8 +696,12 @@ def verify_specialized(spec: SpecializedBasis) -> Report:
 
     # every coordinate has the denominator inv.den, so numerators are compared
     def coords(s_gen, key):
-        prod = alg.gen_left(s_gen, spec.elements[key])
-        return _to_cell_coords(inv.num, prod, keys)
+        out = {}
+        for w, poly in alg.gen_left(s_gen, spec.elements[key]).items():
+            for ki, c in enumerate(inv.num[w]):
+                if c:
+                    accumulate(out, keys[ki], c * poly)
+        return out
 
     report.record("C3 (specialized)", _c3_violations(spec, coords))
     return report

@@ -14,8 +14,9 @@ CycloNumber therefore stores integer power-basis coordinates over one positive
 integer denominator, in lowest terms: multiplication convolves and reduces in
 int, and one gcd per result (none when the denominator is 1) keeps the form
 canonical, so equality is a tuple comparison.
-Sums of many products of field values, the J structure constants and the
-Schur orthogonality sums, run on Python ints instead (`ProductPacking`):
+Sums of many products of field values, the J structure constants, the
+Schur orthogonality sums and the cell datum's transition products, run on
+Python ints instead (`ProductPacking`):
 each value over one common denominator D is packed as the integer its
 coordinates make in base 2^bits, a product of packed values is one int
 product, and each sum is unpacked once, its digits reduced modulo the
@@ -268,8 +269,9 @@ class ProductPacking:
     residue of the value mod 2^bits in [-2^(bits-1), 2^(bits-1)), and the
     rest is (value - digit) / 2^bits. So the k(d-1)+1 digits are the
     coefficients exactly; they are reduced modulo the minimal polynomial
-    and divided by D^k. There is no tolerance, and a degree-1 field takes
-    the same path: one digit, nothing to reduce.
+    and divided by D^k. There is no tolerance. Over Q the value is the one
+    digit n itself, and `unpack` returns n / D^k as `narrow` would: the
+    exact quotient as an int, or the Fraction.
     """
 
     __slots__ = ("field", "den", "bits", "_digits", "_scale")
@@ -293,6 +295,9 @@ class ProductPacking:
         `narrow`: an int, a Fraction or an irrational CycloNumber."""
         if not n:
             return 0
+        if self._digits == 1:
+            q, r = divmod(n, self._scale)
+            return Fraction(n, self._scale) if r else q
         bits = self.bits
         mask, half = (1 << bits) - 1, 1 << (bits - 1)
         coeffs = []

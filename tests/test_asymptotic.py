@@ -10,7 +10,7 @@ from conftest import corrupted_ring, edited_leading_session, f_mat_mul, get_sess
 from heckecell.asymptotic import AsymptoticRing
 from heckecell.cli import Session
 from heckecell.errors import VerificationError
-from heckecell.fields import CycloNumber
+from heckecell.fields import CycloNumber, ProductPacking, _canonical, narrow
 from heckecell.matrices import f_inverse, f_nonzero
 from heckecell.reps import verify_schur_relations
 from heckecell.scalars import exp_neg, scalar_inverse
@@ -494,3 +494,33 @@ def test_a_wide_conjugation_agrees_with_the_dense_formula(name):
 def test_gamma_keeps_the_dense_key_order(name, weights, order):
     ring = get_session(name, weights, order).ring
     assert list(ring.gamma.items()) == list(dense_gamma(ring).items())
+
+
+@pytest.mark.parametrize("name,weights,order", [
+    ("B3", "universal", "b-first"),
+    ("A3", "equal", None),
+])
+def test_rational_unpack_is_the_narrowed_quotient(monkeypatch, name, weights, order):
+    """Over Q, `ProductPacking.unpack` divides the one digit by D^k and
+    builds no CycloNumber: every value it returns in the J build and both
+    Schur families equals the narrowed canonical quotient, type included."""
+    session = get_session(name, weights, order)
+    assert session.algebra.table.field.is_rational
+    seen = []
+    unpack = ProductPacking.unpack
+
+    def recording(packing, n):
+        got = unpack(packing, n)
+        seen.append((packing, n, got))
+        return got
+
+    monkeypatch.setattr(ProductPacking, "unpack", recording)
+    ring = AsymptoticRing(session.algebra, session.tensors)
+    assert verify_schur_relations(session.algebra, session.tensors) == []
+    dense = dense_gamma(ring)
+    assert list(ring.gamma.items()) == list(dense.items())
+    assert [type(g) for g in ring.gamma.values()] == [type(narrow(g)) for g in dense.values()]
+    assert any(n for _, n, _ in seen)
+    for packing, n, got in seen:
+        want = narrow(_canonical(packing.field, (n,), packing._scale)) if n else 0
+        assert got == want and type(got) is type(want)

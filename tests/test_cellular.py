@@ -1,6 +1,7 @@
 """B-matrices, the partial order, cellular basis axioms, the homomorphism
 into the asymptotic ring, the bimodule identity, and weight specialization."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,14 +9,15 @@ import pytest
 
 from conftest import constant_form, corrupted_ring, edited_leading_session, get_session
 from heckecell import cellular
-from heckecell.asymptotic import AsymptoticRing
+from heckecell.asymptotic import AsymptoticRing, Report
 from heckecell.cellular import (b_matrix, hecke_to_asym,
                                 lambda_order, phi_element,
                                 specialize_datum,
                                 verify_bimodule_identity, verify_cell_datum,
                                 verify_phi, verify_specialized)
-from heckecell.errors import VerificationError
+from heckecell.errors import ComputationError, VerificationError
 from heckecell.hecke import HeckeAlgebra
+from heckecell.matrices import f_inverse
 from heckecell.scalars import LaurentPoly, accumulate, natural_order
 
 
@@ -135,6 +137,208 @@ def test_c1_detects_a_basis_over_f_that_is_not_one_over_r():
     assert bad.startswith("transition determinant ")
     assert bad.endswith(f" is not a unit of Z[d][1/p : p in {sorted(datum.invertible_primes)}]")
     assert report.checks["C2 star"] == [] and report.checks["C3 left action"] == []
+
+
+# -- C1 and C3 from the closed-form inverse, against one elimination ---------------
+
+
+def ts_times_element(alg, s: int, coeffs: dict) -> dict:
+    """T_s * (sum_w c_w C_w) in C-basis coordinates, as LaurentPolys."""
+    out = {}
+    for w, c in coeffs.items():
+        accumulate(out, w, alg.v[s].scale(c))
+        for z, h in alg.gen_row(s, w).items():
+            accumulate(out, z, h.scale(-c))
+    return out
+
+
+def to_cell_coords(inv_rows, prod: dict, keys) -> dict:
+    """Express coordinates prod (w -> LaurentPoly) in the cellular basis, given
+    the dense rows of the inverse transition matrix."""
+    out = {}
+    for w, poly in prod.items():
+        row = inv_rows[w]
+        for ki, key in enumerate(keys):
+            c = row[ki]
+            if c:
+                accumulate(out, key, c * poly)
+    return out
+
+
+def reference_cell_datum(datum) -> dict:
+    """The checks of `verify_cell_datum` by one elimination of the whole
+    transition matrix, with C3 summed on LaurentPolys (`to_cell_coords`
+    over the dense inverse rows); the coordinates are listed in key order."""
+    alg = datum.alg
+    size = alg.table.size
+    keys = cellular._cell_keys(datum)
+    bad, inv = [], None
+    if len(keys) != size:
+        bad.append(f"basis has {len(keys)} elements for group order {size}")
+    else:
+        try:
+            inv, det = f_inverse(transition_matrix(datum))
+        except ComputationError:
+            bad.append("transition matrix to the canonical basis is singular")
+        else:
+            bad += cellular._unit_violations(alg.table.field, det, datum.invertible_primes,
+                                             "transition determinant")
+
+    report = Report()
+    report.record("C1 basis", bad)
+    report.record("C2 star", cellular._star_violations(datum))
+    report.record("C3 left action", cellular._c3_violations(datum, reference_coords(datum, inv))
+                  if inv is not None else [f"C3 not checked: {bad[0]}"])
+    return report.checks
+
+
+def reference_coords(datum, inv):
+    """coords(s, key) on LaurentPolys: T_s times the element, expressed
+    through the dense inverse rows `inv` by `to_cell_coords`, in key order."""
+    keys = cellular._cell_keys(datum)
+    index = {key: k for k, key in enumerate(keys)}
+
+    def coords(s, key):
+        found = to_cell_coords(
+            inv, ts_times_element(datum.alg, s, datum.elements[key]), keys)
+        return dict(sorted(found.items(), key=lambda item: index[item[0]]))
+
+    return coords
+
+
+def transition_matrix(datum) -> list:
+    """P[key][w], the coefficient of C_w in the element `key`, dense."""
+    return [[datum.elements[key].get(w, 0) for w in range(datum.alg.table.size)]
+            for key in cellular._cell_keys(datum)]
+
+
+def eliminated_rows(datum) -> list:
+    """The nonzero entries of each row of the transition matrix's inverse,
+    from `f_inverse`: u -> {key index: entry}."""
+    inv, _ = f_inverse(transition_matrix(datum))
+    return [{k: c for k, c in enumerate(row) if c} for row in inv]
+
+
+def scaled_element(datum, key, factor):
+    """A copy of the datum with the element `key` times `factor`."""
+    elements = dict(datum.elements)
+    elements[key] = {w: factor * c for w, c in elements[key].items()}
+    return dataclasses.replace(datum, elements=elements)
+
+
+def single_coefficient_edits(datum) -> list:
+    """A copy of the datum for each (key, w) in a key's support, with the
+    coefficient of C_w in that element raised by one."""
+    edits = []
+    for key in cellular._cell_keys(datum):
+        for w in datum.elements[key]:
+            elements = dict(datum.elements)
+            elements[key] = dict(elements[key])
+            elements[key][w] = elements[key][w] + 1
+            edits.append(dataclasses.replace(datum, elements=elements))
+    return edits
+
+
+CLOSED_FORM_SYSTEMS = [
+    ("A2", "equal", None), ("A3", "equal", None), ("B2", "equal", None),
+    ("B2", "universal", "b-first"), ("I2:5", "equal", None), ("I2:9", "equal", None),
+    ("I2:11", "equal", None), ("I2:12", "universal", "b-first"),
+    ("I2:12", '{"0":[1],"1":[2]}', None), ("B3", "universal", "b-first"),
+    ("B3", "universal", "natural"), ("B3", '{"0":[1],"1":[2],"2":[2]}', None),
+    ("A4", "equal", None),
+]
+
+
+@pytest.mark.parametrize("name,weights,order", CLOSED_FORM_SYSTEMS)
+def test_closed_form_inverse_equals_the_eliminated_rows(name, weights, order):
+    """Q[u][(lam,s,t)] = f^-1 (M_u beta^-1)[s][t] is certified and is the
+    inverse that one elimination finds, entry for entry."""
+    datum = get_session(name, weights, order).datum
+    keys = cellular._cell_keys(datum)
+    rows = cellular._closed_form_rows(datum, keys)
+    assert [dict(row) for row in rows] == eliminated_rows(datum)
+    assert cellular._certified_coords(datum, keys) is not None
+    assert verify_cell_datum(datum).checks == reference_cell_datum(datum)
+
+
+@pytest.mark.parametrize("name,weights,order,edit", [
+    ("I2:5", "equal", None, None), ("I2:12", "universal", "b-first", None),
+    ("B2", "universal", "b-first", None), ("A3", "equal", None, None),
+    ("I2:9", "equal", None, 0), ("B2", "equal", None, 3),
+])
+def test_packed_c3_coordinates_equal_the_laurent_route(name, weights, order, edit):
+    """Every coordinate of every T_s C^lam_{s,t}, from Q's rows or, for an
+    edited datum, from the elimination's, against the LaurentPoly route."""
+    datum = get_session(name, weights, order).datum
+    if edit is not None:
+        datum = single_coefficient_edits(datum)[edit]
+    keys = cellular._cell_keys(datum)
+    inv, _ = f_inverse(transition_matrix(datum))
+    if edit is None:
+        rows = cellular._closed_form_rows(datum, keys)
+    else:
+        assert cellular._certified_coords(datum, keys) is None
+        rows = [[(k, c) for k, c in enumerate(row) if c] for row in inv]
+    packed = cellular._cell_coords(datum, keys, rows)
+    want = reference_coords(datum, inv)
+    for s in range(datum.alg.table.system.ngens):
+        for key in keys:
+            got, ref = packed(s, key), want(s, key)
+            assert got == ref and list(got) == list(ref)
+
+
+def test_c1_passes_a_negated_element_without_the_certificate():
+    """C^{onedim:++}_{0,0} times -1 on I2:5 is still a basis over R, but no
+    longer the inverse of Q: the elimination decides C1, and it passes."""
+    datum = get_session("I2:5").datum
+    negated = scaled_element(datum, ("onedim:++", 0, 0), -1)
+    assert cellular._certified_coords(negated, cellular._cell_keys(negated)) is None
+    report = verify_cell_datum(negated)
+    assert report.ok, report.summary()
+    assert report.checks == reference_cell_datum(negated)
+
+
+def test_c1_reports_the_elimination_for_an_entry_outside_r():
+    """A coefficient 1/7 on I2:5 (7 is not invertible there) fails the
+    certificate's membership test; the report is the elimination's."""
+    datum = get_session("I2:5").datum
+    assert 7 not in datum.invertible_primes
+    scaled = scaled_element(datum, ("onedim:++", 0, 0), Fraction(1, 7))
+    assert cellular._certified_coords(scaled, cellular._cell_keys(scaled)) is None
+    report = verify_cell_datum(scaled)
+    (bad,) = report.checks["C1 basis"]
+    assert bad.startswith("transition determinant ")
+    assert report.checks == reference_cell_datum(scaled)
+
+
+def test_c1_reports_the_elimination_when_q_leaves_r():
+    """With no prime inverted, Q on I2:5 has entries over 5 outside R while
+    PQ = I still holds: membership alone refuses the certificate."""
+    datum = dataclasses.replace(get_session("I2:5").datum, invertible_primes=set())
+    assert cellular._certified_coords(datum, cellular._cell_keys(datum)) is None
+    report = verify_cell_datum(datum)
+    assert report.checks["C1 basis"] == [
+        "transition determinant 25 is not a unit of Z[d][1/p : p in []]"]
+    assert report.checks == reference_cell_datum(datum)
+
+
+def test_membership_in_r_reads_the_reduced_denominator():
+    field = get_session("I2:5").table.field
+    assert cellular._lies_in_r(3, set())
+    assert cellular._lies_in_r(Fraction(3, 20), {2, 5})
+    assert not cellular._lies_in_r(Fraction(1, 7), {2, 5})
+    assert cellular._lies_in_r(field.delta() * Fraction(1, 4), {2})
+    assert not cellular._lies_in_r(field.delta() * Fraction(1, 6), {2})
+
+
+def test_every_single_coefficient_edit_reports_as_the_elimination():
+    """B2: each coefficient of each element raised by one, the whole report
+    against the reference (CI sweeps I2:5 and A3 too)."""
+    datum = get_session("B2").datum
+    edits = single_coefficient_edits(datum)
+    assert len(edits) == sum(len(c) for c in datum.elements.values())
+    for edited in edits:
+        assert verify_cell_datum(edited).checks == reference_cell_datum(edited)
 
 
 def test_phi_values_a1():
