@@ -26,12 +26,10 @@ step costs in proportion to the nonzero entries, dense matrices included.
 
 The gamma are Lusztig's, integers (`compare_with_kl` checks it), and the n_d
 are integers too in the rings built here, even over a field of degree above
-one, where the sums above produce them as CycloNumbers with no irrational
-part. The table stores each value through `fields.narrow`:
-an int for a rational integer, a Fraction for another rational, and an
-irrational CycloNumber unchanged. Equality, hashing and the artifact text
-agree across these types, so the stored values are the same; only the
-arithmetic of the ring, phi and bimodule checks becomes int arithmetic.
+one. `fields` hands every rational value out as an int or a Fraction, so the
+table stores them as ints (n through `scalars.int_if_integral`, which turns
+an integral Fraction sum into its int), and the ring, phi and bimodule
+checks run int arithmetic.
 """
 
 from __future__ import annotations
@@ -39,11 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ComputationError
-from .fields import ProductPacking, narrow
+from .fields import ProductPacking
 from .hecke import HeckeAlgebra
 from .matrices import f_sparse_mul
 from .reps import check_complete
-from .scalars import accumulate, scalar_inverse
+from .scalars import accumulate, int_if_integral, scalar_inverse
 
 
 @dataclass
@@ -156,7 +154,7 @@ class AsymptoticRing:
                     if g := unpack(row[(y, z)]):
                         gamma[(x, y, z)] = g
         self.gamma = gamma
-        self.n_vec = [narrow(c) for c in n]
+        self.n_vec = [int_if_integral(c) for c in n]
         self.d_set = [w for w in range(self.size) if n[w]]
 
     # -- ring operations ---------------------------------------------------------------

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field as dc_field
 from .asymptotic import AsymptoticRing, Report
 from .coxeter import WeightFunction
 from .errors import ComputationError, InputError, VerificationError
-from .fields import CycloNumber, ProductPacking, narrow
+from .fields import CycloNumber, ProductPacking
 from .hecke import HeckeAlgebra
 from .matrices import KMatrix, f_det, f_inverse, f_nonzero, f_sparse_mul
 from .reps import LeadingTensor
-from .scalars import LaurentPoly, accumulate, scalar_inverse
+from .scalars import LaurentPoly, accumulate, int_if_integral, scalar_inverse
 
 def b_matrix(rep_gram: KMatrix, tensor: LeadingTensor, alg: HeckeAlgebra):
     """Constant-term matrix of a normalized balanced Gram form.
@@ -120,11 +120,10 @@ def lambda_order(alg: HeckeAlgebra, ring: AsymptoticRing) -> dict:
 def build_cell_datum(alg: HeckeAlgebra, ring: AsymptoticRing, grams: dict) -> CellDatum:
     """Assemble the cell datum from balanced Gram forms (label -> KMatrix).
 
-    Each coefficient is stored through `fields.narrow`, as the ring stores
-    gamma and n: an int for a rational integer (every rational coefficient
-    on the systems checked) and an irrational CycloNumber unchanged. The
-    artifact text is the same; specialization, the transition matrices and
-    the T_s products of the checks then run int arithmetic."""
+    Each coefficient is stored through `scalars.int_if_integral`, as the
+    ring stores n: a rational integer is an int (every rational coefficient
+    on the systems checked), so specialization, the transition matrices
+    and the T_s products of the checks run int arithmetic."""
     field = alg.table.field
     inverse = alg.table.inverse
     leq = lambda_order(alg, ring)
@@ -143,7 +142,7 @@ def build_cell_datum(alg: HeckeAlgebra, ring: AsymptoticRing, grams: dict) -> Ce
         ents = f_nonzero(beta)
         for w, mw in t.entries.items():
             for (tt, s), acc in f_sparse_mul(ents, mw).items():
-                columns.setdefault((s, tt), {})[inverse[w]] = narrow(acc)
+                columns.setdefault((s, tt), {})[inverse[w]] = int_if_integral(acc)
         for s in range(t.dim):
             for tt in range(t.dim):
                 coeffs = columns.get((s, tt), {})
@@ -391,6 +390,12 @@ def verify_phi(alg: HeckeAlgebra, ring: AsymptoticRing) -> Report:
     (phi(C_s) phi(C_{x'}) - sum_u h_{s,x',u} phi(C_u)) phi(C_y), the pair
     (s, x') and h_{s,x',x} = 1 make it phi(C_x) phi(C_y). Length 0 is
     "phi unital" with the ring's "two-sided identity".
+
+    The induction takes the stored table to satisfy that recursion, which
+    this check does not read: conditions (1)-(2) of
+    `verify_bimodule_identity` are the check of the `h_rows` recursion on
+    every in-cell entry, so a fault in a row of neither 1 nor a generator
+    may pass here and is left to that check.
 
     The regrouping needs J to be associative. That follows from two checks
     that are exhaustive as well: the ring's "irreducible representations"

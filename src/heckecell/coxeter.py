@@ -153,14 +153,14 @@ class ElementTable:
         for s in range(n):
             for t in range(n):
                 if s == t:
-                    cartan[s][t] = F.from_rational(2)
+                    cartan[s][t] = 2
                 elif self.system.matrix[s][t] == 2:
-                    cartan[s][t] = F.zero
+                    cartan[s][t] = 0
                 elif s < t:
-                    cartan[s][t] = F.from_rational(-1)
+                    cartan[s][t] = -1
                 else:
                     m = self.system.matrix[s][t]
-                    cartan[s][t] = -(F.from_rational(2) + F.two_cos(1, m))
+                    cartan[s][t] = -(2 + F.two_cos(1, m))
         return cartan
 
     def _enumerate(self):
@@ -168,7 +168,7 @@ class ElementTable:
         cartan = self._cartan()
         # w is identified by the point rho*w = w^{-1}(rho); rho = (1, ..., 1) lies in
         # the open fundamental chamber, whose stabilizer in W is trivial (Tits)
-        rho = tuple(self.field.one for _ in range(n))
+        rho = (1,) * n
         index = {rho: 0}
         points = [rho]
         self.word = [()]

@@ -7,8 +7,12 @@ delta over Q, which is derived from the cyclotomic polynomial Phi_N by the
 half-trace substitution x^j + x^-j -> p_j(y), p_0 = 2, p_1 = y,
 p_{j+1} = y*p_j - p_{j-1}.
 
-For conductors whose field is Q itself (N in {1,2,3,4,6} after reduction) the
-field hands out plain Fractions; otherwise elements are CycloNumber instances.
+The type of a value is decided here (`_canonical`): an int for a rational
+integer, a Fraction for any other rational, and a CycloNumber only for an
+irrational value, one with a nonzero coordinate at some delta^k, k >= 1.
+Every constructor and operation of this module follows that rule, whatever
+the field and however the value was reached; over Q (N in {1,2,3,4,6} after
+reduction) every value is an int or a Fraction.
 delta is an algebraic integer, so its minimal polynomial is monic in Z[y]. A
 CycloNumber therefore stores integer power-basis coordinates over one positive
 integer denominator, in lowest terms: multiplication convolves and reduces in
@@ -26,8 +30,8 @@ every digit is read back exactly.
 The norm and the inverse of x both come from M_x, the matrix of
 multiplication by x in the power basis: the norm is det M_x, and the
 coordinates of x^-1 solve M_x y = e_0, both through `matrices.eliminate`.
-This module owns two decisions for every coefficient in the package: the
-inverse of an irrational one (`RealCyclotomicField.inverse`, which
+This module owns three decisions for every coefficient in the package: its
+type (above), the inverse of an irrational one (`RealCyclotomicField.inverse`, which
 `scalars.scalar_inverse` calls; CycloNumber has no division operator) and
 the text of any one, int and Fraction included (`RealCyclotomicField.format`,
 read back by `parse`).
@@ -55,13 +59,7 @@ _PI_HI = _PI_LO + Fraction(1, 10**50)
 # exact Taylor endpoints would carry denominators of thousands of bits.
 _ENCLOSURE_BITS = 256
 
-_RATIONAL_TWO_COS = {
-    (0, 1): Fraction(2),
-    (1, 2): Fraction(-2),
-    (1, 3): Fraction(-1),
-    (1, 4): Fraction(0),
-    (1, 6): Fraction(1),
-}
+_RATIONAL_TWO_COS = {(0, 1): 2, (1, 2): -2, (1, 3): -1, (1, 4): 0, (1, 6): 1}
 
 
 def cyclotomic_polynomial(n: int) -> list[int]:
@@ -131,8 +129,12 @@ def reduced_conductor(orders) -> int:
     return n
 
 
-def _canonical(field, num: tuple, den: int) -> "CycloNumber":
-    """num/den, for a positive den, in lowest terms: gcd(den, *num) == 1."""
+def _canonical(field, num: tuple, den: int):
+    """num/den for a positive den, in its one type: an int or a Fraction when
+    every irrational coordinate is 0, else a CycloNumber in lowest terms."""
+    if not any(num[1:]):
+        q, r = divmod(num[0], den)
+        return Fraction(num[0], den) if r else q
     g = gcd(den, *num)
     if g != 1:
         num = tuple(c // g for c in num)
@@ -145,8 +147,10 @@ class CycloNumber:
 
     `num` holds integer power-basis coordinates and `den` is one positive
     integer denominator, always in lowest terms (gcd(den, *num) == 1), so
-    zero is (0, ..., 0)/1 and equal elements have equal (num, den). Integer
-    and Fraction operands combine on either side without being converted.
+    equal elements have equal (num, den). Some coordinate past num[0] is
+    nonzero: a CycloNumber is irrational, hence never zero and never equal
+    to an int or a Fraction. Integer and Fraction operands combine on either
+    side without being converted.
     """
 
     __slots__ = ("field", "num", "den")
@@ -171,12 +175,15 @@ class CycloNumber:
             b, bd = other.num, other.den
             if ad == bd:
                 num = tuple(x + s * y for x, y in zip(a, b))
-                return CycloNumber(field, num, 1) if ad == 1 else _canonical(field, num, ad)
+                if ad == 1 and any(num[1:]):
+                    return CycloNumber(field, num, 1)
+                return _canonical(field, num, ad)
             return _canonical(field, tuple(x * bd + s * y * ad for x, y in zip(a, b)), ad * bd)
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
             if q == 1:
-                # gcd(ad, a[0] + k*ad, a[1:]) == gcd(ad, *a) == 1: still canonical
+                # gcd(ad, a[0] + k*ad, a[1:]) == gcd(ad, *a) == 1 and a[1:] is
+                # unchanged: still canonical
                 return CycloNumber(field, (a[0] + s * p * ad,) + a[1:], ad)
             return _canonical(field, (a[0] * q + s * p * ad,) + tuple(x * q for x in a[1:]),
                               ad * q)
@@ -202,7 +209,9 @@ class CycloNumber:
             self._check_field(other)
             num = field._mul_reduce(self.num, other.num)
             den = self.den * other.den
-            return CycloNumber(field, num, 1) if den == 1 else _canonical(field, num, den)
+            if den == 1 and any(num[1:]):
+                return CycloNumber(field, num, 1)
+            return _canonical(field, num, den)
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
             return _canonical(field, tuple(c * p for c in self.num), self.den * q)
@@ -214,34 +223,11 @@ class CycloNumber:
         if isinstance(other, CycloNumber):
             self._check_field(other)
             return self.den == other.den and self.num == other.num
-        if isinstance(other, (int, Fraction)):
-            num = self.num
-            return (self.den == other.denominator and num[0] == other.numerator
-                    and not any(num[1:]))
         return NotImplemented
 
     def __hash__(self):
-        # equal to hash(Fraction) for rational values, and to the hash of the
-        # Fraction coordinate tuple otherwise
-        num, den = self.num, self.den
-        if not any(num[1:]):
-            return hash(Fraction(num[0], den))
-        return hash(num) if den == 1 else hash(self.field.coords(self))
-
-    def __bool__(self):
-        return any(self.num)
-
-
-def narrow(c):
-    """The value of c in the narrowest type that holds it: an int for a
-    rational integer, a Fraction for another rational, and an irrational
-    CycloNumber unchanged. Value, equality and hash are kept."""
-    if isinstance(c, CycloNumber):
-        num = c.num
-        if any(num[1:]):
-            return c
-        return num[0] if c.den == 1 else Fraction(num[0], c.den)
-    return int_if_integral(c)
+        # the hash of the Fraction coordinate tuple
+        return hash(self.num) if self.den == 1 else hash(self.field.coords(self))
 
 
 class ProductPacking:
@@ -269,9 +255,7 @@ class ProductPacking:
     residue of the value mod 2^bits in [-2^(bits-1), 2^(bits-1)), and the
     rest is (value - digit) / 2^bits. So the k(d-1)+1 digits are the
     coefficients exactly; they are reduced modulo the minimal polynomial
-    and divided by D^k. There is no tolerance. Over Q the value is the one
-    digit n itself, and `unpack` returns n / D^k as `narrow` would: the
-    exact quotient as an int, or the Fraction.
+    and divided by D^k. There is no tolerance.
     """
 
     __slots__ = ("field", "den", "bits", "_digits", "_scale")
@@ -291,13 +275,9 @@ class ProductPacking:
         return sum(x << (i * bits) for i, x in enumerate(_scaled(c, self.den)))
 
     def unpack(self, n: int):
-        """The field value of a sum n of k-fold packed products, through
-        `narrow`: an int, a Fraction or an irrational CycloNumber."""
+        """The field value of a sum n of k-fold packed products."""
         if not n:
             return 0
-        if self._digits == 1:
-            q, r = divmod(n, self._scale)
-            return Fraction(n, self._scale) if r else q
         bits = self.bits
         mask, half = (1 << bits) - 1, 1 << (bits - 1)
         coeffs = []
@@ -308,7 +288,7 @@ class ProductPacking:
             coeffs.append(digit)
             n = (n - digit) >> bits
         field = self.field
-        return narrow(_canonical(field, tuple(field._reduce(coeffs)), self._scale))
+        return _canonical(field, tuple(field._reduce(coeffs)), self._scale)
 
 
 def _scaled(c, den: int) -> tuple:
@@ -341,39 +321,17 @@ class RealCyclotomicField:
 
     # -- element construction -------------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return self.degree == 1
-
     def from_rational(self, r):
-        r = Fraction(r)
-        if self.is_rational:
-            return r
-        return CycloNumber(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
+        return int_if_integral(Fraction(r))
 
     def element(self, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
         coeffs += [Fraction(0)] * (self.degree - len(coeffs))
         self._reduce(coeffs)
-        if self.is_rational:
-            return coeffs[0]
-        return self._from_coords(coeffs)
-
-    def _from_coords(self, coeffs) -> CycloNumber:
-        """The element with these rational power-basis coordinates (degree many)."""
         den = lcm(*(c.denominator for c in coeffs))
-        # already in lowest terms: a prime dividing den misses the numerator
-        # of a coordinate whose denominator has the largest power of it
-        return CycloNumber(self, tuple(c.numerator * (den // c.denominator) for c in coeffs),
-                           den)
+        return _canonical(self, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
-    @property
-    def zero(self):
-        return self.from_rational(0)
-
-    @property
-    def one(self):
-        return self.from_rational(1)
+    zero, one = 0, 1
 
     def delta(self):
         """The generator 2*cos(2*pi/conductor) as a field element."""
@@ -420,20 +378,19 @@ class RealCyclotomicField:
         d = self.degree
         m = [row + [Fraction(i == 0)] for i, row in enumerate(self._mult_matrix(x))]
         eliminate(m, d, Fraction(1))
-        return self._from_coords([row[d] for row in m])
+        return self.element([row[d] for row in m])
 
     def _mult_matrix(self, x) -> list:
         """Matrix M_x of multiplication by x in the power basis: column i
         holds the coordinates of x * delta^i, as Fractions."""
-        cur = x if isinstance(x, CycloNumber) else self.from_rational(x)
         delta = self.delta()
         cols = []
         for _ in range(self.degree):
-            cols.append(self.coords(cur))
-            cur = cur * delta
+            cols.append(self.coords(x))
+            x = x * delta
         return [list(row) for row in zip(*cols)]
 
-    # -- rationality, integrality, norms --------------------------------------
+    # -- integrality, norms ---------------------------------------------------
 
     def is_ring_integer(self, x) -> bool:
         """Membership in Z[delta]: integer coordinates in the power basis."""
@@ -443,8 +400,6 @@ class RealCyclotomicField:
 
     def norm(self, x) -> Fraction:
         """Field norm to Q: determinant of multiplication by x."""
-        if self.is_rational:
-            return Fraction(x)
         return f_det(self._mult_matrix(x))
 
     # -- special values --------------------------------------------------------
@@ -463,7 +418,7 @@ class RealCyclotomicField:
         if den > 2 and num > den // 2:
             num = den - num  # cos(2pi(1 - t)) = cos(2pi t)
         if (num, den) in _RATIONAL_TWO_COS:
-            return self.from_rational(_RATIONAL_TWO_COS[(num, den)])
+            return _RATIONAL_TWO_COS[(num, den)]
         if den % 4 == 2:
             # num odd, m' = den/2 odd: 2cos(pi*num/m') = -2cos(2pi*((m'-num)/2)/m')
             mp = den // 2
@@ -478,7 +433,7 @@ class RealCyclotomicField:
         """2*cos(2*pi*k/conductor) for k >= 1 via p_k(delta),
         p_{j+1} = delta*p_j - p_{j-1}."""
         delta = self.delta()
-        prev, cur = self.from_rational(2), delta
+        prev, cur = 2, delta
         for _ in range(k - 1):
             prev, cur = cur, delta * cur - prev
         return cur
@@ -490,9 +445,6 @@ class RealCyclotomicField:
         if isinstance(x, (int, Fraction)):
             return (x > 0) - (x < 0)
         # den > 0, so x has the sign of its numerator polynomial
-        if not any(x.num[1:]):
-            c = x.num[0]
-            return (c > 0) - (c < 0)
         lo, hi = self._delta_enclosure()
         for _ in range(400):
             vlo, vhi = _interval_horner(x.num, lo, hi)

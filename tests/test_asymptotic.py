@@ -10,10 +10,10 @@ from conftest import corrupted_ring, edited_leading_session, f_mat_mul, get_sess
 from heckecell.asymptotic import AsymptoticRing
 from heckecell.cli import Session
 from heckecell.errors import VerificationError
-from heckecell.fields import CycloNumber, ProductPacking, _canonical, narrow
+from heckecell.fields import CycloNumber, ProductPacking
 from heckecell.matrices import f_inverse, f_nonzero
 from heckecell.reps import verify_schur_relations
-from heckecell.scalars import exp_neg, scalar_inverse
+from heckecell.scalars import exp_neg, int_if_integral, scalar_inverse
 
 
 def test_a1_tables():
@@ -501,11 +501,12 @@ def test_gamma_keeps_the_dense_key_order(name, weights, order):
     ("A3", "equal", None),
 ])
 def test_rational_unpack_is_the_narrowed_quotient(monkeypatch, name, weights, order):
-    """Over Q, `ProductPacking.unpack` divides the one digit by D^k and
-    builds no CycloNumber: every value it returns in the J build and both
-    Schur families equals the narrowed canonical quotient, type included."""
+    """Over Q, `ProductPacking.unpack` divides the one digit by D^k: every
+    value it returns in the J build and both Schur families equals the
+    Fraction quotient and hashes like it, in the narrowest type, an int when
+    it is integral and a Fraction otherwise."""
     session = get_session(name, weights, order)
-    assert session.algebra.table.field.is_rational
+    assert session.algebra.table.field.degree == 1
     seen = []
     unpack = ProductPacking.unpack
 
@@ -519,8 +520,9 @@ def test_rational_unpack_is_the_narrowed_quotient(monkeypatch, name, weights, or
     assert verify_schur_relations(session.algebra, session.tensors) == []
     dense = dense_gamma(ring)
     assert list(ring.gamma.items()) == list(dense.items())
-    assert [type(g) for g in ring.gamma.values()] == [type(narrow(g)) for g in dense.values()]
+    assert [type(g) for g in ring.gamma.values()] == [type(int_if_integral(g)) for g in dense.values()]
     assert any(n for _, n, _ in seen)
     for packing, n, got in seen:
-        want = narrow(_canonical(packing.field, (n,), packing._scale)) if n else 0
-        assert got == want and type(got) is type(want)
+        want = Fraction(n, packing._scale)
+        assert got == want and hash(got) == hash(want)
+        assert type(got) is (int if want.denominator == 1 else Fraction)

@@ -9,9 +9,9 @@ import pytest
 
 from heckecell import fields as fields_mod
 from heckecell.errors import InputError
-from heckecell.fields import (CycloNumber, ProductPacking, RealCyclotomicField, narrow,
+from heckecell.fields import (CycloNumber, ProductPacking, RealCyclotomicField,
                               real_minimal_polynomial, reduced_conductor)
-from heckecell.scalars import scalar_inverse
+from heckecell.scalars import int_if_integral, scalar_inverse
 
 KNOWN_MIN_POLYS = {
     1: (-2, 1),
@@ -128,8 +128,8 @@ def test_format_parse_roundtrip():
 
 @pytest.mark.parametrize("n", [1, 5, 7, 12])
 def test_format_writes_a_rational_as_its_fraction(n):
-    """format is the one text of a coefficient: an int, a Fraction and a
-    rational CycloNumber all print as str(Fraction(c))."""
+    """format is the one text of a coefficient: an int, a Fraction and the
+    field's own form of a rational all print as str(Fraction(c))."""
     F = RealCyclotomicField(n)
     rng = random.Random(400 + n)
     values = [0, 1, -1, 12, Fraction(-3, 2), Fraction(10, 4)]
@@ -228,9 +228,23 @@ def ref_mul_reduce(min_poly, a: tuple, b: tuple) -> tuple:
 
 
 def assert_canonical(x):
-    assert isinstance(x, CycloNumber)
-    assert all(isinstance(c, int) for c in x.num) and isinstance(x.den, int)
-    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    """x in its one type: a CycloNumber in lowest terms when some irrational
+    coordinate is nonzero, else an int or a Fraction. (Sums and products of
+    two rationals are Python's own int and Fraction arithmetic.)"""
+    if isinstance(x, CycloNumber):
+        assert all(isinstance(c, int) for c in x.num) and isinstance(x.den, int)
+        assert x.den > 0 and gcd(x.den, *x.num) == 1
+        assert any(x.num[1:])
+    else:
+        assert type(x) in (int, Fraction)
+
+
+def assert_narrow(x):
+    """assert_canonical, and a rational integer is an int: the type that the
+    field hands out."""
+    assert_canonical(x)
+    if not isinstance(x, CycloNumber):
+        assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
 
 
 def random_element(F, rng):
@@ -259,12 +273,13 @@ def test_integer_kernel_matches_fraction_reference(n):
             "*": (a * b, ref_mul_reduce(mp, ca, cb)),
             "neg": (-a, tuple(-x for x in ca)),
         }
+        field_op = isinstance(a, CycloNumber) or isinstance(b, CycloNumber)
         for op, (got, want) in results.items():
-            assert_canonical(got)
+            (assert_narrow if field_op else assert_canonical)(got)
             assert F.coords(got) == want, op
         if b:
             q = a * F.inverse(b)
-            assert_canonical(q)
+            (assert_narrow if field_op else assert_canonical)(q)
             assert ref_mul_reduce(mp, F.coords(q), cb) == ca
         else:
             with pytest.raises(ZeroDivisionError):
@@ -298,11 +313,11 @@ def test_integer_kernel_mixed_rational_operands(n):
             with pytest.raises(ZeroDivisionError):
                 scalar_inverse(r)
         for got, want in cases:
-            assert_canonical(got)
+            (assert_narrow if isinstance(x, CycloNumber) else assert_canonical)(got)
             assert F.coords(got) == want
         if x:
             got = r * scalar_inverse(x)
-            assert_canonical(got)
+            (assert_narrow if isinstance(x, CycloNumber) else assert_canonical)(got)
             assert ref_mul_reduce(mp, F.coords(got), cx) == cr
         else:
             with pytest.raises(ZeroDivisionError):
@@ -320,6 +335,8 @@ def test_rational_values_compare_and_hash_like_fractions(n):
         y = (x + r) - x
         for val in (y, F.from_rational(r), F.element([r])):
             assert_canonical(val)
+            if val is not y or isinstance(x, CycloNumber):
+                assert_narrow(val)
             assert val == r and r == val
             assert hash(val) == hash(r)
             assert F.is_ring_integer(val) == (r.denominator == 1)
@@ -328,12 +345,17 @@ def test_rational_values_compare_and_hash_like_fractions(n):
                 assert hash(val) == hash(int(r))
             assert val != r + 1 and r + 1 != val
         assert_canonical(x - x)
-        assert (x - x).num == (0,) * F.degree and (x - x).den == 1
+        if isinstance(x, CycloNumber):
+            assert type(x - x) is int
         assert x - x == 0 and hash(x - x) == hash(0)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 12])
 def test_narrow_keeps_value_and_hash(n):
+    """The field hands each value out in the narrowest type that holds it:
+    an int for a rational integer, a Fraction for another rational and a
+    CycloNumber for an irrational value, equal to the value it was computed
+    as and hashing like it."""
     F = RealCyclotomicField(n)
     rng = random.Random(300 + n)
     for _ in range(40):
@@ -341,20 +363,23 @@ def test_narrow_keeps_value_and_hash(n):
         r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
         k = rng.randrange(-9, 10)
         cases = [
-            (k, int), (Fraction(k), int), (F.from_rational(k), int), ((x + k) - x, int),
-            (F.from_rational(r), int if r.denominator == 1 else Fraction),
+            (F.element([k]), k, int), (F.from_rational(Fraction(k)), Fraction(k), int),
+            (F.from_rational(k), k, int),
+            (F.from_rational(r), r, int if r.denominator == 1 else Fraction),
         ]
         if r.denominator != 1:
-            cases.append((r, Fraction))
-        if any(x.num[1:]):
-            cases += [(x, CycloNumber), (x * 3 + r, CycloNumber)]
-        for val, kind in cases:
-            got = narrow(val)
+            cases.append((F.element([r]), r, Fraction))
+        if isinstance(x, CycloNumber):
+            cx = F.coords(x)
+            cases += [((x + k) - x, k, int), (x, F.element(cx), CycloNumber),
+                      (x * 3 + r, F.element([3 * cx[0] + r, *(3 * c for c in cx[1:])]),
+                       CycloNumber)]
+        for got, val, kind in cases:
             assert type(got) is kind
             assert got == val and val == got
             assert hash(got) == hash(val)
     x = F.delta() + 1
-    assert narrow(x) is x
+    assert type(x) is CycloNumber and F.element(F.coords(x)) == x
 
 
 def test_inverting_zero_raises():
@@ -382,7 +407,7 @@ def packing_values(F):
 
 def packed_reference(F, digits, scale):
     """sum digits[i] * delta^i / scale, reduced over Fraction coordinates."""
-    return narrow(F.element(ref_reduce(F.min_poly, [Fraction(d, scale) for d in digits])))
+    return F.element(ref_reduce(F.min_poly, [Fraction(d, scale) for d in digits]))
 
 
 def field_product(factors):
@@ -437,8 +462,8 @@ def test_packed_sums_match_field_arithmetic(n, k):
                       for _ in range(rng.randrange(1, terms + 1))])
     for products in cases:
         got = packing.unpack(sum(field_product(pack(c) for c in p) for p in products))
-        want = narrow(sum((field_product(p) for p in products), 0))
-        assert got == want and type(got) is type(want)
+        want = sum((field_product(p) for p in products), 0)
+        assert got == want and type(got) is type(int_if_integral(want))
 
 
 @pytest.mark.parametrize("n", PACKING_CONDUCTORS)
@@ -490,8 +515,8 @@ def _reference_sign(F, x, interval):
     """Sign by interval Horner on the unrounded enclosure, bisected against the
     minimal polynomial; interval is a one-element list that carries the
     refined enclosure from call to call."""
-    if not any(x.num[1:]):
-        return (x.num[0] > 0) - (x.num[0] < 0)
+    if not isinstance(x, CycloNumber):
+        return (x > 0) - (x < 0)
     while True:
         lo, hi = interval[0]
         vlo, vhi = fields_mod._interval_horner(x.num, lo, hi)
@@ -646,3 +671,98 @@ def test_sign_of_delta_against_its_enclosure_ends_needs_refinement(n):
     lo2, hi2 = F._interval
     assert lo <= lo2 < hi2 <= hi and hi2 - lo2 < hi - lo
     assert fields_mod._poly_eval(F.min_poly, lo2) * fields_mod._poly_eval(F.min_poly, hi2) < 0
+
+
+# -- one type per value --------------------------------------------------------
+
+ONE_TYPE_CONDUCTORS = [5, 7, 8, 9, 11, 12, 13]
+
+
+def assert_one_type(F, got, want):
+    """got is the value whose Fraction coordinates are `want`: a CycloNumber
+    exactly when some irrational coordinate is nonzero, and otherwise the
+    int or Fraction want[0], equal to it and hashing like it."""
+    assert F.coords(got) == tuple(want)
+    assert_narrow(got)
+    assert isinstance(got, CycloNumber) == any(want[1:])
+    if not any(want[1:]):
+        r = want[0]
+        assert got == r and r == got and hash(got) == hash(r)
+
+
+def ref_two_cos(F, k) -> tuple:
+    """Coordinates of 2cos(2pi k/N) = p_k(delta), p_0 = 2, p_1 = delta,
+    p_{j+1} = delta p_j - p_{j-1}, over Fraction coordinates."""
+    zero = [Fraction(0)] * F.degree
+    delta = tuple(ref_reduce(F.min_poly, [Fraction(0), Fraction(1)] + zero)[:F.degree])
+    prev, cur = tuple([Fraction(2)] + zero[1:]), delta
+    if k == 0:
+        return prev
+    for _ in range(k - 1):
+        prev, cur = cur, tuple(a - b for a, b in zip(ref_mul_reduce(F.min_poly, delta, cur), prev))
+    return cur
+
+
+@pytest.mark.parametrize("n", ONE_TYPE_CONDUCTORS)
+def test_every_field_value_has_one_type(n):
+    """Random elements, and operand pairs whose sum, difference or product is
+    rational, through the arithmetic, the inverse, every constructor and
+    `ProductPacking.unpack` (k = 2, 3): each result is a CycloNumber exactly
+    when an irrational coordinate is nonzero, a rational result equals its
+    Fraction reference and hashes like it, and x - x is the int 0."""
+    F = RealCyclotomicField(n)
+    mp = F.min_poly
+    rng = random.Random(700 + n)
+    assert_one_type(F, F.delta(), ref_reduce(mp, [Fraction(0), Fraction(1)] + [Fraction(0)] * F.degree))
+    assert_one_type(F, F.zero, (Fraction(0),) * F.degree)
+    assert_one_type(F, F.one, (Fraction(1),) + (Fraction(0),) * (F.degree - 1))
+    for k in range(n):
+        assert_one_type(F, F.two_cos(k, n), ref_two_cos(F, k))
+    values = []
+    for _ in range(40):
+        coeffs = [Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 3, 4, 6, 9]))
+                  for _ in range(F.degree + rng.randrange(3))]
+        if rng.randrange(4) == 0:
+            coeffs[1:] = [0] * (len(coeffs) - 1)
+        a, ca = F.element(coeffs), tuple(ref_reduce(mp, list(coeffs)))
+        assert_one_type(F, a, ca)
+        assert_one_type(F, F.parse(F.format(a)), ca)
+        r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        cr = (r,) + (Fraction(0),) * (F.degree - 1)
+        assert_one_type(F, F.from_rational(r), cr)
+        if isinstance(a, CycloNumber) or type(a) is int:
+            assert a - a == 0 and type(a - a) is int
+        if isinstance(a, CycloNumber):
+            inv = scalar_inverse(a)
+            assert_one_type(F, inv, ref_inverse(F, a))
+            pairs = [(r - a, tuple(x - y for x, y in zip(cr, ca))),
+                     (a + r, tuple(x + y for x, y in zip(ca, cr))),
+                     (inv * r, ref_mul_reduce(mp, ref_inverse(F, a), cr)),
+                     (values[-1] if values else a, F.coords(values[-1]) if values else ca)]
+            for b, cb in pairs:
+                assert_one_type(F, b, cb)
+                assert_one_type(F, a + b, tuple(x + y for x, y in zip(ca, cb)))
+                assert_one_type(F, a - b, tuple(x - y for x, y in zip(ca, cb)))
+                assert_one_type(F, b - a, tuple(y - x for x, y in zip(ca, cb)))
+                assert_one_type(F, a * b, ref_mul_reduce(mp, ca, cb))
+                assert_one_type(F, b * a, ref_mul_reduce(mp, ca, cb))
+        values.append(a)
+    inverted = [c for c in values if isinstance(c, CycloNumber)][:8]
+    values += [scalar_inverse(c) for c in inverted] + [1, 2, Fraction(1, 2)]
+    for k in (2, 3):
+        packing = ProductPacking(F, values, k, 4)
+        pack = packing.pack
+        for _ in range(30):
+            products = [[rng.choice(values) for _ in range(k)] for _ in range(rng.randrange(1, 5))]
+            if rng.randrange(3) == 0:
+                # c and c^-1 in one product: a rational product
+                c = rng.choice(inverted)
+                products = [[c, scalar_inverse(c)] + [rng.choice([1, 2, Fraction(1, 2)])] * (k - 2)]
+            want = [Fraction(0)] * F.degree
+            for p in products:
+                cp = F.coords(p[0])
+                for c in p[1:]:
+                    cp = ref_mul_reduce(mp, cp, F.coords(c))
+                want = [x + y for x, y in zip(want, cp)]
+            got = packing.unpack(sum(field_product(pack(c) for c in p) for p in products))
+            assert_one_type(F, got, want)

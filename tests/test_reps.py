@@ -477,7 +477,7 @@ def test_packed_schur_sums_agree_with_the_field_products(name, weights, order):
     session = get_session(name, weights, order)
     alg = session.algebra
     field = alg.table.field
-    step = Fraction(1, 3) if field.is_rational else field.delta() * Fraction(1, 3)
+    step = Fraction(1, 3) if field.degree == 1 else field.delta() * Fraction(1, 3)
     tensors = []
     for t in session.tensors:
         w = max(t.entries)
