@@ -182,7 +182,8 @@ def verify_cell_datum(datum: CellDatum) -> Report:
     coords = None
     if len(keys) != size:
         bad.append(f"basis has {len(keys)} elements for group order {size}")
-    elif (coords := _certified_coords(datum, keys)) is None:
+    elif (coords := _certified_coords(datum, keys, _closed_form_rows(datum, keys),
+                                      datum.invertible_primes)) is None:
         try:
             inv, det = f_inverse([[datum.elements[key].get(w, 0) for w in range(size)]
                                   for key in keys])
@@ -214,13 +215,13 @@ def _closed_form_rows(datum: CellDatum, keys: list) -> list:
     return rows
 
 
-def _certified_coords(datum: CellDatum, keys: list):
-    """`_cell_coords` on the rows of Q if every entry of P and Q lies in R
-    and each element's own coordinates, its row of PQ, are itself; else None."""
-    rows = _closed_form_rows(datum, keys)
+def _certified_coords(datum: CellDatum, keys: list, rows: list, primes: set):
+    """`_cell_coords` on the rows of Q if every entry of P and Q lies in
+    R = Z[delta][1/p : p in primes] and each element's own coordinates, its
+    row of PQ, are itself; else None."""
     entries = [c for key in keys for c in datum.elements[key].values()]
     entries += [q for row in rows for _, q in row]
-    if not all(_lies_in_r(c, datum.invertible_primes) for c in entries):
+    if not all(_lies_in_r(c, primes) for c in entries):
         return None
     coords = _cell_coords(datum, keys, rows)
     one = LaurentPoly.one(datum.alg.rank)
@@ -271,7 +272,9 @@ def _c3_violations(basis, coords) -> list:
 
     `basis` is a CellDatum or a SpecializedBasis; coords(s_gen, key) gives the
     cellular coordinates of T_s times the element `key` as Laurent
-    polynomials, all over one common denominator."""
+    polynomials, all times one common nonzero Laurent polynomial (1 when
+    they are exact, det P_T for the numerators of `verify_specialized`'s
+    elimination), which changes no support and no t-independence."""
     alg = basis.alg
     bad = []
     for lab in basis.labels:
@@ -639,6 +642,7 @@ class SpecializedBasis:
     msize: dict
     elements: dict           # (label, s, t) -> {w: LaurentPoly over target rank}
     invertible_primes: set   # the datum's: R = Z[delta][1/p : p in them]
+    datum: CellDatum         # the source: its C_w and Q certify the A'-basis
 
 
 def specialize_datum(datum: CellDatum, target_alg: HeckeAlgebra) -> SpecializedBasis:
@@ -657,56 +661,103 @@ def specialize_datum(datum: CellDatum, target_alg: HeckeAlgebra) -> SpecializedB
         elements[key] = {u: q for u, p in tcoeffs.items()
                          if (q := p.specialize_exponents(images, rank2))}
     return SpecializedBasis(target_alg, list(datum.labels), dict(datum.leq),
-                            dict(datum.msize), elements, set(datum.invertible_primes))
+                            dict(datum.msize), elements, set(datum.invertible_primes), datum)
 
 
 def verify_specialized(spec: SpecializedBasis) -> Report:
-    """A'-basis via an exact determinant, then the star axiom and
-    t-independence of the generator action, checked only on a square,
-    nonsingular basis.
+    """A'-basis, then the star axiom and t-independence of the generator
+    action, checked only on a square, nonsingular basis.
 
-    The determinant must be a unit of R[Gamma], R = Z[delta][1/p : p in
-    invertible_primes]: a single monomial c eps^g. The datum's elements lie in
+    With P the datum's transition matrix and K[w][u] the coefficient of T_u
+    in the source C_w, the specialized transition matrix is P_T = Y K',
+    K' = spec(K), where Y = P when the elements are the datum's, specialized.
+    C_w = +-T_w + lower terms and ids grow with length, so K' is triangular
+    in id order with diagonal +-1, and back-substitution through K' (no
+    division) reads Y off each element. If Q inverts P, then X = K'^-1 Q
+    inverts P_T. The certificate (`_specialized_coords`): the keys are the
+    datum's, |W| of them, every entry of Y is the datum's constant
+    coordinate, and `_certified_coords` passes over R = Z[delta][1/p : p in
+    spec.invertible_primes]. Then P_T X = I over R[Gamma], so det P_T =
+    +-det P is a unit and A' is []; C3 reads the exact coordinates
+    coords(s, key) = peel(T_s C^lam_{s,t}) Q.
+
+    Otherwise one elimination inverts P_T, and its determinant must be a
+    unit of R[Gamma]: a single monomial c eps^g. The datum's elements lie in
     Z[delta], hence so does c, and such a c is a unit of R exactly when its
-    norm has no prime factor outside invertible_primes."""
+    norm has no prime factor outside invertible_primes. C3 then reads the
+    numerators of the inverse, the exact coordinates times det P_T."""
     report = Report()
     alg = spec.alg
     size = alg.table.size
     keys = _cell_keys(spec)
-    zero = LaurentPoly.zero(alg.rank)
-    transition = KMatrix.from_polys(
-        [[spec.elements[key].get(w, zero) for w in range(size)] for key in keys])
-    bad = []
-    inv = None
+    bad, coords = [], None
     if len(keys) != size:
         bad.append(f"basis has {len(keys)} elements for group order {size}")
-    else:
+    elif (coords := _specialized_coords(spec, keys)) is None:
+        zero = LaurentPoly.zero(alg.rank)
         try:
-            inv = transition.inverse()
+            inv = KMatrix.from_polys(
+                [[spec.elements[key].get(w, zero) for w in range(size)] for key in keys]).inverse()
         except ComputationError:
             bad.append("specialized transition matrix is singular")
-    if inv is not None:
-        # the transition matrix has denominator 1: inv.den is its determinant
-        if len(inv.den.terms) != 1:
-            bad.append("specialized determinant is not a unit of the Laurent ring")
         else:
-            (c,) = inv.den.terms.values()
-            bad += _unit_violations(alg.table.field, c, spec.invertible_primes,
-                                    "specialized determinant coefficient")
+            # the transition matrix has denominator 1: inv.den is its determinant
+            if len(inv.den.terms) != 1:
+                bad.append("specialized determinant is not a unit of the Laurent ring")
+            else:
+                (c,) = inv.den.terms.values()
+                bad += _unit_violations(alg.table.field, c, spec.invertible_primes,
+                                        "specialized determinant coefficient")
+
+            def coords(s_gen, key):
+                out = {}
+                for w, poly in alg.gen_left(s_gen, spec.elements[key]).items():
+                    for ki, c in enumerate(inv.num[w]):
+                        if c:
+                            accumulate(out, keys[ki], c * poly)
+                return out
     report.record("A'-basis", bad)
     report.record("C2 star (specialized)", _star_violations(spec))
-    if inv is None:
-        report.record("C3 (specialized)", [f"C3 not checked: {bad[0]}"])
-        return report
+    report.record("C3 (specialized)", _c3_violations(spec, coords) if coords is not None
+                  else [f"C3 not checked: {bad[0]}"])
+    return report
 
-    # every coordinate has the denominator inv.den, so numerators are compared
-    def coords(s_gen, key):
-        out = {}
-        for w, poly in alg.gen_left(s_gen, spec.elements[key]).items():
-            for ki, c in enumerate(inv.num[w]):
-                if c:
-                    accumulate(out, keys[ki], c * poly)
+
+def _specialized_coords(spec: SpecializedBasis, keys: list):
+    """coords(s, key) from X = K'^-1 Q when the certificate of
+    `verify_specialized` holds, in key order; else None."""
+    datum, alg = spec.datum, spec.alg
+    if keys != _cell_keys(datum):
+        return None
+    src, rank = datum.alg, alg.rank
+    images = specialization_hom(src.weights, alg.weights)
+    kp = [{u: q for u, p in src.c_basis(w).items() if (q := p.specialize_exponents(images, rank))}
+          for w in range(src.table.size)]
+
+    def peel(vec):
+        # v = sum_w y_w K'[w]: the top id left in v is the top w with y_w != 0
+        rem, out = dict(vec), {}
+        for w in reversed(range(len(kp))):
+            if (y := rem.pop(w, None)) is not None:
+                out[w] = y = y * kp[w][w]
+                for u, k in kp[w].items():
+                    if u != w:
+                        accumulate(rem, u, -(y * k))
         return out
 
-    report.record("C3 (specialized)", _c3_violations(spec, coords))
-    return report
+    if any(peel(spec.elements[key]) != {w: LaurentPoly.constant(rank, c)
+                                         for w, c in datum.elements[key].items()}
+           for key in keys):
+        return None
+    rows = _closed_form_rows(datum, keys)
+    if _certified_coords(datum, keys, rows, spec.invertible_primes) is None:
+        return None
+
+    def coords(s_gen, key):
+        out = {}
+        for w, z in peel(alg.gen_left(s_gen, spec.elements[key])).items():
+            for k, q in rows[w]:
+                accumulate(out, k, z.scale(q))
+        return {keys[k]: out[k] for k in sorted(out)}
+
+    return coords

@@ -4,6 +4,7 @@ into the asymptotic ring, the bimodule identity, and weight specialization."""
 import dataclasses
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -15,10 +16,11 @@ from heckecell.cellular import (b_matrix, hecke_to_asym,
                                 specialize_datum,
                                 verify_bimodule_identity, verify_cell_datum,
                                 verify_phi, verify_specialized)
+from heckecell.cli import parse_weights
 from heckecell.errors import ComputationError, VerificationError
 from heckecell.hecke import HeckeAlgebra
-from heckecell.matrices import f_inverse
-from heckecell.scalars import LaurentPoly, accumulate, natural_order
+from heckecell.matrices import KMatrix, f_inverse
+from heckecell.scalars import LaurentPoly, accumulate, natural_order, scalar_inverse
 
 
 def test_b_matrices_i2_equal():
@@ -219,6 +221,13 @@ def eliminated_rows(datum) -> list:
     return [{k: c for k, c in enumerate(row) if c} for row in inv]
 
 
+def certified(datum):
+    """`_certified_coords` on the datum's own Q and invertible primes."""
+    keys = cellular._cell_keys(datum)
+    return cellular._certified_coords(datum, keys, cellular._closed_form_rows(datum, keys),
+                                      datum.invertible_primes)
+
+
 def scaled_element(datum, key, factor):
     """A copy of the datum with the element `key` times `factor`."""
     elements = dict(datum.elements)
@@ -257,7 +266,7 @@ def test_closed_form_inverse_equals_the_eliminated_rows(name, weights, order):
     keys = cellular._cell_keys(datum)
     rows = cellular._closed_form_rows(datum, keys)
     assert [dict(row) for row in rows] == eliminated_rows(datum)
-    assert cellular._certified_coords(datum, keys) is not None
+    assert certified(datum) is not None
     assert verify_cell_datum(datum).checks == reference_cell_datum(datum)
 
 
@@ -277,7 +286,7 @@ def test_packed_c3_coordinates_equal_the_laurent_route(name, weights, order, edi
     if edit is None:
         rows = cellular._closed_form_rows(datum, keys)
     else:
-        assert cellular._certified_coords(datum, keys) is None
+        assert certified(datum) is None
         rows = [[(k, c) for k, c in enumerate(row) if c] for row in inv]
     packed = cellular._cell_coords(datum, keys, rows)
     want = reference_coords(datum, inv)
@@ -292,7 +301,7 @@ def test_c1_passes_a_negated_element_without_the_certificate():
     longer the inverse of Q: the elimination decides C1, and it passes."""
     datum = get_session("I2:5").datum
     negated = scaled_element(datum, ("onedim:++", 0, 0), -1)
-    assert cellular._certified_coords(negated, cellular._cell_keys(negated)) is None
+    assert certified(negated) is None
     report = verify_cell_datum(negated)
     assert report.ok, report.summary()
     assert report.checks == reference_cell_datum(negated)
@@ -304,7 +313,7 @@ def test_c1_reports_the_elimination_for_an_entry_outside_r():
     datum = get_session("I2:5").datum
     assert 7 not in datum.invertible_primes
     scaled = scaled_element(datum, ("onedim:++", 0, 0), Fraction(1, 7))
-    assert cellular._certified_coords(scaled, cellular._cell_keys(scaled)) is None
+    assert certified(scaled) is None
     report = verify_cell_datum(scaled)
     (bad,) = report.checks["C1 basis"]
     assert bad.startswith("transition determinant ")
@@ -315,7 +324,7 @@ def test_c1_reports_the_elimination_when_q_leaves_r():
     """With no prime inverted, Q on I2:5 has entries over 5 outside R while
     PQ = I still holds: membership alone refuses the certificate."""
     datum = dataclasses.replace(get_session("I2:5").datum, invertible_primes=set())
-    assert cellular._certified_coords(datum, cellular._cell_keys(datum)) is None
+    assert certified(datum) is None
     report = verify_cell_datum(datum)
     assert report.checks["C1 basis"] == [
         "transition determinant 25 is not a unit of Z[d][1/p : p in []]"]
@@ -477,6 +486,7 @@ def test_specialized_c3_detects_swapped_elements():
     spec = specialize_datum(session.datum, get_session("B2").algebra)
     a, b = ("B:((2,), ())", 0, 0), ("B:((1, 1), ())", 0, 0)
     spec.elements[a], spec.elements[b] = spec.elements[b], spec.elements[a]
+    assert not certified_specialized(spec)
     report = verify_specialized(spec)
     assert report.checks["C3 (specialized)"], report.summary()
 
@@ -490,6 +500,7 @@ def test_specialized_a_prime_basis_detects_a_doubled_element():
     assert spec.invertible_primes == set()
     key = ("B:((2,), ())", 0, 0)
     spec.elements[key] = {u: p + p for u, p in spec.elements[key].items()}
+    assert not certified_specialized(spec)
     assert verify_specialized(spec).checks["A'-basis"] == [
         "specialized determinant coefficient -2 is not a unit of Z[d][1/p : p in []]"]
 
@@ -502,6 +513,7 @@ def test_specialized_a_prime_basis_detects_a_determinant_with_two_terms():
     one_plus_eps = LaurentPoly(1, {(0,): 1, (1,): 1})
     key = ("B:((2,), ())", 0, 0)
     spec.elements[key] = {u: p * one_plus_eps for u, p in spec.elements[key].items()}
+    assert not certified_specialized(spec)
     assert verify_specialized(spec).checks["A'-basis"] == [
         "specialized determinant is not a unit of the Laurent ring"]
 
@@ -510,6 +522,7 @@ def test_specialized_a_prime_basis_detects_a_singular_basis():
     session = get_session("B2", "universal", "b-first")
     spec = specialize_datum(session.datum, get_session("B2").algebra)
     spec.elements[("B:((2,), ())", 0, 0)] = spec.elements[("B:((1, 1), ())", 0, 0)]
+    assert not certified_specialized(spec)
     report = verify_specialized(spec)
     assert report.checks["A'-basis"] == ["specialized transition matrix is singular"]
     assert report.checks["C3 (specialized)"] == [
@@ -522,8 +535,9 @@ def test_specialized_a_prime_basis_reads_the_invertible_primes():
     session = get_session("I2:6", "universal", "b-first")
     spec = specialize_datum(session.datum, get_session("I2:6").algebra)
     assert spec.invertible_primes == {2}
-    assert verify_specialized(spec).ok
+    assert verify_specialized(spec).ok and certified_specialized(spec)
     spec.invertible_primes = set()
+    assert not certified_specialized(spec)
     assert verify_specialized(spec).checks["A'-basis"] == [
         "specialized determinant coefficient -16 is not a unit of Z[d][1/p : p in []]"]
 
@@ -567,6 +581,94 @@ def test_specialize_i26_collapses_to_one_variable():
         direct = {u: LaurentPoly(1, terms) for u, terms in direct.items()}
         direct = {u: p for u, p in direct.items() if p}
         assert spec.elements[key] == direct
+
+
+# -- the specialized certificate against the elimination ----------------------------
+
+
+def specialized(name, target):
+    """The universal/b-first basis of `name` specialized to the target weights
+    (CLI text), under the natural order, as `cell specialize` does."""
+    session = get_session(name, "universal", "b-first")
+    weights = parse_weights(target, session.system)
+    alg = HeckeAlgebra(session.table, weights, natural_order(weights.rank),
+                       require_positive=False)
+    return specialize_datum(session.datum, alg)
+
+
+def certified_specialized(spec) -> bool:
+    """Whether the certificate of `verify_specialized` holds."""
+    return cellular._specialized_coords(spec, cellular._cell_keys(spec)) is not None
+
+
+def eliminated_specialized(spec) -> dict:
+    """The checks of `verify_specialized` with the certificate refused, so
+    that the elimination decides them."""
+    with mock.patch.object(cellular, "_specialized_coords", return_value=None):
+        return verify_specialized(spec).checks
+
+
+def specialized_edits(spec) -> list:
+    """A copy of the basis for each term of each specialized element, with
+    that coefficient raised by one."""
+    edits = []
+    for key, coeffs in spec.elements.items():
+        for u, p in coeffs.items():
+            for g in p.terms:
+                elements = dict(spec.elements)
+                elements[key] = {**coeffs, u: p + LaurentPoly.monomial(g)}
+                edits.append(dataclasses.replace(spec, elements=elements))
+    return edits
+
+
+SPECIALIZATION_TARGETS = [
+    ("B3", '{"0":[1],"1":[2],"2":[2]}'), ("B3", "equal"), ("B3", '{"0":[3],"1":[2],"2":[2]}'),
+    ("B3", '{"0":[2],"1":[1],"2":[1]}'), ("B3", '{"0":[3],"1":[1],"2":[1]}'),
+    ("I2:8", '{"0":[1],"1":[2]}'), ("I2:8", '{"0":[2],"1":[1]}'),
+    ("I2:8", '{"0":[1],"1":[3]}'), ("I2:8", "equal"),
+    ("B2", '{"0":[1],"1":[2]}'), ("B2", '{"0":[2],"1":[1]}'),
+    ("I2:6", '{"0":[2],"1":[1]}'), ("I2:6", '{"0":[-1],"1":[1]}'),
+]
+
+
+@pytest.mark.parametrize("name,target", SPECIALIZATION_TARGETS)
+def test_specialized_certificate_agrees_with_the_elimination(name, target):
+    """The certificate holds, the report is the elimination's, and each
+    certified C3 coordinate is the elimination's numerator over the
+    determinant, which is a constant: det P_T = +-det P."""
+    spec = specialized(name, target)
+    alg, size = spec.alg, spec.alg.table.size
+    keys = cellular._cell_keys(spec)
+    coords = cellular._specialized_coords(spec, keys)
+    assert coords is not None
+    report = verify_specialized(spec)
+    assert report.ok, report.summary()
+    assert report.checks == eliminated_specialized(spec)
+    zero = LaurentPoly.zero(alg.rank)
+    inv = KMatrix.from_polys(
+        [[spec.elements[key].get(w, zero) for w in range(size)] for key in keys]).inverse()
+    ((g, det),) = inv.den.terms.items()
+    assert not any(g)
+    for s in range(alg.table.system.ngens):
+        for key in keys:
+            numerators = {}
+            for w, poly in alg.gen_left(s, spec.elements[key]).items():
+                for k, c in enumerate(inv.num[w]):
+                    accumulate(numerators, keys[k], c * poly)
+            assert coords(s, key) == {k: p.scale(scalar_inverse(det))
+                                      for k, p in numerators.items()}
+
+
+def test_every_specialized_coefficient_edit_reports_as_the_elimination():
+    """B2 to (2, 1): each coefficient of each specialized element raised by
+    one, the whole report against the elimination's (CI sweeps I2:6 to
+    equal parameters too)."""
+    spec = specialized("B2", '{"0":[2],"1":[1]}')
+    edits = specialized_edits(spec)
+    assert len(edits) == sum(len(p.terms) for e in spec.elements.values() for p in e.values())
+    for edited in edits:
+        assert not certified_specialized(edited)
+        assert verify_specialized(edited).checks == eliminated_specialized(edited)
 
 
 # -- the bimodule check against its LaurentPoly form -----------------------------
@@ -784,6 +886,27 @@ def test_bimodule_premise_catches_the_non_generator_faults_phi_misses():
     assert verify_bimodule_identity(faulty, ring).checks == reference_bimodule(faulty, ring)
 
 
+def test_cell_suite_fails_every_h_fault_phi_passes():
+    """On B2, `verify_phi` passes 40 of the 96 in-cell h + 1 faults, as its
+    induction takes the `h_rows` recursion as given: 4 in the identity row
+    and 36 in rows of length >= 2, 22 of these at a nonzero entry. Each
+    breaks conditions (1)-(2) of `verify_bimodule_identity`, whose report
+    then fails: the cell suite fails on all of them."""
+    session = get_session("B2")
+    alg, ring = session.algebra, session.ring
+    _, _, cell_of = alg.lr_cells()
+    length, rows = alg.table.length, alg.h_rows()
+    faults = in_cell_faults(alg)
+    passed = [f for f in faults if verify_phi(corrupted_h_rows(alg, *f), ring).ok]
+    assert (len(faults), len(passed)) == (96, 40)
+    assert sum(x == 0 for x, _, _ in passed) == 4
+    assert sum(length[x] >= 2 and u in rows[x][w] for x, w, u in passed) == 22
+    for f in passed:
+        faulty = corrupted_h_rows(alg, *f)
+        assert not cellular._recursion_certificate(faulty, faulty.h_rows(), cell_of), f
+        assert not verify_bimodule_identity(faulty, ring).ok, f
+
+
 def recursion_mismatches(alg, rows) -> list:
     """The x with l(x) >= 2 at which the in-cell blocks, read from `rows` as
     LaurentPolys, break B_x = B_{x'} B_s - sum_{u != x} h_{s,x',u} B_u; no
@@ -898,6 +1021,7 @@ def test_specialized_c2_star_detects_an_edited_off_diagonal_element():
     session = get_session("B2", "universal", "b-first")
     spec = specialize_datum(session.datum, get_session("B2").algebra)
     lab, spec.elements = _edited_off_diagonal(spec.elements, spec.labels, spec.msize)
+    assert not certified_specialized(spec)
     report = verify_specialized(spec)
     assert report.checks["C2 star (specialized)"] == [
         f"star axiom fails for {lab} at (0,1)", f"star axiom fails for {lab} at (1,0)"]
