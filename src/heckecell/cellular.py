@@ -622,12 +622,16 @@ def specialization_hom(source: WeightFunction, target: WeightFunction) -> list:
     """Images of the source coordinate vectors under the group homomorphism
     determined by the target weight function (coordinate i of the source is
     the class-i indicator, so it maps to the target weight of that class).
-    Both are an algebra's weights, so stored exponents map to stored ones."""
+    Both are an algebra's weights, so stored exponents map to stored ones.
+    Generators that share a source coordinate must share a target weight."""
     images = [None] * source.rank
     for s, vec in enumerate(source.values):
         nonzero = [i for i, x in enumerate(vec) if x]
         if len(nonzero) != 1 or vec[nonzero[0]] != 1:
             raise InputError("specialization requires universal source weights")
+        if images[nonzero[0]] not in (None, target.of_gen(s)):
+            raise InputError(f"generators sharing source coordinate {nonzero[0]} "
+                             "have different target weights")
         images[nonzero[0]] = target.of_gen(s)
     if any(im is None for im in images):
         raise InputError("some source coordinate touches no generator")
@@ -642,7 +646,7 @@ class SpecializedBasis:
     msize: dict
     elements: dict           # (label, s, t) -> {w: LaurentPoly over target rank}
     invertible_primes: set   # the datum's: R = Z[delta][1/p : p in them]
-    datum: CellDatum         # the source: its C_w and Q certify the A'-basis
+    datum: CellDatum         # the source: its certified Q certifies the basis by base change
 
 
 def specialize_datum(datum: CellDatum, target_alg: HeckeAlgebra) -> SpecializedBasis:
@@ -668,24 +672,25 @@ def verify_specialized(spec: SpecializedBasis) -> Report:
     """A'-basis, then the star axiom and t-independence of the generator
     action, checked only on a square, nonsingular basis.
 
-    With P the datum's transition matrix and K[w][u] the coefficient of T_u
-    in the source C_w, the specialized transition matrix is P_T = Y K',
-    K' = spec(K), where Y = P when the elements are the datum's, specialized.
-    C_w = +-T_w + lower terms and ids grow with length, so K' is triangular
-    in id order with diagonal +-1, and back-substitution through K' (no
-    division) reads Y off each element. If Q inverts P, then X = K'^-1 Q
-    inverts P_T. The certificate (`_specialized_coords`): the keys are the
-    datum's, |W| of them, every entry of Y is the datum's constant
-    coordinate, and `_certified_coords` passes over R = Z[delta][1/p : p in
-    spec.invertible_primes]. Then P_T X = I over R[Gamma], so det P_T =
-    +-det P is a unit and A' is []; C3 reads the exact coordinates
-    coords(s, key) = peel(T_s C^lam_{s,t}) Q.
+    Specialization is the base change R[Gamma] -> R[Gamma'] along the
+    exponent homomorphism of `specialization_hom`. It fixes every T_w, so it
+    carries the source algebra's products to the target's. The certificate
+    (`_specialized_coords`): the keys are the datum's, |W| of them; the
+    elements are `specialize_datum` of the datum's, compared forward; and
+    `_certified_coords` passes over R = Z[delta][1/p : p in
+    spec.invertible_primes]. Then the datum's elements are a basis of the
+    source algebra over R[Gamma] whose coordinates are exact, read off the
+    inverse Q. Base change keeps a basis with an exact inverse a basis, and
+    keeps each identity T_s C^lam_{s,t} = sum coords(s, key) C^mu_{s',t'}:
+    A' is [], and C3 reads the datum's coordinates with their exponents
+    specialized.
 
-    Otherwise one elimination inverts P_T, and its determinant must be a
-    unit of R[Gamma]: a single monomial c eps^g. The datum's elements lie in
-    Z[delta], hence so does c, and such a c is a unit of R exactly when its
-    norm has no prime factor outside invertible_primes. C3 then reads the
-    numerators of the inverse, the exact coordinates times det P_T."""
+    Otherwise one elimination inverts P_T, the elements' coordinates in the
+    target T-basis, and its determinant must be a unit of R[Gamma]: a single
+    monomial c eps^g. The datum's elements lie in Z[delta], hence so does c,
+    and such a c is a unit of R exactly when its norm has no prime factor
+    outside invertible_primes. C3 then reads the numerators of the inverse,
+    the exact coordinates times det P_T."""
     report = Report()
     alg = spec.alg
     size = alg.table.size
@@ -724,40 +729,20 @@ def verify_specialized(spec: SpecializedBasis) -> Report:
 
 
 def _specialized_coords(spec: SpecializedBasis, keys: list):
-    """coords(s, key) from X = K'^-1 Q when the certificate of
-    `verify_specialized` holds, in key order; else None."""
+    """coords(s, key) when the certificate of `verify_specialized` holds: the
+    datum's certified coordinates with their exponents specialized, zero
+    ones dropped, in key order; else None."""
     datum, alg = spec.datum, spec.alg
-    if keys != _cell_keys(datum):
+    if keys != _cell_keys(datum) or spec.elements != specialize_datum(datum, alg).elements:
         return None
-    src, rank = datum.alg, alg.rank
-    images = specialization_hom(src.weights, alg.weights)
-    kp = [{u: q for u, p in src.c_basis(w).items() if (q := p.specialize_exponents(images, rank))}
-          for w in range(src.table.size)]
-
-    def peel(vec):
-        # v = sum_w y_w K'[w]: the top id left in v is the top w with y_w != 0
-        rem, out = dict(vec), {}
-        for w in reversed(range(len(kp))):
-            if (y := rem.pop(w, None)) is not None:
-                out[w] = y = y * kp[w][w]
-                for u, k in kp[w].items():
-                    if u != w:
-                        accumulate(rem, u, -(y * k))
-        return out
-
-    if any(peel(spec.elements[key]) != {w: LaurentPoly.constant(rank, c)
-                                         for w, c in datum.elements[key].items()}
-           for key in keys):
+    source = _certified_coords(datum, keys, _closed_form_rows(datum, keys),
+                               spec.invertible_primes)
+    if source is None:
         return None
-    rows = _closed_form_rows(datum, keys)
-    if _certified_coords(datum, keys, rows, spec.invertible_primes) is None:
-        return None
+    images = specialization_hom(datum.alg.weights, alg.weights)
 
     def coords(s_gen, key):
-        out = {}
-        for w, z in peel(alg.gen_left(s_gen, spec.elements[key])).items():
-            for k, q in rows[w]:
-                accumulate(out, k, z.scale(q))
-        return {keys[k]: out[k] for k in sorted(out)}
+        return {k: q for k, p in source(s_gen, key).items()
+                if (q := p.specialize_exponents(images, alg.rank))}
 
     return coords

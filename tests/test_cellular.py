@@ -671,6 +671,23 @@ def test_every_specialized_coefficient_edit_reports_as_the_elimination():
         assert verify_specialized(edited).checks == eliminated_specialized(edited)
 
 
+def test_every_datum_coefficient_edit_reports_as_the_elimination():
+    """B2 to (2, 1): each coefficient of the source datum raised by one, the
+    specialized elements left as they were. The elements no longer compare
+    equal to the datum's, specialized, so the certificate refuses the basis,
+    and the elimination passes it: the elements are still a cellular basis."""
+    spec = specialized("B2", '{"0":[2],"1":[1]}')
+    datum = spec.datum
+    for key, coeffs in datum.elements.items():
+        for w, c in coeffs.items():
+            elements = {**datum.elements, key: {**coeffs, w: c + 1}}
+            edited = dataclasses.replace(spec, datum=dataclasses.replace(datum,
+                                                                         elements=elements))
+            assert not certified_specialized(edited)
+            report = verify_specialized(edited)
+            assert report.ok and report.checks == eliminated_specialized(edited)
+
+
 # -- the bimodule check against its LaurentPoly form -----------------------------
 
 

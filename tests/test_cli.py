@@ -384,6 +384,22 @@ def test_non_integer_weights_give_input_exit(tmp_path, capsys, spec, flag):
                         "--out", str(tmp_path)], capsys)
 
 
+@pytest.mark.parametrize("system", ["B2", "I2:6"])
+def test_specialization_that_splits_a_source_coordinate_gives_input_exit(tmp_path, capsys,
+                                                                         system):
+    # under equal source weights both generators share coordinate 0, which
+    # has no one image for the target (2, 1); equal to equal is a homomorphism
+    capsys.readouterr()
+    assert main(["cell", "specialize", "--system", system, "--target", '{"0":[2],"1":[1]}',
+                 "--out", str(tmp_path / "split")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: generators sharing source coordinate 0 have "
+                          "different target weights")
+    assert not (tmp_path / "split").exists()
+    assert main(["cell", "specialize", "--system", system, "--target", "equal",
+                 "--out", str(tmp_path / "equal")]) == 0
+
+
 @pytest.mark.parametrize("spec", ["a-first", "asymptotic", "1;0"])
 def test_order_other_than_natural_b_first_or_priority_gives_input_exit(tmp_path, capsys, spec):
     assert_input_error(["kl-table", "--system", "B2", "--weights", "universal",
