@@ -378,8 +378,8 @@ def verify_phi(alg: HeckeAlgebra, ring: AsymptoticRing) -> Report:
 
     Multiplicativity, phi(C_x) phi(C_y) = sum_z h_{x,y,z} phi(C_z), is
     checked on the n |W| pairs with x a generator s. These cover every pair,
-    by induction on l(x) along the recursion `HeckeAlgebra.h_rows` builds
-    the table from: for x = s x' with l(x) = l(x') + 1,
+    by induction on l(x) along the recursion a true table satisfies: for
+    x = s x' with l(x) = l(x') + 1,
 
         C_x = C_s C_{x'} - sum_{u != x} h_{s,x',u} C_u,    l(u) < l(x'),
 
@@ -396,8 +396,8 @@ def verify_phi(alg: HeckeAlgebra, ring: AsymptoticRing) -> Report:
 
     The induction takes the stored table to satisfy that recursion, which
     this check does not read: conditions (1)-(2) of
-    `verify_bimodule_identity` are the check of the `h_rows` recursion on
-    every in-cell entry, so a fault in a row of neither 1 nor a generator
+    `verify_bimodule_identity` are the check of that recursion on every
+    in-cell entry, so a fault in a row of neither 1 nor a generator
     may pass here and is left to that check.
 
     The regrouping needs J to be associative. That follows from two checks
@@ -475,11 +475,11 @@ def verify_bimodule_identity(alg: HeckeAlgebra, ring: AsymptoticRing,
     it commutes. Without the length test, an entry of a generator row at
     some u no shorter than x would let the induction lean on B_u before
     B_u is proved. On a true table, (2) is C_s C_{x'} = sum_u h_{s,x',u} C_u,
-    the recursion `HeckeAlgebra.h_rows` builds the table by, acting on the
-    subquotient module of each two-sided cell, where C_x acts by B_x (row
-    w holds the image of C_w). (2) reads every in-cell entry of the table,
-    so a fault in a row of neither 1 nor a generator fails it, where
-    "phi multiplicative", which reads generator rows only, may pass.
+    the recursion the table satisfies, acting on the subquotient module of
+    each two-sided cell, where C_x acts by B_x (row w holds the image of
+    C_w). (2) reads every in-cell entry of the table, so a fault in a row
+    of neither 1 nor a generator fails it, where "phi multiplicative",
+    which reads generator rows only, may pass.
 
     A passing check runs the commutator for the n generators only. In
     process, min of nine calls on a 2-vCPU Xeon VM under Python 3.11.7:
@@ -561,7 +561,9 @@ def _commutator_failures(x: int, rows, cell_of, g_col, g_row) -> set:
 def _recursion_certificate(alg: HeckeAlgebra, rows, cell_of) -> bool:
     """Conditions (1) and (2) of `verify_bimodule_identity`: B_1 = I, and
     B_x = B_{x'} B_s - sum_{u != x} h_{s,x',u} B_u with every such u shorter
-    than x, all read from `rows`. False at the first failure.
+    than x, all read from `rows`. False at the first failure. (2) reads
+    every x, so it also checks the rows `HeckeAlgebra.h_rows` fills from
+    their partners under T_w -> T_{w^{-1}}.
 
     Each exponent e is packed into the int sum_i e_i k^i, k = 4 m + 1 for m
     the largest |e_i| stored: additive, and one-to-one on the exponents

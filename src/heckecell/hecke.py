@@ -19,6 +19,16 @@ The accumulator holds one term map per T_y, and every product is added into
 it by `scalars.mul_into`; the maps become polynomials once, when the peel
 ends.
 
+The A-linear anti-involution T_w -> T_{w^{-1}} commutes with bar (Lusztig,
+Hecke algebras with unequal parameters, 2003), so it maps Cp_w to
+Cp_{w^{-1}} and C_w to C_{w^{-1}}, and reverses products:
+
+    p_{y,w} = p_{y^{-1},w^{-1}},    h_{x,y,z} = h_{y^{-1},x^{-1},z^{-1}}.
+
+Cp_w with w^{-1} < w and the h-table rows with l(y) < l(x) are read off
+their partners this way, with keys inverted; they share the partner's
+polynomials, so no stored `LaurentPoly` is ever changed in place.
+
 Structure constants h_{x,y,z} (C_x C_y = sum h_{x,y,z} C_z) are materialized
 by a length recursion on x that only ever multiplies by generator rows; each
 entry h_{x,y,z} is summed on one term map the same way. The
@@ -41,10 +51,10 @@ from .scalars import LaurentPoly, MonomialOrder, exp_neg, mul_into
 # The full table is |W|^2 sparse rows. Time for `h_rows` plus the a-values,
 # and the peak resident memory of the process, on a 2-vCPU Xeon VM under
 # Python 3.11.7 (three runs each, B4 two): A4 and H3 (|W| = 120)
-# 0.20-0.25 + 0.04 s, 36 MB and 0.39-0.42 + 0.06-0.07 s, 45 MB; D4 (192)
-# 0.97-1.18 + 0.14-0.20 s, 78 MB; B4 (384) 6.8-8.5 + 0.9-1.1 s, 408 MB.
-# The VM also runs in a state about twice as slow. So the limit admits D4
-# and stops short of B4.
+# 0.11-0.14 + 0.04-0.06 s, 30 MB and 0.19-0.20 + 0.06-0.09 s, 35 MB; D4
+# (192) 0.42-0.66 + 0.14-0.24 s, 56 MB; B4 (384) 3.7-4.3 + 0.9-1.1 s,
+# 258 MB. The VM also runs in a state about twice as slow. So the limit
+# admits D4 and stops short of B4.
 MAX_FULL_TABLE = 192
 
 
@@ -95,10 +105,6 @@ class HeckeAlgebra:
 
     def gen_left(self, s: int, h: dict) -> dict:
         """T_s * h for h in the T-basis."""
-        return self._polys(self._gen_left_terms(s, h))
-
-    def _gen_left_terms(self, s: int, h: dict) -> dict:
-        """T_s * h as a map w -> term map, for h in the T-basis."""
         t, out = self.table, {}
         one, xi = self._one_terms, self.xi[s].terms
         for w, c in h.items():
@@ -106,7 +112,7 @@ class HeckeAlgebra:
             _add_product(out, sw, one, c.terms)
             if t.length[sw] < t.length[w]:
                 _add_product(out, w, xi, c.terms)
-        return out
+        return self._polys(out)
 
     def _polys(self, maps: dict) -> dict:
         """Wrap each term map of maps in a LaurentPoly."""
@@ -118,12 +124,21 @@ class HeckeAlgebra:
     def cprime(self, w: int) -> dict:
         """Cp_w in the T-basis.
 
-        Peels every missing u <= w in id order, each by its first left descent.
-        Ids run in length order (`ElementTable`), so the table always holds a
-        prefix of the ids and each peel reads only shorter Cp_y."""
+        Fills every missing u <= w in id order. Ids run in length order
+        (`ElementTable`), so the table always holds a prefix of the ids. The
+        anti-involution T_w -> T_{w^{-1}} commutes with bar and maps Cp_w to
+        Cp_{w^{-1}}, so p_{y,u} = p_{y^{-1},u^{-1}}: when u^{-1} < u, Cp_u is
+        Cp_{u^{-1}} with every key inverted, sharing its polynomials.
+        Otherwise u is peeled by its first left descent, reading only shorter
+        Cp_y. The ascent rows this leaves unpeeled are peeled by `gen_row`
+        when asked for."""
         t = self.table
+        inverse = t.inverse
         while len(self._cprime) <= w:
             u = len(self._cprime)
+            if inverse[u] < u:
+                self._cprime.append({inverse[y]: p for y, p in self._cprime[inverse[u]].items()})
+                continue
             s = t.first_left_descent(u)
             self._peel(s, t.lmult[u][s])
         return self._cprime[w]
@@ -132,35 +147,44 @@ class HeckeAlgebra:
         """Peel Cp_s Cp_v = Cp_{sv} + sum mu[y] Cp_y for sv > v (Lusztig, Hecke
         algebras with unequal parameters, Thm 6.6); store and return the
         generator row h_{s,v,.} = {sv: 1, **mu}, and store Cp_{sv} if it is new.
+        `cprime` peels sv only when (sv)^{-1} >= sv and takes the other Cp
+        from their inverses (p_{y,w} = p_{y^{-1},w^{-1}}); the ascent rows
+        that leaves unpeeled are peeled here when `gen_row` asks for them.
 
         Cp_s Cp_v = (T_s + v_s^{-1}) Cp_v is bar-invariant with top term T_{sv};
-        going down in length, each mu_y Cp_y is subtracted in place, taking
-        away the nonnegative part of the coefficient at T_y. Reads the Cp_y
+        its coefficient at T_y is p_{sy,v} + v_s^{+-1} p_{y,v}, with + when
+        sy < y, summed as two products per term of Cp_v: p at T_{sy}, and
+        v_s or v_s^{-1} times p at T_y. Going down in length, each mu_y Cp_y
+        is subtracted in place, taking away the nonnegative part of the
+        coefficient at T_y; signs are read off the term maps, and a
+        polynomial is made once per key when the peel ends. Reads the Cp_y
         with l(y) <= l(v)."""
         t = self.table
         w = t.lmult[v][s]
-        cv = self._cprime[v]
-        x = self._gen_left_terms(s, cv)
-        vinv = self.vinv[s].terms
-        for y, c in cv.items():
-            _add_product(x, y, c.terms, vinv)
+        one, vs, vsinv = self._one_terms, self.v[s].terms, self.vinv[s].terms
+        x = {}
+        for y, p in self._cprime[v].items():
+            sy = t.lmult[y][s]
+            _add_product(x, sy, one, p.terms)
+            _add_product(x, y, vs if t.length[sy] < t.length[y] else vsinv, p.terms)
+        zero = (0,) * self.rank
         mu = {}
         for y in sorted((y for y in x if y != w), key=lambda y: -t.length[y]):
             c = x.get(y)
-            if c is None:
+            if c is None or max(c) < zero:
                 continue
-            m = LaurentPoly(self.rank, c).nonnegative_part()
-            if not m:
-                continue
-            m = mu[y] = m + m.bar() - LaurentPoly.constant(self.rank, m.constant_coefficient())
+            # m + bar(m) - m_0 for m the nonnegative part of c
+            m = {g: a for g, a in c.items() if g >= zero}
+            m.update({exp_neg(g): a for g, a in m.items()})
+            m = mu[y] = LaurentPoly(self.rank, m)
             for u, d in self._cprime[y].items():
                 _add_product(x, u, d.terms, m.terms, -1)
-        x = self._polys(x)
-        if x.get(w) != LaurentPoly.one(self.rank):
+        if x.get(w) != self._one_terms:
             raise ComputationError("KL correction failed")
         for y, c in x.items():
-            if y != w and not c.supported_negative():
+            if y != w and max(c) >= zero:
                 raise ComputationError("KL correction failed")
+        x = self._polys(x)
         if w == len(self._cprime):
             self._cprime.append(x)
         row = self._gen_rows[s][v] = {w: LaurentPoly.one(self.rank), **mu}
@@ -204,8 +228,13 @@ class HeckeAlgebra:
 
         The only reader of MAX_FULL_TABLE: past it the input is rejected
         (InputError), so every caller of the table, the a-values and the KL
-        gamma inherits the one limit. The recursion on the first left descent
-        s of x uses C_x = C_s C_{x'} - sum_{u != x} h_{s,x',u} C_u.
+        gamma inherits the one limit. The rows with l(y) >= l(x) come from
+        the recursion on the first left descent s of x,
+        C_x = C_s C_{x'} - sum_{u != x} h_{s,x',u} C_u. The anti-involution
+        T_w -> T_{w^{-1}} maps C_w to C_{w^{-1}} and reverses products, so
+        h_{x,y,z} = h_{y^{-1},x^{-1},z^{-1}}: a row with l(y) < l(x) is the
+        recursion's row (y^{-1}, x^{-1}) with every key inverted, sharing its
+        polynomials.
         """
         if self._h_rows is not None:
             return self._h_rows
@@ -214,19 +243,20 @@ class HeckeAlgebra:
             raise InputError(
                 f"full structure-constant table limited to |W| <= {MAX_FULL_TABLE}, "
                 f"this system has |W| = {t.size}")
-        size = t.size
+        size, inverse, length = t.size, t.inverse, t.length
         rows = [None] * size
         rows[0] = [{y: LaurentPoly.one(self.rank)} for y in range(size)]
         for lng in range(1, len(t.by_length)):
             for x in t.by_length[lng]:
                 s = t.first_left_descent(x)
-                if lng == 1:
-                    rows[x] = [self.gen_row(s, y) for y in range(size)]
-                    continue
                 xp = t.lmult[x][s]
                 corr = [(u, c) for u, c in self.gen_row(s, xp).items() if u != x]
                 xrows = []
                 for y in range(size):
+                    if length[y] < lng:
+                        xrows.append({inverse[z]: h for z, h
+                                      in rows[inverse[y]][inverse[x]].items()})
+                        continue
                     acc = {}
                     for w, hw in rows[xp][y].items():
                         for z, hz in self.gen_row(s, w).items():
@@ -263,6 +293,13 @@ class HeckeAlgebra:
         return out
 
     def _compute_a(self):
+        """The a-values from every stored entry, then the check a(z) = a(z^{-1}).
+
+        h_{x,y,z} and h_{y^{-1},x^{-1},z^{-1}} are one stored polynomial
+        (`h_rows`). The check catches a fault in one stored entry of such a
+        pair; a fault in computing an entry reaches its partner too and
+        leaves the a-values symmetric, and the tests' recursion for every
+        pair (x, y) is what catches that."""
         if self._a is not None:
             return
         rows = self.h_rows()

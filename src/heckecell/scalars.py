@@ -239,11 +239,6 @@ class LaurentPoly:
             raise ComputationError("undefined valuation: zero polynomial")
         return max(self.terms)
 
-    def nonnegative_part(self) -> "LaurentPoly":
-        """Terms with exponent >= 0 in the order."""
-        zero = (0,) * self.rank
-        return LaurentPoly(self.rank, {g: c for g, c in self.terms.items() if g >= zero})
-
     def supported_negative(self) -> bool:
         zero = (0,) * self.rank
         return all(g < zero for g in self.terms)

@@ -4,12 +4,13 @@ references: the T-basis product, inverse and bar involution below."""
 
 import itertools
 import random
+import re
 
 import pytest
 
 from conftest import B4_MATRIX, D4_MATRIX, get_session
 from heckecell.cli import Session
-from heckecell.errors import InputError
+from heckecell.errors import ComputationError, InputError
 from heckecell.hecke import HeckeAlgebra
 from heckecell.scalars import LaurentPoly, accumulate
 
@@ -61,12 +62,19 @@ def t_inverse(alg, w: int) -> dict:
     return out
 
 
-def bar(alg, h: dict) -> dict:
-    """The ring involution sum a_w T_w -> sum bar(a_w) (T_{w^{-1}})^{-1}."""
+def bar(alg, h: dict, inverses=None) -> dict:
+    """The ring involution sum a_w T_w -> sum bar(a_w) (T_{w^{-1}})^{-1}.
+
+    `inverses`, a dict w -> (T_w)^{-1}, is filled and read when given, so a
+    caller applying bar to many elements expands each inverse once."""
+    inverses = {} if inverses is None else inverses
     out = {}
     for w, c in h.items():
         cbar = c.bar()
-        for u, d in t_inverse(alg, alg.table.inverse[w]).items():
+        wi = alg.table.inverse[w]
+        if wi not in inverses:
+            inverses[wi] = t_inverse(alg, wi)
+        for u, d in inverses[wi].items():
             accumulate(out, u, cbar * d)
     return out
 
@@ -286,6 +294,104 @@ def test_each_ascent_is_peeled_once(monkeypatch, name, ascents, cells_first):
     alg.lr_cells()
     assert len(calls) == len(set(calls)) == ascents
     assert all(t.length[t.lmult[v][s]] > t.length[v] for s, v in calls)
+
+
+@pytest.mark.parametrize("name,peeled", [("H3", 75), ("A4", 72)])
+def test_kl_basis_peels_only_where_the_inverse_is_not_shorter(monkeypatch, name, peeled):
+    # Cp_u with u^{-1} < u is Cp_{u^{-1}} with its keys inverted; the whole
+    # KL basis, with no cells, peels exactly the other u != 1
+    alg = Session({"system": name}).algebra
+    t = alg.table
+    peeled_u = []
+    peel = HeckeAlgebra._peel
+
+    def counted(self, s, v):
+        peeled_u.append(t.lmult[v][s])
+        return peel(self, s, v)
+
+    monkeypatch.setattr(HeckeAlgebra, "_peel", counted)
+    for w in range(t.size):
+        alg.cprime(w)
+    assert peeled_u == [u for u in range(1, t.size) if t.inverse[u] >= u]
+    assert len(peeled_u) == peeled
+
+
+@pytest.mark.parametrize("name,weights,order", [
+    ("H3", "equal", None), ("B3", "universal", "b-first"),
+    ("I2:12", '{"0":[1],"1":[2]}', None),
+])
+def test_kl_basis_is_bar_invariant_with_unit_top_and_negative_support(name, weights, order):
+    # the defining property of every Cp_w, the ones with keys inverted from
+    # Cp_{w^{-1}} included, against the bar reference above
+    alg = alg_of(name, weights, order)
+    one = LaurentPoly.one(alg.rank)
+    inverses = {}
+    for w in range(alg.table.size):
+        cp = alg.cprime(w)
+        assert cp[w] == one
+        assert all(c.supported_negative() for y, c in cp.items() if y != w)
+        assert bar(alg, cp, inverses) == cp
+
+
+def reference_h_rows(alg) -> list:
+    """The full table by the length recursion on the first left descent s of
+    x, C_x = C_s C_{x'} - sum_{u != x} h_{s,x',u} C_u, run for every (x, y)
+    on the generator rows `gen_row`, each entry summed by `accumulate`."""
+    t = alg.table
+    size = t.size
+    rows = [[{y: LaurentPoly.one(alg.rank)} for y in range(size)]]
+    for x in range(1, size):  # ids run in length order
+        s = t.first_left_descent(x)
+        xp = t.lmult[x][s]
+        if xp == 0:
+            rows.append([alg.gen_row(s, y) for y in range(size)])
+            continue
+        corr = [(u, c) for u, c in alg.gen_row(s, xp).items() if u != x]
+        xrows = []
+        for y in range(size):
+            acc = {}
+            for w, hw in rows[xp][y].items():
+                for z, hz in alg.gen_row(s, w).items():
+                    accumulate(acc, z, hw * hz)
+            for u, cu in corr:
+                for z, hz in rows[u][y].items():
+                    accumulate(acc, z, -(cu * hz))
+            xrows.append(acc)
+        rows.append(xrows)
+    return rows
+
+
+@pytest.mark.parametrize("name,weights,order", [
+    ("A3", "equal", None), ("H3", "equal", None), ("B3", "universal", "b-first"),
+    ("B3", "universal", "natural"), ("I2:12", '{"0":[1],"1":[2]}', None),
+    ("[[1,2,2],[2,1,2],[2,2,1]]", "universal", "2,0,1"),
+])
+def test_h_rows_equal_the_recursion_for_every_pair(name, weights, order):
+    # h_rows runs the recursion for l(y) >= l(x) and inverts the keys of the
+    # row (y^{-1}, x^{-1}) for the others; the reference runs it for all
+    alg = alg_of(name, weights, order)
+    assert alg.h_rows() == reference_h_rows(alg)
+
+
+def test_a_value_catches_one_corrupt_entry():
+    # h_{x,y,z} and h_{y^-1,x^-1,z^-1} share one polynomial; replacing the
+    # first by one of higher degree leaves the second as it was, so
+    # a(z) != a(z^{-1})
+    alg = Session({"system": "A3"}).algebra
+    t = alg.table
+    rows = alg.h_rows()
+    x, y, z = next((x, y, z) for x in range(t.size) for y in range(t.size)
+                   for z in rows[x][y] if t.inverse[z] != z)
+    k = 1 + max(g[0] for row in rows for hs in row for h in hs.values() for g in h.terms)
+    before = rows[x][y][z]
+    partner = rows[t.inverse[y]][t.inverse[x]][t.inverse[z]]
+    assert partner == before
+    rows[x][y][z] = before + LaurentPoly(1, {(k,): 1, (-k,): 1})
+    assert rows[t.inverse[y]][t.inverse[x]][t.inverse[z]] is partner
+    assert partner == before
+    with pytest.raises(ComputationError,
+                       match=re.escape("a(z) != a(z^{-1}): structure constants corrupt")):
+        alg.a_value(z)
 
 
 @pytest.mark.parametrize("name,weights,order", [
