@@ -6,8 +6,9 @@ invariant forms; the cellular basis elements are
 
     C^lam_{s,t} = sum_w sum_u beta^lam_{t,u} M^lam_{u,s}(t_{w^{-1}}) C_w,
 
-with constant coefficients in Z[delta]. The module also provides the algebra
-homomorphism into the (Laurent-extended) asymptotic ring, the bimodule
+with constant coefficients in R = Z[delta][1/p : p in invertible_primes],
+the primes of the norms of the B-matrix determinants and of the f_lam.
+The module also provides the algebra homomorphism into the (Laurent-extended) asymptotic ring, the bimodule
 compatibility identity that underpins it, axiom verification for the cell
 datum, and weight specialization of the finished basis.
 """
@@ -120,26 +121,26 @@ def lambda_order(alg: HeckeAlgebra, ring: AsymptoticRing) -> dict:
 def build_cell_datum(alg: HeckeAlgebra, ring: AsymptoticRing, grams: dict) -> CellDatum:
     """Assemble the cell datum from balanced Gram forms (label -> KMatrix).
 
-    Each coefficient is stored through `scalars.int_if_integral`, as the
-    ring stores n: a rational integer is an int (every rational coefficient
-    on the systems checked), so specialization, the transition matrices
-    and the T_s products of the checks run int arithmetic."""
+    invertible_primes is read off every tensor first; then each coefficient
+    must lie in R (`_lies_in_r`, the membership rule of C1's certificate).
+    It is stored through `scalars.int_if_integral`, as the ring stores n:
+    a rational integer is an int (every rational coefficient on the
+    systems checked), so specialization, the transition matrices and the
+    T_s products of the checks run int arithmetic."""
     field = alg.table.field
     inverse = alg.table.inverse
     leq = lambda_order(alg, ring)
     labels = [t.label for t in ring.tensors]
-    bmats, msize, elements = {}, {}, {}
-    primes = set()
+    bmats = {t.label: b_matrix(grams[t.label], t, alg) for t in ring.tensors}
+    msize = {t.label: t.dim for t in ring.tensors}
+    primes = set().union(*(norm_primes(field, f_det(bmats[t.label])) | norm_primes(field, t.f)
+                           for t in ring.tensors))
+    elements = {}
     for t in ring.tensors:
-        beta = b_matrix(grams[t.label], t, alg)
-        bmats[t.label] = beta
-        msize[t.label] = t.dim
-        primes |= norm_primes(field, f_det(beta))
-        primes |= norm_primes(field, t.f)
         block = set(ring.blocks[ring.block_of_label[t.label]])
         # the coefficient of C_{w^{-1}} in C^lam_{s,tt} is (beta M_w)[tt][s]
         columns: dict = {}
-        ents = f_nonzero(beta)
+        ents = f_nonzero(bmats[t.label])
         for w, mw in t.entries.items():
             for (tt, s), acc in f_sparse_mul(ents, mw).items():
                 columns.setdefault((s, tt), {})[inverse[w]] = int_if_integral(acc)
@@ -150,7 +151,7 @@ def build_cell_datum(alg: HeckeAlgebra, ring: AsymptoticRing, grams: dict) -> Ce
                     if winv not in block:
                         raise ComputationError(
                             f"cellular element of {t.label} leaves its block")
-                    if not field.is_ring_integer(acc):
+                    if not _lies_in_r(acc, primes):
                         raise VerificationError(
                             f"integrality violation in cellular element of {t.label}")
                 elements[(t.label, s, tt)] = coeffs
@@ -172,7 +173,7 @@ def verify_cell_datum(datum: CellDatum) -> Report:
     (`_certified_coords`): |W| keys, every entry of P and Q in R
     (`_lies_in_r`) and PQ = I; then det P det Q = 1 makes det P a unit of R.
     Otherwise one elimination over F inverts P, and C1 asks that det P be a
-    unit of R (P lies over Z[delta], so P^-1 then lies over R): every failing
+    unit of R (P lies over R, so P^-1 = adj P / det P then does): every failing
     C1 report comes from there. C3 is checked only on a square, nonsingular
     basis, from the rows of either inverse."""
     report = Report()
@@ -240,8 +241,10 @@ def _lies_in_r(c, primes: set) -> bool:
 
 
 def _unit_violations(field, c, primes: set, what: str) -> list:
-    """[] when c in Z[delta] is a unit of R = Z[delta][1/p : p in primes], i.e.
-    its norm has no prime factor outside `primes`; else the one violation."""
+    """[] when c in R = Z[delta][1/p : p in primes] is a unit of R, i.e. its
+    norm has no prime factor outside `primes`; else the one violation. Exact,
+    as Q(delta) is Galois and R is stable under its automorphisms: the norm
+    is c times conjugates of c, all in R."""
     if norm_primes(field, c) <= primes:
         return []
     return [f"{what} {field.format(c)} is not a unit of Z[d][1/p : p in {sorted(primes)}]"]
@@ -689,8 +692,8 @@ def verify_specialized(spec: SpecializedBasis) -> Report:
 
     Otherwise one elimination inverts P_T, the elements' coordinates in the
     target T-basis, and its determinant must be a unit of R[Gamma]: a single
-    monomial c eps^g. The datum's elements lie in Z[delta], hence so does c,
-    and such a c is a unit of R exactly when its norm has no prime factor
+    monomial c eps^g. The datum's elements lie over R, hence so does c, and
+    such a c is a unit of R exactly when its norm has no prime factor
     outside invertible_primes. C3 then reads the numerators of the inverse,
     the exact coordinates times det P_T."""
     report = Report()

@@ -204,7 +204,7 @@ class Session:
             for y, p in alg.cprime(w).items():
                 if y != w:
                     table[f"{y},{w}"] = self.poly_str(p)
-        out["kl_polynomials"] = dict(sorted(table.items()))
+        out["kl_polynomials"] = table
         return out
 
     def artifact_h(self) -> dict:
@@ -216,7 +216,7 @@ class Session:
             for y in range(self.table.size):
                 for z, h in rows[x][y].items():
                     table[f"{x},{y},{z}"] = self.poly_str(h)
-        out["h_constants"] = dict(sorted(table.items()))
+        out["h_constants"] = table
         out["a_values"] = [list(self.order.user(alg.a_value(z))) for z in range(self.table.size)]
         return out
 
@@ -270,7 +270,7 @@ class Session:
         ring = self.ring
         out["gamma"] = {
             f"{x},{y},{z}": self.scalar_str(g)
-            for (x, y, z), g in sorted(ring.gamma.items())
+            for (x, y, z), g in ring.gamma.items()
         }
         out["n"] = [self.scalar_str(c) for c in ring.n_vec]
         out["distinguished"] = list(ring.d_set)
@@ -280,7 +280,7 @@ class Session:
     def artifact_blocks(self) -> dict:
         out = self.header("blocks")
         out["blocks"] = [list(b) for b in self.ring.blocks]
-        out["block_of_representation"] = dict(sorted(self.ring.block_of_label.items()))
+        out["block_of_representation"] = dict(self.ring.block_of_label)
         return out
 
     def artifact_cell(self) -> dict:
@@ -291,8 +291,8 @@ class Session:
         out["b_matrices"] = {lab: self.matrix_strs(datum.bmatrices[lab])
                              for lab in datum.labels}
         out["elements"] = {
-            f"{lab}|{s}|{t}": {str(w): self.scalar_str(c) for w, c in sorted(coeffs.items())}
-            for (lab, s, t), coeffs in sorted(datum.elements.items(), key=lambda kv: str(kv[0]))
+            f"{lab}|{s}|{t}": {str(w): self.scalar_str(c) for w, c in coeffs.items()}
+            for (lab, s, t), coeffs in datum.elements.items()
         }
         out["order_hasse"] = _hasse_edges(datum)
         out["invertible_primes"] = sorted(datum.invertible_primes)
@@ -303,7 +303,7 @@ class Session:
         alg, ring = self.algebra, self.ring
         out["images"] = {
             str(w): {str(z): self.poly_str(p)
-                     for z, p in sorted(cellular.hecke_to_asym(alg, ring, w).items())}
+                     for z, p in cellular.hecke_to_asym(alg, ring, w).items()}
             for w in range(self.table.size)
         }
         return out
@@ -523,8 +523,8 @@ def _cell_specialize(session: Session, args) -> int:
                               for s in range(session.system.ngens)}
     data["elements"] = {
         f"{lab}|{s}|{t}": {str(w): p.to_str(session.table.field, target_order)
-                           for w, p in sorted(coeffs.items())}
-        for (lab, s, t), coeffs in sorted(spec.elements.items(), key=lambda kv: str(kv[0]))
+                           for w, p in coeffs.items()}
+        for (lab, s, t), coeffs in spec.elements.items()
     }
     data["verification"] = {k: list(v) for k, v in report.checks.items()}
     _emit(data, args.out, "cell-specialized.json")

@@ -392,12 +392,6 @@ class RealCyclotomicField:
 
     # -- integrality, norms ---------------------------------------------------
 
-    def is_ring_integer(self, x) -> bool:
-        """Membership in Z[delta]: integer coordinates in the power basis."""
-        if isinstance(x, CycloNumber):
-            return x.den == 1
-        return Fraction(x).denominator == 1
-
     def norm(self, x) -> Fraction:
         """Field norm to Q: determinant of multiplication by x."""
         return f_det(self._mult_matrix(x))

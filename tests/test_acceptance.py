@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import get_session
-from heckecell.cellular import (b_matrix, specialize_datum,
+from heckecell.cellular import (_lies_in_r, b_matrix, specialize_datum,
                                 verify_bimodule_identity, verify_cell_datum,
                                 verify_phi, verify_specialized)
 from heckecell.matrices import KMatrix
@@ -118,12 +118,10 @@ def test_criterion_06_integrality():
                 den = Fraction(g).denominator
                 ok = ok and den & (den - 1) == 0
     for m in range(3, 13):
-        session = get_session(f"I2:{m}")
-        field = session.table.field
-        for t in session.tensors:
+        for t in get_session(f"I2:{m}").tensors:
             for ents in t.entries.values():
                 for _, _, c in ents:
-                    ok = ok and field.is_ring_integer(c)
+                    ok = ok and _lies_in_r(c, set())
     report(6, "gamma integral (crystallographic), 2-local (type B), tensors in"
               " the cosine ring (dihedral)", ok)
 

@@ -433,6 +433,34 @@ def test_invertible_primes_i2():
     assert session.datum.invertible_primes == {7}
 
 
+def test_b3_equal_datum_lies_over_r_and_not_over_z_delta():
+    """B3 equal: 41 cellular coefficients have denominator 2. They lie in
+    R = Z[d][1/2], as the norms of beta and f invert 2, and the certificate
+    passes C1-C3."""
+    datum = get_session("B3").datum
+    assert datum.invertible_primes == {2}
+    coeffs = [c for e in datum.elements.values() for c in e.values()]
+    assert sum(not cellular._lies_in_r(c, set()) for c in coeffs) == 41
+    assert all(cellular._lies_in_r(c, {2}) for c in coeffs)
+    assert certified(datum) is not None
+    assert verify_cell_datum(datum).ok
+
+
+def test_build_cell_datum_refuses_a_coefficient_outside_r():
+    """With no prime inverted, B3 equal's denominators 2 leave R, while A3's
+    coefficients lie in Z."""
+    def build(name):
+        session = get_session(name)
+        grams = {label: b.gram for label, b in session.balanced.items()}
+        return cellular.build_cell_datum(session.algebra, session.ring, grams)
+
+    with mock.patch.object(cellular, "norm_primes", return_value=set()):
+        with pytest.raises(VerificationError,
+                           match=r"^integrality violation in cellular element of B:\(\(1, 1\), \(1,\)\)$"):
+            build("B3")
+        assert build("A3").invertible_primes == set()
+
+
 @pytest.mark.parametrize("name,weights,order", [
     ("B2", "universal", "b-first"), ("I2:6", "universal", "b-first"), ("A3", "equal", None),
 ])
