@@ -170,7 +170,8 @@ class Session:
     def poly_str(self, p: LaurentPoly) -> str:
         """The text of p, formatted once per distinct polynomial: a table holds
         few distinct ones (H3 kl-table: 122 in 5371 entries; A4 h-table: 51
-        in 43623)."""
+        in 43623). The algebra holds each of its values in one object, hashed
+        once as it enters the pool, so a lookup builds no frozenset."""
         text = self._poly_texts.get(p)
         if text is None:
             text = self._poly_texts[p] = p.to_str(self.table.field, self.order)

@@ -27,7 +27,14 @@ Cp_{w^{-1}} and C_w to C_{w^{-1}}, and reverses products:
 
 Cp_w with w^{-1} < w and the h-table rows with l(y) < l(x) are read off
 their partners this way, with keys inverted; they share the partner's
-polynomials, so no stored `LaurentPoly` is ever changed in place.
+polynomials.
+
+Each algebra holds each polynomial value it stores once: every coefficient
+of the KL basis, the generator rows, the h-table and the C-basis is the one
+object its pool keeps for that value (H3: 70972 h-table entries in 320
+objects). Many entries therefore share one `LaurentPoly`, and an in-place
+edit would change all of them, so a stored polynomial is never changed in
+place. Temporaries, such as the products of `gen_left`, stay out of the pool.
 
 Structure constants h_{x,y,z} (C_x C_y = sum h_{x,y,z} C_z) are materialized
 by a length recursion on x that only ever multiplies by generator rows; each
@@ -48,13 +55,13 @@ from .coxeter import ElementTable, WeightFunction, validate_weights
 from .errors import ComputationError, InputError
 from .scalars import LaurentPoly, MonomialOrder, exp_neg, mul_into
 
-# The full table is |W|^2 sparse rows. Time for `h_rows` plus the a-values,
-# and the peak resident memory of the process, on a 2-vCPU Xeon VM under
-# Python 3.11.7 (three runs each, B4 two): A4 and H3 (|W| = 120)
-# 0.11-0.14 + 0.04-0.06 s, 30 MB and 0.19-0.20 + 0.06-0.09 s, 35 MB; D4
-# (192) 0.42-0.66 + 0.14-0.24 s, 56 MB; B4 (384) 3.7-4.3 + 0.9-1.1 s,
-# 258 MB. The VM also runs in a state about twice as slow. So the limit
-# admits D4 and stops short of B4.
+# The full table is |W|^2 sparse rows of pooled values. Time for `h_rows`
+# plus the a-values, and the peak resident memory of the process, on a
+# 2-vCPU Xeon VM under Python 3.11.7 (three runs each, B4 two): A4 and H3
+# (|W| = 120) 0.11-0.13 + 0.007 s, 22 MB and 0.19-0.21 + 0.010-0.011 s,
+# 22 MB; D4 (192) 0.40-0.41 + 0.022-0.024 s, 27 MB; B4 (384) 2.6-2.8 +
+# 0.13 s, 72 MB. The VM also runs in a state about twice as slow. So the
+# limit admits D4 and stops short of B4.
 MAX_FULL_TABLE = 192
 
 
@@ -90,8 +97,9 @@ class HeckeAlgebra:
         self.v = [LaurentPoly.monomial(g) for g in self.weights.values]
         self.vinv = [LaurentPoly.monomial(exp_neg(g)) for g in self.weights.values]
         self.xi = [self.v[s] - self.vinv[s] for s in range(n)]
-        self._one_terms = LaurentPoly.one(self.rank).terms
-        self._cprime: list = [self.unit()]
+        self._pool: dict = {}
+        self._one = self._held(LaurentPoly.one(self.rank).terms)
+        self._cprime: list = [{0: self._one}]
         self._c_cache: dict = {}
         self._gen_rows = [dict() for _ in range(n)]
         self._h_rows = None
@@ -106,18 +114,24 @@ class HeckeAlgebra:
     def gen_left(self, s: int, h: dict) -> dict:
         """T_s * h for h in the T-basis."""
         t, out = self.table, {}
-        one, xi = self._one_terms, self.xi[s].terms
+        one, xi = self._one.terms, self.xi[s].terms
         for w, c in h.items():
             sw = t.lmult[w][s]
             _add_product(out, sw, one, c.terms)
             if t.length[sw] < t.length[w]:
                 _add_product(out, w, xi, c.terms)
-        return self._polys(out)
+        rank = self.rank
+        return {y: LaurentPoly(rank, m) for y, m in out.items()}
+
+    def _held(self, terms: dict) -> LaurentPoly:
+        """The pool's polynomial with these terms, made from them if the value
+        is new. The pool maps each value to itself."""
+        p = LaurentPoly(self.rank, terms)
+        return self._pool.setdefault(p, p)
 
     def _polys(self, maps: dict) -> dict:
-        """Wrap each term map of maps in a LaurentPoly."""
-        rank = self.rank
-        return {y: LaurentPoly(rank, m) for y, m in maps.items()}
+        """The pool's polynomial for each term map of maps."""
+        return {y: self._held(m) for y, m in maps.items()}
 
     # -- canonical bases ------------------------------------------------------------
 
@@ -161,7 +175,7 @@ class HeckeAlgebra:
         with l(y) <= l(v)."""
         t = self.table
         w = t.lmult[v][s]
-        one, vs, vsinv = self._one_terms, self.v[s].terms, self.vinv[s].terms
+        one, vs, vsinv = self._one.terms, self.v[s].terms, self.vinv[s].terms
         x = {}
         for y, p in self._cprime[v].items():
             sy = t.lmult[y][s]
@@ -176,10 +190,10 @@ class HeckeAlgebra:
             # m + bar(m) - m_0 for m the nonnegative part of c
             m = {g: a for g, a in c.items() if g >= zero}
             m.update({exp_neg(g): a for g, a in m.items()})
-            m = mu[y] = LaurentPoly(self.rank, m)
+            m = mu[y] = self._held(m)
             for u, d in self._cprime[y].items():
                 _add_product(x, u, d.terms, m.terms, -1)
-        if x.get(w) != self._one_terms:
+        if x.get(w) != self._one.terms:
             raise ComputationError("KL correction failed")
         for y, c in x.items():
             if y != w and max(c) >= zero:
@@ -187,7 +201,7 @@ class HeckeAlgebra:
         x = self._polys(x)
         if w == len(self._cprime):
             self._cprime.append(x)
-        row = self._gen_rows[s][v] = {w: LaurentPoly.one(self.rank), **mu}
+        row = self._gen_rows[s][v] = {w: self._one, **mu}
         return row
 
     def c_basis(self, w: int) -> dict:
@@ -196,7 +210,7 @@ class HeckeAlgebra:
         if got is None:
             t = self.table
             got = {
-                y: c.bar() if t.length[y] % 2 == 0 else -c.bar()
+                y: self._held((c.bar() if t.length[y] % 2 == 0 else -c.bar()).terms)
                 for y, c in self.cprime(w).items()
             }
             self._c_cache[w] = got
@@ -217,7 +231,7 @@ class HeckeAlgebra:
             t = self.table
             sw = t.lmult[w][s]
             if t.length[sw] < t.length[w]:
-                row = self._gen_rows[s][w] = {w: self.v[s] + self.vinv[s]}
+                row = self._gen_rows[s][w] = {w: self._held((self.v[s] + self.vinv[s]).terms)}
             else:
                 self.cprime(sw)
                 row = self._gen_rows[s].get(w) or self._peel(s, w)
@@ -245,7 +259,7 @@ class HeckeAlgebra:
                 f"this system has |W| = {t.size}")
         size, inverse, length = t.size, t.inverse, t.length
         rows = [None] * size
-        rows[0] = [{y: LaurentPoly.one(self.rank)} for y in range(size)]
+        rows[0] = [{y: self._one} for y in range(size)]
         for lng in range(1, len(t.by_length)):
             for x in t.by_length[lng]:
                 s = t.first_left_descent(x)
@@ -295,19 +309,23 @@ class HeckeAlgebra:
     def _compute_a(self):
         """The a-values from every stored entry, then the check a(z) = a(z^{-1}).
 
-        h_{x,y,z} and h_{y^{-1},x^{-1},z^{-1}} are one stored polynomial
-        (`h_rows`). The check catches a fault in one stored entry of such a
-        pair; a fault in computing an entry reaches its partner too and
-        leaves the a-values symmetric, and the tests' recursion for every
-        pair (x, y) is what catches that."""
+        The entries share pooled objects, so each object's lowest exponent
+        is read once. h_{x,y,z} and h_{y^{-1},x^{-1},z^{-1}} are one stored
+        polynomial (`h_rows`). The check catches a fault in one stored entry
+        of such a pair; a fault in computing an entry reaches its partner too
+        and leaves the a-values symmetric, and the tests' recursion for
+        every pair (x, y) is what catches that."""
         if self._a is not None:
             return
         rows = self.h_rows()
         amax = [(0,) * self.rank] * self.table.size
+        cands = {}
         for x in range(self.table.size):
             for y in range(self.table.size):
                 for z, h in rows[x][y].items():
-                    cand = exp_neg(h.min_exponent())
+                    cand = cands.get(id(h))
+                    if cand is None:
+                        cand = cands[id(h)] = exp_neg(h.min_exponent())
                     if cand > amax[z]:
                         amax[z] = cand
         for z in range(self.table.size):

@@ -100,13 +100,17 @@ class LaurentPoly:
     because all three interoperate. The constructor takes `terms` as it is,
     so a caller passes a map with no zero coefficient; an integer-valued
     rational may be stored as either int or Fraction.
+
+    A polynomial is never changed once made: the first `hash` is kept, and
+    a `HeckeAlgebra` holds each of its values in one shared object.
     """
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank", "terms", "_hash")
 
     def __init__(self, rank: int, terms: dict):
         self.rank = rank
         self.terms = terms
+        self._hash = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -215,7 +219,10 @@ class LaurentPoly:
         return self.rank == other.rank and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.rank, frozenset(self.terms.items())))
+        return h
 
     def __repr__(self):
         return f"LaurentPoly({self.terms!r})"

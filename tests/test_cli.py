@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import B4_MATRIX
-from heckecell import reps
+from heckecell import cli, reps
 from heckecell.cli import Session, main
 from heckecell.fields import RealCyclotomicField
 from heckecell.scalars import LaurentPoly, MonomialOrder
@@ -532,6 +532,22 @@ def test_balanced_checks_each_form_and_model_once_and_clears_every_word_cache(mo
     assert sorted(map(id, passes)) == sorted(map(id, models))
     session.ring  # noqa: B018 - builds the ring from the tensors already made
     assert len(passes) == len(models)
+
+
+def test_pooled_polynomials_are_unchanged_by_a_full_run(tmp_path, monkeypatch):
+    # every entry that shares a pooled value would see an in-place edit
+    sessions = []
+    make = cli._session_from_args
+
+    def kept(args):
+        sessions.append(make(args))
+        return sessions[-1]
+
+    monkeypatch.setattr(cli, "_session_from_args", kept)
+    assert main(["run", "--system", "A3", "--out", str(tmp_path)]) == 0
+    pool = sessions[0].algebra._pool
+    assert pool and all(key is p for key, p in pool.items())
+    assert all(p._hash == hash((p.rank, frozenset(p.terms.items()))) for p in pool)
 
 
 @pytest.mark.parametrize("verify", ["bogus", "compare_kl", "reps,bogus", "all,reps", ""])

@@ -254,6 +254,18 @@ def test_generator_rows_match_direct_products(name, weights, order):
             assert direct == from_c(alg, alg.gen_row(s, w))
 
 
+def stored_polys(alg) -> list:
+    """Every polynomial the algebra stores, with repeats: the KL basis, the
+    generator rows, the h-table and the C-basis, each built in full."""
+    t = alg.table
+    out = [c for w in range(t.size) for c in alg.cprime(w).values()]
+    out += [h for s in range(t.system.ngens) for w in range(t.size)
+            for h in alg.gen_row(s, w).values()]
+    out += [h for row in alg.h_rows() for hs in row for h in hs.values()]
+    out += [c for w in range(t.size) for c in alg.c_basis(w).values()]
+    return out
+
+
 @pytest.mark.parametrize("name,weights,order", [
     ("A3", "equal", None), ("B2", "universal", "b-first"), ("I2:5", "equal", None),
 ])
@@ -262,14 +274,20 @@ def test_kl_and_h_table_entries_are_nonzero_with_no_zero_coefficient(name, weigh
     # an entry whose sum cancels is dropped and a coefficient that cancels is
     # deleted, as `accumulate` kept no zero
     alg = Session({"system": name, "weights": weights, "order": order}).algebra
-    t = alg.table
-    rows = alg.h_rows()
-    entries = [c for w in range(t.size) for c in alg.cprime(w).values()]
-    entries += [h for s in range(t.system.ngens) for w in range(t.size)
-                for h in alg.gen_row(s, w).values()]
-    entries += [h for row in rows for hs in row for h in hs.values()]
-    for p in entries:
+    for p in stored_polys(alg):
         assert p.terms and all(p.terms.values())
+
+
+@pytest.mark.parametrize("name,weights,order", [
+    ("A3", "equal", None), ("H3", "equal", None), ("B3", "universal", "b-first"),
+    ("I2:12", '{"0":[1],"1":[2]}', None),
+])
+def test_each_stored_value_is_held_once(name, weights, order):
+    alg = Session({"system": name, "weights": weights, "order": order}).algebra
+    alg.lr_cells()
+    stored = stored_polys(alg)
+    assert all(alg._pool[p] is p for p in stored)
+    assert len({id(p) for p in stored}) == len(set(stored)) < len(stored)
 
 
 @pytest.mark.parametrize("cells_first", [True, False])

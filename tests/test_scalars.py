@@ -369,6 +369,22 @@ def assert_same_product(p, q):
     return got
 
 
+def test_hash_is_cached_and_does_not_depend_on_term_order():
+    rng = random.Random(17)
+    for kind in sorted(COEFFICIENT_KINDS):
+        for _ in range(50):
+            p = kind_poly(rng, 2, kind, rng.randrange(0, 6))
+            items = list(p.terms.items())
+            rng.shuffle(items)
+            q = LaurentPoly(2, dict(reversed(items)))
+            assert p == q and hash(p) == hash(q)
+            for r in (p, q):
+                assert r._hash == hash((r.rank, frozenset(r.terms.items())))
+    a = LaurentPoly(2, {(0, 1): 3, (-1, 0): Fraction(1, 2), (2, 2): -5})
+    b = LaurentPoly(2, {(2, 2): -5, (-1, 0): Fraction(1, 2), (0, 1): 3})
+    assert list(a.terms) != list(b.terms) and hash(a) == hash(b)
+
+
 @pytest.mark.parametrize("kind", sorted(COEFFICIENT_KINDS))
 def test_product_kernel_matches_the_reference_loop(kind):
     rng = random.Random(kind)
