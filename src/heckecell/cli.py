@@ -35,6 +35,7 @@ from .hecke import HeckeAlgebra
 from .scalars import LaurentPoly, MonomialOrder, natural_order
 
 SCHEMA_PREFIX = "heckecell"
+CONFIG_KEYS = ("system", "weights", "order", "reps", "seed", "jobs", "out")
 
 
 def parse_weights(spec, system: CoxeterSystem) -> WeightFunction:
@@ -111,6 +112,10 @@ class Session:
     """Lazily computed pipeline state for one job; `balanced` is its one representation stage."""
 
     def __init__(self, config: dict):
+        for key in config:
+            if key not in CONFIG_KEYS:
+                raise InputError(f"unknown config key {key!r}; "
+                                 f"the keys are {', '.join(CONFIG_KEYS)}")
         self.system = parse_system(config.get("system", "A1"))
         self.weights = parse_weights(config.get("weights"), self.system)
         self.order = parse_order(config.get("order"), self.weights.rank)
@@ -120,6 +125,9 @@ class Session:
         if self.sources != "builtin" and not (
                 isinstance(self.sources, list) and all(isinstance(p, str) for p in self.sources)):
             raise InputError(f"reps must be 'builtin' or a list of paths, not {self.sources!r}")
+        self.out = config.get("out")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise InputError(f"out must be a directory path, not {self.out!r}")
         self.findings: list = []
         self._poly_texts: dict = {}
 
@@ -391,20 +399,29 @@ def _read_json(path: Path, what: str):
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _json_text(data: dict) -> str:
-    return json.dumps(data, indent=1, sort_keys=True)
+def _write_artifact(data, fh):
+    """Write one artifact, a dict or its JSON text, and a newline. A dict is
+    encoded as it is written: `json.dumps` holds every part until the join."""
+    if isinstance(data, str):
+        fh.write(data)
+    else:
+        json.dump(data, fh, indent=1, sort_keys=True)
+    fh.write("\n")
 
 
 def _emit(data, out, name: str):
     """Print or write one artifact, given as a dict or as its JSON text."""
-    text = data if isinstance(data, str) else _json_text(data)
     if out is None:
-        print(text)
-    else:
-        path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / name).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {path / name}")
+        _write_artifact(data, sys.stdout)
+        return
+    path = Path(out) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            _write_artifact(data, fh)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    print(f"wrote {path}")
 
 
 def _session_from_args(args) -> Session:
@@ -414,12 +431,10 @@ def _session_from_args(args) -> Session:
         if not isinstance(loaded, dict):
             raise InputError(f"config file {args.config} does not hold a JSON object")
         config.update(loaded)
-    for key in ("system", "weights", "order", "seed", "jobs", "out"):
+    for key in CONFIG_KEYS:
         val = getattr(args, key, None)
-        if val is not None:
+        if val is not None and val != []:  # `--reps` with no file keeps the file's reps
             config[key] = val
-    if getattr(args, "reps", None):
-        config["reps"] = args.reps
     return Session(config)
 
 
@@ -466,7 +481,8 @@ def cmd_run(args) -> int:
     try:
         for st in stages:
             for stem in STAGES[st].writes:
-                emitted[f"{stem}.json"] = _json_text(getattr(session, ARTIFACTS[stem])())
+                emitted[f"{stem}.json"] = json.dumps(getattr(session, ARTIFACTS[stem])(),
+                                                     indent=1, sort_keys=True)
         if suites is not None:
             summary = session.header("verification")
             summary["results"] = session.run_verifications(suites)
@@ -476,11 +492,11 @@ def cmd_run(args) -> int:
         session.findings.append({"suite": "construction", "check": "invariants",
                                  "violations": [str(exc)]})
     for name, data in emitted.items():
-        _emit(data, args.out, name)
+        _emit(data, session.out, name)
     if session.findings:
         findings = session.header("findings")
         findings["findings"] = session.findings
-        _emit(findings, args.out, "findings.json")
+        _emit(findings, session.out, "findings.json")
         return 2
     return 0
 
@@ -488,7 +504,7 @@ def cmd_run(args) -> int:
 def _write(stem: str):
     """An action that writes the artifact `stem`."""
     def action(session: Session, args) -> int:
-        _emit(getattr(session, ARTIFACTS[stem])(), args.out, f"{stem}.json")
+        _emit(getattr(session, ARTIFACTS[stem])(), session.out, f"{stem}.json")
         return 0
     return action
 
@@ -528,7 +544,7 @@ def _cell_specialize(session: Session, args) -> int:
         for (lab, s, t), coeffs in spec.elements.items()
     }
     data["verification"] = {k: list(v) for k, v in report.checks.items()}
-    _emit(data, args.out, "cell-specialized.json")
+    _emit(data, session.out, "cell-specialized.json")
     return 0 if report.ok else 2
 
 

@@ -20,9 +20,10 @@ and det Omega is a unit of O. The residue map is a ring homomorphism, so
 det Omega is a unit of O if and only if det(Omega mod p) != 0, and the test
 is a determinant over the field F.
 
-`balanced_tensor` runs these steps for one representation, each check once:
-a form is checked where it is made, and the residue pass that builds a
-model's leading tensor is also the direct check of the Gram test.
+`balanced_tensor` runs these steps for one representation, each check once,
+on one list of word matrices rho(T_w) (`MatrixRep.words`) that it drops on
+return: a form is checked where it is made, and the residue pass that builds
+a model's leading tensor is also the direct check of the Gram test.
 """
 
 from __future__ import annotations
@@ -39,47 +40,32 @@ from .scalars import LaurentFraction, LaurentPoly, exp_neg, exp_sub, scalar_inve
 
 
 class MatrixRep:
-    """A matrix representation of H over the Laurent fraction field.
-
-    Word matrices rho(T_w) are built on demand and cached until `clear_cache`.
-    A model that `balance` made is a conjugate C^-1 rho C of a base model and
-    keeps `base` = (rho, C^-1, C): its word matrices are C^-1 rho(T_w) C, read
-    from the base model's words, so a word of length l carries the
-    conjugator's denominators once rather than l times, and `clear_cache`
-    releases the base model's words too.
-    """
+    """A matrix representation of H over the Laurent fraction field: its
+    label, generators rho(T_s) and, for a built-in model, an attached
+    invariant form. It holds no word matrices; `words` returns them."""
 
     def __init__(self, alg: HeckeAlgebra, label: str, gens, gram: KMatrix | None = None,
-                 validate: bool = True, base: tuple | None = None):
+                 validate: bool = True):
         self.alg = alg
         self.label = label
         self.gens = list(gens)
         self.dim = gens[0].dim
         self.gram = gram
-        self.base = base
-        self._words = {0: KMatrix.identity(self.dim, alg.rank)}
         if validate:
             self.validate()
 
     def __repr__(self):
         return f"MatrixRep({self.label!r}, dim={self.dim})"
 
-    def matrix(self, w: int) -> KMatrix:
-        got = self._words.get(w)
-        if got is None:
-            if self.base is None:
-                wp, s = self.alg.table.right_parent(w)
-                got = self.matrix(wp) * self.gens[s]
-            else:
-                rep, cinv, c = self.base
-                got = cinv * rep.matrix(w) * c
-            self._words[w] = got
-        return got
-
-    def clear_cache(self):
-        self._words = {0: self._words[0]}
-        if self.base is not None:
-            self.base[0].clear_cache()
+    def words(self) -> list:
+        """rho(T_w) for every w, in id order, each rho(T_{w'}) rho(T_s) for
+        (w', s) = right_parent(w); ids run in length order, so w' < w."""
+        table = self.alg.table
+        out = [KMatrix.identity(self.dim, self.alg.rank)]
+        for w in range(1, table.size):
+            wp, s = table.right_parent(w)
+            out.append(out[wp] * self.gens[s])
+        return out
 
     def validate(self):
         """Quadratic relation per generator, braid relation per pair."""
@@ -102,17 +88,6 @@ class MatrixRep:
                     raise VerificationError(
                         f"braid violation: pair ({s},{t}) of order {mst} in {self.label}")
 
-    def trace_poly(self, w: int) -> LaurentPoly:
-        """trace(rho(T_w)) as a Laurent polynomial (always exact)."""
-        m = self.matrix(w)
-        acc = LaurentPoly.zero(self.alg.rank)
-        for i in range(self.dim):
-            acc = acc + m.num[i][i]
-        q = acc.exact_divide(m.den)
-        if q is None:
-            raise ComputationError("representation not defined over expected ring")
-        return q
-
 
 @dataclass
 class SchurData:
@@ -123,10 +98,21 @@ class SchurData:
     f: object
 
 
-def schur_data(rep: MatrixRep) -> SchurData:
+def trace_poly(m: KMatrix) -> LaurentPoly:
+    """trace(m) of a word matrix as a Laurent polynomial (always exact)."""
+    acc = LaurentPoly.zero(m.rank)
+    for i in range(m.dim):
+        acc = acc + m.num[i][i]
+    q = acc.exact_divide(m.den)
+    if q is None:
+        raise ComputationError("representation not defined over expected ring")
+    return q
+
+
+def schur_data(rep: MatrixRep, words: list) -> SchurData:
     alg = rep.alg
     table = alg.table
-    traces = [rep.trace_poly(w) for w in range(table.size)]
+    traces = [trace_poly(m) for m in words]
     acc = LaurentPoly.zero(alg.rank)
     for w in range(table.size):
         acc = acc + traces[w] * traces[table.inverse[w]]
@@ -147,15 +133,14 @@ def schur_data(rep: MatrixRep) -> SchurData:
 # -- invariant bilinear forms ---------------------------------------------------
 
 
-def gram_average(rep: MatrixRep) -> KMatrix:
+def gram_average(words: list) -> KMatrix:
     """sum_w rho(T_w)^tr rho(T_w), normalized into the valuation ring.
 
     Only loaded representations are averaged; the built-in models attach an
     equivalent invariant form instead.
     """
-    acc = rep.matrix(0)
-    for w in range(1, rep.alg.table.size):
-        m = rep.matrix(w)
+    acc = words[0]
+    for m in words[1:]:
         acc = acc + m.transpose() * m
     return normalize_gram(acc)
 
@@ -175,10 +160,10 @@ def normalize_gram(omega: KMatrix) -> KMatrix:
     return KMatrix([[x.shift(exp_neg(gmin)) for x in row] for row in omega.num], omega.den)
 
 
-def invariant_gram(rep: MatrixRep) -> KMatrix:
-    """The attached invariant form if present, otherwise the literal average,
-    normalized and checked for intertwining."""
-    omega = gram_average(rep) if rep.gram is None else normalize_gram(rep.gram)
+def invariant_gram(rep: MatrixRep, words: list) -> KMatrix:
+    """The attached invariant form if present, otherwise the literal average
+    over `rep`'s word matrices, normalized and checked for intertwining."""
+    omega = gram_average(words) if rep.gram is None else normalize_gram(rep.gram)
     check_intertwining(rep, omega)
     return omega
 
@@ -206,13 +191,13 @@ def is_balanced(rep: MatrixRep, omega: KMatrix) -> bool:
     return bool(f_det(res))
 
 
-def balance(rep: MatrixRep, omega: KMatrix) -> MatrixRep:
-    """Change basis so the representation becomes balanced.
+def balance(rep: MatrixRep, omega: KMatrix, words: list) -> tuple:
+    """Change basis so the representation becomes balanced; return the new
+    model and its word matrices (C^-1 rho(T_w)) C, read from `rep`'s `words`.
 
     Diagonalizes the invariant form omega by congruence over K, fixes the global
     parity and sign of the diagonal valuations, rescales each basis vector by
-    eps^{-g_i} with g_i half the diagonal valuation, and conjugates. The new
-    model reads its word matrices from `rep`'s through the conjugator.
+    eps^{-g_i} with g_i half the diagonal valuation, and conjugates.
 
     A zero pivot m[k][k] is p_k^tr Omega p_k = 0 for the nonzero column p_k
     of the basis change, so Omega is not definite. K is ordered by the sign
@@ -271,10 +256,9 @@ def balance(rep: MatrixRep, omega: KMatrix) -> MatrixRep:
         x = new_gram_rows[i][i]
         new_gram_rows[i][i] = LaurentFraction(x.num.shift(g2), x.den)
     new_gram = KMatrix.from_fractions(new_gram_rows)
-    out = MatrixRep(alg, rep.label, new_gens, gram=normalize_gram(new_gram), validate=False,
-                    base=(rep, conj_inv, conj))
+    out = MatrixRep(alg, rep.label, new_gens, gram=normalize_gram(new_gram), validate=False)
     check_intertwining(out, out.gram)
-    return out
+    return out, [conj_inv * m * conj for m in words]
 
 
 # -- leading matrix coefficients -------------------------------------------------
@@ -308,11 +292,11 @@ class LeadingTensor:
         return m
 
 
-def leading_tensor(rep: MatrixRep, schur: SchurData) -> LeadingTensor:
+def leading_tensor(rep: MatrixRep, schur: SchurData, words: list) -> LeadingTensor:
     alg = rep.alg
     entries = {}
-    for w in range(alg.table.size):
-        rows = rep.matrix(w).residue(schur.a)
+    for w, m in enumerate(words):
+        rows = m.residue(schur.a)
         if rows is None:
             raise VerificationError(f"representation not balanced: {rep.label}")
         if ents := f_nonzero(rows):
@@ -336,29 +320,27 @@ def balanced_tensor(rep: MatrixRep) -> BalancedModel:
     """`rep`, or `balance`'s model of it if the Gram test fails, with its data.
 
     Each model gets one residue pass, `leading_tensor`'s, which must fail on
-    `rep` exactly when the Gram test does. A balanced model reads `rep`'s
-    words, so the word caches are released once, after the last pass."""
-    schur = schur_data(rep)
-    omega = invariant_gram(rep)
+    `rep` exactly when the Gram test does. The word matrices are built once,
+    by `rep.words()`, and `balance` conjugates them for its model; no one
+    holds them after the call returns."""
+    words = rep.words()
+    schur = schur_data(rep, words)
+    omega = invariant_gram(rep, words)
     balanced = is_balanced(rep, omega)
 
-    def tensor_of(model):
+    def tensor_of(model, words):
         try:
-            return leading_tensor(model, schur)
+            return leading_tensor(model, schur, words)
         except VerificationError:  # some eps^a rho(T_w) lies outside O
             return None
 
-    model = rep
-    try:
-        tensor = tensor_of(rep)
-        if not balanced and tensor is None:
-            model = balance(rep, omega)
-            omega = model.gram
-            if not is_balanced(model, omega):
-                raise VerificationError(f"balancing failed for {rep.label}")
-            balanced, tensor = True, tensor_of(model)
-    finally:
-        model.clear_cache()  # a balanced model releases rep's words with its own
+    model, tensor = rep, tensor_of(rep, words)
+    if not balanced and tensor is None:
+        model, words = balance(rep, omega, words)
+        omega = model.gram
+        if not is_balanced(model, omega):
+            raise VerificationError(f"balancing failed for {rep.label}")
+        balanced, tensor = True, tensor_of(model, words)
     if balanced != (tensor is not None):
         raise ComputationError(
             f"balancedness criterion disagrees with the direct definition for {rep.label}")

@@ -6,6 +6,7 @@ from fractions import Fraction
 from heckecell.asymptotic import AsymptoticRing
 from heckecell.cli import Session
 from heckecell.matrices import KMatrix
+from heckecell.reps import leading_tensor, schur_data
 from heckecell.scalars import LaurentPoly
 
 _CACHE: dict = {}
@@ -31,6 +32,12 @@ def f_mat_mul(a, b):
 def constant_form(rows) -> KMatrix:
     """A rank-1 KMatrix with the given constant entries."""
     return KMatrix.from_polys([[LaurentPoly.constant(1, x) for x in row] for row in rows])
+
+
+def own_leading_tensor(rep):
+    """The leading tensor of `rep` as it stands, under its own Schur data."""
+    words = rep.words()
+    return leading_tensor(rep, schur_data(rep, words), words)
 
 
 def weight_of(weights, table, w: int) -> tuple:

@@ -11,13 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import get_session
+from conftest import get_session, own_leading_tensor
 from heckecell.cellular import (_lies_in_r, b_matrix, specialize_datum,
                                 verify_bimodule_identity, verify_cell_datum,
                                 verify_phi, verify_specialized)
 from heckecell.matrices import KMatrix
-from heckecell.reps import (gram_average, load_rep, schur_data,
-                            verify_schur_relations)
+from heckecell.reps import gram_average, load_rep, verify_schur_relations
 from heckecell.scalars import LaurentPoly
 
 
@@ -165,14 +164,14 @@ def test_criterion_09_bimodule_identity():
 
 def test_criterion_10_choice_independence():
     from heckecell.asymptotic import AsymptoticRing
-    from heckecell.reps import dihedral_rep, leading_tensor, one_dim_rep
+    from heckecell.reps import dihedral_rep, one_dim_rep
     ok = True
     for weights, order in (("equal", None), ("universal", "b-first")):
         session = get_session("B2", weights, order)
         alg = session.algebra
         fam = [one_dim_rep(alg, s) for s in ([1, 1], [-1, -1], [1, -1], [-1, 1])]
         fam.append(dihedral_rep(alg, 1))
-        tens = [leading_tensor(r, schur_data(r)) for r in fam]
+        tens = [own_leading_tensor(r) for r in fam]
         other = AsymptoticRing(alg, tens)
         ok = ok and other.gamma == session.ring.gamma
         ok = ok and other.n_vec == session.ring.n_vec
@@ -213,7 +212,7 @@ def test_criterion_12_h3_table_check():
     diag = v * v + one
     printed = KMatrix.from_polys(
         [[diag, -v, zero], [-v, diag, abar * v], [zero, abar * v, diag]])
-    omega = gram_average(rep)
+    omega = gram_average(rep.words())
     ok = True
     for i in range(3):
         for j in range(3):

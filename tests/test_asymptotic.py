@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import corrupted_ring, edited_leading_session, f_mat_mul, get_session
+from conftest import (corrupted_ring, edited_leading_session, f_mat_mul, get_session,
+                      own_leading_tensor)
 from heckecell.asymptotic import AsymptoticRing
 from heckecell.cli import Session
 from heckecell.errors import VerificationError
@@ -229,14 +230,13 @@ def test_a_value_link_lists_an_edited_a():
 
 
 def test_choice_independence_b2():
-    from heckecell.reps import (dihedral_rep, leading_tensor, one_dim_rep,
-                                schur_data)
+    from heckecell.reps import dihedral_rep, one_dim_rep
     session = get_session("B2")
     alg = session.algebra
     base = session.ring
     fam = [one_dim_rep(alg, s) for s in ([1, 1], [-1, -1], [1, -1], [-1, 1])]
     fam.append(dihedral_rep(alg, 1))
-    tens = [leading_tensor(r, schur_data(r)) for r in fam]
+    tens = [own_leading_tensor(r) for r in fam]
     other = AsymptoticRing(alg, tens)
     # identical values; labels differ between the two families
     base_by_key = dict(base.gamma)

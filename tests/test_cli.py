@@ -1,11 +1,12 @@
 """Command-line interface: artifacts, determinism, round-trips, exit codes."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from conftest import B4_MATRIX
+from conftest import B4_MATRIX, get_session
 from heckecell import cli, reps
 from heckecell.cli import Session, main
 from heckecell.fields import RealCyclotomicField
@@ -284,6 +285,21 @@ def test_target_order_converts_the_specialized_polynomials(tmp_path):
                                for key, coeffs in elements["0,1"].items()}
 
 
+def test_an_artifact_is_encoded_as_it_is_written(tmp_path):
+    # json.dumps holds every part of the text until the join, about four
+    # times the text; writing as the encoder goes peaks below the text itself
+    data = get_session("B3", "universal", "b-first").artifact_h()
+    text = json.dumps(data, indent=1, sort_keys=True)
+    tracemalloc.start()
+    try:
+        cli._emit(data, str(tmp_path), "h-table.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "h-table.json").read_text(encoding="utf-8") == text + "\n"
+    assert peak < len(text)
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"system": "A1", "weights": "equal"}), encoding="utf-8")
@@ -292,6 +308,44 @@ def test_config_file(tmp_path):
                  "--verify", "none", "--out", str(out)]) == 0
     data = read(out / "reps.json")
     assert data["system"] == "A1"
+
+
+def test_config_out_is_honoured_unless_the_flag_overrides_it(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"system": "A1", "out": str(tmp_path / "d")}), encoding="utf-8")
+    argv = ["run", "--config", str(cfg), "--stages", "reps", "--verify", "none"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'd' / 'reps.json'}\n"
+    assert read(tmp_path / "d" / "reps.json")["system"] == "A1"
+    assert main([*argv, "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "reps.json").exists()
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["reps.json"]
+
+
+@pytest.mark.parametrize("config,key", [({"sytem": "B2"}, "sytem"),
+                                        ({"system": "A1", "stages": "reps"}, "stages")],
+                         ids=["misspelt", "flag-only"])
+def test_unknown_config_key_gives_input_exit(tmp_path, capsys, config, key):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: unknown config key {key!r}; the keys are system, ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_out_that_cannot_be_a_directory_gives_input_exit(tmp_path, capsys, where):
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker if where == "file" else blocker / "sub"
+    capsys.readouterr()
+    assert main(["kl-table", "--system", "A1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {out / 'kl-table.json'}: ")
+    assert "Traceback" not in err
 
 
 def test_report_command(tmp_path, capsys):
@@ -467,43 +521,6 @@ def test_weight_specification_must_name_exactly_the_generators(tmp_path, capsys,
     assert err.startswith("input error: weight specification") and message in err
 
 
-def test_balanced_clears_the_word_cache_of_a_replaced_model():
-    # B3 equal: the balance test fills the word cache of every model, and two
-    # models are replaced by balanced ones; each cache is released after its pass
-    session = Session({"system": "B3"})
-    balanced = session.balanced
-    replaced = [r for r in session.family if balanced[r.label].rep is not r]
-    assert [r.label for r in replaced] == ["B:((1, 1), (1,))", "B:((1,), (2,))"]
-    assert all(list(r._words) == [0] for r in replaced)
-    assert all(list(balanced[r.label].rep._words) == [0] for r in replaced)
-
-
-def test_ring_clears_every_word_cache():
-    # B3 equal: two of the models are replaced by balanced ones
-    session = Session({"system": "B3"})
-    session.ring  # noqa: B018 - builds the tensors
-    models = [*session.family, *(b.rep for b in session.balanced.values())]
-    assert len({id(r) for r in models}) == len(session.family) + 2
-    assert all(list(r._words) == [0] for r in models)
-
-
-def test_clearing_a_balanced_model_releases_its_base_model_words():
-    # B3 equal: a balanced model reads its words through the conjugator from
-    # the replaced model, so its cache release must reach the base model's
-    session = Session({"system": "B3"})
-    balanced = session.balanced
-    replaced = [r for r in session.family if balanced[r.label].rep is not r]
-    assert replaced
-    w0 = session.table.size - 1
-    for r in replaced:
-        model = balanced[r.label].rep
-        assert model.base[0] is r
-        model.matrix(w0)
-        assert w0 in model._words and w0 in r._words
-        model.clear_cache()
-        assert list(model._words) == list(r._words) == [0]
-
-
 def test_balanced_checks_each_form_and_model_once_and_clears_every_word_cache(monkeypatch):
     # B3 equal: two of the ten seminormal models are replaced by balanced ones
     forms, passes = [], []
@@ -513,9 +530,9 @@ def test_balanced_checks_each_form_and_model_once_and_clears_every_word_cache(mo
         forms.append(omega)
         return check(rep, omega)
 
-    def counted_tensor(rep, schur):
+    def counted_tensor(rep, schur, words):
         passes.append(rep)
-        return tensor(rep, schur)
+        return tensor(rep, schur, words)
 
     monkeypatch.setattr(reps, "check_intertwining", counted_check)
     monkeypatch.setattr(reps, "leading_tensor", counted_tensor)
@@ -524,7 +541,6 @@ def test_balanced_checks_each_form_and_model_once_and_clears_every_word_cache(mo
     replaced = [r for r in session.family if balanced[r.label].rep is not r]
     assert [r.label for r in replaced] == ["B:((1, 1), (1,))", "B:((1,), (2,))"]
     models = [*session.family, *(balanced[r.label].rep for r in replaced)]
-    assert all(list(r._words) == [0] for r in models)
     # one intertwining check per form, the forms kept among them
     assert len({id(f) for f in forms}) == len(forms) == len(models)
     assert {id(b.gram) for b in balanced.values()} <= {id(f) for f in forms}

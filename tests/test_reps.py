@@ -1,32 +1,49 @@
 """Representation constructors, Schur data, balancing, leading coefficients."""
 
 import dataclasses
+import gc
 import json
 from fractions import Fraction
 
 import pytest
 
-from conftest import constant_form, edited_leading_session, get_session, weight_of
+from conftest import (constant_form, edited_leading_session, get_session, own_leading_tensor,
+                      weight_of)
 from heckecell import reps
 from heckecell.cellular import _lies_in_r
+from heckecell.cli import Session
 from heckecell.errors import ComputationError, InputError, VerificationError
 from heckecell.matrices import KMatrix
 from heckecell.reps import (MatrixRep, SchurData, balance, balanced_tensor, builtin_family,
                             check_intertwining, dihedral_rep, gram_average, index_rep,
                             invariant_gram, is_balanced, leading_tensor, load_rep, one_dim_rep,
-                            rep_from_dict, schur_data, seminormal_rep, sign_rep,
+                            rep_from_dict, schur_data, seminormal_rep, sign_rep, trace_poly,
                             verify_schur_relations)
 from heckecell.scalars import LaurentPoly, accumulate, scalar_inverse
 
 
+def traces(rep) -> list:
+    """trace rho(T_w) for every w, in id order."""
+    return [trace_poly(m) for m in rep.words()]
+
+
+def own_schur_data(rep) -> SchurData:
+    return schur_data(rep, rep.words())
+
+
+def own_gram(rep):
+    """`invariant_gram` of `rep` over its own word matrices."""
+    return invariant_gram(rep, rep.words())
+
+
 def test_one_dimensional_traces():
     alg = get_session("B2").algebra
-    rind, rsgn = index_rep(alg), sign_rep(alg)
+    rind, rsgn = traces(index_rep(alg)), traces(sign_rep(alg))
     for w in range(alg.table.size):
         lw = weight_of(alg.weights, alg.table, w)
-        assert rind.trace_poly(w) == LaurentPoly.monomial(lw)
+        assert rind[w] == LaurentPoly.monomial(lw)
         sign = -1 if alg.table.length[w] % 2 else 1
-        assert rsgn.trace_poly(w) == LaurentPoly.monomial(tuple(-x for x in lw), sign)
+        assert rsgn[w] == LaurentPoly.monomial(tuple(-x for x in lw), sign)
     with pytest.raises(InputError, match="constant on conjugacy classes"):
         one_dim_rep(get_session("A2").algebra, [1, -1])
 
@@ -34,16 +51,16 @@ def test_one_dimensional_traces():
 def test_a1_leading_coefficients():
     alg = get_session("A1").algebra
     for rep, expect in ((index_rep(alg), {0: 1, 1: 0}), (sign_rep(alg), {0: 0, 1: 1})):
-        t = leading_tensor(rep, schur_data(rep))
+        t = own_leading_tensor(rep)
         for w, val in expect.items():
             assert t.matrix(w)[0][0] == val
 
 
 def test_a1_schur_elements():
     alg = get_session("A1").algebra
-    si = schur_data(index_rep(alg))
+    si = own_schur_data(index_rep(alg))
     assert si.c == LaurentPoly(1, {(0,): 1, (2,): 1}) and si.a == (0,) and si.f == 1
-    ss = schur_data(sign_rep(alg))
+    ss = own_schur_data(sign_rep(alg))
     assert ss.c == LaurentPoly(1, {(0,): 1, (-2,): 1}) and ss.a == (1,) and ss.f == 1
 
 
@@ -68,7 +85,7 @@ def test_dihedral_construction_and_gram_equal_parameters(m):
     jmax = (m - 2) // 2 if m % 2 == 0 else (m - 1) // 2
     for j in range(1, jmax + 1):
         rep = dihedral_rep(alg, j)
-        omega = invariant_gram(rep)
+        omega = own_gram(rep)
         assert is_balanced(rep, omega) is True
         assert balanced_tensor(rep).rep is rep
         consts = omega.residue()
@@ -83,7 +100,7 @@ def test_dihedral_gram_identity_when_first_weight_larger(m):
     jmax = (m - 2) // 2
     for j in range(1, jmax + 1):
         rep = dihedral_rep(alg, j)
-        omega = invariant_gram(rep)
+        omega = own_gram(rep)
         consts = omega.residue()
         assert consts == [[1, 0], [0, 1]]
 
@@ -91,8 +108,8 @@ def test_dihedral_gram_identity_when_first_weight_larger(m):
 def test_gram_average_proportional_to_attached_form():
     alg = get_session("I2:5").algebra
     rep = dihedral_rep(alg, 2)
-    om = invariant_gram(rep)
-    ga = gram_average(rep)
+    om = own_gram(rep)
+    ga = gram_average(rep.words())
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -102,10 +119,7 @@ def test_gram_average_proportional_to_attached_form():
 
 def test_seminormal_a1_is_index():
     alg = get_session("A1").algebra
-    rep = seminormal_rep(alg, (2,))
-    ind = index_rep(alg)
-    for w in range(2):
-        assert rep.trace_poly(w) == ind.trace_poly(w)
+    assert traces(seminormal_rep(alg, (2,))) == traces(index_rep(alg))
 
 
 def test_seminormal_a2_matches_dihedral():
@@ -114,9 +128,8 @@ def test_seminormal_a2_matches_dihedral():
     i23 = get_session("I2:3").algebra
     sn = seminormal_rep(a2, (2, 1))
     dh = dihedral_rep(i23, 1)
-    assert schur_data(sn).a == (1,)
-    for w in range(6):
-        assert sn.trace_poly(w) == dh.trace_poly(w)
+    assert own_schur_data(sn).a == (1,)
+    assert traces(sn) == traces(dh)
 
 
 def test_seminormal_b2_matches_dihedral():
@@ -124,8 +137,7 @@ def test_seminormal_b2_matches_dihedral():
     i24 = get_session("I2:4").algebra
     sn = seminormal_rep(b2, ((1,), (1,)))
     dh = dihedral_rep(i24, 1)
-    for w in range(8):
-        assert sn.trace_poly(w) == dh.trace_poly(w)
+    assert traces(sn) == traces(dh)
     with pytest.raises(InputError):
         seminormal_rep(b2, ((2,), (1,)))
 
@@ -137,13 +149,12 @@ def test_character_orthogonality_at_one():
     for name in ("A2", "A3", "B2"):
         alg = get_session(name).algebra
         for rep in builtin_family(alg):
-            vals = [sum(rep.trace_poly(w).terms.values()) for w in range(alg.table.size)]
+            vals = [sum(t.terms.values()) for t in traces(rep)]
             assert all(Fraction(v).denominator == 1 for v in vals)
             assert vals[0] == rep.dim
             total = sum(vals[w] * vals[alg.table.inverse[w]]
                         for w in range(alg.table.size))
             assert total == alg.table.size
-            rep.clear_cache()
 
 
 def test_braid_validation_rejects_corrupt_matrices():
@@ -163,22 +174,23 @@ def twisted_i24():
     one, zero = LaurentPoly.one(1), LaurentPoly.zero(1)
     d = KMatrix.from_polys([[eps, zero], [zero, one]])
     dinv = KMatrix.from_polys([[inv_eps, zero], [zero, one]])
-    return MatrixRep(alg, "twisted", [dinv * g * d for g in rep.gens]), schur_data(rep)
+    return MatrixRep(alg, "twisted", [dinv * g * d for g in rep.gens]), own_schur_data(rep)
 
 
 def test_unbalanced_after_monomial_conjugation():
     """Conjugating by diag(eps, 1) yields an equivalent representation whose
     own normalized invariant form acquires a singular constant matrix."""
     twisted, sd = twisted_i24()
-    omega = gram_average(twisted)
+    words = twisted.words()
+    omega = gram_average(words)
     assert is_balanced(twisted, omega) is False
     with pytest.raises(VerificationError, match="representation not balanced"):
-        leading_tensor(twisted, sd)
+        leading_tensor(twisted, sd, words)
 
     # balancing recovers an equivalent balanced model with the same invariants
-    fixed = balance(twisted, omega)
+    fixed, fixed_words = balance(twisted, omega, words)
     assert is_balanced(fixed, fixed.gram) is True
-    assert leading_tensor(fixed, sd).a == sd.a
+    assert leading_tensor(fixed, sd, fixed_words).a == sd.a
 
 
 @pytest.mark.parametrize("model", ["twisted I2:4", "B2 universal"])
@@ -190,16 +202,17 @@ def test_balance_ignores_a_scalar_multiple_of_the_form(model, sign, parity):
     sign flip, which the unscaled form reaches on neither model."""
     if model == "twisted I2:4":
         rep, _ = twisted_i24()
-        omega = gram_average(rep)
+        omega = gram_average(rep.words())
         exps = [(-2,), (3,)]
     else:
         alg = get_session("B2", "universal", "b-first").algebra
         rep = next(r for r in builtin_family(alg) if r.dim == 2)
-        omega = invariant_gram(rep)
+        omega = own_gram(rep)
         exps = [(2, -4), (1, 2)]
     g = (0,) * rep.alg.rank if parity is None else exps[parity]
-    want = balance(rep, omega)
-    got = balance(rep, omega.scale_poly(LaurentPoly.monomial(g, sign)))
+    words = rep.words()
+    want, _ = balance(rep, omega, words)
+    got, _ = balance(rep, omega.scale_poly(LaurentPoly.monomial(g, sign)), words)
     assert got.gens == want.gens
     assert got.gram == want.gram
 
@@ -223,7 +236,7 @@ def test_is_balanced_agrees_with_the_laurent_determinant(system, weights, order)
     session = get_session(system, weights, order)
     seen = set()
     for rep in session.family:
-        omega = invariant_gram(rep)
+        omega = own_gram(rep)
         flag = is_balanced(rep, omega)
         assert flag is reference_balanced(omega)
         seen.add(flag)
@@ -236,7 +249,7 @@ def test_is_balanced_agrees_with_the_laurent_determinant(system, weights, order)
 
 def test_is_balanced_agrees_with_the_laurent_determinant_on_a_twisted_model():
     twisted, sd = twisted_i24()
-    omega = gram_average(twisted)
+    omega = gram_average(twisted.words())
     assert is_balanced(twisted, omega) is reference_balanced(omega) is False
     b = balanced_tensor(twisted)
     assert b.rep is not twisted and b.schur == sd
@@ -245,7 +258,7 @@ def test_is_balanced_agrees_with_the_laurent_determinant_on_a_twisted_model():
 
 def test_is_balanced_rejects_a_gram_outside_the_valuation_ring():
     rep = dihedral_rep(get_session("I2:5").algebra, 1)
-    omega = invariant_gram(rep).scale_poly(LaurentPoly.monomial((-1,)))
+    omega = own_gram(rep).scale_poly(LaurentPoly.monomial((-1,)))
     with pytest.raises(VerificationError, match="Gram matrix not normalized into O"):
         is_balanced(rep, omega)
 
@@ -265,7 +278,7 @@ def test_balance_rejects_an_indefinite_form_at_its_zero_pivot():
     basis makes it positive."""
     rep = dihedral_rep(get_session("I2:5").algebra, 1)
     with pytest.raises(ComputationError, match="^form is not definite$"):
-        balance(rep, constant_form([[0, 1], [1, 1]]))
+        balance(rep, constant_form([[0, 1], [1, 1]]), rep.words())
 
 
 def test_wrong_a_invariant_fails_the_direct_check_and_the_tensor(monkeypatch):
@@ -273,15 +286,15 @@ def test_wrong_a_invariant_fails_the_direct_check_and_the_tensor(monkeypatch):
     definition then disagrees with the (correct) determinant criterion, and
     the leading tensor refuses the representation."""
     rep = dihedral_rep(get_session("I2:5").algebra, 1)
-    sd = schur_data(rep)
+    sd = own_schur_data(rep)
     wrong = SchurData(sd.c, tuple(x - 1 for x in sd.a), sd.f)
-    assert is_balanced(rep, invariant_gram(rep)) is True
+    assert is_balanced(rep, own_gram(rep)) is True
     assert balanced_tensor(rep).rep is rep
-    monkeypatch.setattr(reps, "schur_data", lambda r: wrong)
+    monkeypatch.setattr(reps, "schur_data", lambda r, words: wrong)
     with pytest.raises(ComputationError, match="disagrees with the direct definition"):
         balanced_tensor(rep)
     with pytest.raises(VerificationError, match="representation not balanced"):
-        leading_tensor(rep, wrong)
+        leading_tensor(rep, wrong, rep.words())
 
 
 def test_gram_test_rejecting_a_model_inside_o_is_a_disagreement(monkeypatch):
@@ -308,14 +321,9 @@ def test_balance_restores_gamma_table():
     from heckecell.reps import MatrixRep
     alg = get_session("I2:4").algebra
     family = builtin_family(alg)
-    tens = []
-    for r in family:
-        sd = schur_data(r)
-        tens.append(leading_tensor(r, sd))
-    base = AsymptoticRing(alg, tens)
+    base = AsymptoticRing(alg, [own_leading_tensor(r) for r in family])
 
     rep = dihedral_rep(alg, 1)
-    sd = schur_data(rep)
     d = KMatrix.from_polys(
         [[LaurentPoly.monomial((2,)), LaurentPoly.zero(1)],
          [LaurentPoly.zero(1), LaurentPoly.one(1)]])
@@ -323,9 +331,10 @@ def test_balance_restores_gamma_table():
         [[LaurentPoly.monomial((-2,)), LaurentPoly.zero(1)],
          [LaurentPoly.zero(1), LaurentPoly.one(1)]])
     twisted = MatrixRep(alg, "dihedral:1", [dinv * g * d for g in rep.gens])
-    fixed = balance(twisted, invariant_gram(twisted))
-    tens2 = [leading_tensor(fixed if r.label == "dihedral:1" else r, schur_data(r))
-             for r in family]
+    words = twisted.words()
+    fixed, fixed_words = balance(twisted, invariant_gram(twisted, words), words)
+    tens2 = [leading_tensor(fixed, own_schur_data(r), fixed_words) if r.label == "dihedral:1"
+             else own_leading_tensor(r) for r in family]
     other = AsymptoticRing(alg, tens2)
     assert base.gamma == other.gamma
 
@@ -339,22 +348,51 @@ def test_b3_seminormal_generators_share_one_denominator_per_binomial():
 
 
 def test_b3_balanced_models_read_their_words_through_the_conjugator():
-    # B3 equal rebalances two seminormal models; each word matrix of a balanced
-    # model is C^-1 rho(T_w) C from its base model, and must equal the product
-    # of its own generators along the reduced word of w
+    # B3 equal rebalances two seminormal models; each word matrix `balance`
+    # returns is C^-1 rho(T_w) C from the replaced model's words, and must
+    # equal the balanced model's own word matrix, its generators multiplied
+    # along the reduced word of w
     session = get_session("B3")
-    alg, balanced = session.algebra, session.balanced
-    replaced = [balanced[r.label].rep for r in session.family
-                if balanced[r.label].rep is not r]
-    assert [m.label for m in replaced] == ["B:((1, 1), (1,))", "B:((1,), (2,))"]
-    for model in replaced:
-        assert model.base is not None
-        for w in range(alg.table.size):
-            product = KMatrix.identity(model.dim, alg.rank)
-            for s in alg.table.word[w]:
-                product = product * model.gens[s]
-            assert model.matrix(w) == product
-        model.clear_cache()
+    balanced = session.balanced
+    replaced = [r for r in session.family if balanced[r.label].rep is not r]
+    assert [r.label for r in replaced] == ["B:((1, 1), (1,))", "B:((1,), (2,))"]
+    for r in replaced:
+        words = r.words()
+        model, conjugated = balance(r, invariant_gram(r, words), words)
+        assert model.gens == balanced[r.label].rep.gens
+        own = model.words()
+        assert len(conjugated) == len(own) == session.table.size
+        assert all(got == want for got, want in zip(conjugated, own))
+
+
+def word_matrix_census(config: dict) -> tuple:
+    """(made, held): the ids of the KMatrix objects that building
+    `Session(config).ring` leaves alive, and of the generators and forms that
+    its family and balanced models hold."""
+    gc.collect()
+    before = [o for o in gc.get_objects() if type(o) is KMatrix]  # kept, so no id is reused
+    seen = {id(o) for o in before}
+    session = Session(config)
+    session.ring  # noqa: B018 - builds every balanced model and its tensor
+    gc.collect()
+    made = {id(o) for o in gc.get_objects() if type(o) is KMatrix} - seen
+    held = {id(r.gram) for r in session.family}
+    held.update(id(g) for r in session.family for g in r.gens)
+    for b in session.balanced.values():
+        held.update([id(b.gram), id(b.rep.gram), *map(id, b.rep.gens)])
+    return made, held
+
+
+WORD_CENSUS_SYSTEMS = [{"system": "B3"}, {"system": "I2:12", "weights": '{"0":[1],"1":[2]}'},
+                       {"system": "B3", "weights": "universal", "order": "b-first"}]
+
+
+@pytest.mark.parametrize("config", WORD_CENSUS_SYSTEMS, ids=["B3", "I2:12-1,2", "B3-universal"])
+def test_no_word_matrix_outlives_the_balanced_models(config):
+    # B3 equal and I2:12 with weights (1, 2) rebalance models, B3 universal
+    # does not; every KMatrix left alive is a generator or a form
+    made, held = word_matrix_census(config)
+    assert made and made <= held
 
 
 def test_balanced_seminormal_b2_has_integral_tensor():
@@ -380,9 +418,8 @@ def test_a4_seminormal_smoke():
     assert sum(len(standard_tableaux((tuple(p),)))**2 for p in partitions(5)) == 120
     rep = seminormal_rep(session.algebra, (3, 2))
     assert rep.dim == 5
-    sd = schur_data(rep)
+    sd = own_schur_data(rep)
     assert sd.a == (2,) and sd.f == 1
-    rep.clear_cache()
 
 
 def test_h3_needs_representation_files():
@@ -397,7 +434,7 @@ def test_schur_relations_and_duplicate_detection():
     # same total dimension but a repeated irreducible: cross-orthogonality fails
     fam = builtin_family(alg)
     fam[1] = fam[0]
-    tens = [leading_tensor(r, schur_data(r)) for r in fam]
+    tens = [own_leading_tensor(r) for r in fam]
     assert verify_schur_relations(alg, tens)
     # incomplete family: dimension count gate
     with pytest.raises(VerificationError, match="missing irreducibles"):
@@ -537,17 +574,16 @@ def test_explicit_file_roundtrip(tmp_path, weights, order):
 
 def test_wgraph_degenerate_and_two_dimensional():
     alg = get_session("A2").algebra
+    s0 = alg.table.gen(0)
     ind = rep_from_dict(alg, {"label": "ind", "wgraph": {"vertices": [[]], "edges": []}})
-    assert ind.trace_poly(alg.table.gen(0)) == index_rep(alg).trace_poly(alg.table.gen(0))
+    assert traces(ind)[s0] == traces(index_rep(alg))[s0]
     sgn = rep_from_dict(alg, {"label": "sgn", "wgraph": {"vertices": [[0, 1]], "edges": []}})
-    assert sgn.trace_poly(alg.table.gen(0)) == sign_rep(alg).trace_poly(alg.table.gen(0))
+    assert traces(sgn)[s0] == traces(sign_rep(alg))[s0]
     two = rep_from_dict(alg, {
         "label": "refl",
         "wgraph": {"vertices": [[0], [1]], "edges": [{"u": 0, "v": 1, "weight": 1}]},
     })
-    sn = seminormal_rep(alg, (2, 1))
-    for w in range(6):
-        assert two.trace_poly(w) == sn.trace_poly(w)
+    assert traces(two) == traces(seminormal_rep(alg, (2, 1)))
 
 
 A3_REFLECTION_WGRAPH = {"label": "refl", "wgraph": {"vertices": [[0], [1], [2]],
@@ -567,22 +603,27 @@ def fraction_coefficients(mats) -> list:
 def test_word_matrices_carry_no_fraction(case):
     """Rational coefficients are cleared where they enter (`from_fractions`,
     integer W-graph weights), so the generators of every model, and the
-    conjugators and Gram of every rebalanced one, have int or cyclotomic
-    coefficients only."""
+    generators, word matrices and Gram of every rebalanced one, have int or
+    cyclotomic coefficients only."""
     system, weights = case
     if weights == "wgraph":
         family = [rep_from_dict(get_session(system).algebra, A3_REFLECTION_WGRAPH)]
         models = [balanced_tensor(family[0])]
     else:
         session = get_session(system, weights)
-        family, models = session.family, list(session.balanced.values())
+        family = session.family
+        models = [session.balanced[rep.label] for rep in family]
     assert fraction_coefficients(g for rep in family for g in rep.gens) == []
-    for b in models:
-        if b.rep.base is not None:
-            _, cinv, c = b.rep.base
-            assert fraction_coefficients([cinv, c, *b.rep.gens, b.rep.gram, b.gram]) == []
+    rebalanced = 0
+    for rep, b in zip(family, models):
+        if b.rep is not rep:
+            words = rep.words()
+            model, conjugated = balance(rep, invariant_gram(rep, words), words)
+            assert model.gens == b.rep.gens
+            assert fraction_coefficients([*model.gens, *conjugated, model.gram, b.gram]) == []
+            rebalanced += 1
     if case == ("B3", "equal"):
-        assert any(b.rep.base is not None for b in models)
+        assert rebalanced
 
 
 def test_wgraph_braid_violation_rejected():
