@@ -29,70 +29,13 @@ from typing import NamedTuple
 
 from . import asymptotic, cellular, reps
 from .asymptotic import Report
-from .coxeter import CoxeterSystem, ElementTable, WeightFunction, equal_weights, universal_weights
+from .coxeter import ElementTable, parse_system, parse_weights
 from .errors import HeckecellError, InputError, VerificationError
 from .hecke import HeckeAlgebra
-from .scalars import LaurentPoly, MonomialOrder, natural_order
+from .scalars import LaurentPoly, parse_order
 
 SCHEMA_PREFIX = "heckecell"
 CONFIG_KEYS = ("system", "weights", "order", "reps", "seed", "jobs", "out")
-
-
-def parse_weights(spec, system: CoxeterSystem) -> WeightFunction:
-    if spec in (None, "equal"):
-        return equal_weights(system)
-    if spec == "universal":
-        return universal_weights(system)
-    try:
-        data = json.loads(spec) if isinstance(spec, str) else spec
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"cannot parse weight specification {spec!r}: {exc}") from exc
-    names = [str(s) for s in range(system.ngens)]
-    if not isinstance(data, dict):
-        raise InputError(f"weight specification {spec!r} must be a JSON object mapping "
-                         f"generators 0..{system.ngens - 1} to weight vectors")
-    for key in data:
-        if key not in names:
-            raise InputError(f"weight specification {spec!r} names {key!r}, which is not "
-                             f"a generator 0..{system.ngens - 1}")
-    for key in names:
-        if key not in data:
-            raise InputError(f"weight specification {spec!r} has no weight for generator {key}")
-        if not isinstance(data[key], list):
-            raise InputError(f"weight specification {spec!r}: the weight of generator {key} "
-                             "must be a list of integers")
-    values = [tuple(data[key]) for key in names]
-    if any(type(g) is not int for v in values for g in v):  # not bool
-        raise InputError(f"weight vectors must hold integers, not {spec!r}")
-    ranks = {len(v) for v in values}
-    if len(ranks) != 1:
-        raise InputError("weight vectors must share one rank")
-    return WeightFunction(ranks.pop(), tuple(values))
-
-
-def parse_order(spec, rank: int) -> MonomialOrder:
-    if spec in (None, "natural"):
-        return natural_order(rank)
-    if spec == "b-first":
-        return MonomialOrder(rank, tuple(range(rank - 1, -1, -1)))
-    try:
-        priority = tuple(int(x) for x in str(spec).split(","))
-    except ValueError as exc:
-        raise InputError(f"cannot parse order specification {spec!r}") from exc
-    return MonomialOrder(rank, priority)
-
-
-def parse_system(spec) -> CoxeterSystem:
-    if isinstance(spec, str) and not spec.lstrip().startswith("["):
-        return CoxeterSystem.named(spec)
-    try:
-        matrix = json.loads(spec) if isinstance(spec, str) else spec
-        rows = tuple(tuple(row) for row in matrix)
-    except (TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot parse system specification {spec!r}") from exc
-    if any(type(x) is not int for row in rows for x in row):  # not bool
-        raise InputError(f"Coxeter matrix entries must be integers, not {spec!r}")
-    return CoxeterSystem(rows)
 
 
 def _config_int(config: dict, key: str, default: int) -> int:
@@ -175,14 +118,14 @@ class Session:
 
     # -- serialization helpers ---------------------------------------------------
 
-    def poly_str(self, p: LaurentPoly) -> str:
-        """The text of p, formatted once per distinct polynomial: a table holds
-        few distinct ones (H3 kl-table: 122 in 5371 entries; A4 h-table: 51
-        in 43623). The algebra holds each of its values in one object, hashed
-        once as it enters the pool, so a lookup builds no frozenset."""
+    def poly_json(self, p: LaurentPoly) -> str:
+        """The JSON text of p, encoded once per distinct polynomial: a table
+        holds few distinct ones (H3 kl-table: 122 in 5371 entries; A4 h-table:
+        51 in 43623). The algebra holds each of its values in one object,
+        hashed once as it enters the pool, so a lookup builds no frozenset."""
         text = self._poly_texts.get(p)
         if text is None:
-            text = self._poly_texts[p] = p.to_str(self.table.field, self.order)
+            text = self._poly_texts[p] = json.dumps(p.to_str(self.table.field, self.order))
         return text
 
     def scalar_str(self, c) -> str:
@@ -206,26 +149,32 @@ class Session:
     # -- artifacts (see ARTIFACTS) ---------------------------------------------------
 
     def artifact_kl(self) -> dict:
-        alg = self.algebra
+        cps = [self.algebra.cprime(w) for w in range(self.table.size)]
+        ids = sorted(range(self.table.size), key=str)
+
+        def lines():
+            for y in ids:
+                for w in ids:
+                    p = cps[w].get(y)
+                    if p is not None and y != w:
+                        yield f'"{y},{w}": {self.poly_json(p)}'
         out = self.header("kl-table")
-        table = {}
-        for w in range(self.table.size):
-            for y, p in alg.cprime(w).items():
-                if y != w:
-                    table[f"{y},{w}"] = self.poly_str(p)
-        out["kl_polynomials"] = table
+        out["kl_polynomials"] = lines
         return out
 
     def artifact_h(self) -> dict:
         alg = self.algebra
         out = self.header("h-table")
         rows = alg.h_rows()
-        table = {}
-        for x in range(self.table.size):
-            for y in range(self.table.size):
-                for z, h in rows[x][y].items():
-                    table[f"{x},{y},{z}"] = self.poly_str(h)
-        out["h_constants"] = table
+        ids = sorted(range(self.table.size), key=str)
+
+        def lines():
+            for x in ids:
+                for y in ids:
+                    hs = rows[x][y]
+                    for z in sorted(hs, key=str):
+                        yield f'"{x},{y},{z}": {self.poly_json(hs[z])}'
+        out["h_constants"] = lines
         out["a_values"] = [list(self.order.user(alg.a_value(z))) for z in range(self.table.size)]
         return out
 
@@ -247,7 +196,7 @@ class Session:
                 "dim": r.dim,
                 "a": list(self.order.user(sd.a)),
                 "f": self.scalar_str(sd.f),
-                "schur_element": self.poly_str(sd.c),
+                "schur_element": sd.c.to_str(self.table.field, self.order),
                 "balanced": True,
             })
         out["representations"] = items
@@ -277,10 +226,9 @@ class Session:
     def artifact_jring(self) -> dict:
         out = self.header("jring")
         ring = self.ring
-        out["gamma"] = {
-            f"{x},{y},{z}": self.scalar_str(g)
-            for (x, y, z), g in ring.gamma.items()
-        }
+        keys, text = sorted(ring.gamma, key=lambda k: tuple(map(str, k))), self.scalar_str
+        out["gamma"] = lambda: (f'"{x},{y},{z}": {json.dumps(text(ring.gamma[x, y, z]))}'
+                                for x, y, z in keys)
         out["n"] = [self.scalar_str(c) for c in ring.n_vec]
         out["distinguished"] = list(ring.d_set)
         out["blocks"] = [list(b) for b in ring.blocks]
@@ -308,13 +256,19 @@ class Session:
         return out
 
     def artifact_phi(self) -> dict:
-        out = self.header("phi")
         alg, ring = self.algebra, self.ring
-        out["images"] = {
-            str(w): {str(z): self.poly_str(p)
-                     for z, p in cellular.hecke_to_asym(alg, ring, w).items()}
-            for w in range(self.table.size)
-        }
+        pool: dict = {}  # each distinct value held once, as the algebra holds its own
+        images = [{z: pool.setdefault(p, p) for z, p in
+                   cellular.hecke_to_asym(alg, ring, w).items()} for w in range(self.table.size)]
+
+        def lines():
+            for w in sorted(range(len(images)), key=str):
+                image = images[w]
+                body = ",\n   ".join(f'"{z}": {self.poly_json(image[z])}'
+                                      for z in sorted(image, key=str))
+                yield f'"{w}": {{\n   {body}\n  }}' if image else f'"{w}": {{}}'
+        out = self.header("phi")
+        out["images"] = lines
         return out
 
     # -- verification (see SUITES) ------------------------------------------------------
@@ -399,18 +353,29 @@ def _read_json(path: Path, what: str):
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _write_artifact(data, fh):
-    """Write one artifact, a dict or its JSON text, and a newline. A dict is
-    encoded as it is written: `json.dumps` holds every part until the join."""
-    if isinstance(data, str):
-        fh.write(data)
-    else:
+def _write_artifact(data: dict, fh):
+    """Write one artifact and a newline: the bytes of `json.dumps(data,
+    indent=1, sort_keys=True)`, encoded as they are written. A value that is
+    a function is a table too large to hold: calling it yields the text of
+    each row, '"key": value', in sorted key order, and the rows go into the
+    text of the rest, split at that key."""
+    key = next((k for k, v in data.items() if callable(v)), None)
+    if key is None:
         json.dump(data, fh, indent=1, sort_keys=True)
+    else:
+        name = f"\n {json.dumps(key)}: {{"
+        head, _, tail = json.dumps({**data, key: {}}, indent=1, sort_keys=True).partition(name)
+        fh.write(head + name)
+        sep = "\n  "
+        for line in data[key]():
+            fh.write(sep + line)
+            sep = ",\n  "
+        fh.write(tail if sep == "\n  " else "\n " + tail)
     fh.write("\n")
 
 
-def _emit(data, out, name: str):
-    """Print or write one artifact, given as a dict or as its JSON text."""
+def _emit(data: dict, out, name: str):
+    """Print or write one artifact."""
     if out is None:
         _write_artifact(data, sys.stdout)
         return
@@ -422,6 +387,15 @@ def _emit(data, out, name: str):
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
+
+
+def _check_out(out):
+    """Raise unless `out`, or its nearest existing ancestor, is a directory."""
+    path = Path(out or ".").absolute()
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise InputError(f"cannot write {out}: {path} is not a directory")
 
 
 def _session_from_args(args) -> Session:
@@ -475,14 +449,13 @@ def cmd_run(args) -> int:
     session = _session_from_args(args)
     stages = _stage_closure(",".join(STAGES) if args.stages is None else args.stages)
     suites = _suite_names("all" if args.verify is None else args.verify, stages)
-    # written only once every stage and suite has run; held as JSON text,
-    # which takes a fraction of the memory of the dicts of strings
+    _check_out(session.out)
+    # written only once every stage and suite has run
     emitted = {}
     try:
         for st in stages:
             for stem in STAGES[st].writes:
-                emitted[f"{stem}.json"] = json.dumps(getattr(session, ARTIFACTS[stem])(),
-                                                     indent=1, sort_keys=True)
+                emitted[f"{stem}.json"] = getattr(session, ARTIFACTS[stem])()
         if suites is not None:
             summary = session.header("verification")
             summary["results"] = session.run_verifications(suites)

@@ -12,6 +12,7 @@ table and never mutated afterwards.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .errors import InputError, ComputationError
@@ -294,3 +295,48 @@ def validate_weights(system: CoxeterSystem, weights: WeightFunction,
             if not order.stored(weights.of_gen(s)) > zero:
                 problems.append(f"L(s) > 0 fails for generator {s}: {weights.of_gen(s)}")
     return problems
+
+
+def parse_system(spec) -> CoxeterSystem:
+    if isinstance(spec, str) and not spec.lstrip().startswith("["):
+        return CoxeterSystem.named(spec)
+    try:
+        matrix = json.loads(spec) if isinstance(spec, str) else spec
+        rows = tuple(tuple(row) for row in matrix)
+    except (TypeError, ValueError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot parse system specification {spec!r}") from exc
+    if any(type(x) is not int for row in rows for x in row):  # not bool
+        raise InputError(f"Coxeter matrix entries must be integers, not {spec!r}")
+    return CoxeterSystem(rows)
+
+
+def parse_weights(spec, system: CoxeterSystem) -> WeightFunction:
+    if spec in (None, "equal"):
+        return equal_weights(system)
+    if spec == "universal":
+        return universal_weights(system)
+    try:
+        data = json.loads(spec) if isinstance(spec, str) else spec
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"cannot parse weight specification {spec!r}: {exc}") from exc
+    names = [str(s) for s in range(system.ngens)]
+    if not isinstance(data, dict):
+        raise InputError(f"weight specification {spec!r} must be a JSON object mapping "
+                         f"generators 0..{system.ngens - 1} to weight vectors")
+    for key in data:
+        if key not in names:
+            raise InputError(f"weight specification {spec!r} names {key!r}, which is not "
+                             f"a generator 0..{system.ngens - 1}")
+    for key in names:
+        if key not in data:
+            raise InputError(f"weight specification {spec!r} has no weight for generator {key}")
+        if not isinstance(data[key], list):
+            raise InputError(f"weight specification {spec!r}: the weight of generator {key} "
+                             "must be a list of integers")
+    values = [tuple(data[key]) for key in names]
+    if any(type(g) is not int for v in values for g in v):  # not bool
+        raise InputError(f"weight vectors must hold integers, not {spec!r}")
+    ranks = {len(v) for v in values}
+    if len(ranks) != 1:
+        raise InputError("weight vectors must share one rank")
+    return WeightFunction(ranks.pop(), tuple(values))

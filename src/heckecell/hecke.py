@@ -55,13 +55,12 @@ from .coxeter import ElementTable, WeightFunction, validate_weights
 from .errors import ComputationError, InputError
 from .scalars import LaurentPoly, MonomialOrder, exp_neg, mul_into
 
-# The full table is |W|^2 sparse rows of pooled values. Time for `h_rows`
-# plus the a-values, and the peak resident memory of the process, on a
-# 2-vCPU Xeon VM under Python 3.11.7 (three runs each, B4 two): A4 and H3
-# (|W| = 120) 0.11-0.13 + 0.007 s, 22 MB and 0.19-0.21 + 0.010-0.011 s,
-# 22 MB; D4 (192) 0.40-0.41 + 0.022-0.024 s, 27 MB; B4 (384) 2.6-2.8 +
-# 0.13 s, 72 MB. The VM also runs in a state about twice as slow. So the
-# limit admits D4 and stops short of B4.
+# The full table is |W|^2 sparse rows of pooled values. `h_rows` plus the
+# a-values, and process peak, 2-vCPU Xeon VM, Python 3.11.7: A4 and H3 (|W| =
+# 120) 0.11-0.13 + 0.007 s and 0.19-0.21 + 0.010-0.011 s, 22 MB each; D4 (192)
+# 0.40-0.41 + 0.022-0.024 s, 27 MB; B4 (384) 2.6-2.8 + 0.13 s, 72 MB. The
+# `h-table` job, rows streamed, peaks at 27 MB on D4 and 72 MB on B4 (limit
+# raised in process), 51 and 231 MB with its text held: D4 is in, B4 out.
 MAX_FULL_TABLE = 192
 
 

@@ -93,6 +93,18 @@ def natural_order(rank: int = 1) -> MonomialOrder:
     return MonomialOrder(rank, tuple(range(rank)))
 
 
+def parse_order(spec, rank: int) -> MonomialOrder:
+    if spec in (None, "natural"):
+        return natural_order(rank)
+    if spec == "b-first":
+        return MonomialOrder(rank, tuple(range(rank - 1, -1, -1)))
+    try:
+        priority = tuple(int(x) for x in str(spec).split(","))
+    except ValueError as exc:
+        raise InputError(f"cannot parse order specification {spec!r}") from exc
+    return MonomialOrder(rank, priority)
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial: finite map exponent tuple -> coefficient.
 

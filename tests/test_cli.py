@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import B4_MATRIX, get_session
-from heckecell import cli, reps
+from heckecell import cellular, cli, reps
 from heckecell.cli import Session, main
 from heckecell.fields import RealCyclotomicField
 from heckecell.scalars import LaurentPoly, MonomialOrder
@@ -89,6 +89,24 @@ def test_corrupt_rep_file_gives_verification_exit(tmp_path):
     findings = read(out / "findings.json")
     assert any("braid violation" in v for f in findings["findings"]
                for v in f["violations"])
+
+
+def test_construction_failure_writes_every_artifact_built_before_it(tmp_path, capsys):
+    # the braid violation above, after the kl stage has written its three tables
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"label": "bad", "dim": 1, "generators": {
+        "0": [["1*eps[1]"]], "1": [["2*eps[1]"]]}}), encoding="utf-8")
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    assert main(["run", "--system", "A2", "--stages", "kl", "--out", str(clean)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--system", "A2", "--stages", "kl,reps", "--reps", str(bad),
+                 "--out", str(out)]) == 2
+    tables = ["kl-table.json", "h-table.json", "cells.json"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {out / name}" for name in [*tables, "findings.json"]]
+    for name in tables:
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+    assert read(out / "findings.json")["findings"][0]["suite"] == "construction"
 
 
 def test_unparsable_rep_file_gives_input_exit(tmp_path):
@@ -285,19 +303,75 @@ def test_target_order_converts_the_specialized_polynomials(tmp_path):
                                for key, coeffs in elements["0,1"].items()}
 
 
+def materialized(session: Session, stem: str) -> dict:
+    """The artifact `stem` with its table built as a dict of strings, the
+    way the artifact's text is defined, independently of the streaming
+    writer."""
+    alg, n = session.algebra, session.table.size
+
+    def text(p):
+        return p.to_str(session.table.field, session.order)
+
+    data = getattr(session, cli.ARTIFACTS[stem])()
+    if stem == "kl-table":
+        data["kl_polynomials"] = {f"{y},{w}": text(p) for w in range(n)
+                                  for y, p in alg.cprime(w).items() if y != w}
+    elif stem == "h-table":
+        rows = alg.h_rows()
+        data["h_constants"] = {f"{x},{y},{z}": text(h) for x in range(n) for y in range(n)
+                               for z, h in rows[x][y].items()}
+    elif stem == "jring":
+        data["gamma"] = {f"{x},{y},{z}": session.scalar_str(g)
+                         for (x, y, z), g in session.ring.gamma.items()}
+    else:
+        data["images"] = {str(w): {str(z): text(p) for z, p in
+                                   cellular.hecke_to_asym(alg, session.ring, w).items()}
+                          for w in range(n)}
+    return data
+
+
+@pytest.mark.parametrize("stem", ["h-table", "kl-table", "jring", "phi"])
+@pytest.mark.parametrize("system,weights,order", [
+    ("A1", "equal", None),
+    ("B3", "universal", "b-first"),
+    ("I2:12", "universal", "b-first"),  # 24 elements: "1,20,3" sorts before "10,2,3"
+], ids=["A1", "B3-universal", "I2:12-universal"])
+def test_a_streamed_table_writes_the_bytes_of_its_dict(tmp_path, capsys, stem, system,
+                                                       weights, order):
+    session = get_session(system, weights, order)
+    want = json.dumps(materialized(session, stem), indent=1, sort_keys=True) + "\n"
+    data = getattr(session, cli.ARTIFACTS[stem])()
+    capsys.readouterr()
+    cli._emit(data, None, f"{stem}.json")
+    assert capsys.readouterr().out == want
+    cli._emit(data, str(tmp_path), f"{stem}.json")
+    assert (tmp_path / f"{stem}.json").read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("rows", [[], ['"1,20,3": "a"', '"10,2,3": "b"']],
+                         ids=["empty", "two-rows"])
+def test_a_table_given_as_rows_sits_at_its_key(tmp_path, capsys, rows):
+    data = {"b": [1, {"c": 2}], "table": lambda: iter(rows), "z": "last"}
+    cli._emit(data, None, "t.json")
+    table = json.loads("{" + ",".join(rows) + "}")
+    assert capsys.readouterr().out == json.dumps({**data, "table": table}, indent=1,
+                                                 sort_keys=True) + "\n"
+
+
 def test_an_artifact_is_encoded_as_it_is_written(tmp_path):
     # json.dumps holds every part of the text until the join, about four
-    # times the text; writing as the encoder goes peaks below the text itself
-    data = get_session("B3", "universal", "b-first").artifact_h()
-    text = json.dumps(data, indent=1, sort_keys=True)
+    # times the text; rows formatted as they are written peak far below it
+    session = get_session("B3", "universal", "b-first")
+    text = json.dumps(materialized(session, "h-table"), indent=1, sort_keys=True)
+    session.artifact_h()  # the table, the a-values and the text of each value
     tracemalloc.start()
     try:
-        cli._emit(data, str(tmp_path), "h-table.json")
+        cli._emit(session.artifact_h(), str(tmp_path), "h-table.json")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (tmp_path / "h-table.json").read_text(encoding="utf-8") == text + "\n"
-    assert peak < len(text)
+    assert peak < len(text) / 4
 
 
 def test_config_file(tmp_path):
@@ -346,6 +420,23 @@ def test_out_that_cannot_be_a_directory_gives_input_exit(tmp_path, capsys, where
     err = capsys.readouterr().err
     assert err.startswith(f"input error: cannot write {out / 'kl-table.json'}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_run_with_an_out_that_cannot_be_a_directory_exits_before_any_stage(
+        tmp_path, capsys, monkeypatch, where):
+    def no_stage(session):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(Session, "table", property(no_stage))
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker if where == "file" else blocker / "sub" / "dir"
+    capsys.readouterr()
+    assert main(["run", "--system", "B3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"input error: cannot write {out}: {blocker} is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_report_command(tmp_path, capsys):
