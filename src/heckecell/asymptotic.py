@@ -68,7 +68,7 @@ class Report:
 
 
 class AsymptoticRing:
-    """Structure constants, identity, trace and blocks of the asymptotic ring."""
+    """Structure constants, identity and blocks of the asymptotic ring."""
 
     def __init__(self, alg: HeckeAlgebra, tensors: list):
         check_complete(alg.table.size, tensors)
@@ -189,23 +189,8 @@ class AsymptoticRing:
                     accumulate(out, inverse[z], g * c)
         return out
 
-    def basis_product(self, x: int, y: int, rows: dict | None = None) -> dict:
-        if rows is None:
-            rows = self.gamma_rows()
-        inverse = self.alg.table.inverse
-        return {inverse[z]: g for z, g in rows.get((x, y), ())}
-
     def identity_element(self) -> dict:
         return {w: self.n_vec[w] for w in self.d_set}
-
-    def trace(self, a: dict):
-        inverse = self.alg.table.inverse
-        acc = 0
-        for w, c in a.items():
-            nw = self.n_vec[inverse[w]]
-            if nw:
-                acc = acc + c * nw
-        return acc
 
     # -- verification ---------------------------------------------------------------------
 
@@ -290,8 +275,8 @@ class AsymptoticRing:
             for x in block:
                 for y in block:
                     acc: dict = {}
-                    for z, c in self.basis_product(x, y, rows).items():
-                        for i, j, m in nz.get(z, ()):
+                    for z, c in rows.get((x, y), ()):
+                        for i, j, m in nz.get(inverse[z], ()):
                             accumulate(acc, (i, j), c * m)
                     if acc != f_sparse_mul(nz.get(x, ()), nz.get(y, ())):
                         bad.append(

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import asymptotic, cellular, reps
 from .asymptotic import Report
 from .coxeter import ElementTable, parse_system, parse_weights
-from .errors import HeckecellError, InputError, VerificationError
+from .errors import HeckecellError, InputError, VerificationError, read_json
 from .hecke import HeckeAlgebra
 from .scalars import LaurentPoly, parse_order
 
@@ -346,13 +346,6 @@ SUITES = {
 # -- command implementations ---------------------------------------------------------
 
 
-def _read_json(path: Path, what: str):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read {what} {path}: {exc}") from exc
-
-
 def _write_artifact(data: dict, fh):
     """Write one artifact and a newline: the bytes of `json.dumps(data,
     indent=1, sort_keys=True)`, encoded as they are written. A value that is
@@ -401,7 +394,7 @@ def _check_out(out):
 def _session_from_args(args) -> Session:
     config = {}
     if getattr(args, "config", None):
-        loaded = _read_json(Path(args.config), "config file")
+        loaded = read_json(args.config, "config file")
         if not isinstance(loaded, dict):
             raise InputError(f"config file {args.config} does not hold a JSON object")
         config.update(loaded)
@@ -477,6 +470,7 @@ def cmd_run(args) -> int:
 def _write(stem: str):
     """An action that writes the artifact `stem`."""
     def action(session: Session, args) -> int:
+        _check_out(session.out)
         _emit(getattr(session, ARTIFACTS[stem])(), session.out, f"{stem}.json")
         return 0
     return action
@@ -501,6 +495,7 @@ def _rep_validate(session: Session, args) -> int:
 
 
 def _cell_specialize(session: Session, args) -> int:
+    _check_out(session.out)
     if not args.target:
         raise InputError("cell specialize needs --target weights")
     target_w = parse_weights(args.target, session.system)
@@ -544,7 +539,7 @@ def cmd_report(args) -> int:
     for name in ("reps.json", "jring.json", "cell-datum.json", "verification.json"):
         file = path / name
         if file.exists():
-            data = _read_json(file, "artifact")
+            data = read_json(file, "artifact")
             try:
                 _summarize(name, data)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -92,15 +92,8 @@ class CoxeterSystem:
         return len(self.matrix)
 
     @property
-    def bond_orders(self) -> list:
-        return [self.matrix[i][j] for i in range(self.ngens) for j in range(i, self.ngens)]
-
-    @property
     def conductor(self) -> int:
-        return reduced_conductor(self.bond_orders)
-
-    def coefficient_field(self) -> RealCyclotomicField:
-        return RealCyclotomicField(self.conductor)
+        return reduced_conductor(m for row in self.matrix for m in row)
 
     def generator_classes(self) -> list:
         """Conjugacy classes of generators: connected by a path of odd bonds."""
@@ -142,7 +135,7 @@ class ElementTable:
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self.field = system.coefficient_field()
+        self.field = RealCyclotomicField(system.conductor)
         self._enumerate()
 
     def _cartan(self):

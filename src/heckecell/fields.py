@@ -48,7 +48,6 @@ from math import ceil, floor, gcd, lcm
 
 from .errors import ComputationError, InputError
 from .matrices import eliminate, f_det
-from .scalars import int_if_integral
 
 # 50 verified decimal digits; only used to seed the initial isolating interval
 # for delta, after which refinement is purely algebraic.
@@ -321,17 +320,12 @@ class RealCyclotomicField:
 
     # -- element construction -------------------------------------------------
 
-    def from_rational(self, r):
-        return int_if_integral(Fraction(r))
-
     def element(self, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
         coeffs += [Fraction(0)] * (self.degree - len(coeffs))
         self._reduce(coeffs)
         den = lcm(*(c.denominator for c in coeffs))
         return _canonical(self, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
-
-    zero, one = 0, 1
 
     def delta(self):
         """The generator 2*cos(2*pi/conductor) as a field element."""
@@ -553,11 +547,12 @@ def _interval_horner(coeffs, lo, hi):
     return vlo, vhi
 
 
-def _cos_bounds(x_lo, x_hi, terms: int = 25):
-    # cos decreasing on (0, pi); arguments here are 2*pi/N <= 2*pi/3 < pi
+def _cos_bounds(x_lo, x_hi):
+    # cos decreasing on (0, pi); arguments here are 2*pi/N <= 2*pi/3 < pi.
+    # 25 terms of the alternating Taylor series; the next term bounds the rest
     def point(x):
         s, t, xx = Fraction(0), Fraction(1), x * x
-        for k in range(terms):
+        for k in range(25):
             s += t if k % 2 == 0 else -t
             t = t * xx / ((2 * k + 1) * (2 * k + 2))
         return s - t, s + t

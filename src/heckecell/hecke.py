@@ -107,9 +107,6 @@ class HeckeAlgebra:
 
     # -- the generator action ----------------------------------------------------
 
-    def unit(self) -> dict:
-        return {0: LaurentPoly.one(self.rank)}
-
     def gen_left(self, s: int, h: dict) -> dict:
         """T_s * h for h in the T-basis."""
         t, out = self.table, {}
@@ -300,7 +297,7 @@ class HeckeAlgebra:
             for y, hs in enumerate(row):
                 for u, h in hs.items():
                     z = inverse[u]
-                    g = h.coefficient(exp_neg(a[z]))
+                    g = h.terms.get(exp_neg(a[z]), 0)
                     if g:
                         out[(x, y, z)] = g
         return out

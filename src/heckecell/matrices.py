@@ -204,11 +204,8 @@ class KMatrix:
     def rank(self):
         return self.den.rank
 
-    def entry(self, i: int, j: int) -> LaurentFraction:
-        return LaurentFraction(self.num[i][j], self.den)
-
     def fractions(self):
-        return [[self.entry(i, j) for j in range(len(self.num[0]))] for i in range(self.dim)]
+        return [[LaurentFraction(x, self.den) for x in row] for row in self.num]
 
     def __mul__(self, other: "KMatrix") -> "KMatrix":
         rank = self.rank

@@ -28,11 +28,10 @@ a model's leading tensor is also the direct check of the Gram test.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ComputationError, InputError, VerificationError
+from .errors import ComputationError, InputError, VerificationError, read_json
 from .fields import ProductPacking
 from .hecke import HeckeAlgebra
 from .matrices import KMatrix, f_det, f_nonzero
@@ -761,12 +760,7 @@ def _wgraph_rep(alg: HeckeAlgebra, label: str, wg: dict) -> MatrixRep:
 
 
 def load_rep(alg: HeckeAlgebra, path) -> MatrixRep:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read representation file {path}: {exc}") from exc
-    return rep_from_dict(alg, data)
+    return rep_from_dict(alg, read_json(path, "representation file"))
 
 
 # -- complete built-in families ---------------------------------------------------------

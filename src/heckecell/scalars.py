@@ -239,9 +239,6 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly({self.terms!r})"
 
-    def coefficient(self, g: Exponent):
-        return self.terms.get(tuple(g), 0)
-
     def constant_coefficient(self):
         return self.terms.get((0,) * self.rank, 0)
 
@@ -252,15 +249,6 @@ class LaurentPoly:
         if not self.terms:
             raise ComputationError("undefined valuation: zero polynomial")
         return min(self.terms)
-
-    def max_exponent(self) -> Exponent:
-        if not self.terms:
-            raise ComputationError("undefined valuation: zero polynomial")
-        return max(self.terms)
-
-    def supported_negative(self) -> bool:
-        zero = (0,) * self.rank
-        return all(g < zero for g in self.terms)
 
     def specialize_exponents(self, images: list[Exponent], rank2: int) -> "LaurentPoly":
         """Apply the group homomorphism sending coordinate i to images[i]."""

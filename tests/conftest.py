@@ -49,6 +49,12 @@ def weight_of(weights, table, w: int) -> tuple:
     return tuple(g)
 
 
+def ring_trace(ring: AsymptoticRing, a: dict):
+    """The symmetrizing trace of J, t_w -> n_{w^-1}, extended linearly."""
+    inverse = ring.alg.table.inverse
+    return sum((c * ring.n_vec[inverse[w]] for w, c in a.items()), 0)
+
+
 def get_session(system: str, weights: str = "equal", order=None) -> Session:
     key = (system, weights, order)
     if key not in _CACHE:
@@ -68,7 +74,7 @@ def corrupted_ring(session: Session, key=CORRUPT_KEY) -> AsymptoticRing:
     in place, so a verification that cached an index of the old table would
     miss the corruption."""
     ring = AsymptoticRing(session.algebra, session.tensors)
-    ring.basis_product(*key[:2])
+    ring.multiply({key[0]: 1}, {key[1]: 1})
     ring.gamma = dict(ring.gamma)
     ring.gamma[key] = ring.gamma.get(key, 0) + 1
     return ring

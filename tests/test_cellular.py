@@ -11,9 +11,7 @@ import pytest
 from conftest import constant_form, corrupted_ring, edited_leading_session, get_session
 from heckecell import cellular
 from heckecell.asymptotic import AsymptoticRing, Report
-from heckecell.cellular import (b_matrix, hecke_to_asym,
-                                lambda_order, phi_element,
-                                specialize_datum,
+from heckecell.cellular import (b_matrix, hecke_to_asym, lambda_order, specialize_datum,
                                 verify_bimodule_identity, verify_cell_datum,
                                 verify_phi, verify_specialized)
 from heckecell.cli import parse_weights
@@ -399,6 +397,15 @@ def test_bimodule_identity_detects_a_corrupted_gamma(exhaustive_max, samples):
     report = verify_bimodule_identity(session.algebra, corrupted_ring(session),
                                       exhaustive_max=exhaustive_max, samples=samples)
     assert not report.ok
+
+
+def phi_element(alg, ring, coeffs_c: dict) -> dict:
+    """phi extended A-linearly from the canonical-basis images."""
+    out = {}
+    for w, poly in coeffs_c.items():
+        for z, p in hecke_to_asym(alg, ring, w).items():
+            accumulate(out, z, p * poly)
+    return out
 
 
 def reference_phi_multiplicative(alg, ring) -> list:
@@ -1023,6 +1030,22 @@ def test_phi_unital_detects_an_edited_identity_row(name):
     report = verify_phi(corrupted_h_rows(alg, 0, d, d), ring)
     assert report.checks["phi unital"] == [
         "image of the identity canonical-basis element is not the ring identity"]
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+def test_verify_phi_builds_each_image_once(name, monkeypatch):
+    """The "phi unital" check reads phi(C_1) off the images the other checks
+    use: one `hecke_to_asym` call per element of W."""
+    session = get_session(name)
+    calls = []
+
+    def counted(alg, ring, w):
+        calls.append(w)
+        return hecke_to_asym(alg, ring, w)
+
+    monkeypatch.setattr(cellular, "hecke_to_asym", counted)
+    assert verify_phi(session.algebra, session.ring).ok
+    assert sorted(calls) == list(range(session.table.size))
 
 
 @pytest.mark.parametrize("name", ["A2", "I2:9"])

@@ -418,13 +418,17 @@ def test_out_that_cannot_be_a_directory_gives_input_exit(tmp_path, capsys, where
     capsys.readouterr()
     assert main(["kl-table", "--system", "A1", "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"input error: cannot write {out / 'kl-table.json'}: ")
-    assert "Traceback" not in err
+    assert err == f"input error: cannot write {out}: {blocker} is not a directory\n"
 
 
 @pytest.mark.parametrize("where", ["file", "under-file"])
+@pytest.mark.parametrize("command", [
+    ["run"], ["kl-table"], ["h-table"], ["cells"], ["rep", "schur"], ["rep", "balance"],
+    ["rep", "leading"], ["jring", "build"], ["jring", "blocks"], ["cell", "build"],
+    ["cell", "phi"], ["cell", "specialize", "--target", '{"0":[2],"1":[1],"2":[1]}'],
+], ids=lambda command: "-".join(command[:2]))
 def test_run_with_an_out_that_cannot_be_a_directory_exits_before_any_stage(
-        tmp_path, capsys, monkeypatch, where):
+        tmp_path, capsys, monkeypatch, command, where):
     def no_stage(session):
         raise AssertionError("a stage ran")
 
@@ -433,7 +437,7 @@ def test_run_with_an_out_that_cannot_be_a_directory_exits_before_any_stage(
     blocker.write_text("", encoding="utf-8")
     out = blocker if where == "file" else blocker / "sub" / "dir"
     capsys.readouterr()
-    assert main(["run", "--system", "B3", "--out", str(out)]) == 3
+    assert main([*command, "--system", "B3", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err == f"input error: cannot write {out}: {blocker} is not a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
@@ -475,6 +479,18 @@ def test_invalid_json_config_gives_input_exit(tmp_path, capsys):
     cfg = tmp_path / "job.json"
     cfg.write_text("{", encoding="utf-8")
     assert_input_error(["run", "--config", str(cfg)], capsys)
+
+
+@pytest.mark.parametrize("argv", [["rep", "validate", "--file"], ["run", "--reps"]],
+                         ids=["rep-validate", "run"])
+def test_representation_file_that_is_not_utf8_gives_input_exit(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    capsys.readouterr()
+    assert main([*argv, str(bad), "--system", "A2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot read representation file {bad}: ")
+    assert "Traceback" not in err
 
 
 def test_non_object_config_gives_input_exit(tmp_path, capsys):

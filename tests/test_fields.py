@@ -58,7 +58,7 @@ def test_field_axioms_random():
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         if a:
-            assert a * F.inverse(a) == F.one
+            assert a * F.inverse(a) == 1
 
 
 def test_sign_matches_float_oracle():
@@ -72,7 +72,7 @@ def test_sign_matches_float_oracle():
             approx = sum(float(c) * delta**k for k, c in enumerate(coeffs))
             if abs(approx) > 1e-8:
                 assert F.sign(x) == (1 if approx > 0 else -1)
-    assert RealCyclotomicField(5).sign(RealCyclotomicField(5).zero) == 0
+    assert RealCyclotomicField(5).sign(0) == 0
 
 
 def test_sign_multiplicative():
@@ -114,7 +114,7 @@ def test_norm_is_multiplicative():
         a = F.element([Fraction(rng.randrange(-4, 5)) for _ in range(3)])
         b = F.element([Fraction(rng.randrange(-4, 5)) for _ in range(3)])
         assert F.norm(a * b) == F.norm(a) * F.norm(b)
-    assert F.norm(F.one) == 1
+    assert F.norm(1) == 1
 
 
 def test_format_parse_roundtrip():
@@ -137,7 +137,7 @@ def test_format_writes_a_rational_as_its_fraction(n):
     values += [Fraction(rng.randrange(-99, 100), rng.randrange(1, 40)) for _ in range(50)]
     for r in values:
         want = str(Fraction(r))
-        assert F.format(r) == F.format(F.from_rational(r)) == want
+        assert F.format(r) == F.format(int_if_integral(Fraction(r))) == want
         if Fraction(r).denominator == 1:
             assert F.format(int(r)) == want
 
@@ -187,8 +187,8 @@ def test_parse_rejects_malformed_coefficients(text):
 def test_ring_integrality_check():
     F = RealCyclotomicField(5)
     assert _lies_in_r(F.delta(), set())
-    assert _lies_in_r(F.from_rational(3), set())
-    assert not _lies_in_r(F.from_rational(Fraction(1, 2)), set())
+    assert _lies_in_r(3, set())
+    assert not _lies_in_r(Fraction(1, 2), set())
 
 
 def test_reduced_conductor():
@@ -252,7 +252,7 @@ def random_element(F, rng):
     """Coordinates with denominators other than 1, and sometimes zero or rational."""
     kind = rng.randrange(6)
     if kind == 0:
-        return F.zero
+        return 0
     coeffs = [Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 3, 4, 6, 9]))
               for _ in range(F.degree)]
     if kind == 1:
@@ -334,7 +334,7 @@ def test_rational_values_compare_and_hash_like_fractions(n):
         r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
         # an arithmetic route to the rational value r, through irrational terms
         y = (x + r) - x
-        for val in (y, F.from_rational(r), F.element([r])):
+        for val in (y, int_if_integral(Fraction(r)), F.element([r])):
             assert_canonical(val)
             if val is not y or isinstance(x, CycloNumber):
                 assert_narrow(val)
@@ -364,9 +364,9 @@ def test_narrow_keeps_value_and_hash(n):
         r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
         k = rng.randrange(-9, 10)
         cases = [
-            (F.element([k]), k, int), (F.from_rational(Fraction(k)), Fraction(k), int),
-            (F.from_rational(k), k, int),
-            (F.from_rational(r), r, int if r.denominator == 1 else Fraction),
+            (F.element([k]), k, int), (int_if_integral(Fraction(k)), Fraction(k), int),
+            (int_if_integral(Fraction(k)), k, int),
+            (int_if_integral(Fraction(r)), r, int if r.denominator == 1 else Fraction),
         ]
         if r.denominator != 1:
             cases.append((F.element([r]), r, Fraction))
@@ -387,9 +387,9 @@ def test_inverting_zero_raises():
     for n in (5, 7, 9, 11):
         F = RealCyclotomicField(n)
         with pytest.raises(ZeroDivisionError):
-            F.inverse(F.zero)
+            F.inverse(0)
         with pytest.raises(ZeroDivisionError):
-            scalar_inverse(F.zero)
+            scalar_inverse(0)
         with pytest.raises(ZeroDivisionError):
             scalar_inverse(F.delta() - F.delta())
 
@@ -636,9 +636,9 @@ def test_inverse_matches_the_extended_euclid_reference(n):
     F = RealCyclotomicField(n)
     rng = random.Random(300 + n)
     elements = [random_element(F, rng) for _ in range(60)]
-    elements += [F.from_rational(Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)))
+    elements += [int_if_integral(Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)))
                  for _ in range(10)]
-    elements += [F.delta(), F.one, -F.one]
+    elements += [F.delta(), 1, -1]
     for x in elements:
         if not x:
             with pytest.raises(ZeroDivisionError):
@@ -651,7 +651,7 @@ def test_inverse_matches_the_extended_euclid_reference(n):
         # the norm is the resultant of the minimal polynomial and x's coordinates
         assert F.norm(x) == ref_resultant(list(F.min_poly), list(F.coords(x)))
     with pytest.raises(ZeroDivisionError):
-        F.inverse(F.zero)
+        F.inverse(0)
 
 
 @pytest.mark.parametrize("n", [5, 7, 8, 9, 11, 12, 13])
@@ -664,10 +664,10 @@ def test_sign_of_delta_against_its_enclosure_ends_needs_refinement(n):
     F = RealCyclotomicField(n)
     F._interval = None
     lo, hi = F._delta_enclosure()
-    delta, lo_f, hi_f = F.delta(), F.from_rational(lo), F.from_rational(hi)
+    delta, lo_f, hi_f = F.delta(), int_if_integral(lo), int_if_integral(hi)
     assert F.sign(delta - lo_f) == F.sign(hi_f - delta) == 1
     assert F.sign(lo_f - delta) == F.sign(delta - hi_f) == -1
-    x = delta - F.from_rational((lo + hi) / 2)
+    x = delta - int_if_integral((lo + hi) / 2)
     assert F.sign(x) == _reference_sign(F, x, [_taylor_enclosure(n)])
     lo2, hi2 = F._interval
     assert lo <= lo2 < hi2 <= hi and hi2 - lo2 < hi - lo
@@ -715,8 +715,8 @@ def test_every_field_value_has_one_type(n):
     mp = F.min_poly
     rng = random.Random(700 + n)
     assert_one_type(F, F.delta(), ref_reduce(mp, [Fraction(0), Fraction(1)] + [Fraction(0)] * F.degree))
-    assert_one_type(F, F.zero, (Fraction(0),) * F.degree)
-    assert_one_type(F, F.one, (Fraction(1),) + (Fraction(0),) * (F.degree - 1))
+    assert_one_type(F, 0, (Fraction(0),) * F.degree)
+    assert_one_type(F, 1, (Fraction(1),) + (Fraction(0),) * (F.degree - 1))
     for k in range(n):
         assert_one_type(F, F.two_cos(k, n), ref_two_cos(F, k))
     values = []
@@ -730,7 +730,7 @@ def test_every_field_value_has_one_type(n):
         assert_one_type(F, F.parse(F.format(a)), ca)
         r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
         cr = (r,) + (Fraction(0),) * (F.degree - 1)
-        assert_one_type(F, F.from_rational(r), cr)
+        assert_one_type(F, int_if_integral(Fraction(r)), cr)
         if isinstance(a, CycloNumber) or type(a) is int:
             assert a - a == 0 and type(a - a) is int
         if isinstance(a, CycloNumber):
